@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "analysis/cscq.h"
-#include "analysis/cscq_map.h"
 #include "core/table.h"
 #include "dist/map_process.h"
 #include "sim/simulator.h"
@@ -22,7 +21,7 @@ int main() {
   sim::SimOptions opts;
   opts.total_completions = 1200000;
 
-  // Poisson row (peak/mean = 1) via the base chain.
+  // Poisson row (peak/mean = 1): the same chain with a one-phase MAP.
   {
     const auto a = analysis::analyze_cscq(base);
     const auto s = sim::simulate(sim::PolicyKind::kCsCq, base, opts);
@@ -33,7 +32,7 @@ int main() {
     SystemConfig c = base;
     c.short_arrivals = std::make_shared<dist::MapProcess>(
         dist::MapProcess::bursty(base.lambda_short, peak, 0.2, 10.0));
-    const auto a = analysis::analyze_cscq_map(c);
+    const auto a = analysis::analyze_cscq(c);
     const auto s = sim::simulate(sim::PolicyKind::kCsCq, c, opts);
     t.add_row({peak, a.metrics.shorts.mean_response, s.shorts.mean_response,
                a.metrics.longs.mean_response, s.longs.mean_response});

@@ -2,12 +2,12 @@
 // generalization the paper sketches ("straightforward to generalize using
 // any phase-type distribution"). All of the paper's numerical results use
 // exponential shorts; this bench regenerates the Figure-4 panel-(a) sweep
-// with Erlang-2 (C^2 = 0.5) and Coxian (C^2 = 4) shorts and cross-checks the
-// phase-type chain against simulation at a few points.
+// with Erlang-2 (C^2 = 0.5) and Coxian (C^2 = 4) shorts and cross-checks
+// analyze_cscq's phase-type chain against simulation at a few points.
 #include <iostream>
 #include <memory>
 
-#include "analysis/cscq_ph.h"
+#include "analysis/cscq.h"
 #include "analysis/stability.h"
 #include "core/table.h"
 #include "sim/simulator.h"
@@ -44,7 +44,7 @@ int main() {
     Table t({"rho_S", "E[T_S] analysis", "E[T_L] analysis"});
     for (double rho_s = 0.1; rho_s < 1.45; rho_s += 0.1) {
       const SystemConfig c = make_config(rho_s, rho_l, kind.dist, 1.0);
-      const auto r = analysis::analyze_cscq_ph(c);
+      const auto r = analysis::analyze_cscq(c);
       t.add_row({rho_s, r.metrics.shorts.mean_response, r.metrics.longs.mean_response});
     }
     t.print(std::cout);
@@ -57,7 +57,7 @@ int main() {
   opts.total_completions = 1000000;
   for (const double rho_s : {0.6, 1.0, 1.3}) {
     const SystemConfig c = make_config(rho_s, rho_l, kinds[2].dist, 1.0);
-    const auto r = analysis::analyze_cscq_ph(c);
+    const auto r = analysis::analyze_cscq(c);
     const auto s = sim::simulate(sim::PolicyKind::kCsCq, c, opts);
     v.add_row({rho_s, r.metrics.shorts.mean_response, s.shorts.mean_response,
                r.metrics.longs.mean_response, s.longs.mean_response});

@@ -28,6 +28,7 @@ CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
   CSQ_OBS_SPAN("analysis.csid.analyze");
   const obs::DeltaScope obs_scope;
   config.validate();
+  config.require_poisson_shorts("analyze_csid");
   const double mu_s = require_exponential_shorts(config).rate();
   const double ls = config.lambda_short;
   const double ll = config.lambda_long;
@@ -130,6 +131,7 @@ CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
 
 double csid_long_response(const SystemConfig& config) {
   config.validate();
+  config.require_poisson_shorts("csid_long_response");
   const double mu_s = require_exponential_shorts(config).rate();
   const double ls = config.lambda_short;
   const double ll = config.lambda_long;

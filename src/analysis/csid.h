@@ -55,7 +55,7 @@ struct CsidResult {
 
 // Throws csq::UnstableError (a std::domain_error) outside the CS-ID
 // stability region and csq::InvalidInputError (a std::invalid_argument) when
-// short sizes are not exponential. QBD and linear-algebra failures escape
+// short sizes are not exponential or short arrivals are a MAP. QBD and linear-algebra failures escape
 // as csq::NotConvergedError / csq::VerificationFailedError /
 // csq::IllConditionedError; csq::DeadlineExceededError /
 // csq::CancelledError surface when opts.budget is interrupted.
@@ -64,7 +64,8 @@ struct CsidResult {
 // Long-job mean response only. The long host's behaviour depends only on the
 // arrival streams (which shorts steal it is decided at arrival instants), so
 // this is valid for ALL rho_S — including short-host-overloaded operating
-// points like Figure 6's rho_S = 1.5. Requires rho_L < 1.
+// points like Figure 6's rho_S = 1.5. Requires rho_L < 1 and Poisson short
+// arrivals (csq::InvalidInputError otherwise).
 [[nodiscard]] double csid_long_response(const SystemConfig& config);
 
 }  // namespace csq::analysis

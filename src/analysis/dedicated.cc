@@ -8,6 +8,7 @@ namespace csq::analysis {
 PolicyMetrics analyze_dedicated(const SystemConfig& config) {
   CSQ_OBS_SPAN("analysis.dedicated.analyze");
   config.validate();
+  config.require_poisson_shorts("analyze_dedicated");
   const dist::Moments xs = config.short_size->moments();
   const dist::Moments xl = config.long_size->moments();
   PolicyMetrics m;

@@ -27,6 +27,7 @@ TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
   CSQ_OBS_SPAN("analysis.truncated.analyze");
   const obs::DeltaScope obs_scope;
   config.validate();
+  config.require_poisson_shorts("analyze_cscq_truncated");
   const double mu_s = exponential_rate(config.short_size, "short");
   const double mu_l = exponential_rate(config.long_size, "long");
   const double ls = config.lambda_short;

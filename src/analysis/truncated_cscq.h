@@ -48,7 +48,7 @@ struct TruncatedCscqResult {
 };
 
 // Throws std::invalid_argument unless both size distributions are
-// exponential; std::domain_error outside the CS-CQ stability region.
+// exponential and short arrivals are Poisson; std::domain_error outside the CS-CQ stability region.
 // The truncated-chain solve can also surface csq::IllConditionedError
 // from the linear-algebra stage.
 [[nodiscard]] TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,

@@ -17,6 +17,13 @@ void SystemConfig::validate() const {
     throw InvalidInputError("SystemConfig: arrival rates must be nonnegative");
 }
 
+void SystemConfig::require_poisson_shorts(const char* who) const {
+  if (short_arrivals)
+    throw InvalidInputError(std::string(who) +
+                            ": short_arrivals (a MAP) is set, but this model assumes "
+                            "Poisson short arrivals");
+}
+
 SystemConfig SystemConfig::from_loads(double rho_short, double rho_long,
                                       dist::DistPtr short_size, dist::DistPtr long_size) {
   if (!short_size || !long_size)

@@ -37,6 +37,10 @@ struct SystemConfig {
 
   // Throws std::invalid_argument on missing distributions / negative rates.
   void validate() const;
+  // For models that know only Poisson short arrivals: throws
+  // csq::InvalidInputError naming `short_arrivals` when a MAP is set, instead
+  // of silently answering for a Poisson stream at lambda_short.
+  void require_poisson_shorts(const char* who) const;
 
   // Convenience: build a config from per-class loads and size distributions
   // (lambda = rho / mean).

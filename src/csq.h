@@ -3,8 +3,6 @@
 #pragma once
 
 #include "analysis/cscq.h"          // IWYU pragma: export
-#include "analysis/cscq_map.h"     // IWYU pragma: export
-#include "analysis/cscq_ph.h"      // IWYU pragma: export
 #include "analysis/csid.h"         // IWYU pragma: export
 #include "analysis/dedicated.h"    // IWYU pragma: export
 #include "analysis/resilient.h"    // IWYU pragma: export

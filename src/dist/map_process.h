@@ -1,7 +1,7 @@
 // Markovian Arrival Process (MAP): a CTMC with generator D0 + D1 where D1
 // transitions emit an arrival. Subsumes Poisson (1 phase) and MMPP. The
 // paper notes its Poisson-arrival assumption "can be generalized to a MAP";
-// analysis/cscq_map.* implements that generalization for the short class.
+// analysis/cscq.* takes it as the short class's arrival process.
 //
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once

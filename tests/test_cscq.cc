@@ -115,9 +115,9 @@ TEST(Cscq, OutsideStabilityRegionThrows) {
                std::domain_error);
 }
 
-TEST(Cscq, NonExponentialShortsRejected) {
+TEST(Cscq, NonPhaseTypeShortsRejected) {
   SystemConfig c = SystemConfig::paper_setup(0.5, 0.5, 1.0, 1.0);
-  c.short_size = std::make_shared<dist::PhaseType>(dist::PhaseType::erlang(2, 2.0));
+  c.short_size = std::make_shared<dist::Deterministic>(1.0);
   EXPECT_THROW((void)analyze_cscq(c), std::invalid_argument);
 }
 

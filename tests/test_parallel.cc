@@ -13,48 +13,9 @@
 #include <vector>
 
 #include "parallel/task_pool.h"
-#include "parallel/work_stealing_deque.h"
 
 namespace csq::par {
 namespace {
-
-TEST(WorkStealingDeque, OwnerPushPopIsLifo) {
-  WorkStealingDeque<int*> d(2);  // tiny ring: forces growth
-  int items[100];
-  for (int i = 0; i < 100; ++i) d.push(&items[i]);
-  for (int i = 99; i >= 0; --i) EXPECT_EQ(d.pop(), &items[i]);
-  EXPECT_EQ(d.pop(), nullptr);
-}
-
-TEST(WorkStealingDeque, ThievesDrainFifoWhileOwnerPops) {
-  WorkStealingDeque<std::uint64_t*> d;
-  constexpr int kItems = 20000;
-  std::vector<std::uint64_t> items(kItems);
-  std::atomic<std::uint64_t> taken_sum{0};
-  std::atomic<int> taken_count{0};
-  for (int i = 0; i < kItems; ++i) {
-    items[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i) + 1;
-    d.push(&items[static_cast<std::size_t>(i)]);
-  }
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t)
-    thieves.emplace_back([&] {
-      while (taken_count.load() < kItems)
-        if (std::uint64_t* p = d.steal()) {
-          taken_sum.fetch_add(*p);
-          taken_count.fetch_add(1);
-        }
-    });
-  while (taken_count.load() < kItems)
-    if (std::uint64_t* p = d.pop()) {
-      taken_sum.fetch_add(*p);
-      taken_count.fetch_add(1);
-    }
-  for (auto& t : thieves) t.join();
-  // Every item taken exactly once: the CAS on top_ admits no duplicates.
-  const std::uint64_t want = static_cast<std::uint64_t>(kItems) * (kItems + 1) / 2;
-  EXPECT_EQ(taken_sum.load(), want);
-}
 
 TEST(MpscChannel, SingleProducerIsFifoAndBoundedByCapacity) {
   MpscChannel<int> ch(3);
