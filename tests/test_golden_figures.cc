@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -31,6 +33,7 @@
 #include "core/sweep.h"
 #include "dist/map_process.h"
 #include "dist/phase_type.h"
+#include "sim/simulator.h"
 
 namespace {
 
@@ -485,5 +488,203 @@ TEST(ChainPins, MapArrivalsMatchPins) {
                   p.out);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Bit-exact pins of the event simulator.
+//
+// One row per registered policy on two 2-host workloads: the exponential
+// paper setup (rho_S = 0.9, rho_L = 0.5, sizes 1/1) and Coxian C^2 = 8
+// longs (mean 10) under bursty MMPP short arrivals (rho_S = 0.8,
+// rho_L = 0.5). Each run uses seed 15 and stops at 20000 completions. Every
+// field of SimResult is pinned: class statistics, clock, per-host
+// utilization, the long-host idle fraction, the conservation ledger and the
+// arrival hash. Doubles are hexfloat literals compared for exact equality,
+// so a change to the event loop, the RNG stream layout or any policy's
+// decision order fails here even when the statistics still agree.
+struct SimClassPin {
+  std::size_t completions;
+  double mean_response, ci95;
+};
+
+struct SimPin {
+  const char* token;
+  SimClassPin shorts, longs;
+  double sim_time;
+  double utilization[2];
+  double p_long_host_idle;
+  std::size_t arrivals, completions_total, queued_final, in_service_final;
+  std::uint64_t arrival_hash;
+};
+
+SystemConfig sim_pin_config(bool coxian_mmpp) {
+  if (!coxian_mmpp) return SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0);
+  SystemConfig c = SystemConfig::paper_setup(0.8, 0.5, 1.0, 10.0, 8.0);
+  c.short_arrivals =
+      std::make_shared<dist::MapProcess>(dist::MapProcess::bursty(0.8, 4.0, 0.1, 3.0));
+  return c;
+}
+
+// clang-format off
+const SimPin kExponentialPins[] = {
+    {"dedicated",
+     {11457, 0x1.17a2e844e21fbp+3, 0x1.a8486c3299402p+0}, {6543, 0x1.000e3ecf5cdcep+1, 0x1.74735e013cf2cp-3},
+     0x1.bdd63dd9909ap+13, {0x1.c95c1d59963c8p-1, 0x1.03ff521ea126fp-1}, 0x1.f8015bc2bdb21p-2,
+     20011, 20000, 9, 2, 0x08d431c70bb7b48bULL},
+    {"csid",
+     {11460, 0x1.72c6bd26dfe28p+1, 0x1.10ce771dbe99ap-2}, {6540, 0x1.410a174307f74p+1, 0x1.58d0e674659bcp-3},
+     0x1.bd896f1945adcp+13, {0x1.519418ea8d526p-1, 0x1.7c36153ffeab2p-1}, 0x1.0793d58002a9bp-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"cscq",
+     {11460, 0x1.16d28637635f7p+1, 0x1.5747b6cbd2c52p-3}, {6540, 0x1.1907ec9cd56d7p+1, 0x1.73a4965910c5dp-3},
+     0x1.bd896f1945adcp+13, {0x1.8ccea088d1534p-1, 0x1.40fb8da1baaa3p-1}, 0x1.7e08e4bc8aab8p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"cscq-norename",
+     {11460, 0x1.14384ef8b8001p+1, 0x1.5265e1de7c6a6p-3}, {6540, 0x1.50d41745afc2p+1, 0x1.6979b75453764p-3},
+     0x1.bd896f1945adcp+13, {0x1.2c21c196107fcp-1, 0x1.a1a86c947b7ddp-1}, 0x1.795e4dae1208cp-3,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"mg2-fcfs",
+     {11460, 0x1.f769410be46bcp+0, 0x1.0cc946cea0684p-3}, {6540, 0x1.003bee98a89fbp+1, 0x1.4a509802432a7p-3},
+     0x1.bd896f1945adcp+13, {0x1.7ff0ee7a16cfp-1, 0x1.4dd93fb0752eap-1}, 0x1.644d809f15a2dp-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"mg2-sjf",
+     {11460, 0x1.9687a62ed94f4p+0, 0x1.10ac7faddf71ap-4}, {6540, 0x1.92aca789fe0ap+0, 0x1.3fc1d5ed787f1p-4},
+     0x1.bd896f1945adcp+13, {0x1.800864bfe1cd6p-1, 0x1.4dc1c96aaa305p-1}, 0x1.647c6d2aab9f6p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"lwr",
+     {11460, 0x1.f769410be46bcp+0, 0x1.0cc946cea0684p-3}, {6540, 0x1.003bee98a89fbp+1, 0x1.4a509802432a7p-3},
+     0x1.bd896f1945adcp+13, {0x1.7a8e5f59161b8p-1, 0x1.533bced175e22p-1}, 0x1.5988625d143bdp-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"tags",
+     {11467, 0x1.ae3d77dc86d53p+6, 0x1.967d15553d93ap+4}, {6533, 0x1.a7cfccf827adp+6, 0x1.91aa59b8b0ea4p+4},
+     0x1.c333d90d96d14p+13, {0x1.c7732e44fbd78p-1, 0x1.fd82587e9c9dfp-1}, 0x1.3ed3c0b1b1053p-8,
+     20283, 20000, 281, 2, 0xaee93cb86518dca2ULL},
+    {"rr",
+     {11460, 0x1.4eaee4d6a629ap+1, 0x1.8a332e9ca148ep-3}, {6540, 0x1.56c2b14213017p+1, 0x1.d4bbe15804886p-3},
+     0x1.bd896f1945adcp+13, {0x1.66dab670658fap-1, 0x1.66ef77ba266dfp-1}, 0x1.3221108bb3241p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"random",
+     {11460, 0x1.b561ec223beb1p+1, 0x1.cfd4f165e9921p-3}, {6540, 0x1.b4557c59db85ap+1, 0x1.fe6f7b4e48abbp-3},
+     0x1.bd896f1945adcp+13, {0x1.606be33933aa3p-1, 0x1.6d5e4af158535p-1}, 0x1.25436a1d4f596p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"jiq",
+     {11460, 0x1.33c1f77f018acp+1, 0x1.4d2ee0861d9ebp-3}, {6540, 0x1.348adf3733879p+1, 0x1.afcc4213aed62p-3},
+     0x1.bd896f1945adcp+13, {0x1.649aa8ab2e09cp-1, 0x1.692f857f5df3cp-1}, 0x1.2da0f50144186p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"steal-one",
+     {11460, 0x1.1c1995db1743cp+1, 0x1.085d71c7afc6ep-3}, {6540, 0x1.1e32f654f819bp+1, 0x1.4d9b7c633d3d1p-3},
+     0x1.bd896f1945adcp+13, {0x1.63341b759a9c5p-1, 0x1.6a9612b4f1615p-1}, 0x1.2ad3da961d3d7p-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"steal-half",
+     {11460, 0x1.1ea57e0c35c0ap+1, 0x1.17d9948334e7cp-3}, {6540, 0x1.20759606fe802p+1, 0x1.5804688e4ba9ap-3},
+     0x1.bd896f1945adcp+13, {0x1.624db75b69df6p-1, 0x1.6b7c76cf221e2p-1}, 0x1.29071261bbc3cp-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"threshold-steal",
+     {11460, 0x1.34906d7413483p+1, 0x1.1c53fc5bb96abp-3}, {6540, 0x1.37dafab79bddbp+1, 0x1.63bf5847f6334p-3},
+     0x1.bd896f1945adcp+13, {0x1.633aa5b6c6d46p-1, 0x1.6a8f8873c5294p-1}, 0x1.2ae0ef1875adap-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+    {"work-sharing",
+     {11460, 0x1.29f05a62fc20ep+1, 0x1.4774964567848p-3}, {6540, 0x1.2f73e2485e993p+1, 0x1.741e730b60247p-3},
+     0x1.bd896f1945adcp+13, {0x1.64ce123b092cfp-1, 0x1.68fc1bef82d0bp-1}, 0x1.2e07c820fa5ecp-2,
+     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+};
+
+const SimPin kCoxianMmppPins[] = {
+    {"dedicated",
+     {16933, 0x1.f312d5920188bp+3, 0x1.083dce9484d14p+2}, {1067, 0x1.c2e4e3cd01693p+5, 0x1.c2d126514953fp+4},
+     0x1.6390d65107f3bp+14, {0x1.a3d9a8904f17cp-1, 0x1.1131eed298457p-1}, 0x1.dd9c225acf751p-2,
+     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+    {"csid",
+     {16932, 0x1.13258d770740bp+3, 0x1.1cafbc317933cp+1}, {1068, 0x1.c53ab4261e3fep+5, 0x1.c3d9467556ad4p+4},
+     0x1.6390d65107f3bp+14, {0x1.4737e26e3af07p-1, 0x1.6dd1ca90bff4cp-1}, 0x1.245c6ade80167p-2,
+     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+    {"cscq",
+     {16932, 0x1.c70d628c872a6p+2, 0x1.e2a80e697aebdp+0}, {1068, 0x1.c38e6c3545d1ap+5, 0x1.c42ad2c1a6b65p+4},
+     0x1.6390d65107f3bp+14, {0x1.7be10dbdeee01p-1, 0x1.392a89a4f87d2p-1}, 0x1.8daaecb60f05cp-2,
+     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+    {"cscq-norename",
+     {16932, 0x1.c7246b47fea2bp+2, 0x1.e235b9c75d9cp+0}, {1068, 0x1.c63f6796788dcp+5, 0x1.c3ae390f0319ep+4},
+     0x1.6390d65107f3bp+14, {0x1.266cf4c08041fp-1, 0x1.8e9cb83e7aa36p-1}, 0x1.c58d1f061572ep-3,
+     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+    {"mg2-fcfs",
+     {16931, 0x1.9916d749664b3p+3, 0x1.670817ced53fcp+2}, {1069, 0x1.55d6e6001c5c8p+4, 0x1.db111d64f061cp+2},
+     0x1.6389f97be26c9p+14, {0x1.71fda5fe638ap-1, 0x1.432d69a86afdep-1}, 0x1.79a52caf2a045p-2,
+     20015, 20000, 13, 2, 0xb252f3886661441eULL},
+    {"mg2-sjf",
+     {16931, 0x1.237de782a0727p+2, 0x1.dae695bdefbc9p+0}, {1069, 0x1.5e03956f0d47cp+4, 0x1.0cd3ba0601db1p+3},
+     0x1.63457104ed85cp+14, {0x1.6ef55c613179p-1, 0x1.45f5e1b55c95bp-1}, 0x1.74143c9546d4ap-2,
+     20008, 20000, 6, 2, 0x8b271cb0b66765b3ULL},
+    {"lwr",
+     {16931, 0x1.9916d749664b3p+3, 0x1.670817ced53fcp+2}, {1069, 0x1.55d6e6001c5c8p+4, 0x1.db111d64f061cp+2},
+     0x1.6389f97be26c9p+14, {0x1.43cb95f6b3393p-1, 0x1.715f79b01b4ecp-1}, 0x1.1d410c9fc962ap-2,
+     20015, 20000, 13, 2, 0xb252f3886661441eULL},
+    {"tags",
+     {16984, 0x1.4d003aaca014dp+9, 0x1.2525cc5ec9966p+7}, {1016, 0x1.9b10481d93e37p+10, 0x1.4108807284ecep+8},
+     0x1.73d5687d85cc7p+14, {0x1.2312fcbf62448p-1, 0x1.fe822f8b80cd6p-1}, 0x1.7dd0747f329edp-9,
+     20957, 20000, 956, 1, 0x00e2e6c119cd0260ULL},
+    {"rr",
+     {16929, 0x1.3c25591bc39d4p+5, 0x1.2006f8b4f69e7p+4}, {1071, 0x1.7f52a254dce7p+5, 0x1.1439bea6cad7p+4},
+     0x1.64c2389e9446cp+14, {0x1.56ef9101ed72cp-1, 0x1.5dcd02d7deaffp-1}, 0x1.4465fa5042a03p-2,
+     20083, 20000, 82, 1, 0x9d554356617efd19ULL},
+    {"random",
+     {16931, 0x1.0569cdb194dc4p+5, 0x1.99f64e93a63c6p+3}, {1069, 0x1.3fd4e0802ae6p+5, 0x1.ce51884cae9e2p+3},
+     0x1.64e180bee4a5p+14, {0x1.61683955a940cp-1, 0x1.5313010f48fd9p-1}, 0x1.59d9fde16e04fp-2,
+     20085, 20000, 84, 1, 0x9e4a65b111634334ULL},
+    {"jiq",
+     {16930, 0x1.7aeff849333adp+4, 0x1.374b5f468cefp+3}, {1070, 0x1.f74b4189fbc2ep+4, 0x1.80a473fb7d783p+3},
+     0x1.63e02a056596cp+14, {0x1.630d7a95f5c4fp-1, 0x1.51e16bfd701e7p-1}, 0x1.5c3d28051fc33p-2,
+     20049, 20000, 47, 2, 0xe3f13246436362b5ULL},
+    {"steal-one",
+     {16930, 0x1.b22cab1750cd4p+3, 0x1.a1e60380384fbp+2}, {1070, 0x1.66294b8adf26cp+4, 0x1.12c1673da177fp+3},
+     0x1.63a31cb72e607p+14, {0x1.57a06b9f3b7d5p-1, 0x1.5d8e661f1aba2p-1}, 0x1.44e333c1ca8bcp-2,
+     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+    {"steal-half",
+     {16930, 0x1.c3731875d53c6p+3, 0x1.a662698eea78dp+2}, {1070, 0x1.5edef933e25dbp+4, 0x1.007d213c8d353p+3},
+     0x1.63a31cb72e607p+14, {0x1.58b8fe5d67b14p-1, 0x1.5c75d360ee864p-1}, 0x1.4714593e22f38p-2,
+     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+    {"threshold-steal",
+     {16930, 0x1.c06529430ac2p+3, 0x1.a4f96349e1835p+2}, {1070, 0x1.673f50a719fc4p+4, 0x1.0a2659606b294p+3},
+     0x1.63a255242820ep+14, {0x1.5a388d865c186p-1, 0x1.5af583f0e23dbp-1}, 0x1.4a14f81e3b849p-2,
+     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+    {"work-sharing",
+     {16930, 0x1.4b3def5bc630cp+4, 0x1.325f90083e388p+3}, {1070, 0x1.bddf63313e295p+4, 0x1.611f591b710e7p+3},
+     0x1.63bbe988e785ap+14, {0x1.5da29b74de8aep-1, 0x1.574a04469cf79p-1}, 0x1.516bf772c610fp-2,
+     20041, 20000, 39, 2, 0x4e7f045191a3e680ULL},
+};
+
+// clang-format on
+
+void expect_class_pin(const sim::ClassStats& actual, const SimClassPin& pin) {
+  EXPECT_EQ(actual.completions, pin.completions);
+  EXPECT_EQ(actual.mean_response, pin.mean_response);
+  EXPECT_EQ(actual.ci95, pin.ci95);
+}
+
+void expect_sim_pins(bool coxian_mmpp, const SimPin (&pins)[15]) {
+  ASSERT_EQ(sim::policy_registry().size(), std::size(pins));
+  const SystemConfig c = sim_pin_config(coxian_mmpp);
+  sim::SimOptions o;
+  o.seed = 15;
+  o.total_completions = 20000;
+  for (const SimPin& p : pins) {
+    SCOPED_TRACE(p.token);
+    const sim::SimResult r = sim::simulate(sim::policy_kind_from_token(p.token), c, o);
+    expect_class_pin(r.shorts, p.shorts);
+    expect_class_pin(r.longs, p.longs);
+    EXPECT_EQ(r.sim_time, p.sim_time);
+    ASSERT_EQ(r.utilization.size(), 2u);
+    EXPECT_EQ(r.utilization[0], p.utilization[0]);
+    EXPECT_EQ(r.utilization[1], p.utilization[1]);
+    EXPECT_EQ(r.p_long_host_idle, p.p_long_host_idle);
+    EXPECT_EQ(r.arrivals, p.arrivals);
+    EXPECT_EQ(r.completions_total, p.completions_total);
+    EXPECT_EQ(r.queued_final, p.queued_final);
+    EXPECT_EQ(r.in_service_final, p.in_service_final);
+    EXPECT_EQ(r.arrival_hash, p.arrival_hash);
+  }
+}
+
+TEST(SimPins, ExponentialPaperSetupEveryPolicy) { expect_sim_pins(false, kExponentialPins); }
+
+TEST(SimPins, CoxianLongsMmppShortsEveryPolicy) { expect_sim_pins(true, kCoxianMmppPins); }
 
 }  // namespace
