@@ -7,8 +7,8 @@
 #include "analysis/cscq.h"
 #include "analysis/stability.h"
 #include "core/solver.h"
-#include "msim/multi_sim.h"
 #include "obs/trace.h"
+#include "sim/simulator.h"
 
 namespace csq::analysis {
 
@@ -169,16 +169,12 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
   // --- rung 3: simulation (always runs its initial batch) ------------------
   if (opts.budget.cancelled()) opts.budget.check("analyze_resilient/simulation");
   const bool ok = attempt(Rung::kSimulation, [&] {
-    msim::MultiConfig mc;
-    mc.short_hosts = 1;
-    mc.long_hosts = 1;
-    mc.workload = config;
     sim::ReplicationOptions ropts = opts.sim_reps;
     ropts.budget = opts.budget;
     ropts.target_rel_ci = opts.sim_target_rel_ci;
     ropts.max_replications = std::max(ropts.max_replications, ropts.replications);
-    const msim::MultiReplicatedResult mr =
-        msim::simulate_multi_replications(msim::MultiPolicy::kCsCq, mc, opts.sim, ropts);
+    const sim::ReplicatedResult mr =
+        sim::simulate_replications(sim::PolicyKind::kCsCq, config, opts.sim, ropts);
     PolicyMetrics m;
     m.shorts = class_metrics_from_response(mr.shorts.mean_response,
                                            config.effective_lambda_short(),

@@ -14,8 +14,9 @@
 //                         csq::VerificationFailedError internally; it is
 //                         recorded in the attempt trail, never escaping the
 //                         ladder);
-//   rung 3 (simulation) — msim::simulate_multi_replications on the 1+1-host
-//                         instance, with adaptive CI-width stopping. Once
+//   rung 3 (simulation) — sim::simulate_replications of CS-CQ on the
+//                         default 1 + 1 hosts (the analyzed system), with
+//                         adaptive CI-width stopping. Once
 //                         entered this rung always completes its initial
 //                         replication batch, so a finite budget degrades the
 //                         confidence interval rather than the availability

@@ -59,13 +59,13 @@ struct SystemConfig {
 // drive a whole policy x load sweep panel. Validation happens in the policy
 // constructors (make_policy throws csq::InvalidInputError on bad knobs).
 struct PolicyConfig {
-  // Threshold stealing: an idle thief raids the other host only when the
-  // victim's queue holds at least steal_threshold jobs...
+  // Threshold stealing: an idle thief raids the longest queue only when it
+  // holds at least steal_threshold jobs...
   int steal_threshold = 2;
   // ...and then takes at most steal_batch of them in one raid.
   int steal_batch = 2;
-  // Central work sharing: an arrival that would make a busy host's queue
-  // exceed share_threshold is pushed to the other host instead.
+  // Central work sharing: an arrival that finds a busy host with
+  // share_threshold or more queued jobs is pushed to another host instead.
   int share_threshold = 1;
 };
 

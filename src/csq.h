@@ -22,7 +22,6 @@
 #include "dist/phase_type.h"       // IWYU pragma: export
 #include "mg1/mg1.h"               // IWYU pragma: export
 #include "mg1/mmc.h"               // IWYU pragma: export
-#include "msim/multi_sim.h"        // IWYU pragma: export
 #include "obs/obs.h"               // IWYU pragma: export
 #include "obs/trace.h"             // IWYU pragma: export
 #include "sim/simulator.h"         // IWYU pragma: export

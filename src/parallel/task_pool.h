@@ -25,7 +25,7 @@
 //
 // Nested parallel_for calls from inside a worker are not supported (the
 // inner call would block a worker on work only workers can run); the
-// library's parallel entry points (core/sweep, sim, msim) are all top-level.
+// library's parallel entry points (core/sweep, sim) are all top-level.
 //
 // Budgets: parallel_for accepts a RunBudget; workers observe it *between*
 // range tasks (one check per task execution, so worst-case overshoot is one

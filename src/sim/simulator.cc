@@ -1,12 +1,12 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-
-#include <algorithm>
+#include <string>
 
 #include "parallel/task_pool.h"
 #include "sim/rng.h"
@@ -107,10 +107,25 @@ Engine::Engine(const SystemConfig& config, const SimOptions& opts)
       resp_short_(opts.batches),
       resp_long_(opts.batches) {
   config_.validate();
+  if (opts_.short_hosts < 1 || opts_.long_hosts < 1)
+    throw InvalidInputError("SimOptions: need >= 1 host per partition");
   if (opts_.total_completions < 100)
     throw InvalidInputError("SimOptions: total_completions too small");
-  if (opts_.server_speeds[0] <= 0.0 || opts_.server_speeds[1] <= 0.0)
-    throw InvalidInputError("SimOptions: server speeds must be positive");
+  // Negated so NaN fails too; >= 1 would discard every response.
+  if (!(opts_.warmup_fraction >= 0.0 && opts_.warmup_fraction < 1.0))
+    throw InvalidInputError("SimOptions: warmup_fraction must be in [0, 1)");
+  const std::size_t n = static_cast<std::size_t>(opts_.short_hosts) +
+                        static_cast<std::size_t>(opts_.long_hosts);
+  if (!opts_.server_speeds.empty() && opts_.server_speeds.size() != n)
+    throw InvalidInputError("SimOptions: server_speeds needs one speed per host (" +
+                            std::to_string(n) + ")");
+  servers_.resize(n);
+  for (std::size_t s = 0; s < opts_.server_speeds.size(); ++s) {
+    const double v = opts_.server_speeds[s];
+    if (!(std::isfinite(v) && v > 0.0))
+      throw InvalidInputError("SimOptions: server speeds must be finite and positive");
+    servers_[s].speed = v;
+  }
   warmup_completions_ =
       static_cast<std::size_t>(opts_.warmup_fraction * static_cast<double>(opts_.total_completions));
 }
@@ -121,7 +136,7 @@ void Engine::start(int server, const Job& job, double work) {
   s.busy = true;
   s.job = job;
   const double amount = work < 0.0 ? job.size : work;
-  s.done = now_ + amount / opts_.server_speeds[static_cast<std::size_t>(server)];
+  s.done = now_ + amount / s.speed;
 }
 
 void Engine::record_completion(const Job& job) {
@@ -154,19 +169,20 @@ SimResult Engine::run(Policy& policy) {
   next_arrival_[0] = draw_interarrival(JobClass::kShort);
   next_arrival_[1] = draw_interarrival(JobClass::kLong);
 
+  const std::size_t n = servers_.size();
+  const std::size_t first_long = static_cast<std::size_t>(opts_.short_hosts);
   while (completions_ < opts_.total_completions) {
     ++events;
-    // Next event: one of two arrivals or two completions.
+    // Next event: one of two arrivals or a completion on some server.
     double t = next_arrival_[0];
-    int ev = 0;  // 0,1: arrival short/long; 2,3: completion on server 0/1
+    std::size_t ev = 0;  // 0,1: arrival short/long; 2 + s: completion on server s
     if (next_arrival_[1] < t) {
       t = next_arrival_[1];
       ev = 1;
     }
-    for (int s = 0; s < 2; ++s) {
-      if (servers_[static_cast<std::size_t>(s)].busy &&
-          servers_[static_cast<std::size_t>(s)].done < t) {
-        t = servers_[static_cast<std::size_t>(s)].done;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (servers_[s].busy && servers_[s].done < t) {
+        t = servers_[s].done;
         ev = 2 + s;
       }
     }
@@ -174,27 +190,32 @@ SimResult Engine::run(Policy& policy) {
 
     // Accumulate busy/idle time over (last_event_time_, t].
     const double dt = t - last_event_time_;
-    for (int s = 0; s < 2; ++s)
-      if (servers_[static_cast<std::size_t>(s)].busy) busy_time_[static_cast<std::size_t>(s)] += dt;
-    if (!servers_[1].busy) long_host_idle_time_ += dt;
+    bool long_host_idle = false;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (servers_[s].busy)
+        servers_[s].busy_time += dt;
+      else if (s >= first_long)
+        long_host_idle = true;
+    }
+    if (long_host_idle) long_host_idle_time_ += dt;
     last_event_time_ = t;
     now_ = t;
 
     if (ev <= 1) {
       const JobClass cls = static_cast<JobClass>(ev);
       Job job{now_, draw_size(cls), cls};
-      next_arrival_[static_cast<std::size_t>(ev)] = now_ + draw_interarrival(cls);
+      next_arrival_[ev] = now_ + draw_interarrival(cls);
       ++arrivals;
       arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.arrival));
       arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.size));
       arrival_hash = fnv1a_mix(arrival_hash, static_cast<std::uint64_t>(job.cls));
       policy.on_arrival(*this, job);
     } else {
-      const int s = ev - 2;
-      Server& server = servers_[static_cast<std::size_t>(s)];
-      const Job done = server.job;
-      server.busy = false;
-      server.done = 0.0;
+      const int s = static_cast<int>(ev - 2);
+      Server& freed = servers_[ev - 2];
+      const Job done = freed.job;
+      freed.busy = false;
+      freed.done = 0.0;
       if (policy.on_service_end(*this, s, done)) record_completion(done);
       policy.on_server_free(*this, s);
     }
@@ -207,20 +228,21 @@ SimResult Engine::run(Policy& policy) {
   res.shorts = {resp_short_.count(), resp_short_.mean(), resp_short_.ci95_halfwidth()};
   res.longs = {resp_long_.count(), resp_long_.mean(), resp_long_.ci95_halfwidth()};
   res.sim_time = now_;
-  res.utilization = {busy_time_[0] / now_, busy_time_[1] / now_};
   res.p_long_host_idle = long_host_idle_time_ / now_;
   res.arrivals = arrivals;
   res.completions_total = completions_;
   res.queued_final = policy.queued();
-  res.in_service_final = static_cast<std::size_t>(servers_[0].busy ? 1 : 0) +
-                         static_cast<std::size_t>(servers_[1].busy ? 1 : 0);
+  for (const Server& s : servers_) {
+    res.utilization.push_back(s.busy_time / now_);
+    if (s.busy) ++res.in_service_final;
+  }
   res.arrival_hash = arrival_hash;
   return res;
 }
 
 SimResult simulate(PolicyKind kind, const SystemConfig& config, const SimOptions& opts) {
   Engine engine(config, opts);
-  const std::unique_ptr<Policy> policy = make_policy(kind, opts);
+  const std::unique_ptr<Policy> policy = make_policy(kind, engine);
   return engine.run(*policy);
 }
 

@@ -1,10 +1,13 @@
-// Discrete-event simulation of the two-host, two-class system.
+// Discrete-event simulation of the two-class system on k short + m long
+// hosts.
 //
-// The engine owns the clock, the two servers and the Poisson arrival
-// streams; a Policy object owns the queues and decides which job a freed
-// server runs. This is the validation harness of Section 4 of the paper
-// (their C simulator) and the only way to evaluate non-analyzed policies
-// such as M/G/2/SJF (Section 6).
+// The engine owns the clock, the servers and the arrival streams; a Policy
+// object owns the queues and decides which job a freed server runs. Hosts
+// [0, k) form the short partition and [k, k + m) the long one; k = m = 1 is
+// the paper's 2-host system. This is the validation harness of Section 4 of
+// the paper (their C simulator), the only way to evaluate non-analyzed
+// policies such as M/G/2/SJF (Section 6), and the way to study cycle
+// stealing at the 2-8 host sizes of the paper's Table 1.
 //
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
@@ -33,15 +36,16 @@ enum class PolicyKind : std::uint8_t {
   kCsCq,
   kCsCqNoRename,  // CS-CQ with a fixed long host (ablation: the paper credits
                   // renamable hosts for CS-CQ's lower long-job penalty)
-  kMg2Fcfs,       // central queue, FCFS, both servers
+  kMg2Fcfs,       // central queue, FCFS, all servers
   kMg2Sjf,        // central queue, non-preemptive shortest-job-first
   kLwr,           // immediate dispatch to the host with Least Work Remaining
                   // (provably equivalent to central-queue M/G/k FCFS [7])
   kTags,          // TAGS (Task Assignment by Guessing Size, Harchol-Balter
                   // JACM 2002): every job starts at host 0 and is killed and
                   // restarted from scratch at host 1 if it exceeds the
-                  // cutoff — size-based segregation without knowing sizes
-  kRoundRobin,    // alternate arrivals between hosts, per-host FCFS — the
+                  // cutoff — size-based segregation without knowing sizes.
+                  // 2-host only.
+  kRoundRobin,    // cycle arrivals over the hosts, per-host FCFS — the
                   // paper's "by far the most common" blind baseline
   // The class-blind policy zoo (docs/policies.md): random dispatch and its
   // work-stealing / work-sharing / idle-queue refinements, in the frame of
@@ -51,14 +55,15 @@ enum class PolicyKind : std::uint8_t {
   kJiq,            // Join-Idle-Queue: an arrival takes an idle server when
                    // one exists, else falls back to random dispatch
   kStealOne,       // random dispatch + a host going idle steals one queued
-                   // job from the other host
+                   // job from the host with the longest queue
   kStealHalf,      // as kStealOne but the thief takes half the victim queue
                    // (ceil(q/2)), serving one and queueing the rest
   kThresholdSteal, // as kStealOne but raids only victims with >=
                    // steal_threshold queued jobs, taking <= steal_batch
   kWorkSharing,    // random dispatch + push-on-arrival: an arrival that finds
-                   // its host's queue past share_threshold is pushed to the
-                   // other host (central work sharing, the donor initiates)
+                   // its host's queue past share_threshold is pushed to an
+                   // idle host, else a random other host (central work
+                   // sharing, the donor initiates)
 };
 
 [[nodiscard]] const char* policy_name(PolicyKind kind);
@@ -98,10 +103,15 @@ struct SimOptions {
   std::size_t total_completions = 400000; // stop after this many completions
   double warmup_fraction = 0.1;           // discarded prefix (by completions)
   int batches = 20;                       // batch-means batches for the CI
-  // Relative host speeds (service duration = size / speed). The paper's
-  // analysis assumes homogeneous hosts "for ease of exposition"; the
-  // simulator supports the heterogeneous extension it mentions.
-  std::array<double, 2> server_speeds{1.0, 1.0};
+  // Host counts: servers [0, short_hosts) are the short partition and
+  // [short_hosts, short_hosts + long_hosts) the long one. Each must be >= 1.
+  int short_hosts = 1;
+  int long_hosts = 1;
+  // Relative host speeds (service duration = size / speed), one per host;
+  // empty means unit speed everywhere. The paper's analysis assumes
+  // homogeneous hosts "for ease of exposition"; the simulator supports the
+  // heterogeneous extension it mentions.
+  std::vector<double> server_speeds;
   // TAGS cutoff: work granted at host 0 before kill-and-restart at host 1.
   double tags_cutoff = 1.0;
   // Knobs for the policy zoo (stealing thresholds, sharing threshold);
@@ -119,8 +129,10 @@ struct SimResult {
   ClassStats shorts;
   ClassStats longs;
   double sim_time = 0.0;
-  std::array<double, 2> utilization{};  // busy fraction per server
-  double p_long_host_idle = 0.0;        // fraction of time server 1 is idle
+  std::vector<double> utilization;  // busy fraction per server
+  // Fraction of time at least one long host is idle (k = m = 1: the
+  // paper's P(long host idle), the window a CS-ID short can steal).
+  double p_long_host_idle = 0.0;
   // Conservation ledger: every arrival must end the run completed, queued in
   // the policy, or still on a server — arrivals == completions_total +
   // queued_final + in_service_final, or the policy lost/duplicated a job
@@ -202,41 +214,61 @@ class Policy {
 
 class Engine {
  public:
+  // Throws csq::InvalidInputError on an invalid config, host counts below 1,
+  // fewer than 100 completions, a warmup_fraction outside [0, 1), or
+  // server_speeds that are not empty / one finite positive speed per host.
   Engine(const SystemConfig& config, const SimOptions& opts);
 
   // Run to completion with the given policy.
   [[nodiscard]] SimResult run(Policy& policy);
 
   // --- services for Policy implementations --------------------------------
-  [[nodiscard]] bool server_idle(int s) const { return !servers_[s].busy; }
-  // Class of the job currently on server s (undefined when idle).
-  [[nodiscard]] JobClass server_job_class(int s) const { return servers_[s].job.cls; }
+  [[nodiscard]] const SimOptions& options() const { return opts_; }
+  [[nodiscard]] int hosts() const { return static_cast<int>(servers_.size()); }
+  [[nodiscard]] int short_hosts() const { return opts_.short_hosts; }
+  [[nodiscard]] int long_hosts() const { return opts_.long_hosts; }
+  [[nodiscard]] bool server_idle(int s) const { return !server(s).busy; }
+  // Lowest-index idle server in [lo, hi), or -1.
+  [[nodiscard]] int find_idle(int lo, int hi) const {
+    for (int s = lo; s < hi; ++s)
+      if (server_idle(s)) return s;
+    return -1;
+  }
+  // Servers currently running a long job.
+  [[nodiscard]] int servers_serving_longs() const {
+    int n = 0;
+    for (const Server& s : servers_) n += s.busy && s.job.cls == JobClass::kLong;
+    return n;
+  }
   // Start `job` on `server`. By default the service requirement is the job's
   // full size; `work` overrides it (TAGS runs a job only up to its cutoff).
   void start(int server, const Job& job, double work = -1.0);
-  [[nodiscard]] double now() const { return now_; }
   // Remaining processing time of the job on server s (0 when idle).
   [[nodiscard]] double server_remaining(int s) const {
-    return servers_[s].busy ? servers_[s].done - now_ : 0.0;
+    return server(s).busy ? server(s).done - now_ : 0.0;
   }
-  [[nodiscard]] double server_speed(int s) const { return opts_.server_speeds[s]; }
+  [[nodiscard]] double server_speed(int s) const { return server(s).speed; }
 
  private:
   struct Server {
     bool busy = false;
     double done = 0.0;
+    double speed = 1.0;
+    double busy_time = 0.0;
     Job job;
   };
 
+  [[nodiscard]] const Server& server(int s) const {
+    return servers_[static_cast<std::size_t>(s)];
+  }
   void record_completion(const Job& job);
 
   SystemConfig config_;
   SimOptions opts_;
   dist::Rng rng_;
   double now_ = 0.0;
-  std::array<Server, 2> servers_{};
-  std::array<double, 2> next_arrival_{};
-  std::array<double, 2> busy_time_{};
+  std::vector<Server> servers_;
+  std::array<double, 2> next_arrival_{};  // indexed by JobClass
   double long_host_idle_time_ = 0.0;
   double last_event_time_ = 0.0;
   std::size_t completions_ = 0;
@@ -249,8 +281,11 @@ class Engine {
 [[nodiscard]] SimResult simulate(PolicyKind kind, const SystemConfig& config,
                                  const SimOptions& opts = {});
 
-// Factory used by simulate(); exposed for tests that drive Engine directly.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind, const SimOptions& opts);
+// Factory used by simulate(): builds the policy for the engine's host counts
+// and options. Exposed for tests that drive Engine directly. Throws
+// csq::InvalidInputError on bad policy knobs, and for TAGS on anything but
+// two hosts.
+[[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind, const Engine& engine);
 
 // ci95 / |mean_response|, or 0 when the mean is zero (no meaningful
 // relative width). Drives the adaptive CI-width stopping rule.
@@ -272,7 +307,7 @@ class Engine {
 
 // Across-replication aggregation used by simulate_replications: mean of
 // per-replication means plus a 95% normal CI over replications. Exposed for
-// the multi-host simulator and tests.
+// tests.
 [[nodiscard]] ClassStats aggregate_replications(const std::vector<ClassStats>& reps);
 
 }  // namespace csq::sim

@@ -18,7 +18,6 @@
 #include "core/config.h"
 #include "core/status.h"
 #include "core/sweep.h"
-#include "msim/multi_sim.h"
 #include "obs/obs.h"
 #include "sim/simulator.h"
 
@@ -96,41 +95,40 @@ TEST(PolicyRegistry, EveryKindConstructsAndSimulates) {
   }
 }
 
-TEST(PolicyRegistry, MsimTokensMirrorTheZoo) {
-  // The multi-host simulator serves the same zoo tokens (its scheduler is
-  // the n-host generalization); spot-check the mapping is alive and typos
-  // still throw.
-  EXPECT_EQ(msim::multi_policy_from_token("steal-half"), msim::MultiPolicy::kStealHalf);
-  EXPECT_EQ(msim::multi_policy_from_token("jiq"), msim::MultiPolicy::kJiq);
-  EXPECT_EQ(msim::multi_policy_from_token("work-sharing"),
-            msim::MultiPolicy::kWorkSharing);
-  EXPECT_THROW((void)msim::multi_policy_from_token("not-a-policy"), InvalidInputError);
-}
-
 // --- Conservation ------------------------------------------------------------
 
 // Every arrival must end the run completed, queued in the policy, or on a
 // server: arrivals == completions + queued_final + in_service_final. A
 // policy that loses a job (dropped on migration) or duplicates one (stolen
 // twice) breaks the ledger. >= 1e5 events per policy: 60k completions means
-// >= 120k arrival+completion events.
+// >= 120k arrival+completion events. Runs on the paper's 1 + 1 hosts and on
+// 2 + 2, where TAGS (2-host only) must refuse instead.
 TEST(PolicyConservation, LedgerBalancesForEveryPolicy) {
   const SystemConfig c = zoo_config();
-  sim::SimOptions o;
-  o.total_completions = 60000;
-  for (const sim::PolicyKind kind : zoo_kinds()) {
-    SCOPED_TRACE(sim::policy_name(kind));
-    const obs::DeltaScope scope;
-    const sim::SimResult r = sim::simulate(kind, c, o);
-    EXPECT_EQ(r.arrivals, r.completions_total + r.queued_final + r.in_service_final);
-    EXPECT_GE(r.completions_total, o.total_completions);
-    if (obs::compiled_in()) {
-      const obs::MetricsDelta d = scope.delta();
-      // The obs counter is the same ledger seen from the outside.
-      EXPECT_EQ(d.value("sim.engine.arrivals"),
-                static_cast<std::int64_t>(r.arrivals));
-      EXPECT_GE(d.value("sim.engine.events"),
-                static_cast<std::int64_t>(r.arrivals + r.completions_total));
+  for (const int hosts : {1, 2}) {
+    sim::SimOptions o;
+    o.total_completions = 60000;
+    o.short_hosts = hosts;
+    o.long_hosts = hosts;
+    for (const sim::PolicyKind kind : zoo_kinds()) {
+      SCOPED_TRACE(std::string(sim::policy_name(kind)) + " on " + std::to_string(hosts) + " + " +
+                   std::to_string(hosts) + " hosts");
+      if (hosts > 1 && kind == sim::PolicyKind::kTags) {
+        EXPECT_THROW((void)sim::simulate(kind, c, o), InvalidInputError);
+        continue;
+      }
+      const obs::DeltaScope scope;
+      const sim::SimResult r = sim::simulate(kind, c, o);
+      EXPECT_EQ(r.arrivals, r.completions_total + r.queued_final + r.in_service_final);
+      EXPECT_GE(r.completions_total, o.total_completions);
+      if (obs::compiled_in()) {
+        const obs::MetricsDelta d = scope.delta();
+        // The obs counter is the same ledger seen from the outside.
+        EXPECT_EQ(d.value("sim.engine.arrivals"),
+                  static_cast<std::int64_t>(r.arrivals));
+        EXPECT_GE(d.value("sim.engine.events"),
+                  static_cast<std::int64_t>(r.arrivals + r.completions_total));
+      }
     }
   }
 }

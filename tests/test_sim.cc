@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/status.h"
 #include "mg1/mg1.h"
 #include "mg1/mmc.h"
 #include "sim/simulator.h"
@@ -95,6 +97,28 @@ TEST(Sim, InvalidOptionsThrow) {
   SystemConfig bad = c;
   bad.short_size = nullptr;
   EXPECT_THROW((void)simulate(PolicyKind::kCsCq, bad, fast_opts()), std::invalid_argument);
+
+  // Each row breaks one option; the engine's constructor must reject it.
+  const struct {
+    const char* what;
+    void (*mutate)(SimOptions&);
+  } rows[] = {
+      {"negative warmup_fraction", [](SimOptions& x) { x.warmup_fraction = -0.1; }},
+      {"NaN warmup_fraction",
+       [](SimOptions& x) { x.warmup_fraction = std::numeric_limits<double>::quiet_NaN(); }},
+      {"warmup_fraction = 1", [](SimOptions& x) { x.warmup_fraction = 1.0; }},
+      {"NaN server speed",
+       [](SimOptions& x) { x.server_speeds = {1.0, std::numeric_limits<double>::quiet_NaN()}; }},
+      {"no short hosts", [](SimOptions& x) { x.short_hosts = 0; }},
+      {"negative long hosts", [](SimOptions& x) { x.long_hosts = -1; }},
+      {"speeds for 3 of 2 hosts", [](SimOptions& x) { x.server_speeds = {1.0, 1.0, 1.0}; }},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.what);
+    SimOptions x = fast_opts();
+    row.mutate(x);
+    EXPECT_THROW((void)simulate(PolicyKind::kCsCq, c, x), InvalidInputError);
+  }
 }
 
 TEST(Sim, PolicyNames) {

@@ -1,6 +1,6 @@
-// The determinism contract of the parallel layers: sweeps, two-host
-// simulation replications and multi-host replications must be BIT-identical
-// for every thread count (same seeds, same grids). See docs/performance.md.
+// The determinism contract of the parallel layers: sweeps and simulation
+// replications (on 1 + 1 and on k + m hosts) must be BIT-identical for every
+// thread count (same seeds, same grids). See docs/performance.md.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/sweep.h"
-#include "msim/multi_sim.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -124,20 +123,18 @@ TEST(SimDeterminism, SplitSeedIsDeterministicAndWellSpread) {
 }
 
 TEST(MultiSimDeterminism, ReplicationsIdenticalAcrossThreadCounts) {
-  msim::MultiConfig mc;
-  mc.short_hosts = 2;
-  mc.long_hosts = 2;
-  mc.workload = SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0);
+  const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0);
   sim::SimOptions opts;
   opts.total_completions = 20000;
+  opts.short_hosts = 2;
+  opts.long_hosts = 2;
   sim::ReplicationOptions seq;
   seq.replications = 4;
   seq.threads = 1;
-  const auto baseline =
-      msim::simulate_multi_replications(msim::MultiPolicy::kCsCq, mc, opts, seq);
+  const auto baseline = sim::simulate_replications(sim::PolicyKind::kCsCq, c, opts, seq);
   sim::ReplicationOptions par = seq;
   par.threads = 8;
-  const auto r = msim::simulate_multi_replications(msim::MultiPolicy::kCsCq, mc, opts, par);
+  const auto r = sim::simulate_replications(sim::PolicyKind::kCsCq, c, opts, par);
   ASSERT_EQ(r.replications.size(), baseline.replications.size());
   for (std::size_t i = 0; i < r.replications.size(); ++i) {
     EXPECT_TRUE(same_bits(r.replications[i].shorts.mean_response,

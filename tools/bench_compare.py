@@ -6,7 +6,7 @@ perf ledger; this tool is the regression gate over it. It matches benchmarks
 by name, prints a ratio table with each guard's own threshold, and exits
 nonzero when a *guarded* benchmark regresses beyond its threshold.
 
-Three benchmarks are guarded by default, each with its own budget:
+Four benchmarks are guarded by default, each with its own budget:
 
   BM_AnalyzeCscq                              +10%  the per-point analysis
         cost the whole perf story hangs on (pinned < 100us budget)
@@ -15,6 +15,9 @@ Three benchmarks are guarded by default, each with its own budget:
   BM_SweepPanel30Points/threads:1/real_time   +15%  end-to-end sweep cost;
         only the single-thread variant is stable enough to gate on a
         shared 1-CPU CI host
+  BM_SimulateOnePoint/100000                  +15%  one 100k-completion
+        CS-CQ simulation: the per-event cost of the event engine every
+        simulated policy and host count runs on
 
 One benchmark is capped absolutely rather than relatively:
 
@@ -50,6 +53,7 @@ DEFAULT_GUARDS = {
     "BM_AnalyzeCscq": 0.10,
     "BM_AnalyzeBatch30": 0.15,
     "BM_SweepPanel30Points/threads:1/real_time": 0.15,
+    "BM_SimulateOnePoint/100000": 0.15,
 }
 
 # Absolute caps in nanoseconds, enforced against the new run alone — for

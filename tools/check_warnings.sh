@@ -217,7 +217,8 @@ else
   # A fresh run of the guarded benchmarks against the newest committed
   # BENCH_*.json snapshot: tools/bench_compare.py fails the stage when any
   # guard exceeds its own budget (BM_AnalyzeCscq +10%, BM_AnalyzeBatch30
-  # +15%, the 1-thread sweep panel +15%, BM_JournalAppend 5 µs absolute).
+  # +15%, the 1-thread sweep panel +15%, BM_SimulateOnePoint/100000 +15%,
+  # BM_JournalAppend 5 µs absolute).
   # Uses the plain `build` tree — the
   # sanitizer builds above would measure the sanitizer, and the werror tree
   # does not enable benchmarks by default.
@@ -226,7 +227,7 @@ else
   cmake --build "$bench_dir" -j --target perf_solver || fail "bench (build)"
   bench_tmp=$(mktemp)
   "$repo_root/tools/bench_json.sh" "$bench_dir" "$bench_tmp" \
-    --benchmark_filter='BM_Analyze.*|BM_Journal.*|BM_SweepPanel30Points/threads:1/' \
+    --benchmark_filter='BM_Analyze.*|BM_Journal.*|BM_SweepPanel30Points/threads:1/|BM_SimulateOnePoint/100000$' \
     --benchmark_min_time=2 \
     || { rm -f "$bench_tmp"; fail "bench (run)"; }
   python3 "$repo_root/tools/bench_compare.py" "$bench_tmp" \

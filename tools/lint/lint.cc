@@ -242,8 +242,8 @@ const std::vector<RuleInfo>& rules() {
        "carry rounding error by construction. Fix: csq::num::approx_eq/approx_zero\n"
        "for tolerant comparison, or exactly_eq/exactly_zero when bit-exactness IS\n"
        "the intent (golden files, determinism gates) — that spelling documents it."},
-      {"nondeterminism", "no rand/random_device/time()/now() in sim/, msim/, parallel/",
-       "The simulators and the parallel runtime promise bit-identical results for a\n"
+      {"nondeterminism", "no rand/random_device/time()/now() in sim/, parallel/",
+       "The simulator and the parallel runtime promise bit-identical results for a\n"
        "fixed seed (the golden suite and the cross-backend equivalence tests depend\n"
        "on it). std::rand, std::random_device, time() and clock ::now() calls break\n"
        "that promise. Fix: draw from sim::Rng seeded via split_seed substreams; get\n"
@@ -318,7 +318,7 @@ const std::vector<RuleInfo>& rules() {
        "solver/simulator loops that reach an iterative kernel must poll "
        "RunBudget/CancelToken (R14)",
        "The cooperative-cancellation contract (core/deadline.h): any loop in\n"
-       "src/{qbd,ctmc,mg1,sim,msim,core} whose body transitively reaches an\n"
+       "src/{qbd,ctmc,mg1,sim,core} whose body transitively reaches an\n"
        "iterative kernel must poll the budget — interrupted()/expired()/\n"
        "cancelled()/check() in the loop, or a callee that provably polls.\n"
        "Unresolved calls never count as polling (conservative direction: a loop\n"
@@ -343,7 +343,7 @@ const std::vector<RuleInfo>& rules() {
        "function's doc block."},
       {"module-layering",
        "includes must follow the module DAG core -> linalg -> jets/dist/transforms "
-       "-> qbd/ctmc/mg1 -> analysis -> sim/msim/parallel -> serve/tools; cycles are "
+       "-> qbd/ctmc/mg1 -> analysis -> sim/parallel -> serve/tools; cycles are "
        "findings (R17)",
        "The module DAG keeps the solver core reusable and the build layerable:\n"
        "an #include pointing at a higher layer couples the foundation to its\n"

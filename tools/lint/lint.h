@@ -9,7 +9,7 @@
 //   no-float-eq        (R2) no ==/!= involving floating-point literals —
 //                           use core/numeric.h approx_eq/exactly_eq
 //   nondeterminism     (R3) no std::rand/random_device/time()/..now() in
-//                           sim/, msim/, parallel/ (bit-determinism gate)
+//                           sim/, parallel/ (bit-determinism gate)
 //   hot-path-alloc     (R4) hot-file loops must use *_into kernels instead
 //                           of allocating matrix/vector operators
 //   header-hygiene     (R5) #pragma once, no `using namespace`, direct
@@ -153,7 +153,7 @@ struct Config {
   // (matched as a suffix of the repo-relative path).
   std::vector<std::string> hot_files = {"qbd/qbd.cc", "linalg/lu.cc", "linalg/matrix.cc"};
   // Directories (repo-relative prefixes) that must stay bit-deterministic.
-  std::vector<std::string> deterministic_dirs = {"src/sim/", "src/msim/", "src/parallel/"};
+  std::vector<std::string> deterministic_dirs = {"src/sim/", "src/parallel/"};
   // Exception types permitted after a `throw` keyword (last path component).
   std::vector<std::string> allowed_throw_types = {
       "InvalidInputError",  "UnstableError",       "NotConvergedError",
@@ -186,15 +186,15 @@ struct Config {
   // deadline-poll (R14): directories whose loops must poll the budget when
   // they transitively reach an iterative kernel.
   std::vector<std::string> deadline_poll_dirs = {"src/qbd/", "src/ctmc/", "src/mg1/",
-                                                 "src/sim/", "src/msim/", "src/core/"};
+                                                 "src/sim/", "src/core/"};
   // The iterative kernels: entry points whose runtime is data-dependent and
   // unbounded without a budget. A function qualifies when its name matches
   // AND it is defined in one of iterative_kernel_modules.
   std::vector<std::string> iterative_kernels = {
       "solve",    "solve_r",  "solve_r_batch", "solve_g_logred",
       "stationary", "run",    "simulate",      "simulate_replications",
-      "simulate_multi_replications", "spectral_radius_estimate"};
-  std::vector<std::string> iterative_kernel_modules = {"qbd", "ctmc", "mg1", "sim", "msim"};
+      "spectral_radius_estimate"};
+  std::vector<std::string> iterative_kernel_modules = {"qbd", "ctmc", "mg1", "sim"};
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
   std::vector<std::string> atomic_order_dirs = {"src/parallel/", "src/obs/"};
@@ -204,7 +204,7 @@ struct Config {
   std::map<std::string, int> module_ranks = {
       {"core", 0},  {"linalg", 1}, {"jets", 2},     {"dist", 2},  {"transforms", 2},
       {"qbd", 3},   {"ctmc", 3},   {"mg1", 3},      {"analysis", 4}, {"sim", 5},
-      {"msim", 5},  {"parallel", 5}, {"obs", 5},    {"durable", 5},
+      {"parallel", 5}, {"obs", 5},   {"durable", 5},
       {"serve", 6}, {"tools", 6},  {"tests", 6}};
   // Modules excluded from the layering check as include *targets*:
   // observability is cross-cutting by design (counters/spans are registered
