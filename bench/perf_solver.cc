@@ -144,7 +144,8 @@ void BM_SimulateOnePoint(benchmark::State& state) {
 BENCHMARK(BM_SimulateOnePoint)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateReplications(benchmark::State& state) {
-  // Eight deterministic replications of one point, fanned out over the pool.
+  // Eight deterministic replications of one point, fanned out over the pool
+  // on the same 1/2/4/8 thread axis as BM_SweepPanel30Points.
   sim::SimOptions opts;
   opts.total_completions = 100000;
   sim::ReplicationOptions ropts;
@@ -157,7 +158,9 @@ void BM_SimulateReplications(benchmark::State& state) {
 BENCHMARK(BM_SimulateReplications)
     ->ArgName("threads")
     ->Arg(1)
+    ->Arg(2)
     ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

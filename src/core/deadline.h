@@ -9,9 +9,9 @@
 //
 // Polling is cooperative, so deadlines overshoot by at most one poll
 // interval: one functional/log-reduction iteration in qbd, one Gauss–Seidel
-// sweep in ctmc, one scheduled range task in the parallel pool, one sweep
-// point, or one simulation replication (the current replication always runs
-// to completion). See docs/robustness.md §7 for the full contract.
+// sweep in ctmc, one sweep point, or one simulation replication (the current
+// replication always runs to completion). See docs/robustness.md §7 for the
+// full contract.
 //
 // Time source: timebase::now_ns() is std::chrono::steady_clock plus an
 // atomic *virtual offset* that tests and the fault-injection layer can

@@ -1,7 +1,7 @@
 // Parameter sweeps that regenerate the paper's figure series.
 //
 // Sweep points are independent, so they evaluate concurrently on the
-// work-stealing pool (src/parallel/) when SweepOptions::threads > 1. Row i
+// worker pool (src/parallel/) when SweepOptions::threads > 1. Row i
 // of the result is always grid point i, and each point is written only by
 // the worker that computed it, so sweep output is bit-identical for every
 // thread count — except under a finite SweepOptions::budget, where *which*

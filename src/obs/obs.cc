@@ -63,8 +63,8 @@ void Histogram::reset() {
 }
 
 Registry& Registry::instance() {
-  // Intentionally immortal (never destroyed): the shared TaskPool's workers
-  // live until static teardown and bump counters from their idle loops, so a
+  // Intentionally immortal (never destroyed): the shared worker pools live
+  // until static teardown and bump counters from their idle loops, so a
   // function-local static Registry could be destroyed while they still hold
   // references. Reachable through this pointer forever, so leak checkers
   // classify it "still reachable", not leaked.

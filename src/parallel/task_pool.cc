@@ -1,41 +1,121 @@
 #include "parallel/task_pool.h"
 
 #include <algorithm>
-#include <iterator>
+#include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <map>
-#include <stdexcept>
+#include <memory>
+#include <mutex>
+#include <thread>
 
-#include "core/status.h"
 #include "obs/obs.h"
 
 namespace csq::par {
 
 namespace {
 
-// Idle ladder bounds (see worker_loop): spin -> yield -> suspend.
-constexpr int kSpinBound = 64;
-constexpr int kYieldBound = 16;
+// One parallel_for call. It lives on the submitter's stack; every field but
+// `next` is guarded by the mutex of the pool that runs it.
+struct Job {
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::size_t n = 0;
+  std::atomic<std::size_t> next{0};  // claim cursor; passes n once spent
+  std::size_t attempted = 0;         // indices run to completion or throw
+  int holders = 0;                   // workers still holding this pointer
+  std::exception_ptr error;          // first failure
+  std::condition_variable done_cv;
+};
 
-// Adaptive steal backoff: after a full round of declines the requester
-// pauses for `backoff` relax-spins, doubling (bounded) each dry round and
-// resetting to the floor whenever work arrives. Keeps a two-worker pool
-// from hammering each other's mailboxes while one long task finishes.
-constexpr int kBackoffFloor = 8;
-constexpr int kBackoffCap = 4096;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
+// Runs fn on every index the cursor still hands out, keeping the first
+// exception in `error`; returns how many indices ran.
+std::size_t run_indices(Job& job, std::exception_ptr& error) {
+  std::size_t ran = 0;
+  // The bodies' writes reach the submitter through the pool mutex, which
+  // guards `attempted`; relaxed claims suffice, as the cursor only has to
+  // hand each index to one thread.
+  for (std::size_t i; (i = job.next.fetch_add(1, std::memory_order_relaxed)) < job.n; ++ran) {
+    try {
+      (*job.fn)(i);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  return ran;
 }
 
-inline std::uint64_t xorshift64(std::uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
+class Pool {
+ public:
+  explicit Pool(int threads) {
+    for (int i = 0; i < threads; ++i) workers_.emplace_back([this] { work(); });
+  }
+
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& t : workers_) t.join();
+  }
+
+  // Workers hold `this`: the pool never moves.
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  // Queues the job, wakes no more workers than it has indices, and blocks
+  // until every index ran and no worker still holds the job.
+  void run_job(Job& job) {
+    std::unique_lock<std::mutex> lk(m_);
+    jobs_.push_back(&job);
+    const std::size_t waking = std::min(job.n, workers_.size());
+    for (std::size_t k = 0; k < waking; ++k) wake_.notify_one();
+    job.done_cv.wait(lk, [&] { return job.attempted == job.n && job.holders == 0; });
+  }
+
+ private:
+  // Workers only ever take the front job, so a job a worker holds is either
+  // still the front or already retired; the submitter frees it only after
+  // the last holder let go.
+  void work() {
+    std::unique_lock<std::mutex> lk(m_);
+    for (;;) {
+      if (jobs_.empty()) {
+        if (stop_) return;
+        CSQ_OBS_COUNT("pool.workers.suspended");
+        wake_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
+        continue;
+      }
+      Job& job = *jobs_.front();
+      ++job.holders;
+      lk.unlock();
+      std::exception_ptr error;
+      const std::size_t ran = run_indices(job, error);
+      CSQ_OBS_COUNT_N("pool.tasks.executed", ran);
+      lk.lock();
+      // The cursor is spent: retire the job so later workers move on.
+      if (!jobs_.empty() && jobs_.front() == &job) jobs_.pop_front();
+      job.attempted += ran;
+      if (error && !job.error) job.error = error;
+      if (--job.holders == 0 && job.attempted == job.n) job.done_cv.notify_one();
+    }
+  }
+
+  std::mutex m_;
+  std::condition_variable wake_;
+  std::deque<Job*> jobs_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
+};
+
+Pool& shared_pool(int threads) {
+  static std::mutex m;
+  static std::map<int, std::unique_ptr<Pool>> pools;
+  std::lock_guard<std::mutex> lk(m);
+  std::unique_ptr<Pool>& slot = pools[threads];
+  if (!slot) slot = std::make_unique<Pool>(threads);
+  return *slot;
 }
 
 }  // namespace
@@ -50,330 +130,16 @@ int resolve_threads(int threads) {
   return std::max(1, threads);
 }
 
-TaskPool::TaskPool(int threads) {
-  if (threads < 1) throw InvalidInputError("TaskPool: need >= 1 thread");
-  const std::size_t k = static_cast<std::size_t>(threads);
-  workers_.reserve(k);
-  for (int i = 0; i < threads; ++i) {
-    // Mailbox capacity k: at most one outstanding request per other worker
-    // (k - 1), so pushes can never find the mailbox full.
-    auto w = std::make_unique<Worker>(k);
-    w->victim_state = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1) + 1;
-    workers_.push_back(std::move(w));
-  }
-  reply_slots_ = std::make_unique<SpscSlot<Reply>[]>(k * k);
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
-}
-
-TaskPool::~TaskPool() {
-  stop_.store(true, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lk(wake_m_);
-    wake_cv_.notify_all();
-  }
-  for (auto& w : workers_) w->thread.join();
-  // A pool is only destroyed after every parallel_for returned, so every
-  // queue is empty; tasks are plain values, so nothing to free either way.
-}
-
-// Relaxed loads throughout: the per-worker counters are monotonic
-// statistics — the snapshot tolerates skew and orders against nothing.
-PoolStats TaskPool::stats() const {
-  PoolStats s;
-  for (const auto& w : workers_) {
-    s.tasks_executed += w->executed.load(std::memory_order_relaxed);
-    s.steals += w->steals.load(std::memory_order_relaxed);
-    s.suspensions += w->suspensions.load(std::memory_order_relaxed);
-    s.steal_requests += w->steal_requests.load(std::memory_order_relaxed);
-    s.declines += w->declines.load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void TaskPool::notify_if_sleepers() {
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lk(wake_m_);
-    wake_cv_.notify_all();
-  }
-}
-
-void TaskPool::enqueue_external(RangeTask task) {
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lk(inject_m_);
-    injected_.push_back(task);
-  }
-  notify_if_sleepers();
-}
-
-void TaskPool::push_local(std::size_t self, RangeTask task) {
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  workers_[self]->local.push_back(task);
-  notify_if_sleepers();
-}
-
-void TaskPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                            std::size_t grain, const RunBudget& budget) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
+void parallel_for(std::size_t n, int threads, const std::function<void(std::size_t)>& fn) {
   Job job;
-  job.fn = fn;
-  job.grain = grain;
-  job.budget = budget;
-  // Relaxed: the job is published to the workers by enqueue_external's
-  // queue synchronization; no worker reads `remaining` before that.
-  job.remaining.store(n, std::memory_order_relaxed);
-  enqueue_external(RangeTask{&job, 0, n});
-  std::unique_lock<std::mutex> lk(job.m);
-  job.done_cv.wait(lk, [&] { return job.done; });
-  if (job.error) std::rethrow_exception(job.error);
-}
-
-void TaskPool::service_mailbox(std::size_t self) {
-  Worker& me = *workers_[self];
-  StealRequest req;
-  while (me.mailbox.try_pop(req)) {
-    Reply reply;
-    const std::size_t have = me.local.size();
-    if (have >= 2) {
-      // Steal-half: hand over the oldest entries — the front of the stack
-      // holds the largest not-yet-split ranges, so half the entries is
-      // roughly half the remaining indices.
-      const auto give = static_cast<std::ptrdiff_t>(have / 2);
-      reply.tasks.assign(me.local.begin(), me.local.begin() + give);
-      me.local.erase(me.local.begin(), me.local.begin() + give);
-      CSQ_OBS_COUNT("pool.channel.grants");
-    } else {
-      // 0 or 1 tasks: keep what we have (an executing worker refills its
-      // stack by splitting; the requester retries after its backoff).
-      // Relaxed: monotonic stats counter, no ordering carried.
-      me.declines.fetch_add(1, std::memory_order_relaxed);
-      CSQ_OBS_COUNT("pool.channel.declines");
-    }
-    if (!reply_slot(self, req.requester).try_push(std::move(reply))) {
-      // Unreachable by protocol (one outstanding request per pair, and the
-      // requester always consumes the reply) — but if a reply were ever
-      // dropped here, granted tasks must not be lost: put them back.
-      Reply orphan;
-      (void)reply_slot(self, req.requester).try_pop(orphan);
-    }
-  }
-}
-
-bool TaskPool::try_get_local_or_injected(std::size_t self, RangeTask& out) {
-  Worker& me = *workers_[self];
-  if (!me.local.empty()) {
-    out = me.local.back();
-    me.local.pop_back();
-    pending_.fetch_sub(1, std::memory_order_seq_cst);
-    return true;
-  }
-  std::lock_guard<std::mutex> lk(inject_m_);
-  if (injected_.empty()) return false;
-  out = injected_.back();
-  injected_.pop_back();
-  pending_.fetch_sub(1, std::memory_order_seq_cst);
-  return true;
-}
-
-bool TaskPool::try_steal(std::size_t self) {
-  Worker& me = *workers_[self];
-  const std::size_t k = workers_.size();
-  const std::size_t start = static_cast<std::size_t>(xorshift64(me.victim_state) % k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t victim = (start + i) % k;
-    if (victim == self) continue;
-    if (!workers_[victim]->mailbox.try_push(
-            StealRequest{static_cast<std::uint32_t>(self)}))
-      continue;  // mailbox full: victim is swamped with requests, try another
-    // Relaxed: monotonic stats counter, no ordering carried.
-    me.steal_requests.fetch_add(1, std::memory_order_relaxed);
-    CSQ_OBS_COUNT("pool.channel.requests");
-    notify_if_sleepers();  // the victim may be suspended; its predicate
-                           // includes "my mailbox is nonempty"
-    Reply reply;
-    SpscSlot<Reply>& slot = reply_slot(victim, self);
-    while (!slot.try_pop(reply)) {
-      // seq_cst on stop_: the shutdown flag must totally order against the
-      // sleepers_/mailbox protocol (see notify_if_sleepers) — a relaxed
-      // read here could spin past a shutdown forever. Cold path: the loop
-      // body is dominated by try_pop and service_mailbox, not this load.
-      if (stop_.load(std::memory_order_seq_cst)) return false;
-      // Answer our own mailbox while we wait (we are empty: declines),
-      // so rings of mutually-waiting requesters always drain.
-      service_mailbox(self);
-      cpu_relax();
-    }
-    if (!reply.tasks.empty()) {
-      // Transfer: pending_ stays untouched — the tasks were "in a queue"
-      // on the victim and are "in a queue" here again.
-      me.local.insert(me.local.end(), std::make_move_iterator(reply.tasks.begin()),
-                      std::make_move_iterator(reply.tasks.end()));
-      // Relaxed: monotonic stats counter, no ordering carried.
-      me.steals.fetch_add(1, std::memory_order_relaxed);
-      CSQ_OBS_COUNT("pool.tasks.stolen");
-      return true;
-    }
-  }
-  return false;
-}
-
-void TaskPool::execute(RangeTask task, std::size_t self) {
-  Job* job = task.job;
-  std::size_t begin = task.begin;
-  std::size_t end = task.end;
-
-  // Split: keep the lower half, expose the upper half to thieves.
-  while (end - begin > job->grain) {
-    const std::size_t mid = begin + (end - begin + 1) / 2;
-    push_local(self, RangeTask{job, mid, end});
-    end = mid;
-  }
-  // The stack just grew: answer any queued steal requests before diving
-  // into the (possibly long) body, so thieves wait one split, not one task.
-  service_mailbox(self);
-
-  std::exception_ptr first_error;
-  if (job->budget.interrupted()) {
-    // Between-tasks budget observation: skip this range, surface the
-    // interruption as the job's error. Already-executed indices keep their
-    // results (the caller sees partial progress plus the typed error).
-    try {
-      job->budget.check("par::TaskPool::parallel_for");
-    } catch (...) {
-      first_error = std::current_exception();
-    }
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        job->fn(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  }
-  // Relaxed: monotonic stats counter, no ordering carried.
-  workers_[self]->executed.fetch_add(1, std::memory_order_relaxed);
-  CSQ_OBS_COUNT("pool.tasks.executed");
-
-  if (first_error) {
-    std::lock_guard<std::mutex> lk(job->m);
-    if (!job->error) job->error = first_error;
-  }
-  // acq_rel: the release half publishes this range's side effects to
-  // whichever worker observes the count hit zero; the acquire half makes
-  // every earlier range's effects visible to the finisher before `done`.
-  if (job->remaining.fetch_sub(end - begin, std::memory_order_acq_rel) == end - begin) {
-    std::lock_guard<std::mutex> lk(job->m);
-    job->done = true;
-    job->done_cv.notify_all();
-  }
-}
-
-void TaskPool::worker_loop(std::size_t self) {
-  Worker& me = *workers_[self];
-  int spins = 0;
-  int yields = 0;
-  int backoff = kBackoffFloor;
-  while (!stop_.load(std::memory_order_seq_cst)) {
-    service_mailbox(self);
-    RangeTask task;
-    if (try_get_local_or_injected(self, task)) {
-      execute(task, self);
-      spins = 0;
-      yields = 0;
-      backoff = kBackoffFloor;
-      continue;
-    }
-    if (workers_.size() > 1 && pending_.load(std::memory_order_seq_cst) > 0) {
-      if (try_steal(self)) {
-        spins = 0;
-        yields = 0;
-        backoff = kBackoffFloor;
-        continue;
-      }
-      // Every victim declined (they are splitting or finishing up): pause
-      // before the next round so busy workers are not drowned in requests.
-      CSQ_OBS_COUNT("pool.channel.backoffs");
-      for (int p = 0; p < backoff && !stop_.load(std::memory_order_relaxed); ++p)
-        cpu_relax();
-      backoff = std::min(backoff * 2, kBackoffCap);
-      continue;
-    }
-    if (++spins < kSpinBound) {
-      cpu_relax();
-      continue;
-    }
-    if (++yields < kYieldBound) {
-      std::this_thread::yield();
-      continue;
-    }
-    // Suspend. Registering as a sleeper (seq_cst) before re-checking
-    // pending_ closes the race with producers (see header). The predicate
-    // includes the mailbox so a steal request always wakes its victim.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lk(wake_m_);
-      if (pending_.load(std::memory_order_seq_cst) == 0 &&
-          !me.mailbox.maybe_nonempty() && !stop_.load(std::memory_order_seq_cst)) {
-        me.suspensions.fetch_add(1, std::memory_order_relaxed);
-        CSQ_OBS_COUNT("pool.workers.suspended");
-        wake_cv_.wait(lk, [&] {
-          return stop_.load(std::memory_order_seq_cst) ||
-                 pending_.load(std::memory_order_seq_cst) > 0 ||
-                 me.mailbox.maybe_nonempty();
-        });
-      }
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    spins = 0;
-    yields = 0;
-    backoff = kBackoffFloor;
-  }
-  // Shutdown: any requester still waiting on a reply checks stop_ itself;
-  // leftover mailbox entries need no answer once stop_ is set.
-}
-
-TaskPool& TaskPool::shared(int threads) {
-  if (threads < 2)
-    throw InvalidInputError("TaskPool::shared: needs >= 2 threads (run inline otherwise)");
-  static std::mutex m;
-  static std::map<int, std::unique_ptr<TaskPool>> pools;
-  std::lock_guard<std::mutex> lk(m);
-  auto& slot = pools[threads];
-  if (!slot) slot = std::make_unique<TaskPool>(threads);
-  return *slot;
-}
-
-void parallel_for(std::size_t n, int threads, const std::function<void(std::size_t)>& fn,
-                  std::size_t grain, const RunBudget& budget) {
+  job.fn = &fn;
+  job.n = n;
   threads = resolve_threads(threads);
-  if (threads <= 1 || n <= 1) {
-    // Inline path: same every-index-attempted / first-exception contract as
-    // the pool, so switching thread counts never changes semantics. The
-    // budget is observed between indices, mirroring the pool's
-    // between-tasks observation.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (budget.interrupted()) {
-        try {
-          budget.check("par::parallel_for");
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-        break;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-  TaskPool::shared(threads).parallel_for(n, fn, grain, budget);
+  if (threads <= 1 || n <= 1)
+    run_indices(job, job.error);
+  else
+    shared_pool(threads).run_job(job);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace csq::par

@@ -192,7 +192,9 @@ Diagnostics SolveStats::to_diagnostics() const {
   d.residual = residual;
   d.spectral_radius = spectral_radius;
   d.condition_estimate = boundary_condition;
-  d.stage = r_method_name(method);
+  // Move-assign a temporary: assigning the const char* directly trips a
+  // GCC 12 -Wrestrict false positive inside std::string::_M_replace.
+  d.stage = std::string(r_method_name(method));
   d.notes = trail;
   return d;
 }

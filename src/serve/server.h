@@ -1,5 +1,5 @@
 // The csq_serve core: a bounded-admission, retrying, degrading analysis
-// server over the work-stealing solver stack. The csq_serve binary
+// server over the solver stack. The csq_serve binary
 // (tools/csq_serve.cc) is a thin stdin/stdout shell around this class; every
 // behaviour lives here so the deterministic test suite (tests/test_serve.cc)
 // can drive it in-process.

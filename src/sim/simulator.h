@@ -153,7 +153,7 @@ struct SimResult {
 struct ReplicationOptions {
   int replications = 8;
   // Worker threads running replications: 1 = inline on the caller
-  // (default), 0 = all hardware threads, n >= 2 = work-stealing pool of n.
+  // (default), 0 = all hardware threads, n >= 2 = worker pool of n.
   int threads = 1;
   // Wall-clock/cancellation budget. Observed only *between* replication
   // rounds, never mid-replication and never before the initial batch: once

@@ -1,4 +1,4 @@
-// Observability subsystem: counter atomicity under the work-stealing pool,
+// Observability subsystem: counter atomicity under the worker pool,
 // span nesting and thread attribution, the Chrome-trace JSON schema, and
 // the disabled-build contract (-DCSQ_OBS=OFF). Builds as its own binary so
 // the ThreadSanitizer stage can gate just it: `ctest -L obs`. Every test

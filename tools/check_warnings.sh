@@ -104,7 +104,7 @@ else
     || fail "tsan (durable build)"
   (cd "$tsan_dir" && ctest -L durable --output-on-failure) || fail "tsan (durable suite)"
   # The policy suite's determinism tests replicate across thread counts on
-  # the steal pool, so its cross-thread hand-offs belong under TSan too.
+  # the worker pool, so its cross-thread hand-offs belong under TSan too.
   cmake --build "$tsan_dir" -j --target csq_policies_tests \
     || fail "tsan (policies build)"
   (cd "$tsan_dir" && ctest -L policies --output-on-failure) || fail "tsan (policies suite)"

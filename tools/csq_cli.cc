@@ -41,6 +41,7 @@
 // exceeded, 8 cancelled, 10 corrupt durability artifact.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -50,12 +51,19 @@
 #include <vector>
 
 #include "csq.h"
+#include "core/numeric.h"
 #include "callgraph.h"
 #include "lint.h"
 
 namespace {
 
 using namespace csq;
+
+// Bounds for integer flags. kMaxExact is 2^53, the largest range in which
+// every integer is exactly representable as the double the flag parses to.
+constexpr int kMaxCount = 1 << 30;
+constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
+constexpr int kMaxThreads = 256;  // matches csq_serve --op-threads
 
 struct Args {
   std::string command;
@@ -69,6 +77,19 @@ struct Args {
     } catch (const std::exception&) {
       throw InvalidInputError("invalid number for --" + key + ": '" + it->second + "'");
     }
+  }
+  // Integer flag: the parsed number must be whole and inside [lo, hi]
+  // before it is cast, so NaN, fractions and out-of-range values exit 2
+  // instead of being truncated, clamped or cast with undefined behaviour.
+  template <typename T>
+  [[nodiscard]] T integer(const std::string& key, T fallback, T lo, T hi) const {
+    if (!has(key)) return fallback;
+    const double v = number(key, 0.0);
+    if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) ||
+        !num::exactly_eq(std::trunc(v), v))
+      throw InvalidInputError("--" + key + " must be an integer in [" + std::to_string(lo) +
+                              ", " + std::to_string(hi) + "], got '" + flags.at(key) + "'");
+    return static_cast<T>(v);
   }
   [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
     const auto it = flags.find(key);
@@ -184,9 +205,9 @@ int cmd_analyze(const Args& a) {
 // Per-policy knobs shared by simulate and the sweep panel.
 PolicyConfig policy_knobs(const Args& a) {
   PolicyConfig cfg;
-  cfg.steal_threshold = static_cast<int>(a.number("steal-threshold", cfg.steal_threshold));
-  cfg.steal_batch = static_cast<int>(a.number("steal-batch", cfg.steal_batch));
-  cfg.share_threshold = static_cast<int>(a.number("share-threshold", cfg.share_threshold));
+  cfg.steal_threshold = a.integer("steal-threshold", cfg.steal_threshold, 0, kMaxCount);
+  cfg.steal_batch = a.integer("steal-batch", cfg.steal_batch, 0, kMaxCount);
+  cfg.share_threshold = a.integer("share-threshold", cfg.share_threshold, 0, kMaxCount);
   return cfg;
 }
 
@@ -206,23 +227,23 @@ int cmd_simulate(const Args& a) {
   // and lists the valid tokens).
   const sim::PolicyKind kind = sim::policy_kind_from_token(a.text("policy", "cscq"));
   sim::SimOptions o;
-  o.total_completions = static_cast<std::size_t>(a.number("completions", 500000));
-  o.seed = static_cast<std::uint64_t>(a.number("seed", o.seed));
+  o.total_completions = a.integer<std::size_t>("completions", 500000, 1, kMaxExact);
+  o.seed = a.integer<std::uint64_t>("seed", o.seed, 0, kMaxExact);
   o.tags_cutoff = a.number("tags-cutoff", o.tags_cutoff);
   o.policy = policy_knobs(a);
   Table t({"class", "E[T]", "ci95", "completions"});
-  const int reps = static_cast<int>(a.number("reps", 1));
+  const int reps = a.integer("reps", 1, 1, kMaxCount);
   if (reps > 1 || a.has("target-ci")) {
     // Independent replications with deterministic per-replication substreams:
     // results are identical for any --threads value (except the adaptive
     // replication *count* under --timeout-ms; see sim::ReplicationOptions).
     sim::ReplicationOptions ropts;
     ropts.replications = reps;
-    ropts.threads = static_cast<int>(a.number("threads", 1));
+    ropts.threads = a.integer("threads", 1, 0, kMaxThreads);
     ropts.budget = run_budget(a);
     ropts.target_rel_ci = a.number("target-ci", 0.0);
     ropts.max_replications =
-        static_cast<int>(a.number("max-reps", std::max(ropts.max_replications, reps)));
+        a.integer("max-reps", std::max(ropts.max_replications, reps), 1, kMaxCount);
     const sim::ReplicatedResult r = sim::simulate_replications(kind, sim_workload(a), o, ropts);
     t.add_row({"short", format_cell(r.shorts.mean_response), format_cell(r.shorts.ci95),
                std::to_string(r.shorts.completions)});
@@ -271,13 +292,13 @@ int cmd_sweep_panel(const Args& a) {
   }
   const JobSizeDist dist = job_size_dist_from_name(a.text("dist", "exp"));
   const auto grid = linspace(a.number("from", 0.1), a.number("to", 1.3),
-                             static_cast<int>(a.number("points", 7)));
+                             a.integer("points", 7, 1, kMaxCount));
   PanelOptions opts;
-  opts.threads = static_cast<int>(a.number("threads", 1));
-  opts.seed = static_cast<std::uint64_t>(a.number("seed", opts.seed));
-  opts.sim_completions = static_cast<std::size_t>(
-      a.number("completions", static_cast<double>(opts.sim_completions)));
-  opts.sim_replications = static_cast<int>(a.number("reps", opts.sim_replications));
+  opts.threads = a.integer("threads", 1, 0, kMaxThreads);
+  opts.seed = a.integer<std::uint64_t>("seed", opts.seed, 0, kMaxExact);
+  opts.sim_completions =
+      a.integer<std::size_t>("completions", opts.sim_completions, 1, kMaxExact);
+  opts.sim_replications = a.integer("reps", opts.sim_replications, 1, kMaxCount);
   opts.policy = policy_knobs(a);
   opts.budget = run_budget(a);
   const std::vector<PanelRow> rows = sweep_policy_panel(
@@ -321,11 +342,11 @@ int cmd_sweep(const Args& a) {
   const std::string axis = a.text("x", "rho_s");
   const auto grid =
       linspace(a.number("from", 0.05), a.number("to", 1.45),
-               static_cast<int>(a.number("points", 15)));
-  // Points evaluate on the work-stealing pool; rows are bit-identical for
+               a.integer("points", 15, 1, kMaxCount));
+  // Points evaluate on the worker pool; rows are bit-identical for
   // any --threads value (0 = all hardware threads).
   SweepOptions opts;
-  opts.threads = static_cast<int>(a.number("threads", 1));
+  opts.threads = a.integer("threads", 1, 0, kMaxThreads);
   opts.budget = run_budget(a);
   opts.resilient = a.has("resilient");
   const std::string checkpoint = a.text("checkpoint", "");
@@ -339,7 +360,7 @@ int cmd_sweep(const Args& a) {
     // notes go to stderr so --csv output stays machine-readable.
     durable::CheckpointedSweepOptions copts;
     copts.sweep = opts;
-    copts.every = static_cast<int>(a.number("checkpoint-every", copts.every));
+    copts.every = a.integer("checkpoint-every", copts.every, 1, kMaxCount);
     const durable::CheckpointedSweepResult r =
         axis == "rho_s"
             ? durable::checkpointed_sweep_rho_short(
@@ -378,7 +399,7 @@ int cmd_sweep(const Args& a) {
 }
 
 int cmd_stability(const Args& a) {
-  const int points = static_cast<int>(a.number("points", 20));
+  const int points = a.integer("points", 20, 1, kMaxCount);
   Table t({"rho_l", "dedicated", "csid", "cscq"});
   for (const double rho_l : linspace(0.0, 0.95, points))
     t.add_row({rho_l, analysis::dedicated_max_rho_short(rho_l),

@@ -45,6 +45,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "core/faultpoint.h"
+#include "core/numeric.h"
 #include "core/status.h"
 #include "durable/journal.h"
 #include "obs/obs.h"
@@ -129,14 +131,14 @@ double number_flag(const std::string& key, const std::string& value) {
   return v;
 }
 
+// Range and integrality are checked on the double, before the cast: casting
+// NaN or a value outside int's range is undefined behaviour.
 int int_flag(const std::string& key, const std::string& value, int lo, int hi) {
   const double v = number_flag(key, value);
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v ||  // csq-lint: allow(no-float-eq): integrality check on a parsed flag, not a tolerance comparison
-      i < lo || i > hi)
+  if (!(v >= lo && v <= hi) || !num::exactly_eq(std::trunc(v), v))
     throw InvalidInputError("flag --" + key + " must be an integer in [" +
                             std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  return i;
+  return static_cast<int>(v);
 }
 
 Flags parse_flags(int argc, char** argv) {
