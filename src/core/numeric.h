@@ -1,9 +1,11 @@
 // Canonical floating-point comparison helpers.
 //
-// Raw `==`/`!=` between floating-point expressions is banned repo-wide by
-// csq_lint rule `no-float-eq` (see docs/static-analysis.md): most call sites
-// actually want a tolerance, and the ones that genuinely want bit-exact
-// comparison should say so explicitly. These helpers encode both intents:
+// Raw `==`/`!=` between floating-point expressions does not compile in this
+// tree: the build adds -Werror=float-equal (top-level CMakeLists.txt, see
+// docs/static-analysis.md). Most call sites actually want a tolerance, and
+// the ones that genuinely want bit-exact comparison should say so
+// explicitly. These helpers encode both intents, and they are the only
+// place the warning is switched off:
 //
 //   approx_eq / approx_zero — combined absolute + relative tolerance; use
 //     for convergence checks, mass/normalization checks, and any comparison
@@ -20,6 +22,9 @@
 
 namespace csq::num {
 
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
+
 inline constexpr double kDefaultAbsTol = 1e-12;
 inline constexpr double kDefaultRelTol = 1e-9;
 
@@ -27,7 +32,7 @@ inline constexpr double kDefaultRelTol = 1e-9;
 // NaN compares unequal to everything; equal infinities compare equal.
 [[nodiscard]] inline bool approx_eq(double a, double b, double abs_tol = kDefaultAbsTol,
                                     double rel_tol = kDefaultRelTol) {
-  if (a == b) return true;  // csq-lint: allow(no-float-eq): this is the canonical helper
+  if (a == b) return true;  // equal infinities; also the common exact hit
   const double diff = std::abs(a - b);
   if (diff <= abs_tol) return true;
   return diff <= rel_tol * std::max(std::abs(a), std::abs(b));
@@ -39,13 +44,15 @@ inline constexpr double kDefaultRelTol = 1e-9;
 
 // Bit-exact equality, named so the intent is explicit at the call site.
 [[nodiscard]] constexpr bool exactly_eq(double a, double b) {
-  return a == b;  // csq-lint: allow(no-float-eq): explicit bit-exact comparison
+  return a == b;
 }
 
 // Bit-exact zero test (sparse-skip fast paths: skipping only structural
 // zeros never changes the computed result, a tolerance would).
 [[nodiscard]] constexpr bool exactly_zero(double x) {
-  return x == 0.0;  // csq-lint: allow(no-float-eq): explicit bit-exact comparison
+  return x == 0.0;
 }
+
+#pragma GCC diagnostic pop
 
 }  // namespace csq::num

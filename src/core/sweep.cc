@@ -6,6 +6,7 @@
 #include "analysis/cscq.h"
 #include "analysis/csid.h"
 #include "analysis/resilient.h"
+#include "core/numeric.h"
 #include "core/solver.h"
 #include "core/status.h"
 #include "mg1/mg1.h"
@@ -34,7 +35,7 @@ std::vector<double> linspace(double lo, double hi, int n) {
     throw InvalidInputError("linspace: bounds must be finite");
   if (n == 1) return {lo};
   std::vector<double> v(static_cast<std::size_t>(n));
-  if (lo == hi) {
+  if (num::exactly_eq(lo, hi)) {
     for (double& x : v) x = lo;
     return v;
   }

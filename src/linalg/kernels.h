@@ -3,7 +3,7 @@
 // The repeating blocks of the paper's chains are tiny but far from dense:
 // A0 is a diagonal arrival block (lambda_S I), A2 a sparse service block
 // (~m + k nonzeros), and the PH-fit pieces of A1 are banded. The generic
-// linalg::multiply_into pays the full O(m^3) with a branch per element; the
+// Matrix operator* pays the full O(m^3) with a branch per element; the
 // kernels here classify a block's zero structure once (BlockPattern) and
 // dispatch to a matching kernel:
 //
@@ -14,7 +14,7 @@
 //
 // Numerical contract: every kernel accumulates dst(i,j) over k in ascending
 // order, exactly like the generic kernel, and skipped terms are exact zeros
-// — so for finite inputs the results are bit-identical to multiply_into
+// — so for finite inputs the results are bit-identical to operator*
 // (the kernel-equivalence suite pins this at 1e-14, conservatively).
 //
 // A BlockPattern describes *positions*, not values: it stays valid while the
@@ -22,7 +22,7 @@
 // QBD solve (A0/A1/A2 are fixed; only R evolves, and R is treated as dense).
 // qbd::Workspace caches the patterns so repeated solves skip re-analysis.
 //
-// Throws csq::InvalidInputError on shape mismatches (same as multiply_into).
+// Throws csq::InvalidInputError on shape mismatches (same as operator*).
 #pragma once
 
 #include <cstddef>

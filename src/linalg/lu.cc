@@ -88,7 +88,7 @@ Matrix Lu::solve(const Matrix& b) const {
   std::vector<double> col(n);
   for (std::size_t c = 0; c < b.cols(); ++c) {
     for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-    // csq-lint: allow(hot-path-alloc-transitive): per-column overload returns its solution vector by value; the matrix variant is not on the solver hot path
+    // The per-column overload returns by value; this variant is off the solver hot path.
     const std::vector<double> xc = solve(col);
     for (std::size_t r = 0; r < n; ++r) x(r, c) = xc[r];
   }

@@ -104,27 +104,6 @@ Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
 Matrix operator*(double s, Matrix m) { return m *= s; }
 Matrix operator*(Matrix m, double s) { return m *= s; }
 
-void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) throw InvalidInputError("multiply_into: shape mismatch");
-  if (&dst == &a || &dst == &b)
-    throw InvalidInputError("multiply_into: dst must not alias an operand");
-  dst.reshape_zero(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double x = a(i, k);
-      if (num::exactly_zero(x)) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) dst(i, j) += x * b(k, j);
-    }
-}
-
-void multiply_into(std::vector<double>& dst, const Matrix& m, const std::vector<double>& v) {
-  if (v.size() != m.cols()) throw InvalidInputError("multiply_into: shape mismatch");
-  if (&dst == &v) throw InvalidInputError("multiply_into: dst must not alias v");
-  dst.assign(m.rows(), 0.0);
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) dst[r] += m(r, c) * v[c];
-}
-
 void multiply_into(std::vector<double>& dst, const std::vector<double>& v, const Matrix& m) {
   if (v.size() != m.rows()) throw InvalidInputError("multiply_into: shape mismatch");
   if (&dst == &v) throw InvalidInputError("multiply_into: dst must not alias v");

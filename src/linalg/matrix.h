@@ -70,18 +70,12 @@ class Matrix {
 // Matrix times column vector.
 [[nodiscard]] std::vector<double> operator*(const Matrix& m, const std::vector<double>& v);
 
-// dst = a * b without allocating when dst already has the right shape (its
-// storage is reshaped and reused). dst must not alias a or b. The workspace
-// primitive of the QBD solver's hot loop (see qbd::Workspace).
-void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b);
-
-// dst = m * v (column-vector product) reusing dst's storage; dst must not
-// alias v.
-void multiply_into(std::vector<double>& dst, const Matrix& m, const std::vector<double>& v);
-
 // dst = v * m (row-vector product) reusing dst's storage; dst must not alias
 // v. Lets stationary-vector recursions (pi <- pi R) ping-pong two buffers
-// instead of allocating per level (csq_lint rule hot-path-alloc).
+// instead of allocating per level. There is deliberately no in-place
+// Matrix x Matrix overload: allocation-free matrix products go through the
+// structure-aware kernels of linalg/kernels.h (multiply_into_pattern /
+// multiply_into_dense), so a generic one cannot creep into the QBD loop.
 void multiply_into(std::vector<double>& dst, const std::vector<double>& v, const Matrix& m);
 
 // max_ij |a_ij - b_ij| without forming a - b; shapes must match. NaN if any

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "core/numeric.h"
+
 namespace csq::obs {
 
 const char* to_string(MetricKind kind) {
@@ -138,8 +140,7 @@ namespace {
 // counters read naturally in the JSON.
 std::string number(double v) {
   const auto as_int = static_cast<std::int64_t>(v);
-  if (static_cast<double>(as_int) == v &&  // csq-lint: allow(no-float-eq): exact integer check for formatting, not a tolerance comparison
-      v >= -9.0e15 && v <= 9.0e15) {
+  if (num::exactly_eq(static_cast<double>(as_int), v) && v >= -9.0e15 && v <= 9.0e15) {
     return std::to_string(as_int);
   }
   char buf[64];

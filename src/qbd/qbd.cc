@@ -288,7 +288,6 @@ double Solution::level_probability(std::size_t n) const {
   std::vector<double> v = pi_k;
   std::vector<double> scratch;  // ping-pong buffer: no per-level allocation
   for (std::size_t j = k; j < n; ++j) {
-    // csq-lint: allow(hot-path-generic-mult): row-vector recursion pi <- pi R has no block structure to exploit
     linalg::multiply_into(scratch, v, r);
     std::swap(v, scratch);
   }
@@ -306,7 +305,6 @@ double Solution::level_tail(std::size_t n) const {
   std::vector<double> v = pi_k;
   std::vector<double> scratch;  // ping-pong buffer: no per-level allocation
   for (std::size_t j = k; j <= n; ++j) {
-    // csq-lint: allow(hot-path-generic-mult): row-vector recursion pi <- pi R has no block structure to exploit
     linalg::multiply_into(scratch, v, r);
     std::swap(v, scratch);
   }
@@ -335,7 +333,6 @@ std::size_t Solution::level_quantile(double q) const {
   for (std::size_t n = k;; ++n) {
     cdf += linalg::sum(v);
     if (cdf >= q) return n;
-    // csq-lint: allow(hot-path-generic-mult): row-vector recursion pi <- pi R has no block structure to exploit
     linalg::multiply_into(scratch, v, r);
     std::swap(v, scratch);
     if (n > k + 100000000) {
@@ -626,7 +623,7 @@ Matrix solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
     ws.lh.reshape_zero(m, m);
     for (std::size_t i = 0; i < m; ++i) ws.lh(i, i) = 1.0;
     ws.lh.add_scaled(ws.hl, -1.0);
-    // csq-lint: allow(hot-path-alloc-transitive): log-reduction runs O(log eps) iterations, one fresh inverse per step is not the bottleneck
+    // O(log eps) doubling steps: one fresh inverse per step is not the bottleneck.
     const Matrix m2 = linalg::inverse(ws.lh);
     linalg::multiply_into_dense(ws.hh, h, h);
     linalg::multiply_into_dense(ws.ll, l, l);
@@ -663,7 +660,6 @@ std::vector<Matrix> solve_r_batch(const std::vector<RBlocks>& items, const Optio
   }
   for (const RBlocks& blocks : items) {
     SolveStats stats;
-    // csq-lint: allow(hot-path-alloc-transitive): batch driver loop — each item's R matrix is the result being returned, not scratch
     rs.push_back(solve_r(blocks.a0, blocks.a1, blocks.a2, opts, &stats, &ws));
     if (stats_out) stats_out->push_back(std::move(stats));
   }

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "core/numeric.h"
 #include "serve/json.h"
 #include "sim/simulator.h"
 
@@ -70,8 +71,7 @@ double load_field(const JsonValue& obj, const char* key) {
 int int_field(const JsonValue& obj, const char* key, int fallback, int lo, int hi) {
   const double v = number_field(obj, key, fallback);
   const double rounded = std::floor(v);
-  if (rounded != v ||  // csq-lint: allow(no-float-eq): integrality check on a parsed count, not a tolerance comparison
-      v < lo || v > hi)
+  if (!num::exactly_eq(rounded, v) || v < lo || v > hi)
     throw InvalidInputError(std::string("field \"") + key + "\" must be an integer in [" +
                             std::to_string(lo) + ", " + std::to_string(hi) + "]");
   return static_cast<int>(v);
@@ -200,7 +200,7 @@ Request parse_request(const std::string& line) {
       parse_workload(root, &req);
       const double seed = number_field(root, "seed", 20030701.0);
       if (seed < 0 || seed > 9.0e15 ||
-          std::floor(seed) != seed)  // csq-lint: allow(no-float-eq): integrality check on a parsed seed, not a tolerance comparison
+          !num::exactly_eq(std::floor(seed), seed))
         throw InvalidInputError("field \"seed\" must be a nonnegative integer");
       req.seed = static_cast<std::uint64_t>(seed);
       req.completions = int_field(root, "completions", 20000, 1000, 2000000);

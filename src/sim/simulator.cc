@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "sim/rng.h"
 
 #include "core/faultpoint.h"
+#include "core/numeric.h"
 #include "core/status.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -39,48 +41,45 @@ std::uint64_t double_bits(double x) {
 }
 }
 
-const char* policy_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kDedicated: return "Dedicated";
-    case PolicyKind::kCsId: return "CS-ID";
-    case PolicyKind::kCsCq: return "CS-CQ";
-    case PolicyKind::kCsCqNoRename: return "CS-CQ-norename";
-    case PolicyKind::kMg2Fcfs: return "M/G/2-FCFS";
-    case PolicyKind::kMg2Sjf: return "M/G/2-SJF";
-    case PolicyKind::kLwr: return "LWR";
-    case PolicyKind::kTags: return "TAGS";
-    case PolicyKind::kRoundRobin: return "Round-Robin";
-    case PolicyKind::kRandom: return "Random";
-    case PolicyKind::kJiq: return "JIQ";
-    case PolicyKind::kStealOne: return "Steal-One";
-    case PolicyKind::kStealHalf: return "Steal-Half";
-    case PolicyKind::kThresholdSteal: return "Threshold-Steal";
-    case PolicyKind::kWorkSharing: return "Work-Sharing";
-  }
-  return "?";
-}
+namespace {
+constexpr PolicyInfo kPolicies[] = {
+    {PolicyKind::kDedicated, "dedicated", "Dedicated", true},
+    {PolicyKind::kCsId, "csid", "CS-ID", true},
+    {PolicyKind::kCsCq, "cscq", "CS-CQ", true},
+    {PolicyKind::kCsCqNoRename, "cscq-norename", "CS-CQ-norename", false},
+    {PolicyKind::kMg2Fcfs, "mg2-fcfs", "M/G/2-FCFS", false},
+    {PolicyKind::kMg2Sjf, "mg2-sjf", "M/G/2-SJF", false},
+    {PolicyKind::kLwr, "lwr", "LWR", false},
+    {PolicyKind::kTags, "tags", "TAGS", false},
+    {PolicyKind::kRoundRobin, "rr", "Round-Robin", false},
+    {PolicyKind::kRandom, "random", "Random", false},
+    {PolicyKind::kJiq, "jiq", "JIQ", false},
+    {PolicyKind::kStealOne, "steal-one", "Steal-One", false},
+    {PolicyKind::kStealHalf, "steal-half", "Steal-Half", false},
+    {PolicyKind::kThresholdSteal, "threshold-steal", "Threshold-Steal", false},
+    {PolicyKind::kWorkSharing, "work-sharing", "Work-Sharing", false},
+};
 
-const std::vector<PolicyInfo>& policy_registry() {
-  // One row per PolicyKind enumerator, in declaration order; display names
-  // must match policy_name() (the registry round-trip test pins both).
-  static const std::vector<PolicyInfo> kRegistry = {
-      {PolicyKind::kDedicated, "dedicated", "Dedicated", true},
-      {PolicyKind::kCsId, "csid", "CS-ID", true},
-      {PolicyKind::kCsCq, "cscq", "CS-CQ", true},
-      {PolicyKind::kCsCqNoRename, "cscq-norename", "CS-CQ-norename", false},
-      {PolicyKind::kMg2Fcfs, "mg2-fcfs", "M/G/2-FCFS", false},
-      {PolicyKind::kMg2Sjf, "mg2-sjf", "M/G/2-SJF", false},
-      {PolicyKind::kLwr, "lwr", "LWR", false},
-      {PolicyKind::kTags, "tags", "TAGS", false},
-      {PolicyKind::kRoundRobin, "rr", "Round-Robin", false},
-      {PolicyKind::kRandom, "random", "Random", false},
-      {PolicyKind::kJiq, "jiq", "JIQ", false},
-      {PolicyKind::kStealOne, "steal-one", "Steal-One", false},
-      {PolicyKind::kStealHalf, "steal-half", "Steal-Half", false},
-      {PolicyKind::kThresholdSteal, "threshold-steal", "Threshold-Steal", false},
-      {PolicyKind::kWorkSharing, "work-sharing", "Work-Sharing", false},
-  };
-  return kRegistry;
+constexpr bool rows_indexed_by_kind() {
+  for (std::size_t i = 0; i < std::size(kPolicies); ++i)
+    if (static_cast<std::size_t>(kPolicies[i].kind) != i) return false;
+  return true;
+}
+static_assert(rows_indexed_by_kind(),
+              "kPolicies row i must describe the PolicyKind with value i");
+
+// The row for `kind`, or nullptr for a value outside the enum.
+const PolicyInfo* policy_row(PolicyKind kind) {
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kPolicies) ? &kPolicies[i] : nullptr;
+}
+}  // namespace
+
+std::span<const PolicyInfo> policy_registry() { return kPolicies; }
+
+const char* policy_name(PolicyKind kind) {
+  const PolicyInfo* row = policy_row(kind);
+  return row != nullptr ? row->display : "?";
 }
 
 PolicyKind policy_kind_from_token(const std::string& token) {
@@ -95,9 +94,9 @@ PolicyKind policy_kind_from_token(const std::string& token) {
 }
 
 const char* policy_token(PolicyKind kind) {
-  for (const PolicyInfo& info : policy_registry())
-    if (info.kind == kind) return info.token;
-  throw InvalidInputError("policy_token: unregistered PolicyKind");
+  const PolicyInfo* row = policy_row(kind);
+  if (row == nullptr) throw InvalidInputError("policy_token: unregistered PolicyKind");
+  return row->token;
 }
 
 Engine::Engine(const SystemConfig& config, const SimOptions& opts)
@@ -186,7 +185,8 @@ SimResult Engine::run(Policy& policy) {
         ev = 2 + s;
       }
     }
-    if (t == kInf) throw InternalError("Engine::run: no events (both arrival rates zero?)");
+    if (num::exactly_eq(t, kInf))
+      throw InternalError("Engine::run: no events (both arrival rates zero?)");
 
     // Accumulate busy/idle time over (last_event_time_, t].
     const double dt = t - last_event_time_;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,12 +67,11 @@ enum class PolicyKind : std::uint8_t {
                    // sharing, the donor initiates)
 };
 
-[[nodiscard]] const char* policy_name(PolicyKind kind);
-
 // Registry entry for one policy plug-in. `token` is the stable CLI/serve
-// spelling ("cscq", "steal-half", ...), `display` equals policy_name(kind),
-// and `analytic` says whether the library has an exact analysis for the
-// policy (CS-CQ / CS-ID / Dedicated) or only the simulator.
+// spelling ("cscq", "steal-half", ...), `display` is the human-readable name
+// policy_name() returns, and `analytic` says whether the library has an
+// exact analysis for the policy (CS-CQ / CS-ID / Dedicated) or only the
+// simulator.
 struct PolicyInfo {
   PolicyKind kind;
   const char* token;
@@ -79,17 +79,25 @@ struct PolicyInfo {
   bool analytic;
 };
 
-// Every registered policy, in PolicyKind declaration order. The registry is
-// the single source the CLI, the serve layer and the sweep panel resolve
-// names against, so adding a PolicyKind means adding exactly one row here
-// (the lint rule policy-registry cross-checks the enum against it).
-[[nodiscard]] const std::vector<PolicyInfo>& policy_registry();
+// Every registered policy, indexed by PolicyKind: row i describes the kind
+// whose underlying value is i (a static_assert in simulator.cc holds the
+// table to that). The registry is the single source the CLI, the serve
+// layer and the sweep panel resolve names against, so adding a PolicyKind
+// means adding exactly one row there, plus the make_policy() case that
+// -Werror=switch demands; docs/policies.md carries the same rows (a
+// tier-1 test compares them).
+[[nodiscard]] std::span<const PolicyInfo> policy_registry();
+
+// Display name of `kind` ("CS-CQ", "Steal-Half", ...); "?" for a value
+// outside the enum.
+[[nodiscard]] const char* policy_name(PolicyKind kind);
 
 // Resolve a registry token ("cscq", "steal-half", ...) to its PolicyKind.
 // Throws csq::InvalidInputError for unknown tokens, listing the valid ones.
 [[nodiscard]] PolicyKind policy_kind_from_token(const std::string& token);
 
-// Registry token for a kind (inverse of policy_kind_from_token).
+// Registry token for a kind (inverse of policy_kind_from_token). Throws
+// csq::InvalidInputError for a value outside the enum.
 [[nodiscard]] const char* policy_token(PolicyKind kind);
 
 struct Job {

@@ -1,6 +1,6 @@
 // Fixture: a reason-less suppression — the marker itself is flagged
 // (line 4) and the violation it meant to cover still fires (line 5).
-bool near_one(double x) {
-  // csq-lint: allow(no-float-eq)
-  return x == 1.0;
+int roll() {
+  // csq-lint: allow(banned-identifier)
+  return rand();
 }

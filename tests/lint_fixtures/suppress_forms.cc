@@ -4,12 +4,12 @@
 #include "core/status.h"
 
 /*
- * csq-lint: allow(no-float-eq): fixture — block-comment interior marker
+ * csq-lint: allow(banned-identifier): fixture — block-comment interior marker
  */
-inline bool block_covered(double x) { return x == 1.0; }
+inline int block_covered() { return rand(); }
 
-// csq-lint: allow(raw-throw) allow(no-float-eq): fixture — stacked allows share one reason
-inline void stacked_covered(double x) { if (x == 0.5) throw 42; }
+// csq-lint: allow(raw-throw) allow(banned-identifier): fixture — stacked allows share one reason
+inline void stacked_covered() { if (rand() == 0) throw 42; }
 
 #define FIXTURE_ASSERT(x) \
   assert(x)  // csq-lint: allow(banned-identifier): fixture — marker on a macro continuation line

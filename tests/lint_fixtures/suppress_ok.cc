@@ -1,5 +1,5 @@
 // Fixture: a well-formed suppression covering the next line — no findings.
-bool near_one(double x) {
-  // csq-lint: allow(no-float-eq): fixture exercises suppression coverage
-  return x == 1.0;
+int roll() {
+  // csq-lint: allow(banned-identifier): fixture exercises suppression coverage
+  return rand();
 }

@@ -1,0 +1,128 @@
+// Heap-allocation counts on the solver hot path (tier1). A counting global
+// operator new (the same hook bench/perf_solver.cc uses for its
+// allocs_per_iter column) measures two invariants directly instead of
+// approximating them from source text:
+//
+//  - On a warm qbd::Workspace the R iteration allocates nothing per
+//    iteration: solve_r allocates the same number of times whether it runs
+//    a couple of dozen iterations or over a hundred.
+//  - One analyze_cscq on a warm workspace stays within the allocation count
+//    measured when this test was written; a new allocation anywhere in the
+//    fit, busy-period, QBD or boundary layers shows up as a higher count.
+//
+// The counter is process-wide, so the suite is its own binary and every
+// measured call runs on the test thread with no other work in flight.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+#include "analysis/cscq.h"
+#include "core/config.h"
+#include "linalg/matrix.h"
+#include "qbd/qbd.h"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// GCC inlines the replaced operator new into callers and then flags the
+// malloc/free pairing as a new/free mismatch; the pairing here is
+// intentional and consistent across all six replaceable functions.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace csq {
+namespace {
+
+using linalg::Matrix;
+
+// Heap allocations made while running `f`.
+template <class F>
+long allocations(F&& f) {
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// A stable 4-phase QBD repeating portion: Poisson arrivals at `lambda`
+// (diagonal a0), completions at rate 2 (diagonal a2), a cyclic phase
+// coupling in a1. At lambda = 1.8 the functional iteration needs over a
+// hundred steps at the default tolerance and a couple of dozen at 1e-4.
+qbd::RBlocks blocks(double lambda) {
+  const std::size_t m = 4;
+  const double mu = 2.0, c = 0.3;
+  qbd::RBlocks blk;
+  blk.a0 = Matrix(m, m);
+  blk.a1 = Matrix(m, m);
+  blk.a2 = Matrix(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    blk.a0(i, i) = lambda;
+    blk.a2(i, i) = mu;
+    blk.a1(i, (i + 1) % m) = c;
+    blk.a1(i, i) = -(lambda + mu + c);
+  }
+  return blk;
+}
+
+TEST(HotPathAlloc, WarmSolveRCountIndependentOfIterations) {
+  const qbd::RBlocks blk = blocks(1.8);
+  qbd::Workspace ws;
+  qbd::Options loose;
+  loose.tolerance = 1e-4;
+  const qbd::Options tight;  // default 1e-13
+  // Warm-up: sizes the workspace buffers and caches the block patterns.
+  (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight, nullptr, &ws);
+
+  qbd::SolveStats loose_stats;
+  qbd::SolveStats tight_stats;
+  const long loose_count = allocations(
+      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, loose, &loose_stats, &ws); });
+  const long tight_count = allocations(
+      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight, &tight_stats, &ws); });
+
+  ASSERT_EQ(loose_stats.method, qbd::RMethod::kFunctionalIteration);
+  ASSERT_EQ(tight_stats.method, qbd::RMethod::kFunctionalIteration);
+  // The two solves must really differ in length for the comparison to mean
+  // anything.
+  ASSERT_GE(tight_stats.iterations, 4 * loose_stats.iterations)
+      << loose_stats.iterations << " vs " << tight_stats.iterations << " iterations";
+  EXPECT_EQ(tight_count, loose_count)
+      << "solve_r allocated " << loose_count << " times in " << loose_stats.iterations
+      << " iterations but " << tight_count << " times in " << tight_stats.iterations;
+}
+
+TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
+  // Heap allocations of one warm-workspace analyze_cscq at the
+  // BM_AnalyzeCscq operating point, as measured when this test was added
+  // (GCC 12, libstdc++). Compiled-in fault sites allocate 4 more per call.
+#ifdef CSQ_FAULT_INJECTION
+  constexpr long kBudget = 151;
+#else
+  constexpr long kBudget = 147;
+#endif
+  const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
+  qbd::Workspace ws;
+  analysis::CscqOptions opts;
+  opts.workspace = &ws;
+  (void)analysis::analyze_cscq(config, opts);  // warm-up: workspace and fit memo
+  const long count = allocations([&] { (void)analysis::analyze_cscq(config, opts); });
+  EXPECT_GT(count, 0);
+  EXPECT_LE(count, kBudget);
+}
+
+}  // namespace
+}  // namespace csq

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "dist/distribution.h"
+#include "dist/map_process.h"
 #include "dist/phase_type.h"
 #include "sim/rng.h"
 
@@ -130,5 +131,44 @@ TEST(LogNormal, MomentsAndSampling) {
   EXPECT_NEAR(sample_mean(d), 2.0, 0.05);
 }
 
+// --- Markovian arrival processes -----------------------------------------------
+
+TEST(MapProcess, PoissonBasics) {
+  const dist::MapProcess m = dist::MapProcess::poisson(2.5);
+  EXPECT_EQ(m.num_phases(), 1u);
+  EXPECT_NEAR(m.mean_rate(), 2.5, 1e-12);
+}
+
+TEST(MapProcess, Mmpp2StationaryAndRate) {
+  // Phase 0 fraction = s10/(s01+s10) = 0.75 with s01 = 1, s10 = 3.
+  const dist::MapProcess m = dist::MapProcess::mmpp2(1.0, 5.0, 1.0, 3.0);
+  EXPECT_NEAR(m.stationary_phases()[0], 0.75, 1e-12);
+  EXPECT_NEAR(m.mean_rate(), 0.75 * 1.0 + 0.25 * 5.0, 1e-12);
+}
+
+TEST(MapProcess, BurstyHitsTargets) {
+  const dist::MapProcess m = dist::MapProcess::bursty(0.9, 3.0, 0.2, 5.0);
+  EXPECT_NEAR(m.mean_rate(), 0.9, 1e-12);
+  EXPECT_NEAR(m.stationary_phases()[1], 0.2, 1e-12);
+  EXPECT_THROW(dist::MapProcess::bursty(1.0, 10.0, 0.5, 1.0), std::invalid_argument);
+}
+
+TEST(MapProcess, SamplingMatchesMeanRate) {
+  const dist::MapProcess m = dist::MapProcess::bursty(2.0, 4.0, 0.1, 3.0);
+  dist::Rng rng = sim::make_rng(5);
+  dist::MapProcess::State st = m.stationary_state(rng);
+  const int n = 400000;
+  double total = 0.0;
+  for (int i = 0; i < n; ++i) total += m.next_interarrival(st, rng);
+  EXPECT_NEAR(n / total, 2.0, 0.03);
+}
+
+TEST(MapProcess, InvalidInputsThrow) {
+  EXPECT_THROW(dist::MapProcess(linalg::Matrix{{-1.0}}, linalg::Matrix{{2.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(dist::MapProcess::poisson(0.0), std::invalid_argument);
+  EXPECT_THROW(dist::MapProcess::mmpp2(0.0, 0.0, 1.0, 1.0), std::invalid_argument);
+}
+
 }  // namespace
-}  // namespace csq::dist
+}  // namespace csq::dist {

@@ -107,16 +107,6 @@ TEST(LintRules, RawThrowSkipsTests) {
   EXPECT_TRUE(lint_one("raw_throw_bad.cc", "tests/raw_throw_bad.cc").empty());
 }
 
-TEST(LintRules, NoFloatEq) {
-  const std::vector<Finding> fs = lint_one("float_eq_bad.cc", "src/x/float_eq_bad.cc");
-  ASSERT_EQ(fs.size(), 2u);
-  EXPECT_EQ(fs[0].rule, "no-float-eq");
-  EXPECT_EQ(fs[0].line, 3);
-  EXPECT_EQ(fs[1].rule, "no-float-eq");
-  EXPECT_EQ(fs[1].line, 7);
-  EXPECT_TRUE(lint_one("float_eq_clean.cc", "src/x/float_eq_clean.cc").empty());
-}
-
 TEST(LintRules, Nondeterminism) {
   const std::vector<Finding> fs = lint_one("nondet_bad.cc", "src/sim/nondet_bad.cc");
   ASSERT_EQ(fs.size(), 3u);
@@ -129,35 +119,6 @@ TEST(LintRules, Nondeterminism) {
   EXPECT_TRUE(lint_one("nondet_bad.cc", "src/analysis/nondet_bad.cc").empty());
 }
 
-TEST(LintRules, HotPathAlloc) {
-  // rel paths stay outside src/qbd/ so the R12 structured-mult rule (which
-  // has its own fixtures) does not fire on the clean twin's multiply_into.
-  Config cfg;
-  cfg.hot_files = {"hot_alloc_bad.cc", "hot_alloc_clean.cc"};
-  const std::vector<Finding> fs =
-      lint_one("hot_alloc_bad.cc", "src/linalg/hot_alloc_bad.cc", cfg);
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "hot-path-alloc");
-  EXPECT_EQ(fs[0].line, 6);
-  EXPECT_TRUE(lint_one("hot_alloc_clean.cc", "src/linalg/hot_alloc_clean.cc", cfg).empty());
-  // Not listed as hot -> no findings even with the allocating loop.
-  EXPECT_TRUE(lint_one("hot_alloc_bad.cc", "src/other/hot_alloc_bad.cc").empty());
-}
-
-TEST(LintRules, HotPathGenericMult) {
-  const std::vector<Finding> fs =
-      lint_one("generic_mult_bad.cc", "src/qbd/generic_mult_bad.cc");
-  ASSERT_EQ(fs.size(), 2u);
-  for (const Finding& f : fs) EXPECT_EQ(f.rule, "hot-path-generic-mult");
-  EXPECT_EQ(fs[0].line, 7);   // qualified generic call
-  EXPECT_EQ(fs[1].line, 10);  // unqualified generic call inside the loop
-  // The clean twin's pattern-kernel calls and suppressed generic call pass.
-  EXPECT_TRUE(lint_one("generic_mult_clean.cc", "src/qbd/generic_mult_clean.cc").empty());
-  // Outside the structured-mult paths the generic kernel is fine (it IS the
-  // reference implementation elsewhere).
-  EXPECT_TRUE(lint_one("generic_mult_bad.cc", "src/linalg/generic_mult_bad.cc").empty());
-}
-
 TEST(LintRules, HeaderHygiene) {
   const std::vector<Finding> fs = lint_one("header_bad.h", "src/x/header_bad.h");
   ASSERT_EQ(fs.size(), 3u);
@@ -168,15 +129,19 @@ TEST(LintRules, HeaderHygiene) {
   EXPECT_TRUE(lint_one("header_clean.h", "src/x/header_clean.h").empty());
 }
 
+// A header that omits an error its .cc throws directly: throw-flow (R13)
+// owns this check now that the text-level error-docs rule is folded into it.
 TEST(LintRules, ErrorDocs) {
   std::vector<SourceFile> bad = {fixture("error_docs_bad.h", "src/fix/error_docs_bad.h"),
                                  fixture("error_docs_bad.cc", "src/fix/error_docs_bad.cc")};
   const std::vector<Finding> fs = csq::lint::run_rules(bad);
   ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "error-docs");
+  EXPECT_EQ(fs[0].rule, "throw-flow");
   EXPECT_EQ(fs[0].file, "error_docs_bad.h");
   EXPECT_EQ(fs[0].line, 1);
   EXPECT_NE(fs[0].message.find("InvalidInputError"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("safe_sqrt()"), std::string::npos);
+  EXPECT_EQ(fs[0].message.find("via its callees"), std::string::npos);  // thrown directly
 
   std::vector<SourceFile> clean = {
       fixture("error_docs_clean.h", "src/fix/error_docs_clean.h"),
@@ -335,57 +300,6 @@ TEST(LintRules, ServeHygieneMissingCatalogFlagsMetric) {
   EXPECT_NE(fs[0].message.find("not documented"), std::string::npos);
 }
 
-TEST(LintRules, PolicyRegistryBad) {
-  // kBeta: no make_policy case + display name absent from the catalog;
-  // kGamma: no policy_name case + no make_policy case. Findings anchor to
-  // the enumerator lines inside the enum.
-  Config cfg;
-  cfg.policy_docs = "| Alpha | fixture policy |";
-  const std::vector<Finding> fs =
-      lint_one("policy_registry_bad.cc", "src/fix/policy_registry_bad.cc", cfg);
-  const std::vector<Finding> pr = by_rule(fs, "policy-registry");
-  ASSERT_EQ(pr.size(), 4u);
-  // Findings at the same line share a sort key, so compare per-line message
-  // bags instead of positions.
-  std::string beta;   // line 13
-  std::string gamma;  // line 14
-  for (const Finding& f : pr) {
-    ASSERT_TRUE(f.line == 13 || f.line == 14) << f.message;
-    (f.line == 13 ? beta : gamma) += f.message + "\n";
-  }
-  EXPECT_NE(beta.find("kBeta"), std::string::npos);
-  EXPECT_NE(beta.find("make_policy"), std::string::npos);
-  EXPECT_NE(beta.find("\"Beta\""), std::string::npos);
-  EXPECT_NE(beta.find("docs/policies.md"), std::string::npos);
-  EXPECT_NE(gamma.find("policy_name"), std::string::npos);
-  EXPECT_NE(gamma.find("make_policy"), std::string::npos);
-}
-
-TEST(LintRules, PolicyRegistryClean) {
-  Config cfg;
-  cfg.policy_docs = "| Alpha | ... |\n| Beta | ... |";
-  const std::vector<Finding> fs =
-      lint_one("policy_registry_clean.cc", "src/fix/policy_registry_clean.cc", cfg);
-  EXPECT_TRUE(by_rule(fs, "policy-registry").empty());
-}
-
-TEST(LintRules, PolicyRegistryEmptyCatalogFlagsEveryPolicy) {
-  // A missing docs/policies.md (empty catalog) marks every display name
-  // undocumented — the catalog is part of the registry contract.
-  const std::vector<Finding> fs =
-      lint_one("policy_registry_clean.cc", "src/fix/policy_registry_clean.cc");
-  const std::vector<Finding> pr = by_rule(fs, "policy-registry");
-  ASSERT_EQ(pr.size(), 2u);
-  EXPECT_NE(pr[0].message.find("not documented"), std::string::npos);
-}
-
-TEST(LintRules, PolicyRegistryInertWithoutTheEnum) {
-  // File sets with no PolicyKind definition (every other fixture, forward
-  // declarations) must not trip the rule.
-  const std::vector<Finding> fs = lint_one("metric_clean.cc", "src/x/metric_clean.cc");
-  EXPECT_TRUE(by_rule(fs, "policy-registry").empty());
-}
-
 // --- Suppressions ----------------------------------------------------------
 
 TEST(LintSuppress, AllowWithReasonCoversNextLine) {
@@ -397,7 +311,7 @@ TEST(LintSuppress, ReasonlessMarkerIsItselfAFinding) {
   ASSERT_EQ(fs.size(), 2u);
   EXPECT_EQ(fs[0].rule, "suppression");
   EXPECT_EQ(fs[0].line, 4);
-  EXPECT_EQ(fs[1].rule, "no-float-eq");  // the violation still fires
+  EXPECT_EQ(fs[1].rule, "banned-identifier");  // the violation still fires
   EXPECT_EQ(fs[1].line, 5);
 }
 
@@ -410,21 +324,28 @@ TEST(LintSuppress, SelftestPasses) {
 
 TEST(LintRegistry, CatalogIsStable) {
   const std::vector<csq::lint::RuleInfo>& rs = csq::lint::rules();
-  ASSERT_EQ(rs.size(), 21u);
+  ASSERT_EQ(rs.size(), 15u);  // 13 rules + the two meta-rules
   EXPECT_STREQ(rs[0].id, "raw-throw");
-  EXPECT_STREQ(rs[8].id, "fault-site-naming");
-  EXPECT_STREQ(rs[9].id, "metric-naming");
-  EXPECT_STREQ(rs[10].id, "serve-hygiene");
-  EXPECT_STREQ(rs[11].id, "hot-path-generic-mult");
-  EXPECT_STREQ(rs[12].id, "throw-flow");
-  EXPECT_STREQ(rs[13].id, "deadline-poll");
-  EXPECT_STREQ(rs[14].id, "hot-path-alloc-transitive");
-  EXPECT_STREQ(rs[15].id, "atomic-order");
-  EXPECT_STREQ(rs[16].id, "module-layering");
-  EXPECT_STREQ(rs[17].id, "journal-hygiene");
-  EXPECT_STREQ(rs[18].id, "policy-registry");
-  EXPECT_STREQ(rs[19].id, "suppression");
-  EXPECT_STREQ(rs[20].id, "baseline");
+  EXPECT_STREQ(rs[1].id, "nondeterminism");
+  EXPECT_STREQ(rs[2].id, "header-hygiene");
+  EXPECT_STREQ(rs[3].id, "catch-all-swallow");
+  EXPECT_STREQ(rs[4].id, "banned-identifier");
+  EXPECT_STREQ(rs[5].id, "fault-site-naming");
+  EXPECT_STREQ(rs[6].id, "metric-naming");
+  EXPECT_STREQ(rs[7].id, "serve-hygiene");
+  EXPECT_STREQ(rs[8].id, "throw-flow");
+  EXPECT_STREQ(rs[9].id, "deadline-poll");
+  EXPECT_STREQ(rs[10].id, "atomic-order");
+  EXPECT_STREQ(rs[11].id, "module-layering");
+  EXPECT_STREQ(rs[12].id, "journal-hygiene");
+  EXPECT_STREQ(rs[13].id, "suppression");
+  EXPECT_STREQ(rs[14].id, "baseline");
+  // Retired rules are gone for good: their invariants ride on compiler
+  // flags, types and tests (docs/static-analysis.md, "Carried elsewhere").
+  for (const char* retired : {"no-float-eq", "hot-path-alloc", "error-docs",
+                              "hot-path-generic-mult", "hot-path-alloc-transitive",
+                              "policy-registry"})
+    for (const csq::lint::RuleInfo& r : rs) EXPECT_STRNE(r.id, retired);
   // --explain material: every rule ships a full rationale paragraph.
   for (const csq::lint::RuleInfo& r : rs) {
     EXPECT_NE(r.detail, nullptr) << r.id;
@@ -442,8 +363,7 @@ TEST(LintSemantic, ThrowFlowUndocumentedAndStale) {
   ASSERT_EQ(fs.size(), 2u);  // nothing else fires on the set
   const std::vector<Finding> tf = by_rule(fs, "throw-flow");
   ASSERT_EQ(tf.size(), 2u);
-  // The escape arrives only through the call graph (dep file), so the
-  // text-level error-docs rule stays silent and R13 owns the finding.
+  // The escape arrives only through the call graph (dep file).
   EXPECT_EQ(tf[0].file, "throw_flow_bad.h");
   EXPECT_EQ(tf[0].line, 1);
   EXPECT_NE(tf[0].message.find("NotConvergedError"), std::string::npos);
@@ -474,21 +394,6 @@ TEST(LintSemantic, DeadlinePollUnpolledKernelLoop) {
 
 TEST(LintSemantic, DeadlinePollCleanTwin) {
   EXPECT_TRUE(lint_one("deadline_poll_clean.cc", "src/qbd/deadline_poll_clean.cc").empty());
-}
-
-TEST(LintSemantic, HotAllocTransitiveThroughHelper) {
-  // rel ends with the hot-file suffix qbd/qbd.cc; the allocation hides one
-  // call away, out of reach of the file-local hot-path-alloc rule.
-  const std::vector<Finding> fs =
-      lint_one("hot_alloc_trans_bad.cc", "src/qbd/qbd.cc");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "hot-path-alloc-transitive");
-  EXPECT_EQ(fs[0].line, 17);
-  EXPECT_NE(fs[0].message.find("accumulate_step()"), std::string::npos);
-}
-
-TEST(LintSemantic, HotAllocTransitiveCleanTwin) {
-  EXPECT_TRUE(lint_one("hot_alloc_trans_clean.cc", "src/qbd/qbd.cc").empty());
 }
 
 TEST(LintSemantic, AtomicOrderNeedsRationale) {
@@ -555,13 +460,13 @@ TEST(LintSuppress, FormFixtureParsesToExactLines) {
   ASSERT_EQ(sups.size(), 4u);
   // Block-comment interior: binds to its own physical line, and to the
   // first line after the comment closes (the declaration it guards).
-  EXPECT_EQ(sups[0].rule, "no-float-eq");
+  EXPECT_EQ(sups[0].rule, "banned-identifier");
   EXPECT_EQ(sups[0].line, 7);
   EXPECT_EQ(sups[0].alt_line, 9);
   // Stacked allow(a) allow(b): two suppressions sharing line and reason.
   EXPECT_EQ(sups[1].rule, "raw-throw");
   EXPECT_EQ(sups[1].line, 11);
-  EXPECT_EQ(sups[2].rule, "no-float-eq");
+  EXPECT_EQ(sups[2].rule, "banned-identifier");
   EXPECT_EQ(sups[2].line, 11);
   EXPECT_EQ(sups[1].reason, sups[2].reason);
   // Marker on a macro continuation line binds to that physical line.

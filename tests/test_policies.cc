@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,10 +66,50 @@ TEST(PolicyRegistry, TokenKindDisplayRoundTrip) {
     SCOPED_TRACE(info.token);
     EXPECT_EQ(sim::policy_kind_from_token(info.token), info.kind);
     EXPECT_STREQ(sim::policy_token(info.kind), info.token);
-    // The registry's display column and policy_name() cannot drift apart.
-    EXPECT_STREQ(sim::policy_name(info.kind), info.display);
     EXPECT_TRUE(tokens.insert(info.token).second) << "duplicate token";
     EXPECT_TRUE(displays.insert(info.display).second) << "duplicate display name";
+  }
+}
+
+// A value outside the enum (a corrupt cast, a stale serialized kind) gets
+// the documented fallbacks: a printable placeholder name, and the taxonomy
+// error from everything that would have to act on it (make_policy() is
+// swept over every value below).
+TEST(PolicyRegistry, OutOfRangeKindFallsBackOrThrows) {
+  const auto bogus = static_cast<sim::PolicyKind>(200);
+  EXPECT_STREQ(sim::policy_name(bogus), "?");
+  EXPECT_THROW((void)sim::policy_token(bogus), InvalidInputError);
+}
+
+// make_policy() and the registry table must cover the same kinds:
+// -Werror=switch rejects an enumerator make_policy() misses, and this
+// catches one it builds but the table (every token, display name and docs
+// row) lacks.
+TEST(PolicyRegistry, FactoryBuildsExactlyTheTableRows) {
+  const sim::Engine engine(zoo_config(), {});
+  const std::size_t rows = sim::policy_registry().size();
+  for (std::size_t v = 0; v <= 255; ++v) {
+    SCOPED_TRACE(v);
+    const auto kind = static_cast<sim::PolicyKind>(v);
+    if (v < rows)
+      EXPECT_NE(sim::make_policy(kind, engine), nullptr);
+    else
+      EXPECT_THROW((void)sim::make_policy(kind, engine), InvalidInputError);
+  }
+}
+
+// docs/policies.md's policy table is the user-facing copy of the registry:
+// every row must appear there with the same token, display name and
+// analytic flag.
+TEST(PolicyRegistry, DocsTableMatchesEveryRow) {
+  std::ifstream in(std::string(CSQ_SOURCE_DIR) + "/docs/policies.md");
+  ASSERT_TRUE(in.good()) << "docs/policies.md not found under " << CSQ_SOURCE_DIR;
+  std::ostringstream docs;
+  docs << in.rdbuf();
+  for (const sim::PolicyInfo& info : sim::policy_registry()) {
+    const std::string row = std::string("| `") + info.token + "` | " + info.display + " | " +
+                            (info.analytic ? "yes" : "no") + " |";
+    EXPECT_NE(docs.str().find(row), std::string::npos) << "missing table row: " << row;
   }
 }
 

@@ -41,7 +41,7 @@ namespace {
 }
 
 // Taxonomy types R13 tracks: the allowed throw set minus InternalError
-// (invariant breaches are bugs, not API contract — same carve-out as R6).
+// (invariant breaches are bugs, not API contract).
 [[nodiscard]] bool is_taxonomy_type(const std::string& type, const Config& cfg) {
   return type != "InternalError" && ends_with(type, "Error") &&
          contains(cfg.allowed_throw_types, type);
@@ -155,7 +155,6 @@ void RepoIndex::run_fixpoints(const Config& config) {
   const std::size_t n = fn_refs_.size();
   escapes_.assign(n, {});
   polls_.assign(n, false);
-  allocates_.assign(n, false);
   reaches_kernel_.assign(n, false);
 
   // Seeds.
@@ -163,7 +162,6 @@ void RepoIndex::run_fixpoints(const Config& config) {
     const FnRef& ref = fn_refs_[id];
     const FunctionDecl& f = fn(ref);
     polls_[id] = f.polls_budget;
-    allocates_[id] = f.allocates;
     if (contains(config.iterative_kernels, f.name) &&
         contains(config.iterative_kernel_modules, files_[ref.file]->module))
       reaches_kernel_[id] = true;
@@ -187,10 +185,6 @@ void RepoIndex::run_fixpoints(const Config& config) {
         for (std::size_t callee : resolved_[id][c]) {
           if (polls_[callee] && !polls_[id]) {
             polls_[id] = true;
-            changed = true;
-          }
-          if (allocates_[callee] && !allocates_[id]) {
-            allocates_[id] = true;
             changed = true;
           }
           if (reaches_kernel_[callee] && !reaches_kernel_[id]) {
@@ -304,9 +298,8 @@ namespace {
 
 // R13 throw-flow: for each src/ header, compare the `Throws csq::X` contract
 // against the taxonomy errors that can actually escape the public functions
-// of the header and its implementation file. Undocumented escapes that R6
-// already catches (direct throws in the .cc) are left to R6; R13 adds what
-// only the call graph can see, and flags stale documented entries.
+// of the header and its implementation file — thrown directly there or
+// arriving through callees — and flag stale documented entries.
 void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo,
                      const Config& cfg, std::vector<Finding>* out) {
   std::map<std::string, std::vector<std::size_t>> by_stem;  // src/ stems
@@ -317,17 +310,13 @@ void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo
   }
   for (const auto& [stem, members] : by_stem) {
     const SourceFile* header = nullptr;
-    std::size_t header_fi = 0;
     for (std::size_t fi : members)
-      if (files[fi].is_header) {
-        header = &files[fi];
-        header_fi = fi;
-      }
+      if (files[fi].is_header) header = &files[fi];
     if (header == nullptr) continue;
 
     // Computed reality over the pair: errors escaping any public function,
-    // split into "thrown directly somewhere in the pair" (R6 territory) and
-    // "only arrives through calls" (R13 territory).
+    // and the ones thrown directly somewhere in the pair (which picks the
+    // finding's wording and backs a documented entry).
     std::set<std::string> escaping;
     std::set<std::string> direct;
     std::map<std::string, std::string> witness;  // error -> function name
@@ -346,15 +335,14 @@ void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo
       }
     }
 
-    // Undocumented: escapes the header never mentions, net of R6's direct
-    // set so one missing doc line yields one finding, not two.
+    // Undocumented: escapes the header never mentions.
     for (const std::string& e : escaping) {
-      if (direct.count(e) != 0) continue;
       if (header->content.find(e) != std::string::npos) continue;
+      const char* how = direct.count(e) != 0 ? "()" : "() via its callees";
       out->push_back({header->path, 1, "throw-flow",
-                      "csq::" + e + " can escape " + witness[e] +
-                          "() via its callees but is not documented here — add a "
-                          "`Throws csq::" + e + "` note to the API comment"});
+                      "csq::" + e + " can escape " + witness[e] + how +
+                          " but is not documented here — add a `Throws csq::" + e +
+                          "` note to the API comment"});
     }
 
     // Stale: explicit `Throws csq::X` entries no computed or direct throw
@@ -378,7 +366,6 @@ void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo
                             "call graph — drop the entry or restore the throw"});
       pos = e;
     }
-    (void)header_fi;
   }
 }
 
@@ -420,46 +407,6 @@ void rule_deadline_poll(const std::vector<SourceFile>& files, const RepoIndex& r
                                 "interrupted() poll"});
             break;  // one finding per loop
           }
-        }
-      }
-    }
-  }
-}
-
-// R15 hot-path-alloc-transitive: calls inside hot-file loops that resolve
-// to a callee that (transitively) allocates. Unresolved calls are exempt —
-// the tracked allocators live in repo code the index can see.
-void rule_hot_alloc_transitive(const std::vector<SourceFile>& files, const RepoIndex& repo,
-                               const Config& cfg, std::vector<Finding>* out) {
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    bool hot = false;
-    for (const std::string& h : cfg.hot_files)
-      if (ends_with(files[fi].rel, h)) hot = true;
-    if (!hot) continue;
-    const FileIndex* fx = repo.files()[fi];
-    for (std::size_t k = 0; k < fx->functions.size(); ++k) {
-      const FunctionDecl& f = fx->functions[k];
-      const std::size_t id = repo.fn_id({fi, k});
-      std::set<int> reported_lines;
-      for (const LoopRef& loop : f.loops) {
-        for (std::size_t c = 0; c < f.calls.size(); ++c) {
-          const CallRef& call = f.calls[c];
-          if (!in_region(call.tok, loop.body_begin, loop.body_end)) continue;
-          // Deadline polls (budget.interrupted()/check(), token.cancelled())
-          // are mandated by deadline-poll (R14); never flag the poll site
-          // itself, whatever its callees look like to the allocator pass.
-          bool is_poll = false;
-          for (std::size_t p : f.poll_toks)
-            if (p == call.tok) is_poll = true;
-          if (is_poll) continue;
-          bool alloc = false;
-          for (std::size_t callee : repo.resolved(id, c))
-            if (repo.allocates(callee)) alloc = true;
-          if (alloc && reported_lines.insert(call.line).second)
-            out->push_back({files[fi].path, call.line, "hot-path-alloc-transitive",
-                            call.name + "() reached from a hot-path loop allocates "
-                                "(directly or through its callees) — hoist the "
-                                "allocation into a workspace passed in"});
         }
       }
     }
@@ -660,8 +607,7 @@ std::string index_selftest(bool* ok) {
 
   // --- conservatism on unresolved calls -----------------------------------
   const std::size_t ext = repo.fn_id(sweep_external);
-  check(repo.escapes(ext).empty() && !repo.polls(ext) && !repo.allocates(ext) &&
-            !repo.reaches_kernel(ext),
+  check(repo.escapes(ext).empty() && !repo.polls(ext) && !repo.reaches_kernel(ext),
         "unresolved external_helper() supplies no property (may do anything)");
 
   // --- include-graph cycles ------------------------------------------------
@@ -700,7 +646,6 @@ void run_semantic_rules(const std::vector<SourceFile>& files,
   const RepoIndex repo = RepoIndex::build(indexes, config);
   rule_throw_flow(files, repo, config, out);
   rule_deadline_poll(files, repo, config, out);
-  rule_hot_alloc_transitive(files, repo, config, out);
   rule_atomic_order(files, repo, config, out);
   rule_module_layering(files, repo, config, out);
 }

@@ -1,6 +1,7 @@
 // Repo-wide layer of the csq_lint semantic engine: the symbol table over all
 // FileIndex records, the `#include` graph, the conservative call graph, and
-// the flow-aware rules R13–R17 that run on top of them.
+// the flow-aware rules (R13 throw-flow, R14 deadline-poll, R16 atomic-order,
+// R17 module-layering) that run on top of them.
 //
 // Resolution is name-based with overload sets — there is no type checking.
 // The conservatism direction is fixed per rule and documented with each:
@@ -8,8 +9,8 @@
 // do anything", which concretely means it never supplies a property the
 // rule wants proven (it cannot poll a RunBudget for R14) and never supplies
 // a property that would create a finding out of thin air (it throws no
-// taxonomy type for R13, allocates nothing for R15 — taxonomy types and
-// tracked allocators only originate in repo code the index can see).
+// taxonomy type for R13 — taxonomy types only originate in repo code the
+// index can see).
 #pragma once
 
 #include <cstddef>
@@ -67,8 +68,6 @@ class RepoIndex {
   }
   // Transitively polls RunBudget/CancelToken through resolved calls.
   [[nodiscard]] bool polls(std::size_t id) const { return polls_[id]; }
-  // Transitively allocates through resolved calls.
-  [[nodiscard]] bool allocates(std::size_t id) const { return allocates_[id]; }
   // Is, or transitively reaches, a configured iterative kernel.
   [[nodiscard]] bool reaches_kernel(std::size_t id) const { return reaches_kernel_[id]; }
 
@@ -100,7 +99,6 @@ class RepoIndex {
   std::vector<std::vector<std::vector<std::size_t>>> resolved_;  // fn -> call -> callee ids
   std::vector<std::set<std::string>> escapes_;
   std::vector<bool> polls_;
-  std::vector<bool> allocates_;
   std::vector<bool> reaches_kernel_;
   std::vector<std::vector<std::size_t>> include_edges_;
   std::vector<std::vector<std::size_t>> include_cycles_;
@@ -111,7 +109,7 @@ class RepoIndex {
   void build_include_graph();
 };
 
-// Run R13–R17 over the indexed file set. `indexes[i]` describes `files[i]`;
+// Run the semantic rules over the indexed file set. `indexes[i]` describes `files[i]`;
 // `files` supplies the content the doc checks (R13) read. Findings are
 // appended unsuppressed — run_rules applies suppressions afterwards.
 void run_semantic_rules(const std::vector<SourceFile>& files,

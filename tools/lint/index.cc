@@ -100,13 +100,6 @@ namespace {
 
 }  // namespace
 
-const std::vector<std::string>& allocator_call_names() {
-  static const std::vector<std::string> kNames = {
-      "push_back", "emplace_back", "resize",      "reserve", "insert",
-      "emplace",   "make_unique",  "make_shared", "Matrix",  "Vector"};
-  return kNames;
-}
-
 std::uint64_t content_hash(const std::string& content) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   for (char ch : content) {
@@ -425,12 +418,6 @@ FileIndex build_file_index(const SourceFile& file) {
       f.poll_toks.push_back(i);
     }
 
-    // Allocation facts.
-    if (tok.text == "new") f.allocates = true;
-    if ((tok.text == "Matrix" || tok.text == "Vector") && i + 1 < n &&
-        t[i + 1].kind == TokKind::kIdent)
-      f.allocates = true;  // local `Matrix tmp` declaration
-
     // Atomic memory orders: memory_order_relaxed or memory_order::relaxed.
     if (starts_with(tok.text, "memory_order")) {
       std::string order;
@@ -460,9 +447,6 @@ FileIndex build_file_index(const SourceFile& file) {
         else if (t[i - 1].text == "::" && i > 1 && t[i - 2].kind == TokKind::kIdent)
           call.qualifier = t[i - 2].text;
       }
-      if (std::find(allocator_call_names().begin(), allocator_call_names().end(),
-                    call.name) != allocator_call_names().end())
-        f.allocates = true;
       f.calls.push_back(std::move(call));
     }
   }
@@ -517,8 +501,7 @@ std::string serialize_file_index(const FileIndex& x) {
     o << "I " << inc.line << ' ' << (inc.system ? 1 : 0) << ' ' << esc(inc.target) << '\n';
   for (const FunctionDecl& f : x.functions) {
     const int flags = (f.is_method ? 1 : 0) | (f.internal ? 2 : 0) |
-                      (f.polls_budget ? 4 : 0) | (f.allocates ? 8 : 0) |
-                      (f.has_order_rationale ? 16 : 0);
+                      (f.polls_budget ? 4 : 0) | (f.has_order_rationale ? 16 : 0);
     o << "D " << esc(f.name) << ' ' << esc(f.scope) << ' ' << f.line << ' ' << f.end_line
       << ' ' << f.body_begin << ' ' << f.body_end << ' ' << flags << ' '
       << f.explicit_quals.size();
@@ -591,7 +574,6 @@ bool deserialize_file_index(const std::string& record, FileIndex* out) {
       f.is_method = (flags & 1) != 0;
       f.internal = (flags & 2) != 0;
       f.polls_budget = (flags & 4) != 0;
-      f.allocates = (flags & 8) != 0;
       f.has_order_rationale = (flags & 16) != 0;
       for (std::size_t k = 0; k < nquals; ++k) {
         std::string q;

@@ -1,5 +1,5 @@
 // Semantic index for csq_lint — the layer between the tokenizer (lint.h)
-// and the flow-aware rules R13–R17 (callgraph.h).
+// and the flow-aware rules of callgraph.h.
 //
 // For each SourceFile the extractor computes a FileIndex: function/method
 // definition extents (with namespace/class scope chains recovered from a
@@ -13,8 +13,8 @@
 // line-oriented text record keyed by an FNV-1a hash of the file content, so
 // `csq_lint --cache FILE` reuses the extraction for unchanged files and a
 // full-tree run stays in the tens of milliseconds. The token stream itself
-// is not cached (the file-local rules R1–R12 re-lex cheaply); only the
-// semantic facts the cross-TU rules consume are.
+// is not cached (the token rules re-lex cheaply); only the semantic facts
+// the cross-TU rules consume are.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +55,7 @@ struct ThrowRef {
 };
 
 // A for/while/do loop inside a function body. The token extent covers the
-// *body* (header excluded), matching the R4 loop scanner's convention.
+// *body* (header excluded).
 struct LoopRef {
   int line = 0;               // line of the loop keyword
   std::size_t body_begin = 0;  // first token of the body
@@ -93,7 +93,6 @@ struct FunctionDecl {
   bool internal = false;       // anonymous namespace or `static` — not API
   bool polls_budget = false;   // body polls interrupted()/expired()/cancelled()/.check()
   std::vector<std::size_t> poll_toks;  // token indices of those poll sites
-  bool allocates = false;      // body has `new` or a configured allocator call
   bool has_order_rationale = false;  // ordering-rationale comment in/above the body
   std::vector<CallRef> calls;
   std::vector<ThrowRef> throws;
@@ -112,10 +111,6 @@ struct FileIndex {
   std::vector<IncludeRef> includes;
   std::vector<FunctionDecl> functions;
 };
-
-// Call names that count as heap allocation for R15 (in addition to the
-// `new` keyword). Kept here so the extractor and the docs agree.
-[[nodiscard]] const std::vector<std::string>& allocator_call_names();
 
 // FNV-1a over the raw content; the cache key.
 [[nodiscard]] std::uint64_t content_hash(const std::string& content);

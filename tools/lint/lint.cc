@@ -236,35 +236,17 @@ const std::vector<RuleInfo>& rules() {
        "maps it onto exit codes. A raw `throw std::runtime_error(...)` (or any\n"
        "non-taxonomy type) bypasses all three. Fix: pick the taxonomy type whose\n"
        "contract matches the failure; if none fits, the taxonomy is missing a case."},
-      {"no-float-eq", "no ==/!= against floating-point literals; use core/numeric.h",
-       "Exact ==/!= against a floating-point literal is almost never what a numeric\n"
-       "solver means: R-iteration residuals, busy-period moments and simulated means\n"
-       "carry rounding error by construction. Fix: csq::num::approx_eq/approx_zero\n"
-       "for tolerant comparison, or exactly_eq/exactly_zero when bit-exactness IS\n"
-       "the intent (golden files, determinism gates) — that spelling documents it."},
       {"nondeterminism", "no rand/random_device/time()/now() in sim/, parallel/",
        "The simulator and the parallel runtime promise bit-identical results for a\n"
        "fixed seed (the golden suite and the cross-backend equivalence tests depend\n"
        "on it). std::rand, std::random_device, time() and clock ::now() calls break\n"
        "that promise. Fix: draw from sim::Rng seeded via split_seed substreams; get\n"
        "wall-clock measurements from the obs layer outside the deterministic core."},
-      {"hot-path-alloc", "hot-file loops must use *_into kernels, not allocating operators",
-       "Loops in the hot files (qbd/qbd.cc, linalg/lu.cc, linalg/matrix.cc) dominate\n"
-       "the per-point analysis budget (< 100us, benchmarked by BM_AnalyzeCscq). An\n"
-       "allocating matrix/vector operator inside such a loop re-heap-allocates every\n"
-       "iteration. Fix: use the *_into workspace kernels (multiply_into & co.) with\n"
-       "a workspace allocated once outside the loop."},
       {"header-hygiene", "#pragma once, no `using namespace`, direct std includes in headers",
        "Headers must carry `#pragma once`, must not leak `using namespace` into\n"
        "every includer, and must include the std headers for the std symbols they\n"
        "use (include-what-you-use lite) so refactors cannot orphan a transitive\n"
        "include. Fix: add the pragma / the direct #include, or qualify the name."},
-      {"error-docs", "headers must document the taxonomy errors their .cc throws",
-       "A src/ header is the API contract; every taxonomy error class its .cc\n"
-       "throws directly is part of that contract and must appear in the header\n"
-       "(conventionally a `Throws csq::X` line in the API comment). InternalError\n"
-       "is exempt: invariant breaches are bugs, not contract. See also throw-flow\n"
-       "(R13), which extends this check through the call graph."},
       {"catch-all-swallow", "catch (...) must rethrow or convert to SolverStatus",
        "A catch (...) that neither rethrows nor converts the exception into a\n"
        "SolverStatus/taxonomy response silently discards failures the caller was\n"
@@ -296,24 +278,19 @@ const std::vector<RuleInfo>& rules() {
        "request queue outside the bounded admit gate (admission checks queue depth\n"
        "and in-flight cost first), and every serve.* obs name must appear in the\n"
        "docs/serving.md catalog so the dashboard surface cannot drift."},
-      {"hot-path-generic-mult",
-       "QBD solver code must use the structure-aware multiply kernels "
-       "(multiply_into_pattern / multiply_into_dense), not the generic multiply_into",
-       "Inside the QBD iteration the generic linalg::multiply_into re-discovers the\n"
-       "block structure element by element on every call; the structure-aware\n"
-       "kernels (multiply_into_pattern on cached BlockPatterns, multiply_into_dense\n"
-       "for the dense case) are the reason BM_AnalyzeCscq holds its budget. Fix:\n"
-       "dispatch through them, or suppress with the reason no structure exists."},
       {"throw-flow",
-       "header `Throws csq::*` contracts must match what the call graph proves "
-       "can escape (R13)",
-       "R13 upgrades error-docs from text match to flow analysis: taxonomy throws\n"
-       "are propagated through the conservative call graph (catch clauses filter,\n"
+       "header `Throws csq::*` contracts must match what can escape, directly or "
+       "through the call graph (R13)",
+       "A src/ header is the API contract, and every taxonomy error that can\n"
+       "escape one of its public functions is part of it. Taxonomy throws are\n"
+       "propagated through the conservative call graph (catch clauses filter,\n"
        "unresolved calls contribute nothing), and each src/ header is compared\n"
-       "against what can actually escape its public functions. Undocumented\n"
-       "escapes that only arrive through callees are findings; so are stale\n"
-       "`Throws csq::X` entries nothing backs up. Fix: add or drop the contract\n"
-       "line, or catch-and-convert at the API boundary."},
+       "against what can actually escape its public functions, whether thrown\n"
+       "directly in the .cc or arriving through callees. Undocumented escapes\n"
+       "are findings; so are stale `Throws csq::X` entries nothing backs up.\n"
+       "InternalError is exempt: invariant breaches are bugs, not contract.\n"
+       "Fix: add or drop the contract line, or catch-and-convert at the API\n"
+       "boundary."},
       {"deadline-poll",
        "solver/simulator loops that reach an iterative kernel must poll "
        "RunBudget/CancelToken (R14)",
@@ -323,14 +300,6 @@ const std::vector<RuleInfo>& rules() {
        "cancelled()/check() in the loop, or a callee that provably polls.\n"
        "Unresolved calls never count as polling (conservative direction: a loop\n"
        "is only accepted on evidence). Fix: add a poll or push the budget down."},
-      {"hot-path-alloc-transitive",
-       "hot-file loops must not reach allocating callees through the call graph (R15)",
-       "R15 upgrades hot-path-alloc to call-graph reachability: a call inside a\n"
-       "hot-file loop whose resolved callee allocates (new, push_back/resize/\n"
-       "reserve/insert, Matrix/Vector construction — directly or transitively) is\n"
-       "a finding even though the loop body itself looks clean. Fix: hoist the\n"
-       "allocation into a workspace parameter, or suppress with the reason the\n"
-       "allocation is one-time (first-call warm-up, growth capped)."},
       {"atomic-order",
        "non-seq_cst memory orders in src/parallel|obs need a rationale comment; "
        "bare seq_cst in hot loops is flagged (R16)",
@@ -365,16 +334,6 @@ const std::vector<RuleInfo>& rules() {
        "expose a torn artifact after power loss: the directory entry can reach\n"
        "disk before the file's bytes do. Fix: fsync the descriptor before the\n"
        "rename (tmp + fsync + rename)."},
-      {"policy-registry",
-       "every sim PolicyKind enumerator must be wired through policy_name(), "
-       "make_policy() and the docs/policies.md policy table (R19)",
-       "The policy zoo is plug-in by registry: PolicyKind is its key space, and\n"
-       "a kind that policy_name() cannot print, make_policy() cannot construct,\n"
-       "or docs/policies.md does not describe is a half-registered policy — the\n"
-       "CLI and serve layer would accept its token and then fail downstream, or\n"
-       "serve an undocumented policy. Fix: add the missing policy_name /\n"
-       "make_policy case, and a docs table row containing the display name\n"
-       "policy_name() returns."},
       {"suppression", "csq-lint: allow(...) comments must name a known rule and give a reason",
        "A suppression is `// csq-lint: allow(rule-id): reason` on the finding's\n"
        "line or the line above (block-comment interiors and stacked\n"
@@ -492,19 +451,6 @@ using Tokens = std::vector<Token>;
   return false;
 }
 
-[[nodiscard]] bool is_hot_file(const std::string& rel, const Config& cfg) {
-  for (const std::string& h : cfg.hot_files)
-    if (ends_with(rel, h)) return true;
-  return false;
-}
-
-[[nodiscard]] bool is_float_literal(const Token& t) {
-  if (t.kind != TokKind::kNumber) return false;
-  if (starts_with(t.text, "0x") || starts_with(t.text, "0X")) return false;
-  return t.text.find('.') != std::string::npos || t.text.find('e') != std::string::npos ||
-         t.text.find('E') != std::string::npos;
-}
-
 // Index of the token matching the opener at `open` ("("/")" or "{"/"}"),
 // or tokens.size() if unbalanced.
 [[nodiscard]] std::size_t matching(const Tokens& toks, std::size_t open, const char* o,
@@ -516,30 +462,6 @@ using Tokens = std::vector<Token>;
     if (toks[i].text == c && --depth == 0) return i;
   }
   return toks.size();
-}
-
-// Marks tokens inside for/while loop *bodies* (headers excluded, so the
-// init-statement `i = 0` never looks like an in-loop assignment).
-[[nodiscard]] std::vector<bool> loop_body_mask(const Tokens& toks) {
-  std::vector<bool> mask(toks.size(), false);
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent || (toks[i].text != "for" && toks[i].text != "while"))
-      continue;
-    std::size_t open = i + 1;
-    if (open >= toks.size() || toks[open].text != "(") continue;
-    const std::size_t close = matching(toks, open, "(", ")");
-    if (close >= toks.size()) continue;
-    std::size_t body_begin = close + 1;
-    std::size_t body_end;
-    if (body_begin < toks.size() && toks[body_begin].text == "{") {
-      body_end = matching(toks, body_begin, "{", "}");
-    } else {
-      body_end = body_begin;
-      while (body_end < toks.size() && toks[body_end].text != ";") ++body_end;
-    }
-    for (std::size_t k = body_begin; k < toks.size() && k <= body_end; ++k) mask[k] = true;
-  }
-  return mask;
 }
 
 void rule_raw_throw(const SourceFile& f, const Config& cfg, std::vector<Finding>* out) {
@@ -570,18 +492,6 @@ void rule_raw_throw(const SourceFile& f, const Config& cfg, std::vector<Finding>
   }
 }
 
-void rule_no_float_eq(const SourceFile& f, std::vector<Finding>* out) {
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kPunct || (t[i].text != "==" && t[i].text != "!=")) continue;
-    if (is_float_literal(t[i - 1]) || is_float_literal(t[i + 1]))
-      out->push_back({f.path, t[i].line, "no-float-eq",
-                      "exact floating-point `" + t[i].text +
-                          "` — use csq::num::approx_eq/approx_zero (or "
-                          "exactly_eq/exactly_zero when bit-exactness is the intent)"});
-  }
-}
-
 void rule_nondeterminism(const SourceFile& f, const Config& cfg, std::vector<Finding>* out) {
   if (!in_any_dir(f.rel, cfg.deterministic_dirs)) return;
   const Tokens& t = f.tokens;
@@ -602,62 +512,6 @@ void rule_nondeterminism(const SourceFile& f, const Config& cfg, std::vector<Fin
                       "`::now()` in a bit-deterministic component — results must not "
                           "depend on the wall clock"});
     }
-  }
-}
-
-void rule_hot_path_alloc(const SourceFile& f, const Config& cfg, std::vector<Finding>* out) {
-  if (!is_hot_file(f.rel, cfg)) return;
-  const Tokens& t = f.tokens;
-  const std::vector<bool> in_loop = loop_body_mask(t);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!in_loop[i] || t[i].kind != TokKind::kPunct || t[i].text != "=") continue;
-    // Scan the right-hand side of the assignment for a binary `*` between
-    // non-literal operands; a statement that already calls an *_into kernel
-    // is exempt.
-    bool has_into = false;
-    std::size_t star = 0;
-    for (std::size_t j = i + 1; j < t.size(); ++j) {
-      const std::string& x = t[j].text;
-      if (t[j].kind == TokKind::kPunct && (x == ";" || x == "{" || x == "}")) break;
-      if (t[j].kind == TokKind::kIdent && x.find("_into") != std::string::npos)
-        has_into = true;
-      if (star == 0 && t[j].kind == TokKind::kPunct && x == "*" && j > 0 &&
-          j + 1 < t.size()) {
-        const Token& l = t[j - 1];
-        const Token& r = t[j + 1];
-        const bool l_ok = l.kind == TokKind::kIdent ||
-                          (l.kind == TokKind::kPunct && (l.text == ")" || l.text == "]"));
-        const bool r_ok = r.kind == TokKind::kIdent ||
-                          (r.kind == TokKind::kPunct && r.text == "(");
-        if (l_ok && r_ok && l.kind != TokKind::kNumber && r.kind != TokKind::kNumber)
-          star = j;
-      }
-    }
-    if (star != 0 && !has_into)
-      out->push_back({f.path, t[star].line, "hot-path-alloc",
-                      "allocating operator in a hot-path loop — use the *_into "
-                          "workspace kernel (linalg::multiply_into & co.)"});
-  }
-}
-
-// R12: inside the QBD solver the generic multiply_into is a performance
-// bug by default — the hot loops must dispatch on the cached BlockPatterns
-// (linalg::multiply_into_pattern) or the restrict dense kernel
-// (multiply_into_dense). The tokenizer keeps multiply_into_pattern /
-// multiply_into_dense as distinct identifiers, so only the bare generic
-// call matches. Legitimate generic sites (no block structure to exploit,
-// e.g. row-vector recursions) carry a csq-lint: allow(...) with the reason.
-void rule_hot_path_generic_mult(const SourceFile& f, const Config& cfg,
-                                std::vector<Finding>* out) {
-  if (!in_any_dir(f.rel, cfg.structured_mult_paths)) return;
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || t[i].text != "multiply_into") continue;
-    if (t[i + 1].kind != TokKind::kPunct || t[i + 1].text != "(") continue;
-    out->push_back({f.path, t[i].line, "hot-path-generic-mult",
-                    "generic multiply_into in QBD solver code — dispatch through "
-                        "linalg::multiply_into_pattern / multiply_into_dense, or "
-                        "suppress with the reason no block structure exists here"});
   }
 }
 
@@ -755,37 +609,6 @@ void rule_banned_identifier(const SourceFile& f, const Config& cfg,
                                  : "banned by the project rule set (determinism/safety)";
     out->push_back(
         {f.path, t[i].line, "banned-identifier", "`" + t[i].text + "(` — " + hint});
-  }
-}
-
-// error-docs (cross-file): each src/**/x.h must mention every taxonomy error
-// class its x.cc throws. InternalError is exempt — invariant breaches are
-// bugs, not API contract.
-void rule_error_docs(const std::vector<SourceFile>& files, std::vector<Finding>* out) {
-  std::map<std::string, const SourceFile*> headers;
-  for (const SourceFile& f : files)
-    if (f.is_header) headers[f.rel.substr(0, f.rel.rfind('.'))] = &f;
-  for (const SourceFile& f : files) {
-    if (f.is_header || !starts_with(f.rel, "src/") || !ends_with(f.rel, ".cc")) continue;
-    const auto it = headers.find(f.rel.substr(0, f.rel.rfind('.')));
-    if (it == headers.end()) continue;
-    std::set<std::string> thrown;
-    for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
-      if (f.tokens[i].kind != TokKind::kIdent || f.tokens[i].text != "throw") continue;
-      // Last component of the (possibly csq::-qualified) thrown type.
-      std::string last;
-      for (std::size_t j = i + 1; j < f.tokens.size() &&
-                                  (f.tokens[j].kind == TokKind::kIdent ||
-                                   f.tokens[j].text == "::");
-           ++j)
-        if (f.tokens[j].kind == TokKind::kIdent) last = f.tokens[j].text;
-      if (ends_with(last, "Error") && last != "InternalError") thrown.insert(last);
-    }
-    for (const std::string& e : thrown)
-      if (it->second->content.find(e) == std::string::npos)
-        out->push_back({it->second->path, 1, "error-docs",
-                        "does not document csq::" + e + " thrown by " + f.rel +
-                            " (add a `Throws csq::" + e + "` note to the API comment)"});
   }
 }
 
@@ -901,118 +724,6 @@ void rule_metric_naming(const std::vector<SourceFile>& files, std::vector<Findin
                             it->second.rel + ":" + std::to_string(it->second.line) +
                             " — each name must appear exactly once"});
     }
-  }
-}
-
-// policy-registry (R19, cross-file): the simulator policy zoo is keyed by
-// `enum class PolicyKind`; the registry contract is that every enumerator is
-//   (a) printable  — handled by a `case PolicyKind::kX: return "Name";` in
-//                    policy_name(),
-//   (b) buildable  — handled by a case in make_policy(), and
-//   (c) documented — its display name (the string policy_name() returns)
-//                    appears in the docs/policies.md policy table
-//                    (Config::policy_docs).
-// A kind missing any leg is half-registered: the CLI/serve token would be
-// accepted and then fail downstream, or serve an undocumented policy.
-// Findings anchor to the enumerator's own line — the enum is where the next
-// policy author is looking. Only src/ files are scanned, and the rule is
-// inert when no PolicyKind enum is in the file set (fixture sets for other
-// rules, forward declarations).
-void rule_policy_registry(const std::vector<SourceFile>& files, const Config& config,
-                          std::vector<Finding>* out) {
-  struct Enumerator {
-    std::string name;
-    std::string path;  // file declaring the enum
-    int line = 0;
-  };
-  std::vector<Enumerator> enumerators;
-  for (const SourceFile& f : files) {
-    if (!starts_with(f.rel, "src/")) continue;
-    const Tokens& t = f.tokens;
-    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-      if (t[i].text != "enum" || t[i + 1].text != "class" ||
-          t[i + 2].text != "PolicyKind")
-        continue;
-      // Skip the underlying-type clause; a `;` first means a forward
-      // declaration (core/sweep.h carries one), not the definition.
-      std::size_t j = i + 3;
-      while (j < t.size() && t[j].text != "{" && t[j].text != ";") ++j;
-      if (j >= t.size() || t[j].text != "{") continue;
-      bool expect_name = true;
-      for (++j; j < t.size() && t[j].text != "}"; ++j) {
-        if (expect_name && t[j].kind == TokKind::kIdent) {
-          enumerators.push_back({t[j].text, f.path, t[j].line});
-          expect_name = false;
-        } else if (t[j].text == ",") {
-          expect_name = true;
-        }
-      }
-    }
-  }
-  if (enumerators.empty()) return;
-
-  // Collect, from the body of every definition of `fn` in src/, the
-  // PolicyKind::kX enumerators it mentions — and for policy_name, the
-  // display string of each `case PolicyKind::kX: return "Name";`.
-  struct FnBody {
-    std::set<std::string> kinds;
-    std::map<std::string, std::string> display;  // kX -> "Name"
-  };
-  const auto collect = [&files](const char* fn) {
-    FnBody body;
-    for (const SourceFile& f : files) {
-      if (!starts_with(f.rel, "src/")) continue;
-      const Tokens& t = f.tokens;
-      for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (t[i].kind != TokKind::kIdent || t[i].text != fn || t[i + 1].text != "(")
-          continue;
-        // Balance the parameter list, then require an opening `{`: a `;`
-        // there is a declaration or a call site, not the definition.
-        std::size_t j = i + 1;
-        int parens = 0;
-        for (; j < t.size(); ++j) {
-          if (t[j].text == "(") ++parens;
-          else if (t[j].text == ")" && --parens == 0) { ++j; break; }
-        }
-        if (j >= t.size() || t[j].text != "{") continue;
-        int depth = 0;
-        for (; j < t.size(); ++j) {
-          if (t[j].text == "{") ++depth;
-          else if (t[j].text == "}") {
-            if (--depth == 0) break;
-          } else if (t[j].kind == TokKind::kIdent && t[j].text == "PolicyKind" &&
-                     j + 2 < t.size() && t[j + 1].text == "::" &&
-                     t[j + 2].kind == TokKind::kIdent) {
-            body.kinds.insert(t[j + 2].text);
-            if (j + 5 < t.size() && t[j + 3].text == ":" && t[j + 4].text == "return" &&
-                t[j + 5].kind == TokKind::kString)
-              body.display[t[j + 2].text] =
-                  t[j + 5].text.substr(1, t[j + 5].text.size() - 2);
-          }
-        }
-      }
-    }
-    return body;
-  };
-  const FnBody names = collect("policy_name");
-  const FnBody factory = collect("make_policy");
-
-  for (const Enumerator& e : enumerators) {
-    if (names.kinds.find(e.name) == names.kinds.end())
-      out->push_back({e.path, e.line, "policy-registry",
-                      "PolicyKind::" + e.name + " has no policy_name() case — every "
-                          "policy needs a display name"});
-    if (factory.kinds.find(e.name) == factory.kinds.end())
-      out->push_back({e.path, e.line, "policy-registry",
-                      "PolicyKind::" + e.name + " has no make_policy() case — the "
-                          "registry cannot construct it"});
-    const auto d = names.display.find(e.name);
-    if (d != names.display.end() &&
-        config.policy_docs.find(d->second) == std::string::npos)
-      out->push_back({e.path, e.line, "policy-registry",
-                      "policy \"" + d->second + "\" (PolicyKind::" + e.name +
-                          ") is not documented in the " + config.policy_docs_name +
-                          " policy table"});
   }
 }
 
@@ -1159,10 +870,7 @@ std::vector<Finding> run_rules(std::vector<SourceFile>& files, const Config& con
     std::vector<Finding> file_findings;
     std::vector<Suppression> sups = parse_suppressions(f, &all);  // malformed: unsuppressible
     rule_raw_throw(f, config, &file_findings);
-    rule_no_float_eq(f, &file_findings);
     rule_nondeterminism(f, config, &file_findings);
-    rule_hot_path_alloc(f, config, &file_findings);
-    rule_hot_path_generic_mult(f, config, &file_findings);
     rule_header_hygiene(f, &file_findings);
     rule_catch_all(f, &file_findings);
     rule_banned_identifier(f, config, &file_findings);
@@ -1179,14 +887,12 @@ std::vector<Finding> run_rules(std::vector<SourceFile>& files, const Config& con
     }
   }
   // Cross-file pass: the token-level cross-TU rules, then the semantic rules
-  // R13–R17 on the FileIndex layer (cache-aware: unchanged files reuse their
-  // cached index). error-docs/throw-flow findings attach to headers at line
-  // 1, so a suppression comment on the header's first line covers them.
+  // on the FileIndex layer (cache-aware: unchanged files reuse their cached
+  // index). throw-flow findings attach to headers at line 1, so a
+  // suppression comment on the header's first line covers them.
   std::vector<Finding> cross;
-  rule_error_docs(files, &cross);
   rule_fault_site_naming(files, &cross);
   rule_metric_naming(files, &cross);
-  rule_policy_registry(files, config, &cross);
   {
     std::vector<FileIndex> owned(files.size());
     std::vector<const FileIndex*> indexes(files.size(), nullptr);
@@ -1239,7 +945,7 @@ std::string suppression_selftest(bool* ok) {
   };
 
   const std::string sample =
-      "int a;  // csq-lint: allow(no-float-eq): fixture compares sentinels\n"
+      "int a;  // csq-lint: allow(nondeterminism): fixture draws a seed\n"
       "// csq-lint: allow(raw-throw): exercised by the selftest\n"
       "int b;\n"
       "// csq-lint: allow(raw-throw)\n"            // missing reason
@@ -1254,9 +960,9 @@ std::string suppression_selftest(bool* ok) {
   check(sups.size() == 2, "two well-formed suppressions parsed (got " +
                               std::to_string(sups.size()) + ")");
   if (sups.size() == 2) {
-    check(sups[0].rule == "no-float-eq" && sups[0].line == 1,
+    check(sups[0].rule == "nondeterminism" && sups[0].line == 1,
           "trailing-comment suppression binds to its own line");
-    check(sups[0].reason == "fixture compares sentinels", "reason text captured");
+    check(sups[0].reason == "fixture draws a seed", "reason text captured");
     check(sups[1].rule == "raw-throw" && sups[1].line == 2,
           "own-line suppression recorded on the comment line");
   }
@@ -1271,7 +977,7 @@ std::string suppression_selftest(bool* ok) {
       " * csq-lint: allow(raw-throw): fixture throws on purpose\n"
       " */\n"
       "int c;\n"
-      "// csq-lint: allow(raw-throw) allow(no-float-eq): shared reason\n"
+      "// csq-lint: allow(raw-throw) allow(nondeterminism): shared reason\n"
       "int d;\n"
       "#define MX(x) \\\n"
       "  do_thing(x); /* macro */ \\\n"
@@ -1285,7 +991,7 @@ std::string suppression_selftest(bool* ok) {
   if (sups2.size() == 4) {
     check(sups2[0].rule == "raw-throw" && sups2[0].line == 2 && sups2[0].alt_line == 4,
           "block-comment marker binds to its interior line and the line after */");
-    check(sups2[1].rule == "raw-throw" && sups2[2].rule == "no-float-eq" &&
+    check(sups2[1].rule == "raw-throw" && sups2[2].rule == "nondeterminism" &&
               sups2[1].line == 5 && sups2[2].line == 5 &&
               sups2[1].reason == sups2[2].reason,
           "stacked allow(a) allow(b) yields both rules with the shared reason");

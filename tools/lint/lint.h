@@ -3,19 +3,15 @@
 // A dependency-free C++17-style lint pass: a lightweight comment/string-aware
 // tokenizer (no libclang) plus a registry of project-specific rules that
 // mechanically enforce the invariants the QBD/busy-period analysis relies on
-// (see docs/static-analysis.md for the rule catalog):
+// and that no compiler flag or type can carry (see docs/static-analysis.md
+// for the rule catalog, and for the retired rules R2/R4/R6/R12/R15/R19 and
+// what carries their invariants now):
 //
 //   raw-throw          (R1) only core/status.h taxonomy types may be thrown
-//   no-float-eq        (R2) no ==/!= involving floating-point literals —
-//                           use core/numeric.h approx_eq/exactly_eq
 //   nondeterminism     (R3) no std::rand/random_device/time()/..now() in
 //                           sim/, parallel/ (bit-determinism gate)
-//   hot-path-alloc     (R4) hot-file loops must use *_into kernels instead
-//                           of allocating matrix/vector operators
 //   header-hygiene     (R5) #pragma once, no `using namespace`, direct
 //                           includes for common std symbols
-//   error-docs         (R6) a header must document every taxonomy error
-//                           class its implementation file throws
 //   catch-all-swallow  (R7) catch (...) must rethrow or convert to Status
 //   banned-identifier  (R8) assert()/rand()/srand() are banned (CSQ_ASSERT,
 //                           sim::Rng)
@@ -31,17 +27,9 @@
 //                           the bounded admit path, and every serve.*
 //                           metric must appear in the docs/serving.md
 //                           metric catalog
-//   hot-path-generic-mult (R12) QBD solver code must dispatch matrix
-//                           products through the structure-aware kernels
-//                           (linalg::multiply_into_pattern /
-//                           multiply_into_dense), not the generic
-//                           multiply_into
 //   journal-hygiene    (R18) no direct file I/O in request-handler code
 //                           (durability goes through src/durable/); a
 //                           rename() publish in src/durable/ needs an fsync
-//   policy-registry    (R19) every sim PolicyKind enumerator must be wired
-//                           through policy_name(), make_policy() and the
-//                           docs/policies.md policy table
 //   suppression        (meta) malformed `csq-lint: allow(...)` comments
 //
 // Findings print as `file:line: [rule-id] message`. A finding on line L is
@@ -145,13 +133,10 @@ struct RuleInfo {
   const char* detail;   // paragraph for --explain <rule>: why + how to fix
 };
 
-// Every registered rule, in catalog (R1..R10 + meta) order.
+// Every registered rule, in catalog order (the two meta-rules last).
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
 struct Config {
-  // Files whose loops must stay on the allocation-free *_into kernels
-  // (matched as a suffix of the repo-relative path).
-  std::vector<std::string> hot_files = {"qbd/qbd.cc", "linalg/lu.cc", "linalg/matrix.cc"};
   // Directories (repo-relative prefixes) that must stay bit-deterministic.
   std::vector<std::string> deterministic_dirs = {"src/sim/", "src/parallel/"};
   // Exception types permitted after a `throw` keyword (last path component).
@@ -168,14 +153,6 @@ struct Config {
   // failures to taxonomy responses; it never takes the process down).
   std::vector<std::string> serve_banned_calls = {"exit",       "_exit",    "_Exit",
                                                  "quick_exit", "abort",    "terminate"};
-  // hot-path-generic-mult (R12): repo-relative prefixes where matrix
-  // products must go through the structure-aware kernels of
-  // linalg/kernels.h. The generic linalg::multiply_into re-discovers the
-  // block structure element by element on every call; inside the QBD
-  // iteration that cost dominates the solve, so a generic call there is a
-  // performance regression until proven otherwise (suppress with a reason
-  // when no block structure exists, e.g. row-vector recursions).
-  std::vector<std::string> structured_mult_paths = {"src/qbd/"};
   // Contents of the serve metric catalog (docs/serving.md), loaded by
   // tools/lint/main.cc. Every serve.* obs name registered in a serve path
   // must appear in this text; when it is empty (catalog missing) every
@@ -223,19 +200,12 @@ struct Config {
   // file whose bytes were never synced can publish a torn artifact after a
   // power failure).
   std::vector<std::string> journal_publish_paths = {"src/durable/"};
-  // policy-registry (R19): contents of the policy catalog (docs/policies.md),
-  // loaded by tools/lint/main.cc. Every PolicyKind enumerator's display name
-  // (the string policy_name() returns for it) must appear in this text; when
-  // it is empty (catalog missing) every policy is flagged as undocumented.
-  std::string policy_docs;
-  // Catalog file named in policy-registry findings.
-  std::string policy_docs_name = "docs/policies.md";
 };
 
 class IndexCache;  // tools/lint/index.h
 
-// Run every rule over `files` — the file-local rules R1–R12, then the
-// semantic rules R13–R17 on the cross-TU index — apply suppressions, and
+// Run every rule over `files` — the token rules, then the semantic rules
+// (R13, R14, R16, R17) on the cross-TU index — apply suppressions, and
 // return the surviving findings sorted by (file, line, rule). Cross-file
 // rules see the whole set, so pass related .h/.cc files together. When
 // `cache` is non-null, unchanged files reuse their cached FileIndex and the

@@ -197,11 +197,6 @@ int run(int argc, char** argv) {
   std::error_code docs_ec;
   if (fs::is_regular_file(serve_docs, docs_ec)) config.serve_metric_docs = slurp(serve_docs);
 
-  // policy-registry (R19): the policy catalog the PolicyKind display names
-  // are checked against — same missing-file contract as the serve catalog.
-  const fs::path policy_docs = root / config.policy_docs_name;
-  if (fs::is_regular_file(policy_docs, docs_ec)) config.policy_docs = slurp(policy_docs);
-
   // Incremental semantic-index cache: tolerant load (a stale or foreign
   // file is simply rebuilt), best-effort save.
   csq::lint::IndexCache cache;
