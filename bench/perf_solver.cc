@@ -17,11 +17,11 @@
 
 #include <unistd.h>
 
-#include "analysis/batch.h"
 #include "analysis/cscq.h"
 #include "analysis/stability.h"
 #include "analysis/csid.h"
 #include "analysis/truncated_cscq.h"
+#include "core/solver.h"
 #include "core/sweep.h"
 #include "durable/journal.h"
 #include "sim/simulator.h"
@@ -29,7 +29,7 @@
 // ---------------------------------------------------------------------------
 // Allocation counting: a global operator new override feeding an atomic
 // counter, so benchmarks can report allocs_per_iter. This measures the QBD
-// workspace optimisation directly (heap traffic per solve), which is robust
+// scratch reuse directly (heap traffic per solve), which is robust
 // on any host — unlike wall-clock speedups on a loaded CI machine.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -78,38 +78,30 @@ const SystemConfig& config() {
 }
 
 void BM_AnalyzeCscq(benchmark::State& state) {
-  // Steady-state cost: the workspace (buffers + cached block patterns)
-  // persists across iterations, as it does across a sweep's points.
-  qbd::Workspace ws;
-  analysis::CscqOptions opts;
-  opts.workspace = &ws;
+  // Steady-state cost: the thread's QBD scratch (buffers + cached block
+  // patterns) persists across iterations, as it does across a sweep's points.
   AllocScope allocs(state);
-  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_cscq(config(), opts));
+  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_cscq(config()));
 }
 BENCHMARK(BM_AnalyzeCscq);
 
 void BM_AnalyzeCsid(benchmark::State& state) {
-  qbd::Workspace ws;
-  analysis::CsidOptions opts;
-  opts.workspace = &ws;
   AllocScope allocs(state);
-  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_csid(config(), opts));
+  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_csid(config()));
 }
 BENCHMARK(BM_AnalyzeCsid);
 
 void BM_AnalyzeBatch30(benchmark::State& state) {
-  // A figure panel's worth of CS-CQ points through the batch entry point:
-  // one workspace and the fit memo amortized over all 30 solves.
-  std::vector<analysis::BatchRequest> items;
+  // A figure panel's worth of CS-CQ points as a plain try_analyze loop: the
+  // thread's QBD scratch and the fit memo are amortized over all 30 solves.
+  std::vector<SystemConfig> points;
   for (double rho_s : linspace(1.45 / 30.0, 1.45, 30)) {
-    analysis::BatchRequest req;
-    req.policy = Policy::kCsCq;
-    req.config = SystemConfig::paper_setup(rho_s, 0.5, 1.0, 1.0, 8.0);
-    if (analysis::cscq_stable(req.config.rho_short(), req.config.rho_long()))
-      items.push_back(req);
+    const SystemConfig c = SystemConfig::paper_setup(rho_s, 0.5, 1.0, 1.0, 8.0);
+    if (analysis::cscq_stable(c.rho_short(), c.rho_long())) points.push_back(c);
   }
   AllocScope allocs(state);
-  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_batch(items));
+  for (auto _ : state)
+    for (const SystemConfig& c : points) benchmark::DoNotOptimize(try_analyze(Policy::kCsCq, c));
 }
 BENCHMARK(BM_AnalyzeBatch30)->Unit(benchmark::kMillisecond);
 

@@ -323,7 +323,7 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
     }
 
     CSQ_FAULT_POINT("analysis.cscq.solve");
-    const qbd::Solution sol = qbd::solve(model, opts.qbd, opts.workspace);
+    const qbd::Solution sol = qbd::solve(model, opts.qbd);
     res.solve_stats = sol.stats;
     res.qbd_mass_error = std::abs(sol.total_mass() - 1.0);
     res.short_count_decay = sol.tail_decay_rate();

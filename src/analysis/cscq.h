@@ -57,10 +57,6 @@ struct CscqOptions {
   // 3 is the paper's choice; 1 and 2 exist for the ablation bench.
   int busy_period_moments = 3;
   qbd::Options qbd;
-  // Scratch reused by the QBD solve (buffers + cached block patterns).
-  // Callers issuing many analyses (sweeps, batches, serve loops) pass one to
-  // amortize allocation and pattern analysis; nullptr = solve-local scratch.
-  qbd::Workspace* workspace = nullptr;
 };
 
 struct CscqResult {

@@ -104,7 +104,7 @@ CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
   model.boundary[0].local = mod;
   model.boundary[0].up = arrivals;
 
-  const qbd::Solution sol = qbd::solve(model, opts.qbd, opts.workspace);
+  const qbd::Solution sol = qbd::solve(model, opts.qbd);
   res.solve_stats = sol.stats;
 
   // Diagnostic: modulator idle probability vs the closed form.

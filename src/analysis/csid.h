@@ -34,8 +34,6 @@ namespace csq::analysis {
 struct CsidOptions {
   int busy_period_moments = 3;
   qbd::Options qbd;
-  // Scratch reused by the QBD solve; see CscqOptions::workspace.
-  qbd::Workspace* workspace = nullptr;
 };
 
 struct CsidResult {

@@ -65,8 +65,7 @@ SolverStatus verify_metrics(const PolicyMetrics& metrics, const SystemConfig& co
 }
 
 PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period_moments,
-                      VerifyLevel verify, const RunBudget& budget,
-                      qbd::Workspace* workspace) {
+                      VerifyLevel verify, const RunBudget& budget) {
   budget.check("analyze");
   PolicyMetrics metrics;
   switch (policy) {
@@ -78,7 +77,6 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
       opts.busy_period_moments = busy_period_moments;
       opts.qbd.verify = verify;
       opts.qbd.budget = budget;
-      opts.workspace = workspace;
       metrics = analysis::analyze_csid(config, opts).metrics;
       break;
     }
@@ -87,7 +85,6 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
       opts.busy_period_moments = busy_period_moments;
       opts.qbd.verify = verify;
       opts.qbd.budget = budget;
-      opts.workspace = workspace;
       metrics = analysis::analyze_cscq(config, opts).metrics;
       break;
     }
@@ -100,10 +97,10 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
 
 AnalyzeOutcome try_analyze(Policy policy, const SystemConfig& config,
                            int busy_period_moments, VerifyLevel verify,
-                           const RunBudget& budget, qbd::Workspace* workspace) noexcept {
+                           const RunBudget& budget) noexcept {
   AnalyzeOutcome out;
   try {
-    out.metrics = analyze(policy, config, busy_period_moments, verify, budget, workspace);
+    out.metrics = analyze(policy, config, busy_period_moments, verify, budget);
   } catch (const Error& e) {
     out.status = e.status();
   } catch (const std::exception& e) {

@@ -7,10 +7,6 @@
 
 namespace csq {
 
-namespace qbd {
-struct Workspace;  // qbd/qbd.h — scratch buffers + cached block patterns
-}
-
 enum class Policy { kDedicated, kCsId, kCsCq };
 
 [[nodiscard]] const char* policy_label(Policy p);
@@ -26,15 +22,11 @@ enum class Policy { kDedicated, kCsId, kCsCq };
 // csq::VerificationFailedError. `budget` bounds the underlying QBD solve;
 // csq::DeadlineExceededError / csq::CancelledError propagate from it with
 // partial SolveStats, as do csq::NotConvergedError when the whole fallback
-// chain fails and csq::IllConditionedError from the linear-algebra stages. `workspace` (optional) is handed to the underlying QBD
-// solve so repeated calls reuse its scratch buffers and cached block
-// patterns; reuse never changes results (analysis/batch.h is the loop-level
-// wrapper that manages one for you).
+// chain fails and csq::IllConditionedError from the linear-algebra stages.
 [[nodiscard]] PolicyMetrics analyze(Policy policy, const SystemConfig& config,
                                     int busy_period_moments = 3,
                                     VerifyLevel verify = VerifyLevel::kBasic,
-                                    const RunBudget& budget = {},
-                                    qbd::Workspace* workspace = nullptr);
+                                    const RunBudget& budget = {});
 
 // Non-throwing variant: classifies any failure into a SolverStatus instead
 // of propagating exceptions. `metrics` is meaningful iff `status.ok()`.
@@ -48,8 +40,7 @@ struct AnalyzeOutcome {
 [[nodiscard]] AnalyzeOutcome try_analyze(Policy policy, const SystemConfig& config,
                                          int busy_period_moments = 3,
                                          VerifyLevel verify = VerifyLevel::kBasic,
-                                         const RunBudget& budget = {},
-                                         qbd::Workspace* workspace = nullptr) noexcept;
+                                         const RunBudget& budget = {}) noexcept;
 
 // Self-checks on a computed PolicyMetrics: every metric finite, responses
 // positive, waits/numbers nonnegative (up to rounding); kFull additionally

@@ -100,14 +100,7 @@ SweepRow evaluate_point(double rho_short, double rho_long, double mean_short,
       // still fail to solve (UnstableError from sp(R) rounding to 1,
       // NotConvergedError, ...). Such a point keeps its NaN columns; the
       // rest of the sweep is unaffected.
-      //
-      // Each pool worker evaluates many points; a thread-local QBD
-      // workspace amortizes solver scratch and pattern analysis across all
-      // of them without sharing anything between workers, so sweep output
-      // stays bit-identical for every thread count.
-      thread_local qbd::Workspace sweep_ws;
-      const AnalyzeOutcome out =
-          try_analyze(p, config, 3, VerifyLevel::kBasic, opts.budget, &sweep_ws);
+      const AnalyzeOutcome out = try_analyze(p, config, 3, VerifyLevel::kBasic, opts.budget);
       if (out.ok()) {
         m = out.metrics;
         have_value = true;
@@ -287,9 +280,7 @@ PanelRow evaluate_panel_cell(sim::PolicyKind kind, JobSizeDist family, double rh
   if (analytic_policy(kind, &p)) {
     row.analytic = true;
     if (!is_stable(p, config)) return row;  // kUnstable
-    thread_local qbd::Workspace panel_ws;
-    const AnalyzeOutcome out =
-        try_analyze(p, config, 3, VerifyLevel::kBasic, opts.budget, &panel_ws);
+    const AnalyzeOutcome out = try_analyze(p, config, 3, VerifyLevel::kBasic, opts.budget);
     if (out.ok()) {
       row.short_response = out.metrics.shorts.mean_response;
       row.long_response = out.metrics.longs.mean_response;

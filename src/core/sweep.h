@@ -65,9 +65,6 @@ struct SweepOptions {
   // Worker threads evaluating sweep points: 1 = inline on the caller
   // (default), 0 = all hardware threads, n >= 2 = pool of n workers.
   int threads = 1;
-  // Keep row i == grid point i (always honored today; reserved so future
-  // non-deterministic reductions have an explicit opt-out).
-  bool deterministic_order = true;
   // Wall-clock/cancellation budget, polled once per sweep point (never
   // inside one): an interrupted budget — deadline or cancellation — marks
   // every not-yet-evaluated point kTimedOut and keeps every already-

@@ -20,7 +20,8 @@
 // A BlockPattern describes *positions*, not values: it stays valid while the
 // matrix keeps the same zero structure, which is exactly the lifetime of a
 // QBD solve (A0/A1/A2 are fixed; only R evolves, and R is treated as dense).
-// qbd::Workspace caches the patterns so repeated solves skip re-analysis.
+// The QBD solver keeps its patterns in per-thread scratch (qbd/qbd.cc), so
+// repeated solves reuse the pattern vectors' capacity.
 //
 // Throws csq::InvalidInputError on shape mismatches (same as operator*).
 #pragma once
@@ -67,7 +68,7 @@ struct BlockPattern {
 [[nodiscard]] BlockPattern analyze_pattern(const Matrix& m);
 
 // In-place variant: refills pat, reusing its index vectors' capacity — the
-// workspace-cached patterns in qbd::Workspace re-analyze per solve without
+// QBD solver's per-thread cached patterns re-analyze per solve without
 // reallocating.
 void analyze_pattern_into(BlockPattern& pat, const Matrix& m);
 

@@ -8,7 +8,8 @@
 // flat maps over independent indices, so a central queue balances them.
 //
 // The submitter never runs indices itself, so the thread_local caches the
-// bodies use (Coxian fit memo, QBD workspaces) stay on long-lived workers.
+// library keeps (the Coxian fit memo, the QBD solver scratch) stay warm on
+// long-lived workers.
 // Idle workers sleep on a condition variable: an idle pool costs nothing.
 //
 // Every index is attempted; the first exception thrown by the body is

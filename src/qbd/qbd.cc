@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "linalg/kernels.h"
 #include "linalg/lu.h"
 
 #include "core/status.h"
@@ -59,6 +60,38 @@ struct IterationOutcome {
   int iterations = 0;
   double last_diff = -1.0;
 };
+
+// Tolerance multiplier for the last-resort relaxed retry of solve_r.
+constexpr double kFallbackToleranceFactor = 1e3;
+
+// Scratch buffers reused across solver iterations and across solves. The
+// functional iteration runs thousands of steps of R <- -(A0 + R² A2) A1⁻¹;
+// assembling each step into these buffers with the structure-aware kernels
+// instead of temporaries makes the hot loop allocation-free after warm-up.
+// The workspace also caches the BlockPatterns of the solve's constant
+// blocks: solve_r classifies A0/A2 once per solve (reusing the pattern
+// vectors' capacity across solves) and every iteration multiply dispatches
+// on the cached structure instead of paying the generic dense kernel.
+// Buffers size themselves lazily. Every buffer is fully overwritten before
+// it is read, so leftovers from an earlier solve (of any shape, finished or
+// thrown out of) never reach a result.
+struct Workspace {
+  Matrix r2, acc, next;         // functional iteration: R², A0 + R²A2, next R
+  Matrix cand;                  // Aitken-extrapolated candidate iterate
+  Matrix hh, ll, hl, lh;        // logarithmic reduction squares/cross terms
+  Matrix prod;                  // generic product scratch
+  linalg::BlockPattern pat_a0;  // zero structure of A0 (this solve)
+  linalg::BlockPattern pat_a2;  // zero structure of A2 (this solve)
+};
+
+// One workspace per thread, shared by every solve on it: sweeps, serve
+// workers and plain loops all get warm scratch without passing anything.
+// thread_local keeps it lock-free, like the Coxian fit memo in
+// dist/moment_match.cc.
+Workspace& thread_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
 
 // Per-solve kernel activity, flushed to the qbd.kernel.* counters once per
 // solve_r call (never per iteration — a counter bump inside the hot loop
@@ -320,7 +353,7 @@ double Solution::tail_decay_rate() const {
 }
 
 std::size_t Solution::level_quantile(double q) const {
-  if (q <= 0.0 || q >= 1.0)
+  if (!(q > 0.0 && q < 1.0))  // also rejects NaN
     throw InvalidInputError("level_quantile: q must be in (0,1)");
   double cdf = 0.0;
   const std::size_t k = boundary_pi.size();
@@ -408,17 +441,16 @@ SolverStatus Solution::verify(VerifyLevel level) const {
 }
 
 Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Options& opts,
-               SolveStats* stats_out, Workspace* workspace) {
+               SolveStats* stats_out) {
   const std::size_t m = a0.rows();
   require(a0.cols() == m && a1.rows() == m && a1.cols() == m && a2.rows() == m &&
               a2.cols() == m,
           "solve_r: blocks must be square and same size");
-  Workspace local_ws;
-  Workspace& ws = workspace ? *workspace : local_ws;
+  Workspace& ws = thread_workspace();
   SolveStats stats;
   CSQ_OBS_COUNT("qbd.solve.calls");
   // A warm workspace keeps the iteration allocation-free; count the solves
-  // that had to (re)shape scratch so sweeps can verify buffer reuse.
+  // that had to (re)shape this thread's scratch so sweeps can verify reuse.
   if (ws.r2.rows() != m || ws.r2.cols() != m) CSQ_OBS_COUNT("qbd.workspace.resizes");
 
   // Classify the constant blocks once per solve; every iteration multiply
@@ -545,7 +577,7 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   if (opts.budget.interrupted()) throw_interrupted("solve_r/fallback_entry");
   int lr_steps = 0;
   double lr_last = -1.0;
-  const Matrix g = solve_g_logred(a0, a1, a2, opts, &lr_steps, &lr_last, &ws);
+  const Matrix g = solve_g_logred(a0, a1, a2, opts, &lr_steps, &lr_last);
   const Matrix r_lr = r_from_g(a0, a1, g);
   const double lr_residual = r_residual(a0, a1, a2, r_lr);
   stats.trail.push_back("logarithmic_reduction: " + std::to_string(lr_steps) +
@@ -566,7 +598,7 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
 
   // Stage 3: relaxed-tolerance functional iteration — rescues configs where
   // the update plateaus just above the requested tolerance from rounding.
-  const double relaxed_tol = opts.tolerance * opts.fallback_tolerance_factor;
+  const double relaxed_tol = opts.tolerance * kFallbackToleranceFactor;
   const IterationOutcome relaxed = [&] {
     CSQ_OBS_SPAN("qbd.solve.relaxed");
     return functional_iteration(a0, neg_a1_inv, a2, relaxed_tol, opts.max_iterations, ws,
@@ -593,14 +625,12 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
 }
 
 Matrix solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
-                      const Options& opts, int* steps_out, double* last_update_out,
-                      Workspace* workspace) {
+                      const Options& opts, int* steps_out, double* last_update_out) {
   // Logarithmic reduction (Latouche & Ramaswami 1999, Ch. 8). The doubling
   // loop assembles its products in workspace scratch; the per-step inverse
   // is the only remaining allocation.
   const std::size_t m = a0.rows();
-  Workspace local_ws;
-  Workspace& ws = workspace ? *workspace : local_ws;
+  Workspace& ws = thread_workspace();
   CSQ_OBS_SPAN("qbd.solve.logred");
   const Matrix neg_a1_inv = linalg::inverse((-1.0) * a1);
   Matrix h = neg_a1_inv * a0;  // "up" probability block
@@ -646,27 +676,7 @@ Matrix r_from_g(const Matrix& a0, const Matrix& a1, const Matrix& g) {
   return a0 * linalg::inverse((-1.0) * a1 - a0 * g);
 }
 
-std::vector<Matrix> solve_r_batch(const std::vector<RBlocks>& items, const Options& opts,
-                                  std::vector<SolveStats>* stats_out) {
-  // One workspace for the whole batch: scratch buffers and pattern vectors
-  // warm up on the first item and are reused (capacity included) by every
-  // subsequent solve.
-  Workspace ws;
-  std::vector<Matrix> rs;
-  rs.reserve(items.size());
-  if (stats_out) {
-    stats_out->clear();
-    stats_out->reserve(items.size());
-  }
-  for (const RBlocks& blocks : items) {
-    SolveStats stats;
-    rs.push_back(solve_r(blocks.a0, blocks.a1, blocks.a2, opts, &stats, &ws));
-    if (stats_out) stats_out->push_back(std::move(stats));
-  }
-  return rs;
-}
-
-Solution solve(const Model& model, const Options& opts, Workspace* workspace) {
+Solution solve(const Model& model, const Options& opts) {
   const std::size_t k = model.boundary.size();
   require(k >= 1, "qbd::solve: need at least one boundary level");
   const std::size_t m = model.a0.rows();
@@ -710,7 +720,7 @@ Solution solve(const Model& model, const Options& opts, Workspace* workspace) {
   }
 
   SolveStats stats;
-  const Matrix r = solve_r(model.a0, a1, model.a2, opts, &stats, workspace);
+  const Matrix r = solve_r(model.a0, a1, model.a2, opts, &stats);
   const Matrix i_minus_r_inv = linalg::inverse(Matrix::identity(m) - r);
 
   // Assemble boundary balance equations. Unknowns x = (pi_0,...,pi_{k-1},pi_K).

@@ -21,7 +21,6 @@
 
 #include "core/deadline.h"
 #include "core/status.h"
-#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 
 namespace csq::qbd {
@@ -56,8 +55,6 @@ struct Options {
   // relaxed-tolerance retry) when functional iteration fails. Off = the
   // pre-fallback behaviour: functional iteration or bust.
   bool allow_fallback = true;
-  // Tolerance multiplier for the last-resort relaxed retry.
-  double fallback_tolerance_factor = 1e3;
   // Self-verification level applied by solve() to its Solution.
   VerifyLevel verify = VerifyLevel::kBasic;
   // Wall-clock/cancellation budget. The iteration loops poll it (functional
@@ -71,25 +68,6 @@ struct Options {
 // Which stage of the fallback chain produced R.
 enum class RMethod { kFunctionalIteration, kLogReduction, kRelaxedIteration };
 [[nodiscard]] const char* r_method_name(RMethod method);
-
-// Scratch buffers reused across solver iterations (and across solves, when
-// the caller keeps one alive). The functional iteration runs thousands of
-// steps of R <- -(A0 + R² A2) A1⁻¹; assembling each step into these buffers
-// with the structure-aware kernels instead of temporaries makes the hot
-// loop allocation-free after warm-up. The workspace also caches the
-// BlockPatterns of the solve's constant blocks: solve_r classifies A0/A2
-// once per solve (reusing the pattern vectors' capacity across solves) and
-// every iteration multiply dispatches on the cached structure instead of
-// paying the generic dense kernel. Buffers size themselves lazily; a
-// Workspace is cheap to default-construct.
-struct Workspace {
-  linalg::Matrix r2, acc, next;       // functional iteration: R², A0 + R²A2, next R
-  linalg::Matrix cand;                // Aitken-extrapolated candidate iterate
-  linalg::Matrix hh, ll, hl, lh;      // logarithmic reduction squares/cross terms
-  linalg::Matrix prod;                // generic product scratch
-  linalg::BlockPattern pat_a0;        // zero structure of A0 (this solve)
-  linalg::BlockPattern pat_a2;        // zero structure of A2 (this solve)
-};
 
 // Diagnostics recorded by solve_r / solve.
 struct SolveStats {
@@ -152,37 +130,22 @@ struct Solution {
 // chain fails, csq::InvalidInputError for malformed models,
 // csq::VerificationFailedError when opts.verify rejects the solution, and
 // csq::DeadlineExceededError / csq::CancelledError when opts.budget is
-// interrupted mid-solve (all derive from std exceptions). Pass a Workspace
-// to reuse scratch buffers and cached block patterns across repeated solves
-// (sweeps, batches, the analysis layer's per-thread scratch).
-[[nodiscard]] Solution solve(const Model& model, const Options& opts = {},
-                             Workspace* workspace = nullptr);
+// interrupted mid-solve (all derive from std exceptions).
+//
+// Every solve on a thread reuses that thread's scratch buffers and cached
+// block patterns (a thread_local inside qbd.cc), so repeated solves run
+// allocation-free in the R iteration. Reuse never changes results: every
+// buffer is fully overwritten before it is read.
+[[nodiscard]] Solution solve(const Model& model, const Options& opts = {});
 
 // Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0. a1 must carry its
 // diagonal. Runs the fallback chain described above (unless
 // opts.allow_fallback is false); per-stage diagnostics are written to
 // *stats_out when given. Shares solve()'s throw contract, plus
-// csq::IllConditionedError when a stage's linear solve degenerates. Pass a Workspace to reuse scratch buffers across
-// repeated solves (a local one is used otherwise).
+// csq::IllConditionedError when a stage's linear solve degenerates. Uses
+// the thread's solver scratch, as solve() does.
 [[nodiscard]] Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
-                             const Options& opts = {}, SolveStats* stats_out = nullptr,
-                             Workspace* workspace = nullptr);
-
-// One entry of a solve_r_batch: the three repeating blocks, with a1 carrying
-// its diagonal exactly as solve_r expects.
-struct RBlocks {
-  Matrix a0, a1, a2;
-};
-
-// Batched R solves: one Workspace — scratch buffers plus cached block
-// patterns — is shared across the whole batch, so a sweep's worth of solves
-// pays the allocation and pattern-analysis cost once instead of per config.
-// Entry i of the result is the R matrix for items[i]; per-item diagnostics
-// land in (*stats_out)[i] when stats_out is given. Failures throw the same
-// taxonomy as solve_r (the first failing item aborts the batch).
-[[nodiscard]] std::vector<Matrix> solve_r_batch(const std::vector<RBlocks>& items,
-                                                const Options& opts = {},
-                                                std::vector<SolveStats>* stats_out = nullptr);
+                             const Options& opts = {}, SolveStats* stats_out = nullptr);
 
 // G matrix by logarithmic reduction (Latouche-Ramaswami); the second stage
 // of the solve_r fallback chain and an independent cross-check in the
@@ -191,8 +154,7 @@ struct RBlocks {
 // optional out-params.
 [[nodiscard]] Matrix solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                                     const Options& opts = {}, int* steps_out = nullptr,
-                                    double* last_update_out = nullptr,
-                                    Workspace* workspace = nullptr);
+                                    double* last_update_out = nullptr);
 
 // R from G: R = A0 (-A1 - A0 G)^{-1}.
 [[nodiscard]] Matrix r_from_g(const Matrix& a0, const Matrix& a1, const Matrix& g);

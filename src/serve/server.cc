@@ -13,7 +13,6 @@
 #include "core/sweep.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "qbd/qbd.h"
 #include "serve/json.h"
 #include "sim/simulator.h"
 
@@ -356,12 +355,7 @@ std::string Server::execute_op(const Request& req, const RunBudget& budget,
       if (cacheable)
         if (const std::optional<PolicyMetrics> hit = cache_.lookup(key); hit.has_value())
           return ok_response(req, metrics_json(*hit), *extras);
-      // A serve session is a stream of analyze ops: a thread-local QBD
-      // workspace carries solver scratch and cached block patterns from one
-      // request to the next (same amortization as analysis/batch.h).
-      thread_local qbd::Workspace serve_ws;
-      const PolicyMetrics m =
-          analyze(req.policy, req.config(), 3, req.verify, budget, &serve_ws);
+      const PolicyMetrics m = analyze(req.policy, req.config(), 3, req.verify, budget);
       if (cacheable) {
         try {
           cache_.insert(key, m);

@@ -3,10 +3,11 @@
 // allocs_per_iter column) measures two invariants directly instead of
 // approximating them from source text:
 //
-//  - On a warm qbd::Workspace the R iteration allocates nothing per
-//    iteration: solve_r allocates the same number of times whether it runs
-//    a couple of dozen iterations or over a hundred.
-//  - One analyze_cscq on a warm workspace stays within the allocation count
+//  - Once the thread's solver scratch is warm, the R iteration allocates
+//    nothing per iteration: solve_r allocates the same number of times
+//    whether it runs a couple of dozen iterations or over a hundred.
+//  - One warm analyze_cscq (scratch and fit memo filled by an earlier call
+//    on the same thread) stays within the allocation count
 //    measured when this test was written; a new allocation anywhere in the
 //    fit, busy-period, QBD or boundary layers shows up as a higher count.
 //
@@ -62,13 +63,14 @@ long allocations(F&& f) {
 // (diagonal a0), completions at rate 2 (diagonal a2), a cyclic phase
 // coupling in a1. At lambda = 1.8 the functional iteration needs over a
 // hundred steps at the default tolerance and a couple of dozen at 1e-4.
-qbd::RBlocks blocks(double lambda) {
+struct RepeatingBlocks {
+  Matrix a0, a1, a2;
+};
+
+RepeatingBlocks blocks(double lambda) {
   const std::size_t m = 4;
   const double mu = 2.0, c = 0.3;
-  qbd::RBlocks blk;
-  blk.a0 = Matrix(m, m);
-  blk.a1 = Matrix(m, m);
-  blk.a2 = Matrix(m, m);
+  RepeatingBlocks blk{Matrix(m, m), Matrix(m, m), Matrix(m, m)};
   for (std::size_t i = 0; i < m; ++i) {
     blk.a0(i, i) = lambda;
     blk.a2(i, i) = mu;
@@ -79,20 +81,19 @@ qbd::RBlocks blocks(double lambda) {
 }
 
 TEST(HotPathAlloc, WarmSolveRCountIndependentOfIterations) {
-  const qbd::RBlocks blk = blocks(1.8);
-  qbd::Workspace ws;
+  const RepeatingBlocks blk = blocks(1.8);
   qbd::Options loose;
   loose.tolerance = 1e-4;
   const qbd::Options tight;  // default 1e-13
-  // Warm-up: sizes the workspace buffers and caches the block patterns.
-  (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight, nullptr, &ws);
+  // Warm-up: sizes this thread's scratch buffers and pattern vectors.
+  (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight);
 
   qbd::SolveStats loose_stats;
   qbd::SolveStats tight_stats;
   const long loose_count = allocations(
-      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, loose, &loose_stats, &ws); });
+      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, loose, &loose_stats); });
   const long tight_count = allocations(
-      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight, &tight_stats, &ws); });
+      [&] { (void)qbd::solve_r(blk.a0, blk.a1, blk.a2, tight, &tight_stats); });
 
   ASSERT_EQ(loose_stats.method, qbd::RMethod::kFunctionalIteration);
   ASSERT_EQ(tight_stats.method, qbd::RMethod::kFunctionalIteration);
@@ -106,20 +107,17 @@ TEST(HotPathAlloc, WarmSolveRCountIndependentOfIterations) {
 }
 
 TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
-  // Heap allocations of one warm-workspace analyze_cscq at the
-  // BM_AnalyzeCscq operating point, as measured when this test was added
-  // (GCC 12, libstdc++). Compiled-in fault sites allocate 4 more per call.
+  // Heap allocations of one warm analyze_cscq at the BM_AnalyzeCscq
+  // operating point, as measured when this test was added (GCC 12,
+  // libstdc++). Compiled-in fault sites allocate 4 more per call.
 #ifdef CSQ_FAULT_INJECTION
   constexpr long kBudget = 151;
 #else
   constexpr long kBudget = 147;
 #endif
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
-  qbd::Workspace ws;
-  analysis::CscqOptions opts;
-  opts.workspace = &ws;
-  (void)analysis::analyze_cscq(config, opts);  // warm-up: workspace and fit memo
-  const long count = allocations([&] { (void)analysis::analyze_cscq(config, opts); });
+  (void)analysis::analyze_cscq(config);  // warm-up: solver scratch and fit memo
+  const long count = allocations([&] { (void)analysis::analyze_cscq(config); });
   EXPECT_GT(count, 0);
   EXPECT_LE(count, kBudget);
 }

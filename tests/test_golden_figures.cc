@@ -22,13 +22,14 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "analysis/batch.h"
 #include "analysis/cscq.h"
 #include "analysis/csid.h"
 #include "analysis/dedicated.h"
 #include "core/config.h"
+#include "core/solver.h"
 #include "core/status.h"
 #include "core/sweep.h"
 #include "dist/map_process.h"
@@ -171,50 +172,42 @@ TEST(GoldenGrids, FigureGridsArePinned) {
   EXPECT_DOUBLE_EQ(rll.back(), 0.96);
 }
 
-// The batched entry point must reproduce every pin exactly as the direct
-// calls do: one workspace amortized over all of Figures 3-6 is the way the
-// figure drivers will run, so the pins are exercised through it too. The
-// comparison against the direct call is exact (==), not kRelTol — workspace
-// reuse is not allowed to move a result by even one bit.
-TEST(GoldenFigures, BatchedAnalysisReproducesEveryPinBitForBit) {
-  std::vector<analysis::BatchRequest> items;
-  for (const PinnedPoint& p : kPins)
-    for (Policy policy : {Policy::kCsCq, Policy::kCsId}) {
-      analysis::BatchRequest req;
-      req.policy = policy;
-      req.config = SystemConfig::paper_setup(p.rho_s, p.rho_l, 1.0, p.mean_l, p.scv_l);
-      items.push_back(req);
-    }
-
-  const std::vector<AnalyzeOutcome> out = analysis::analyze_batch(items);
-  ASSERT_EQ(out.size(), items.size());
+// Every pin through one warm thread — each solve reusing the QBD scratch and
+// Coxian fit memo the solves before it left behind, the way the figure
+// drivers run — must match the same point analyzed on a fresh thread. The
+// comparison is exact (==), not kRelTol: scratch reuse is not allowed to
+// move a result by even one bit.
+TEST(GoldenFigures, WarmThreadAnalysisReproducesEveryPinBitForBit) {
+  constexpr Policy kPolicies[] = {Policy::kCsCq, Policy::kCsId};
+  std::vector<AnalyzeOutcome> warm;
+  std::thread([&] {
+    for (const PinnedPoint& p : kPins)
+      for (Policy policy : kPolicies)
+        warm.push_back(try_analyze(
+            policy, SystemConfig::paper_setup(p.rho_s, p.rho_l, 1.0, p.mean_l, p.scv_l)));
+  }).join();
+  ASSERT_EQ(warm.size(), std::size(kPins) * std::size(kPolicies));
 
   std::size_t idx = 0;
   for (const PinnedPoint& p : kPins) {
     SCOPED_TRACE(p.tag);
-    const AnalyzeOutcome& cscq = out[idx++];
-    const AnalyzeOutcome& csid = out[idx++];
     const SystemConfig c = SystemConfig::paper_setup(p.rho_s, p.rho_l, 1.0, p.mean_l, p.scv_l);
-
-    if (std::isnan(p.cscq_short)) {
-      EXPECT_FALSE(cscq.ok());
-    } else {
-      ASSERT_TRUE(cscq.ok()) << cscq.status.message;
-      const analysis::CscqResult direct = analysis::analyze_cscq(c);
-      EXPECT_EQ(cscq.metrics.shorts.mean_response, direct.metrics.shorts.mean_response);
-      EXPECT_EQ(cscq.metrics.longs.mean_response, direct.metrics.longs.mean_response);
-      expect_golden(cscq.metrics.shorts.mean_response, p.cscq_short);
-      expect_golden(cscq.metrics.longs.mean_response, p.cscq_long);
-    }
-    if (std::isnan(p.csid_short)) {
-      EXPECT_FALSE(csid.ok());
-    } else {
-      ASSERT_TRUE(csid.ok()) << csid.status.message;
-      const analysis::CsidResult direct = analysis::analyze_csid(c);
-      EXPECT_EQ(csid.metrics.shorts.mean_response, direct.metrics.shorts.mean_response);
-      EXPECT_EQ(csid.metrics.longs.mean_response, direct.metrics.longs.mean_response);
-      expect_golden(csid.metrics.shorts.mean_response, p.csid_short);
-      expect_golden(csid.metrics.longs.mean_response, p.csid_long);
+    for (Policy policy : kPolicies) {
+      const AnalyzeOutcome& out = warm[idx++];
+      const double golden_short = policy == Policy::kCsCq ? p.cscq_short : p.csid_short;
+      const double golden_long = policy == Policy::kCsCq ? p.cscq_long : p.csid_long;
+      if (std::isnan(golden_short)) {
+        EXPECT_FALSE(out.ok()) << policy_label(policy);
+        continue;
+      }
+      ASSERT_TRUE(out.ok()) << policy_label(policy) << ": " << out.status.message;
+      AnalyzeOutcome fresh;
+      std::thread([&] { fresh = try_analyze(policy, c); }).join();
+      ASSERT_TRUE(fresh.ok()) << policy_label(policy) << ": " << fresh.status.message;
+      EXPECT_EQ(out.metrics.shorts.mean_response, fresh.metrics.shorts.mean_response);
+      EXPECT_EQ(out.metrics.longs.mean_response, fresh.metrics.longs.mean_response);
+      expect_golden(out.metrics.shorts.mean_response, golden_short);
+      expect_golden(out.metrics.longs.mean_response, golden_long);
     }
   }
 }

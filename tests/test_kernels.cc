@@ -7,13 +7,14 @@
 // pins the issue-level 1e-14 tolerance so a future kernel that trades exact
 // order for speed fails the strict test first and the contract test second.
 //
-// The batched QBD entry points ride on the same workspace-cached patterns,
-// so solve_r_batch / workspace reuse are pinned here too: reusing scratch
-// buffers across solves must never change a single result bit.
+// The QBD solver caches these patterns in per-thread scratch, so scratch
+// reuse is pinned here too: a solve on a thread that has already solved
+// other chains must match the same solve on a fresh thread bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/numeric.h"
@@ -212,19 +213,19 @@ TEST(KernelEquivalence, ShapeMismatchesThrowLikeTheGenericKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched / workspace-reusing QBD solves: amortization must be invisible in
-// the results.
+// Per-thread QBD scratch: reuse must be invisible in the results.
 
-// A small stable QBD repeating portion: Poisson arrivals at rate `lambda`
-// (a0), service completions at rate 2 (a2), a cyclic phase coupling in a1,
-// diagonal filled so generator rows sum to zero. lambda < 2 keeps sp(R) < 1.
-qbd::RBlocks stable_blocks(double lambda) {
-  const std::size_t m = 3;
+struct RepeatingBlocks {
+  Matrix a0, a1, a2;
+};
+
+// A small stable QBD repeating portion with m phases: Poisson arrivals at
+// rate `lambda` (a0), service completions at rate 2 (a2), a cyclic phase
+// coupling in a1, diagonal filled so generator rows sum to zero. lambda < 2
+// keeps sp(R) < 1.
+RepeatingBlocks stable_blocks(double lambda, std::size_t m = 3) {
   const double mu = 2.0, c = 0.2;
-  qbd::RBlocks blk;
-  blk.a0 = Matrix(m, m);
-  blk.a1 = Matrix(m, m);
-  blk.a2 = Matrix(m, m);
+  RepeatingBlocks blk{Matrix(m, m), Matrix(m, m), Matrix(m, m)};
   for (std::size_t i = 0; i < m; ++i) {
     blk.a0(i, i) = lambda;
     blk.a2(i, i) = mu;
@@ -234,41 +235,61 @@ qbd::RBlocks stable_blocks(double lambda) {
   return blk;
 }
 
-TEST(KernelBatch, SolveRBatchMatchesIndividualSolvesBitForBit) {
-  std::vector<qbd::RBlocks> items;
+struct RSolve {
+  Matrix r;
+  qbd::SolveStats stats;
+};
+
+RSolve solve_blocks(const RepeatingBlocks& blk) {
+  RSolve out;
+  out.r = qbd::solve_r(blk.a0, blk.a1, blk.a2, {}, &out.stats);
+  return out;
+}
+
+// The same solve on a thread whose scratch has never been touched.
+RSolve solve_on_fresh_thread(const RepeatingBlocks& blk) {
+  RSolve out;
+  std::thread([&] { out = solve_blocks(blk); }).join();
+  return out;
+}
+
+void expect_same_solve(const RSolve& warm, const RSolve& fresh) {
+  EXPECT_EQ(max_abs_diff(warm.r, fresh.r), 0.0);
+  EXPECT_EQ(warm.stats.iterations, fresh.stats.iterations);
+  EXPECT_EQ(warm.stats.residual, fresh.stats.residual);
+  EXPECT_EQ(warm.stats.spectral_radius, fresh.stats.spectral_radius);
+}
+
+TEST(KernelScratch, WarmThreadSolvesMatchFreshThreadsBitForBit) {
+  // Three solves back to back on one thread, each warm from the one before,
+  // against the same solves each on a fresh thread.
+  std::vector<RepeatingBlocks> items;
   for (double lambda : {0.4, 0.9, 1.4}) items.push_back(stable_blocks(lambda));
-
-  std::vector<qbd::SolveStats> batch_stats;
-  const std::vector<Matrix> batched = qbd::solve_r_batch(items, {}, &batch_stats);
-  ASSERT_EQ(batched.size(), items.size());
-  ASSERT_EQ(batch_stats.size(), items.size());
-
+  std::vector<RSolve> warm;
+  std::thread([&] {
+    for (const RepeatingBlocks& blk : items) warm.push_back(solve_blocks(blk));
+  }).join();
+  ASSERT_EQ(warm.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    qbd::SolveStats solo_stats;
-    const Matrix solo =
-        qbd::solve_r(items[i].a0, items[i].a1, items[i].a2, {}, &solo_stats);
-    EXPECT_EQ(max_abs_diff(batched[i], solo), 0.0) << "item " << i;
-    EXPECT_EQ(batch_stats[i].iterations, solo_stats.iterations) << "item " << i;
-    EXPECT_EQ(batch_stats[i].residual, solo_stats.residual) << "item " << i;
+    SCOPED_TRACE(i);
+    expect_same_solve(warm[i], solve_on_fresh_thread(items[i]));
   }
 }
 
-TEST(KernelBatch, WorkspaceReuseAcrossDifferentSolvesIsExact) {
-  const qbd::RBlocks first = stable_blocks(0.6);
-  const qbd::RBlocks second = stable_blocks(1.3);
-
-  // One workspace, two solves with different values AND different cached
-  // pattern contents in between — then the same solves fresh.
-  qbd::Workspace shared;
-  const Matrix r1_shared = qbd::solve_r(first.a0, first.a1, first.a2, {}, nullptr, &shared);
-  const Matrix r2_shared =
-      qbd::solve_r(second.a0, second.a1, second.a2, {}, nullptr, &shared);
-
-  const Matrix r1_fresh = qbd::solve_r(first.a0, first.a1, first.a2, {});
-  const Matrix r2_fresh = qbd::solve_r(second.a0, second.a1, second.a2, {});
-
-  EXPECT_EQ(max_abs_diff(r1_shared, r1_fresh), 0.0);
-  EXPECT_EQ(max_abs_diff(r2_shared, r2_fresh), 0.0);
+TEST(KernelScratch, ReuseAcrossShapesMatchesFreshThreadBitForBit) {
+  // Scratch sized and patterns cached for one shape, then a solve of
+  // another shape (buffers reshape, pattern vectors shrink), then back.
+  const RepeatingBlocks first = stable_blocks(0.6, 3);
+  const RepeatingBlocks second = stable_blocks(1.3, 5);
+  RSolve r1, r2, r1_again;
+  std::thread([&] {
+    r1 = solve_blocks(first);
+    r2 = solve_blocks(second);
+    r1_again = solve_blocks(first);
+  }).join();
+  expect_same_solve(r1, solve_on_fresh_thread(first));
+  expect_same_solve(r2, solve_on_fresh_thread(second));
+  expect_same_solve(r1_again, r1);
 }
 
 }  // namespace

@@ -1,17 +1,26 @@
 // Shared-cursor worker pool, driven through the parallel_for/parallel_map
 // facade: every index exactly once, concurrent submitters, facade ordering,
-// exception isolation and the pool.tasks.executed counter. This file also
+// exception isolation, the pool.tasks.executed counter, and the per-thread
+// QBD scratch the pool's workers carry from job to job. This file also
 // builds as the dedicated `csq_parallel_tests` binary so a ThreadSanitizer
 // configuration (-DCSQ_TSAN=ON) can gate just the concurrency layer via
 // `ctest -L parallel`.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/config.h"
+#include "core/solver.h"
+#include "core/sweep.h"
 #include "obs/obs.h"
 #include "parallel/task_pool.h"
 
@@ -132,6 +141,54 @@ TEST(ThreadsResolution, ZeroMeansHardwareAndNegativeClamps) {
   EXPECT_EQ(resolve_threads(-5), 1);
   EXPECT_EQ(resolve_threads(3), 3);
   EXPECT_GE(hardware_threads(), 1);
+}
+
+// Bit-level equality that treats NaN == NaN (unstable sweep cells).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0 || (std::isnan(a) && std::isnan(b));
+}
+
+TEST(ThreadScratch, WarmPoolSweepMatchesFreshInlineSweepBitForBit) {
+  // Every worker of the 4-thread pool first solves a different chain (CS-ID
+  // and two-moment CS-CQ fits, whose QBD shapes differ from the sweep's), so
+  // the sweep below runs entirely on dirty per-thread solver scratch. Each
+  // body holds its worker until all four have claimed an index, which makes
+  // the four indices land on four distinct workers.
+  constexpr int kThreads = 4;
+  std::mutex mu;
+  std::set<std::thread::id> warmed;
+  std::atomic<int> arrived{0};
+  parallel_for(kThreads, kThreads, [&](std::size_t i) {
+    const SystemConfig c =
+        SystemConfig::paper_setup(0.3 + 0.1 * static_cast<double>(i), 0.4, 1.0, 1.0);
+    (void)try_analyze(i % 2 == 0 ? Policy::kCsId : Policy::kCsCq, c, 2);
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      warmed.insert(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < kThreads && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  });
+  ASSERT_EQ(warmed.size(), static_cast<std::size_t>(kThreads));
+
+  const std::vector<double> grid = linspace(0.1, 1.45, 8);
+  SweepOptions pooled;
+  pooled.threads = kThreads;
+  const std::vector<SweepRow> warm = sweep_rho_short(0.5, 1.0, 1.0, 8.0, grid, pooled);
+  std::vector<SweepRow> fresh;
+  std::thread([&] { fresh = sweep_rho_short(0.5, 1.0, 1.0, 8.0, grid, {}); }).join();
+
+  ASSERT_EQ(warm.size(), fresh.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(same_bits(warm[i].csid_short, fresh[i].csid_short));
+    EXPECT_TRUE(same_bits(warm[i].cscq_short, fresh[i].cscq_short));
+    EXPECT_TRUE(same_bits(warm[i].csid_long, fresh[i].csid_long));
+    EXPECT_TRUE(same_bits(warm[i].cscq_long, fresh[i].cscq_long));
+    EXPECT_EQ(warm[i].cscq_status, fresh[i].cscq_status);
+  }
 }
 
 }  // namespace

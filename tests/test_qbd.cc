@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <thread>
 
 #include "mg1/mmc.h"
 #include "qbd/qbd.h"
@@ -128,6 +130,50 @@ TEST(Qbd, MmppMeanLevelMatchesPollaczekKhinchineStyleCheck) {
   EXPECT_LT(sol.mean_level(), 50.0);
 }
 
+// Every solve on a thread shares that thread's scratch, so a solve that
+// throws with the buffers mid-iteration must leave nothing behind that the
+// next solve can see, even when the next chain has a different shape.
+TEST(Qbd, FailedSolveDoesNotPoisonTheThreadScratch) {
+  // Four phases at lambda = 1.8 need over a hundred iterations; three with
+  // no fallback throw NotConvergedError with the R² / A0 + R²A2 / next-R
+  // buffers written.
+  const std::size_t m4 = 4;
+  Matrix a0(m4, m4), a1(m4, m4), a2(m4, m4);
+  for (std::size_t i = 0; i < m4; ++i) {
+    a0(i, i) = 1.8;
+    a2(i, i) = 2.0;
+    a1(i, (i + 1) % m4) = 0.3;
+    a1(i, i) = -(1.8 + 2.0 + 0.3);
+  }
+  Options starved;
+  starved.max_iterations = 3;
+  starved.allow_fallback = false;
+
+  // The follow-up solve: the two-phase MMPP/M/1 above.
+  Model next;
+  next.a0 = Matrix{{0.0, 0.0}, {0.0, 0.9}};
+  next.a1 = Matrix{{0.0, 2.0}, {2.0, 0.0}};
+  next.a2 = Matrix{{1.0, 0.0}, {0.0, 1.0}};
+  next.first_down = next.a2;
+  next.boundary.resize(1);
+  next.boundary[0].local = next.a1;
+  next.boundary[0].up = next.a0;
+
+  Solution after_failure;
+  std::thread([&] {
+    EXPECT_THROW((void)solve_r(a0, a1, a2, starved), NotConvergedError);
+    after_failure = solve(next);
+  }).join();
+  Solution fresh;
+  std::thread([&] { fresh = solve(next); }).join();
+
+  EXPECT_EQ(after_failure.r.data(), fresh.r.data());
+  EXPECT_EQ(after_failure.boundary_pi, fresh.boundary_pi);
+  EXPECT_EQ(after_failure.pi_k, fresh.pi_k);
+  EXPECT_EQ(after_failure.stats.iterations, fresh.stats.iterations);
+  EXPECT_EQ(after_failure.stats.residual, fresh.stats.residual);
+}
+
 }  // namespace
 }  // namespace csq::qbd
 
@@ -154,6 +200,8 @@ TEST(QbdTails, MM1GeometricTail) {
   EXPECT_GE(1.0 - std::pow(rho, p99 + 1), 0.99);
   EXPECT_LT(1.0 - std::pow(rho, static_cast<double>(p99)), 0.99);
   EXPECT_THROW((void)sol.level_quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)sol.level_quantile(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(QbdTails, TailAndProbabilityConsistent) {

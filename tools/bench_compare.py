@@ -10,8 +10,8 @@ Four benchmarks are guarded by default, each with its own budget:
 
   BM_AnalyzeCscq                              +10%  the per-point analysis
         cost the whole perf story hangs on (pinned < 100us budget)
-  BM_AnalyzeBatch30                           +15%  the batched-solve path;
-        shares LU work across points, so noise is higher than single-point
+  BM_AnalyzeBatch30                           +15%  a 30-point try_analyze
+        loop on one thread, so noise is higher than single-point
   BM_SweepPanel30Points/threads:1/real_time   +15%  end-to-end sweep cost;
         only the single-thread variant is stable enough to gate on a
         shared 1-CPU CI host

@@ -168,9 +168,8 @@ struct Config {
   // unbounded without a budget. A function qualifies when its name matches
   // AND it is defined in one of iterative_kernel_modules.
   std::vector<std::string> iterative_kernels = {
-      "solve",    "solve_r",  "solve_r_batch", "solve_g_logred",
-      "stationary", "run",    "simulate",      "simulate_replications",
-      "spectral_radius_estimate"};
+      "solve",      "solve_r", "solve_g_logred", "stationary",
+      "run",        "simulate", "simulate_replications", "spectral_radius_estimate"};
   std::vector<std::string> iterative_kernel_modules = {"qbd", "ctmc", "mg1", "sim"};
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
