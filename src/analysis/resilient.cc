@@ -8,6 +8,7 @@
 #include "analysis/stability.h"
 #include "core/solver.h"
 #include "obs/trace.h"
+// csq-lint: allow(module-layering): degradation ladder's last rung calls sim::simulate_replications: analysis -> sim is the documented resilience escape hatch (ROADMAP: invert by extracting a ladder module)
 #include "sim/simulator.h"
 
 namespace csq::analysis {

@@ -46,6 +46,7 @@
 #include "core/status.h"
 #include "obs/obs.h"
 #include "qbd/qbd.h"
+// csq-lint: allow(module-layering): ResilientResult embeds the simulation rung's sim:: report type; inverting needs a shared result module first
 #include "sim/simulator.h"
 
 namespace csq::analysis {

@@ -57,6 +57,10 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)), cache_(opts_.cache_
     throw InvalidInputError("ServerOptions: max_inflight_cost must be > 0");
   if (std::isnan(opts_.request_timeout_ms) || std::isnan(opts_.drain_timeout_ms))
     throw InvalidInputError("ServerOptions: timeouts must not be NaN");
+  // A negative or NaN base would drop the retry_after_ms hint from every
+  // shed response; an infinite one would put a non-number on the wire.
+  if (!std::isfinite(opts_.shed_retry_after_ms) || opts_.shed_retry_after_ms < 0.0)
+    throw InvalidInputError("ServerOptions: shed_retry_after_ms must be finite and >= 0");
   if (opts_.op_threads < 0)
     throw InvalidInputError("ServerOptions: op_threads must be >= 0");
   opts_.retry.validate();

@@ -13,3 +13,4 @@ inline void stacked_covered() { if (rand() == 0) throw 42; }
 
 #define FIXTURE_ASSERT(x) \
   assert(x)  // csq-lint: allow(banned-identifier): fixture — marker on a macro continuation line
+inline int after_macro() { return rand(); }  // rules skip #define bodies: line 15 covers this

@@ -10,6 +10,8 @@
 //    on the same thread) stays within the allocation count
 //    measured when this test was written; a new allocation anywhere in the
 //    fit, busy-period, QBD or boundary layers shows up as a higher count.
+//  - The Coxian fits and busy-period transforms that call makes are pinned
+//    one by one, so a regression inside that budget names its layer.
 //
 // The counter is process-wide, so the suite is its own binary and every
 // measured call runs on the test thread with no other work in flight.
@@ -19,11 +21,15 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "analysis/cscq.h"
 #include "core/config.h"
+#include "core/numeric.h"
+#include "dist/moment_match.h"
 #include "linalg/matrix.h"
 #include "qbd/qbd.h"
+#include "transforms/busy_period.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -120,6 +126,51 @@ TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
   const long count = allocations([&] { (void)analysis::analyze_cscq(config); });
   EXPECT_GT(count, 0);
   EXPECT_LE(count, kBudget);
+}
+
+TEST(HotPathAlloc, AnalyzeCscqFitAndTransformCallsPinned) {
+  // Warm allocation counts of the fit and busy-period calls analyze_cscq
+  // makes at the BM_AnalyzeCscq point (exponential shorts, so one window
+  // pass: B_L, B_{N+1}, one fit each), as measured when this test was added
+  // (GCC 12, libstdc++). No fault site sits on these calls, so a
+  // -DCSQ_FAULT_INJECTION=ON build measures the same counts.
+  constexpr long kMg1Busy = 0, kBatchBusy = 0, kFitSingle = 3, kFitBatch = 3;
+  const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
+  // Two warm-up calls: the first fills the fit memo, the second takes the
+  // memo-hit path once, so its one-time obs counter registration is done.
+  (void)analysis::analyze_cscq(config);
+  const analysis::CscqResult warm = analysis::analyze_cscq(config);
+  ASSERT_EQ(warm.window_iterations, 1);
+
+  // The same arguments analyze_cscq passes: long-job moments, the long
+  // arrival rate, and delta = 2 mu_S for exponential shorts.
+  const dist::Moments xl = config.long_size->moments();
+  const double ll = config.lambda_long;
+  const double delta = 2.0 / config.short_size->moments().m1;
+  const int fit_moments = analysis::CscqOptions{}.busy_period_moments;
+  dist::Moments busy_single;
+  dist::Moments busy_batch;
+  dist::FitReport report;
+  const long mg1_busy =
+      allocations([&] { busy_single = transforms::mg1_busy_period(xl, ll); });
+  const long batch_busy =
+      allocations([&] { busy_batch = transforms::batch_busy_period(xl, ll, delta); });
+  const long fit_single =
+      allocations([&] { (void)dist::fit_ph(busy_single, fit_moments, &report); });
+  const long fit_batch =
+      allocations([&] { (void)dist::fit_ph(busy_batch, fit_moments, &report); });
+  // These are the calls analyze_cscq made, not look-alikes.
+  for (const auto& [mine, theirs] : {std::pair{busy_single, warm.busy_single},
+                                     std::pair{busy_batch, warm.busy_batch}}) {
+    ASSERT_TRUE(num::exactly_eq(mine.m1, theirs.m1));
+    ASSERT_TRUE(num::exactly_eq(mine.m2, theirs.m2));
+    ASSERT_TRUE(num::exactly_eq(mine.m3, theirs.m3));
+  }
+
+  EXPECT_EQ(mg1_busy, kMg1Busy) << "transforms::mg1_busy_period";
+  EXPECT_EQ(batch_busy, kBatchBusy) << "transforms::batch_busy_period";
+  EXPECT_EQ(fit_single, kFitSingle) << "dist::fit_ph(B_L)";
+  EXPECT_EQ(fit_batch, kFitBatch) << "dist::fit_ph(B_{N+1})";
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "callgraph.h"
 #include "lint.h"
-#include "sarif.h"
 
 namespace {
 
@@ -315,6 +314,26 @@ TEST(LintSuppress, ReasonlessMarkerIsItselfAFinding) {
   EXPECT_EQ(fs[1].line, 5);
 }
 
+TEST(LintSuppress, MarkerThatSuppressesNothingIsAFinding) {
+  // Line 1 excuses nothing; in the stacked marker on line 3 only the
+  // module-layering half covers a finding (from the cross-file pass).
+  std::vector<SourceFile> files = {csq::lint::scan_source(
+      "<mem>", "src/linalg/stale.h",
+      "// csq-lint: allow(banned-identifier): the assert() this excused is gone\n"
+      "#pragma once\n"
+      "// csq-lint: allow(module-layering) allow(raw-throw): fixture include\n"
+      "#include \"analysis/cscq.h\"\n")};
+  const std::vector<Finding> fs = csq::lint::run_rules(files);
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_EQ(fs[0].rule, "suppression");
+  EXPECT_EQ(fs[0].line, 1);
+  EXPECT_NE(fs[0].message.find("allow(banned-identifier)"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("suppresses no finding"), std::string::npos);
+  EXPECT_EQ(fs[1].rule, "suppression");
+  EXPECT_EQ(fs[1].line, 3);
+  EXPECT_NE(fs[1].message.find("allow(raw-throw)"), std::string::npos);
+}
+
 TEST(LintSuppress, SelftestPasses) {
   bool ok = false;
   const std::string report = csq::lint::suppression_selftest(&ok);
@@ -324,7 +343,7 @@ TEST(LintSuppress, SelftestPasses) {
 
 TEST(LintRegistry, CatalogIsStable) {
   const std::vector<csq::lint::RuleInfo>& rs = csq::lint::rules();
-  ASSERT_EQ(rs.size(), 15u);  // 13 rules + the two meta-rules
+  ASSERT_EQ(rs.size(), 14u);  // 13 rules + the suppression meta-rule
   EXPECT_STREQ(rs[0].id, "raw-throw");
   EXPECT_STREQ(rs[1].id, "nondeterminism");
   EXPECT_STREQ(rs[2].id, "header-hygiene");
@@ -339,12 +358,11 @@ TEST(LintRegistry, CatalogIsStable) {
   EXPECT_STREQ(rs[11].id, "module-layering");
   EXPECT_STREQ(rs[12].id, "journal-hygiene");
   EXPECT_STREQ(rs[13].id, "suppression");
-  EXPECT_STREQ(rs[14].id, "baseline");
   // Retired rules are gone for good: their invariants ride on compiler
   // flags, types and tests (docs/static-analysis.md, "Carried elsewhere").
   for (const char* retired : {"no-float-eq", "hot-path-alloc", "error-docs",
                               "hot-path-generic-mult", "hot-path-alloc-transitive",
-                              "policy-registry"})
+                              "policy-registry", "baseline"})
     for (const csq::lint::RuleInfo& r : rs) EXPECT_STRNE(r.id, retired);
   // --explain material: every rule ships a full rationale paragraph.
   for (const csq::lint::RuleInfo& r : rs) {
@@ -472,72 +490,6 @@ TEST(LintSuppress, FormFixtureParsesToExactLines) {
   // Marker on a macro continuation line binds to that physical line.
   EXPECT_EQ(sups[3].rule, "banned-identifier");
   EXPECT_EQ(sups[3].line, 15);
-}
-
-// --- Machine output and baseline -------------------------------------------
-
-TEST(LintOutput, JsonDocumentShape) {
-  std::vector<Finding> fs = {{"a.cc", 3, "raw-throw", "msg \"quoted\"", "src/a.cc"}};
-  const std::string j = csq::lint::to_json(fs);
-  EXPECT_NE(j.find("\"tool\":\"csq_lint\""), std::string::npos);
-  EXPECT_NE(j.find("\"count\":1"), std::string::npos);
-  EXPECT_NE(j.find("\"rel\":\"src/a.cc\""), std::string::npos);
-  EXPECT_NE(j.find("\\\"quoted\\\""), std::string::npos);  // escaping survives
-}
-
-TEST(LintOutput, SarifCarriesCatalogAndLocations) {
-  std::vector<Finding> fs = {{"a.cc", 3, "raw-throw", "boom", "src/a.cc"}};
-  const std::string sarif = csq::lint::to_sarif(fs);
-  EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
-  EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\":\"csq_lint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\":\"raw-throw\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\":\"src/a.cc\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\":3"), std::string::npos);
-  // The full rule catalog rides on the driver.
-  for (const csq::lint::RuleInfo& r : csq::lint::rules())
-    EXPECT_NE(sarif.find("\"id\":\"" + std::string(r.id) + "\""), std::string::npos) << r.id;
-}
-
-TEST(LintBaseline, ExactCountSuppressesStaleAndRegressionSurface) {
-  using csq::lint::BaselineEntry;
-  const Finding f1{"src/core/sweep.cc", 6, "module-layering", "up-include", "src/core/sweep.cc"};
-  const Finding f2{"src/core/sweep.cc", 7, "module-layering", "up-include", "src/core/sweep.cc"};
-  // Exact match: both suppressed, nothing surfaces.
-  std::vector<BaselineEntry> exact = {{"module-layering", "src/core/sweep.cc", 2, "facade"}};
-  EXPECT_TRUE(csq::lint::apply_baseline({f1, f2}, exact, "lint_baseline.json").empty());
-  // Stale (tree improved): suppress what's left, demand a refresh.
-  std::vector<Finding> stale =
-      csq::lint::apply_baseline({f1}, exact, "lint_baseline.json");
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].rule, "baseline");
-  EXPECT_NE(stale[0].message.find("stale"), std::string::npos);
-  // Regression (count exceeded): nothing suppressed, meta finding explains.
-  std::vector<BaselineEntry> tight = {{"module-layering", "src/core/sweep.cc", 1, "facade"}};
-  std::vector<Finding> regressed =
-      csq::lint::apply_baseline({f1, f2}, tight, "lint_baseline.json");
-  ASSERT_EQ(regressed.size(), 3u);  // both originals + the meta finding
-  // A reasonless entry is itself a finding and suppresses nothing.
-  std::vector<BaselineEntry> noreason = {{"module-layering", "src/core/sweep.cc", 2, ""}};
-  std::vector<Finding> unjustified =
-      csq::lint::apply_baseline({f1, f2}, noreason, "lint_baseline.json");
-  ASSERT_EQ(unjustified.size(), 3u);
-  EXPECT_EQ(unjustified[0].rule, "baseline");
-  EXPECT_NE(unjustified[0].message.find("no reason"), std::string::npos);
-}
-
-TEST(LintBaseline, LoadRejectsMalformedDocuments) {
-  std::vector<csq::lint::BaselineEntry> entries;
-  std::string error;
-  EXPECT_FALSE(csq::lint::load_baseline("not json", &entries, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(csq::lint::load_baseline("{\"entries\": [{\"rule\": 1}]}", &entries, &error));
-  ASSERT_TRUE(csq::lint::load_baseline(
-      "{\"entries\": [{\"rule\": \"r\", \"file\": \"f\", \"count\": 2, \"reason\": \"ok\"}]}",
-      &entries, &error));
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].rule, "r");
-  EXPECT_EQ(entries[0].count, 2);
 }
 
 }  // namespace

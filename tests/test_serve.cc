@@ -308,6 +308,20 @@ TEST(ServeServer, QueueDepthShedsWithRetryAfterHint) {
   EXPECT_EQ(s.completed, 1);
 }
 
+TEST(ServeServer, ShedRetryAfterBaseMustBeFiniteAndNonNegative) {
+  // A negative or NaN base would drop retry_after_ms from every shed
+  // response, so the constructor rejects it like a NaN timeout.
+  for (const double base : {-5.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    ServerOptions o = serial_opts();
+    o.shed_retry_after_ms = base;
+    EXPECT_THROW(Server server(o), InvalidInputError) << base;
+  }
+  ServerOptions zero = serial_opts();
+  zero.shed_retry_after_ms = 0.0;  // a zero hint is still a hint
+  EXPECT_NO_THROW(Server server(zero));
+}
+
 TEST(ServeServer, CostCapShedsExpensiveWork) {
   ServerOptions o = serial_opts();
   o.max_inflight_cost = 10.0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # One-shot local CI: dev build + fast test tiers, then the staged
 # strict-build matrix (tools/check_warnings.sh: Werror -> ASan/UBSan ->
-# TSan -> clang-tidy (if installed) -> csq_lint).
+# TSan -> chaos -> serve -> durable -> obs -> bench -> clang-tidy (if
+# installed) -> csq_lint, a single text scan that must come back clean).
 #
 # Set CSQ_CI_FULL=1 to also run the slow suite (truncated-chain
 # cross-checks, million-completion simulations) in the dev build.

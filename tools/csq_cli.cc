@@ -52,8 +52,6 @@
 
 #include "csq.h"
 #include "core/numeric.h"
-#include "callgraph.h"
-#include "lint.h"
 
 namespace {
 
@@ -72,11 +70,15 @@ struct Args {
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
+    // The whole value must parse: "0.9abc" is not 0.9.
     try {
-      return std::stod(it->second);
+      std::size_t used = 0;
+      const double v = std::stod(it->second, &used);
+      if (used == it->second.size()) return v;
     } catch (const std::exception&) {
-      throw InvalidInputError("invalid number for --" + key + ": '" + it->second + "'");
+      // No number at all, or out of range: reported below.
     }
+    throw InvalidInputError("invalid number for --" + key + ": '" + it->second + "'");
   }
   // Integer flag: the parsed number must be whole and inside [lo, hi]
   // before it is cast, so NaN, fractions and out-of-range values exit 2
@@ -542,16 +544,6 @@ int main(int argc, char** argv) {
       if (a.command == "simulate") return cmd_simulate(a);
       if (a.command == "sweep") return cmd_sweep(a);
       if (a.command == "stability") return cmd_stability(a);
-      // Hidden maintenance flag: proves the csq_lint suppression parser and
-      // the semantic index on the installed binary (the CI matrix runs it
-      // before trusting lint output).
-      if (a.command == "--lint-selftest") {
-        bool sup_ok = false;
-        bool idx_ok = false;
-        std::cout << lint::suppression_selftest(&sup_ok);
-        std::cout << lint::index_selftest(&idx_ok);
-        return (sup_ok && idx_ok) ? 0 : exit_code(ErrorCode::kVerificationFailed);
-      }
       usage();
       return a.command.empty() ? 1 : 2;
     };

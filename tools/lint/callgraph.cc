@@ -63,14 +63,13 @@ void filter_caught(const FunctionDecl& f, std::size_t tok, std::set<std::string>
 
 std::size_t RepoIndex::fn_id(const FnRef& r) const { return offsets_[r.file] + r.fn; }
 
-RepoIndex RepoIndex::build(const std::vector<const FileIndex*>& files,
-                           const Config& config) {
+RepoIndex RepoIndex::build(std::vector<FileIndex> files, const Config& config) {
   RepoIndex idx;
-  idx.files_ = files;
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
+  idx.files_ = std::move(files);
+  for (std::size_t fi = 0; fi < idx.files_.size(); ++fi) {
     idx.offsets_.push_back(idx.fn_refs_.size());
-    for (const std::string& ns : files[fi]->namespaces) idx.namespaces_.insert(ns);
-    for (std::size_t k = 0; k < files[fi]->functions.size(); ++k)
+    for (const std::string& ns : idx.files_[fi].namespaces) idx.namespaces_.insert(ns);
+    for (std::size_t k = 0; k < idx.files_[fi].functions.size(); ++k)
       idx.fn_refs_.push_back({fi, k});
   }
   for (std::size_t id = 0; id < idx.fn_refs_.size(); ++id)
@@ -163,7 +162,7 @@ void RepoIndex::run_fixpoints(const Config& config) {
     const FunctionDecl& f = fn(ref);
     polls_[id] = f.polls_budget;
     if (contains(config.iterative_kernels, f.name) &&
-        contains(config.iterative_kernel_modules, files_[ref.file]->module))
+        contains(config.iterative_kernel_modules, files_[ref.file].module))
       reaches_kernel_[id] = true;
     for (const ThrowRef& th : f.throws) {
       if (!is_taxonomy_type(th.type, config)) continue;
@@ -205,14 +204,14 @@ void RepoIndex::run_fixpoints(const Config& config) {
 
 void RepoIndex::build_include_graph() {
   std::map<std::string, std::size_t> by_rel;
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) by_rel[files_[fi]->rel] = fi;
+  for (std::size_t fi = 0; fi < files_.size(); ++fi) by_rel[files_[fi].rel] = fi;
 
   include_edges_.assign(files_.size(), {});
   for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    const std::string& rel = files_[fi]->rel;
+    const std::string& rel = files_[fi].rel;
     const std::size_t slash = rel.rfind('/');
     const std::string dir = slash == std::string::npos ? "" : rel.substr(0, slash + 1);
-    for (const IncludeRef& inc : files_[fi]->includes) {
+    for (const IncludeRef& inc : files_[fi].includes) {
       if (inc.system) continue;
       // Quoted includes resolve against src/ (the repo include root) or the
       // including file's own directory.
@@ -274,7 +273,7 @@ void RepoIndex::build_include_graph() {
             if (w == fr.v) self_loop = true;
           if (comp.size() > 1 || self_loop) {
             std::sort(comp.begin(), comp.end(), [&](std::size_t a, std::size_t b) {
-              return files_[a]->rel < files_[b]->rel;
+              return files_[a].rel < files_[b].rel;
             });
             include_cycles_.push_back(std::move(comp));
           }
@@ -288,7 +287,7 @@ void RepoIndex::build_include_graph() {
   }
   std::sort(include_cycles_.begin(), include_cycles_.end(),
             [&](const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
-              return files_[a.front()]->rel < files_[b.front()]->rel;
+              return files_[a.front()].rel < files_[b.front()].rel;
             });
 }
 
@@ -321,9 +320,9 @@ void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo
     std::set<std::string> direct;
     std::map<std::string, std::string> witness;  // error -> function name
     for (std::size_t fi : members) {
-      const FileIndex* fx = repo.files()[fi];
-      for (std::size_t k = 0; k < fx->functions.size(); ++k) {
-        const FunctionDecl& f = fx->functions[k];
+      const FileIndex& fx = repo.files()[fi];
+      for (std::size_t k = 0; k < fx.functions.size(); ++k) {
+        const FunctionDecl& f = fx.functions[k];
         for (const ThrowRef& th : f.throws)
           if (is_taxonomy_type(th.type, cfg)) direct.insert(th.type);
         if (f.internal || f.name == "main") continue;
@@ -380,9 +379,9 @@ void rule_deadline_poll(const std::vector<SourceFile>& files, const RepoIndex& r
     for (const std::string& d : cfg.deadline_poll_dirs)
       if (starts_with(files[fi].rel, d)) in_scope = true;
     if (!in_scope) continue;
-    const FileIndex* fx = repo.files()[fi];
-    for (std::size_t k = 0; k < fx->functions.size(); ++k) {
-      const FunctionDecl& f = fx->functions[k];
+    const FileIndex& fx = repo.files()[fi];
+    for (std::size_t k = 0; k < fx.functions.size(); ++k) {
+      const FunctionDecl& f = fx.functions[k];
       const std::size_t id = repo.fn_id({fi, k});
       for (const LoopRef& loop : f.loops) {
         bool polls_in_loop = false;
@@ -425,8 +424,8 @@ void rule_atomic_order(const std::vector<SourceFile>& files, const RepoIndex& re
       if (starts_with(files[fi].rel, d)) in_scope = true;
     if (!in_scope) continue;
     const bool hot_dir = starts_with(files[fi].rel, "src/parallel/");
-    const FileIndex* fx = repo.files()[fi];
-    for (const FunctionDecl& f : fx->functions) {
+    const FileIndex& fx = repo.files()[fi];
+    for (const FunctionDecl& f : fx.functions) {
       for (const AtomicOrderRef& a : f.atomics) {
         if (a.justified) continue;
         if (a.order != "seq_cst") {
@@ -456,23 +455,23 @@ void rule_module_layering(const std::vector<SourceFile>& files, const RepoIndex&
   for (std::size_t fi = 0; fi < files.size(); ++fi) by_rel[files[fi].rel] = fi;
 
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const FileIndex* fx = repo.files()[fi];
-    const int my_rank = rank_of(fx->module);
+    const FileIndex& fx = repo.files()[fi];
+    const int my_rank = rank_of(fx.module);
     if (my_rank < 0) continue;
-    for (const IncludeRef& inc : fx->includes) {
+    for (const IncludeRef& inc : fx.includes) {
       if (inc.system) continue;
       // Module of the include target: leading path segment of the spelled
       // target (the repo convention is `#include "module/file.h"`).
       const std::size_t slash = inc.target.find('/');
       if (slash == std::string::npos) continue;  // same-dir include
       const std::string target_module = inc.target.substr(0, slash);
-      if (target_module == fx->module) continue;
+      if (target_module == fx.module) continue;
       if (contains(cfg.cross_cutting_modules, target_module)) continue;
       const int target_rank = rank_of(target_module);
       if (target_rank < 0) continue;
       if (target_rank > my_rank)
         out->push_back({files[fi].path, inc.line, "module-layering",
-                        "`" + fx->module + "` (layer " + std::to_string(my_rank) +
+                        "`" + fx.module + "` (layer " + std::to_string(my_rank) +
                             ") includes `" + inc.target + "` from higher layer `" +
                             target_module + "` (layer " + std::to_string(target_rank) +
                             ") — the module DAG points the other way"});
@@ -483,11 +482,11 @@ void rule_module_layering(const std::vector<SourceFile>& files, const RepoIndex&
     std::string path;
     for (std::size_t m : cycle) {
       if (!path.empty()) path += " -> ";
-      path += repo.files()[m]->rel;
+      path += repo.files()[m].rel;
     }
     const std::size_t anchor = cycle.front();
     int line = 1;
-    for (const IncludeRef& inc : repo.files()[anchor]->includes)
+    for (const IncludeRef& inc : repo.files()[anchor].includes)
       if (!inc.system) {
         line = inc.line;
         break;
@@ -552,32 +551,29 @@ std::string index_selftest(bool* ok) {
   files.push_back(scan_source("src/a/x.h", "src/a/x.h", x_h));
   files.push_back(scan_source("src/a/y.h", "src/a/y.h", y_h));
 
-  std::vector<FileIndex> owned;
-  owned.reserve(files.size());
-  for (const SourceFile& f : files) owned.push_back(build_file_index(f));
-  std::vector<const FileIndex*> ptrs;
-  for (const FileIndex& fx : owned) ptrs.push_back(&fx);
-
+  std::vector<FileIndex> indexes;
+  for (const SourceFile& f : files) indexes.push_back(build_file_index(f));
   const Config cfg;
-  const RepoIndex repo = RepoIndex::build(ptrs, cfg);
+  const RepoIndex repo = RepoIndex::build(std::move(indexes), cfg);
+  const std::vector<FileIndex>& indexed = repo.files();
 
   // --- extraction --------------------------------------------------------
-  check(owned[0].functions.size() == 1 && owned[0].functions[0].name == "solve" &&
-            owned[0].functions[0].is_method,
+  check(indexed[0].functions.size() == 1 && indexed[0].functions[0].name == "solve" &&
+            indexed[0].functions[0].is_method,
         "inline class method extracted as a method");
-  check(owned[1].functions.size() == 1 && owned[1].functions[0].scope == "csq::qbd",
+  check(indexed[1].functions.size() == 1 && indexed[1].functions[0].scope == "csq::qbd",
         "namespace scope chain recovered for the kernel");
-  check(owned[1].functions[0].polls_budget, "interrupted() poll detected");
-  check(owned[1].functions[0].throws.size() == 1 &&
-            owned[1].functions[0].throws[0].type == "NotConvergedError",
+  check(indexed[1].functions[0].polls_budget, "interrupted() poll detected");
+  check(indexed[1].functions[0].throws.size() == 1 &&
+            indexed[1].functions[0].throws[0].type == "NotConvergedError",
         "throw site type extracted");
-  check(owned[2].functions.size() == 4, "all four caller functions extracted");
+  check(indexed[2].functions.size() == 4, "all four caller functions extracted");
 
   // --- symbol resolution -------------------------------------------------
   const auto fn_named = [&](std::size_t file, const std::string& name) {
-    for (std::size_t k = 0; k < owned[file].functions.size(); ++k)
-      if (owned[file].functions[k].name == name) return FnRef{file, k};
-    return FnRef{file, owned[file].functions.size()};
+    for (std::size_t k = 0; k < indexed[file].functions.size(); ++k)
+      if (indexed[file].functions[k].name == name) return FnRef{file, k};
+    return FnRef{file, indexed[file].functions.size()};
   };
   const FnRef sweep_all = fn_named(2, "sweep_all");
   const FnRef sweep_safe = fn_named(2, "sweep_safe");
@@ -614,36 +610,16 @@ std::string index_selftest(bool* ok) {
   check(repo.include_cycles().size() == 1 && repo.include_cycles()[0].size() == 2,
         "x.h <-> y.h include cycle detected as one 2-file SCC");
 
-  // --- cache round-trip ----------------------------------------------------
-  {
-    const std::string record = serialize_file_index(owned[1]);
-    FileIndex back;
-    const bool loaded = deserialize_file_index(record, &back);
-    check(loaded && back.rel == owned[1].rel && back.content_hash == owned[1].content_hash &&
-              back.functions.size() == 1 && back.functions[0].name == "solve" &&
-              back.functions[0].polls_budget && back.functions[0].throws.size() == 1 &&
-              back.functions[0].loops.size() == 1,
-          "FileIndex serialization round-trips the semantic facts");
-    IndexCache cache;
-    cache.store(owned[1]);
-    IndexCache reloaded;
-    const bool cache_ok = reloaded.load(cache.serialize());
-    check(cache_ok && reloaded.size() == 1 &&
-              reloaded.lookup("src/qbd/qbd.cc", owned[1].content_hash) != nullptr &&
-              reloaded.lookup("src/qbd/qbd.cc", owned[1].content_hash + 1) == nullptr,
-          "IndexCache hits on (rel, hash) and misses on a changed hash");
-    check(!reloaded.load("bogus header\njunk\n") && reloaded.size() == 0,
-          "cache load rejects a foreign format and leaves the cache empty");
-  }
-
   if (ok != nullptr) *ok = pass;
   return report.str();
 }
 
-void run_semantic_rules(const std::vector<SourceFile>& files,
-                        const std::vector<const FileIndex*>& indexes,
-                        const Config& config, std::vector<Finding>* out) {
-  const RepoIndex repo = RepoIndex::build(indexes, config);
+void run_semantic_rules(const std::vector<SourceFile>& files, const Config& config,
+                        std::vector<Finding>* out) {
+  std::vector<FileIndex> indexes;
+  indexes.reserve(files.size());
+  for (const SourceFile& f : files) indexes.push_back(build_file_index(f));
+  const RepoIndex repo = RepoIndex::build(std::move(indexes), config);
   rule_throw_flow(files, repo, config, out);
   rule_deadline_poll(files, repo, config, out);
   rule_atomic_order(files, repo, config, out);

@@ -35,12 +35,11 @@ struct FnRef {
 // tests via RepoIndex::build).
 class RepoIndex {
  public:
-  static RepoIndex build(const std::vector<const FileIndex*>& files,
-                         const Config& config);
+  static RepoIndex build(std::vector<FileIndex> files, const Config& config);
 
-  [[nodiscard]] const std::vector<const FileIndex*>& files() const { return files_; }
+  [[nodiscard]] const std::vector<FileIndex>& files() const { return files_; }
   [[nodiscard]] const FunctionDecl& fn(const FnRef& r) const {
-    return files_[r.file]->functions[r.fn];
+    return files_[r.file].functions[r.fn];
   }
 
   // Overload-set resolution for one call site in `caller`. Empty result =
@@ -90,7 +89,7 @@ class RepoIndex {
   }
 
  private:
-  std::vector<const FileIndex*> files_;
+  std::vector<FileIndex> files_;
   std::vector<FnRef> fn_refs_;
   std::map<std::string, std::vector<std::size_t>> by_name_;  // name -> fn ids
   std::vector<std::size_t> offsets_;  // file index -> first fn id
@@ -109,12 +108,11 @@ class RepoIndex {
   void build_include_graph();
 };
 
-// Run the semantic rules over the indexed file set. `indexes[i]` describes `files[i]`;
-// `files` supplies the content the doc checks (R13) read. Findings are
-// appended unsuppressed — run_rules applies suppressions afterwards.
-void run_semantic_rules(const std::vector<SourceFile>& files,
-                        const std::vector<const FileIndex*>& indexes,
-                        const Config& config, std::vector<Finding>* out);
+// Index `files` and run the semantic rules over them; `files` also supplies
+// the content the doc checks (R13) read. Findings are appended unsuppressed
+// — run_rules applies suppressions afterwards.
+void run_semantic_rules(const std::vector<SourceFile>& files, const Config& config,
+                        std::vector<Finding>* out);
 
 // Self-test of the indexer and call graph driven from synthetic sources:
 // symbol resolution across files, include-graph cycle detection, and the

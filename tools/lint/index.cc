@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <map>
 #include <utility>
 
 namespace csq::lint {
@@ -68,51 +68,11 @@ namespace {
   return "";
 }
 
-// %-escape for the cache serialization: fields must stay single-token.
-[[nodiscard]] std::string esc(const std::string& s) {
-  std::string out;
-  for (char ch : s) {
-    if (ch == ' ' || ch == '%' || ch == '\n' || ch == '\t') {
-      static const char* hex = "0123456789ABCDEF";
-      out += '%';
-      out += hex[(static_cast<unsigned char>(ch) >> 4) & 0xF];
-      out += hex[static_cast<unsigned char>(ch) & 0xF];
-    } else {
-      out += ch;
-    }
-  }
-  return out.empty() ? std::string("%00") : out;  // empty-field sentinel
-}
-
-[[nodiscard]] std::string unesc(const std::string& s) {
-  if (s == "%00") return "";
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 }  // namespace
-
-std::uint64_t content_hash(const std::string& content) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (char ch : content) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
-}
 
 FileIndex build_file_index(const SourceFile& file) {
   FileIndex idx;
   idx.rel = file.rel;
-  idx.content_hash = content_hash(file.content);
   idx.is_header = file.is_header;
   idx.module = module_of(file.rel);
 
@@ -488,204 +448,6 @@ FileIndex build_file_index(const SourceFile& file) {
   idx.namespaces.erase(std::unique(idx.namespaces.begin(), idx.namespaces.end()),
                        idx.namespaces.end());
   return idx;
-}
-
-// --- Serialization ----------------------------------------------------------
-
-std::string serialize_file_index(const FileIndex& x) {
-  std::ostringstream o;
-  o << "F " << esc(x.rel) << ' ' << x.content_hash << ' ' << (x.is_header ? 1 : 0) << ' '
-    << esc(x.module) << '\n';
-  for (const std::string& ns : x.namespaces) o << "N " << esc(ns) << '\n';
-  for (const IncludeRef& inc : x.includes)
-    o << "I " << inc.line << ' ' << (inc.system ? 1 : 0) << ' ' << esc(inc.target) << '\n';
-  for (const FunctionDecl& f : x.functions) {
-    const int flags = (f.is_method ? 1 : 0) | (f.internal ? 2 : 0) |
-                      (f.polls_budget ? 4 : 0) | (f.has_order_rationale ? 16 : 0);
-    o << "D " << esc(f.name) << ' ' << esc(f.scope) << ' ' << f.line << ' ' << f.end_line
-      << ' ' << f.body_begin << ' ' << f.body_end << ' ' << flags << ' '
-      << f.explicit_quals.size();
-    for (const std::string& q : f.explicit_quals) o << ' ' << esc(q);
-    o << '\n';
-    for (const CallRef& c : f.calls)
-      o << "C " << c.line << ' ' << c.tok << ' ' << esc(c.name) << ' ' << esc(c.qualifier)
-        << ' ' << (c.is_method ? 1 : 0) << '\n';
-    for (const ThrowRef& th : f.throws)
-      o << "T " << th.line << ' ' << th.tok << ' ' << esc(th.type) << '\n';
-    for (const LoopRef& l : f.loops)
-      o << "L " << l.line << ' ' << l.body_begin << ' ' << l.body_end << '\n';
-    for (std::size_t p : f.poll_toks) o << "P " << p << '\n';
-    for (const TryRegion& tr : f.tries) {
-      o << "Y " << tr.body_begin << ' ' << tr.body_end << ' ' << (tr.catches_all ? 1 : 0)
-        << ' ' << tr.caught.size();
-      for (const std::string& c : tr.caught) o << ' ' << esc(c);
-      o << '\n';
-    }
-    for (const AtomicOrderRef& a : f.atomics)
-      o << "A " << a.line << ' ' << esc(a.order) << ' ' << (a.justified ? 1 : 0) << ' '
-        << (a.in_loop ? 1 : 0) << '\n';
-  }
-  return o.str();
-}
-
-bool deserialize_file_index(const std::string& record, FileIndex* out) {
-  FileIndex x;
-  std::istringstream in(record);
-  std::string line;
-  FunctionDecl* fn = nullptr;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "F") {
-      std::string rel, module;
-      int header = 0;
-      ls >> rel >> x.content_hash >> header >> module;
-      if (ls.fail()) return false;
-      x.rel = unesc(rel);
-      x.module = unesc(module);
-      x.is_header = header != 0;
-      saw_header = true;
-    } else if (tag == "N") {
-      std::string ns;
-      ls >> ns;
-      x.namespaces.push_back(unesc(ns));
-    } else if (tag == "I") {
-      IncludeRef inc;
-      int system = 0;
-      std::string target;
-      ls >> inc.line >> system >> target;
-      if (ls.fail()) return false;
-      inc.system = system != 0;
-      inc.target = unesc(target);
-      x.includes.push_back(std::move(inc));
-    } else if (tag == "D") {
-      FunctionDecl f;
-      std::string name, scope;
-      int flags = 0;
-      std::size_t nquals = 0;
-      ls >> name >> scope >> f.line >> f.end_line >> f.body_begin >> f.body_end >> flags >>
-          nquals;
-      if (ls.fail()) return false;
-      f.name = unesc(name);
-      f.scope = unesc(scope);
-      f.is_method = (flags & 1) != 0;
-      f.internal = (flags & 2) != 0;
-      f.polls_budget = (flags & 4) != 0;
-      f.has_order_rationale = (flags & 16) != 0;
-      for (std::size_t k = 0; k < nquals; ++k) {
-        std::string q;
-        ls >> q;
-        f.explicit_quals.push_back(unesc(q));
-      }
-      x.functions.push_back(std::move(f));
-      fn = &x.functions.back();
-    } else if (fn != nullptr && tag == "C") {
-      CallRef c;
-      std::string name, qual;
-      int method = 0;
-      ls >> c.line >> c.tok >> name >> qual >> method;
-      if (ls.fail()) return false;
-      c.name = unesc(name);
-      c.qualifier = unesc(qual);
-      c.is_method = method != 0;
-      fn->calls.push_back(std::move(c));
-    } else if (fn != nullptr && tag == "T") {
-      ThrowRef th;
-      std::string type;
-      ls >> th.line >> th.tok >> type;
-      if (ls.fail()) return false;
-      th.type = unesc(type);
-      fn->throws.push_back(std::move(th));
-    } else if (fn != nullptr && tag == "P") {
-      std::size_t p = 0;
-      ls >> p;
-      if (ls.fail()) return false;
-      fn->poll_toks.push_back(p);
-    } else if (fn != nullptr && tag == "L") {
-      LoopRef l;
-      ls >> l.line >> l.body_begin >> l.body_end;
-      if (ls.fail()) return false;
-      fn->loops.push_back(l);
-    } else if (fn != nullptr && tag == "Y") {
-      TryRegion tr;
-      int all = 0;
-      std::size_t ncaught = 0;
-      ls >> tr.body_begin >> tr.body_end >> all >> ncaught;
-      if (ls.fail()) return false;
-      tr.catches_all = all != 0;
-      for (std::size_t k = 0; k < ncaught; ++k) {
-        std::string c;
-        ls >> c;
-        tr.caught.push_back(unesc(c));
-      }
-      fn->tries.push_back(std::move(tr));
-    } else if (fn != nullptr && tag == "A") {
-      AtomicOrderRef a;
-      std::string order;
-      int justified = 0;
-      int in_loop = 0;
-      ls >> a.line >> order >> justified >> in_loop;
-      if (ls.fail()) return false;
-      a.order = unesc(order);
-      a.justified = justified != 0;
-      a.in_loop = in_loop != 0;
-      fn->atomics.push_back(std::move(a));
-    } else {
-      return false;
-    }
-  }
-  if (!saw_header) return false;
-  *out = std::move(x);
-  return true;
-}
-
-// --- IndexCache -------------------------------------------------------------
-
-namespace {
-constexpr const char* kCacheMagic = "csq-lint-index-cache v1";
-}
-
-const FileIndex* IndexCache::lookup(const std::string& rel, std::uint64_t hash) const {
-  const auto it = entries_.find(rel);
-  if (it == entries_.end() || it->second.content_hash != hash) return nullptr;
-  return &it->second;
-}
-
-void IndexCache::store(FileIndex index) {
-  entries_[index.rel] = std::move(index);
-}
-
-std::string IndexCache::serialize() const {
-  std::ostringstream o;
-  o << kCacheMagic << '\n';
-  for (const auto& [rel, idx] : entries_) o << serialize_file_index(idx) << "END\n";
-  return o.str();
-}
-
-bool IndexCache::load(const std::string& text) {
-  entries_.clear();
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) return false;
-  std::string record;
-  while (std::getline(in, line)) {
-    if (line == "END") {
-      FileIndex idx;
-      if (!deserialize_file_index(record, &idx)) {
-        entries_.clear();
-        return false;
-      }
-      entries_[idx.rel] = std::move(idx);
-      record.clear();
-    } else {
-      record += line;
-      record += '\n';
-    }
-  }
-  return true;
 }
 
 }  // namespace csq::lint

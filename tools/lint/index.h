@@ -8,18 +8,9 @@
 // `#include` targets and the module it belongs to (`src/<module>/...`).
 // Everything is best-effort token-level analysis: malformed input degrades
 // to fewer facts, never to a crash.
-//
-// The index is the unit of incremental caching: a FileIndex serializes to a
-// line-oriented text record keyed by an FNV-1a hash of the file content, so
-// `csq_lint --cache FILE` reuses the extraction for unchanged files and a
-// full-tree run stays in the tens of milliseconds. The token stream itself
-// is not cached (the token rules re-lex cheaply); only the semantic facts
-// the cross-TU rules consume are.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -104,7 +95,6 @@ struct FunctionDecl {
 // Everything the cross-TU rules need to know about one file.
 struct FileIndex {
   std::string rel;             // repo-relative path, '/'-separated
-  std::uint64_t content_hash = 0;
   bool is_header = false;
   std::string module;          // "core", "qbd", ..., "tools"; "" for src/csq.h
   std::vector<std::string> namespaces;  // namespace names opened in this file
@@ -112,39 +102,8 @@ struct FileIndex {
   std::vector<FunctionDecl> functions;
 };
 
-// FNV-1a over the raw content; the cache key.
-[[nodiscard]] std::uint64_t content_hash(const std::string& content);
-
 // Build the semantic index for one scanned file. `module` is derived from
 // `file.rel` (`src/<m>/...` → m, `tools/...` → "tools").
 [[nodiscard]] FileIndex build_file_index(const SourceFile& file);
-
-// --- Incremental cache -----------------------------------------------------
-//
-// A cache maps rel path → serialized FileIndex + content hash. Loading is
-// tolerant: a version mismatch or malformed record drops the cache (the
-// extraction is redone), it never fails the run.
-
-class IndexCache {
- public:
-  // Returns the cached index for (rel, hash), or nullptr on miss.
-  [[nodiscard]] const FileIndex* lookup(const std::string& rel,
-                                        std::uint64_t hash) const;
-  void store(FileIndex index);
-
-  // Serialize the whole cache / restore it. `load` returns false (leaving
-  // the cache empty) on version or format mismatch.
-  [[nodiscard]] std::string serialize() const;
-  bool load(const std::string& text);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  std::map<std::string, FileIndex> entries_;
-};
-
-// Round-trip helpers (exposed for the selftest / unit tests).
-[[nodiscard]] std::string serialize_file_index(const FileIndex& index);
-[[nodiscard]] bool deserialize_file_index(const std::string& record, FileIndex* out);
 
 }  // namespace csq::lint

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "callgraph.h"
-#include "index.h"
 
 namespace csq::lint {
 
@@ -319,8 +317,8 @@ const std::vector<RuleInfo>& rules() {
        "consumers, and an include cycle means neither file can be understood (or\n"
        "compiled) alone. obs is cross-cutting and may be included from anywhere.\n"
        "Fix: invert the dependency (callback, interface header) or move the\n"
-       "shared piece down; grandfathered edges live in lint_baseline.json with\n"
-       "per-entry justifications."},
+       "shared piece down. An accepted edge carries a reasoned\n"
+       "`allow(module-layering)` marker on the line above the include."},
       {"journal-hygiene",
        "serve code must not do direct file I/O (durability goes through src/durable/); "
        "rename() publishes in src/durable/ need an fsync (R18)",
@@ -334,18 +332,16 @@ const std::vector<RuleInfo>& rules() {
        "expose a torn artifact after power loss: the directory entry can reach\n"
        "disk before the file's bytes do. Fix: fsync the descriptor before the\n"
        "rename (tmp + fsync + rename)."},
-      {"suppression", "csq-lint: allow(...) comments must name a known rule and give a reason",
+      {"suppression",
+       "csq-lint: allow(...) comments must name a known rule, give a reason and cover a "
+       "finding",
        "A suppression is `// csq-lint: allow(rule-id): reason` on the finding's\n"
        "line or the line above (block-comment interiors and stacked\n"
        "`allow(a) allow(b): reason` also work). The reason is mandatory — it is\n"
        "the reviewable justification. Malformed markers (unknown rule, missing\n"
-       "reason) are themselves findings, and they cannot be suppressed."},
-      {"baseline", "lint_baseline.json entries must stay justified and exactly matched",
-       "The baseline grandfathers reviewed findings as {rule, file, count, reason}\n"
-       "entries with exact-count matching: when the tree improves below the\n"
-       "recorded count the entry goes stale and this meta-rule flags it (refresh\n"
-       "the baseline); when findings grow past the count, the excess surfaces as\n"
-       "ordinary findings. Entries without a reason are findings too."},
+       "reason) are themselves findings, and so is a marker that suppresses no\n"
+       "finding (the code it excused is gone: delete the marker). None of these\n"
+       "can be suppressed."},
   };
   return kRules;
 }
@@ -863,75 +859,57 @@ namespace {
 
 }  // namespace
 
-std::vector<Finding> run_rules(std::vector<SourceFile>& files, const Config& config,
-                               IndexCache* cache) {
+std::vector<Finding> run_rules(const std::vector<SourceFile>& files, const Config& config) {
+  // Each file's markers are parsed once (malformed ones become unsuppressible
+  // findings) and shared by both passes, so `used` records every finding a
+  // marker covered.
   std::vector<Finding> all;
-  for (SourceFile& f : files) {
-    std::vector<Finding> file_findings;
-    std::vector<Suppression> sups = parse_suppressions(f, &all);  // malformed: unsuppressible
-    rule_raw_throw(f, config, &file_findings);
-    rule_nondeterminism(f, config, &file_findings);
-    rule_header_hygiene(f, &file_findings);
-    rule_catch_all(f, &file_findings);
-    rule_banned_identifier(f, config, &file_findings);
-    rule_serve_hygiene(f, config, &file_findings);
-    rule_journal_hygiene(f, config, &file_findings);
-    for (Finding& fd : file_findings) {
-      bool suppressed = false;
-      for (Suppression& s : sups)
+  std::vector<std::vector<Suppression>> sups(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) sups[i] = parse_suppressions(files[i], &all);
+  const auto suppressed = [&](const Finding& fd) {
+    bool hit = false;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      if (files[i].path != fd.file) continue;
+      for (Suppression& s : sups[i])
         if (covers(s, fd)) {
           s.used = true;
-          suppressed = true;
+          hit = true;
         }
-      if (!suppressed) all.push_back(std::move(fd));
     }
+    return hit;
+  };
+
+  std::vector<Finding> found;
+  for (const SourceFile& f : files) {
+    rule_raw_throw(f, config, &found);
+    rule_nondeterminism(f, config, &found);
+    rule_header_hygiene(f, &found);
+    rule_catch_all(f, &found);
+    rule_banned_identifier(f, config, &found);
+    rule_serve_hygiene(f, config, &found);
+    rule_journal_hygiene(f, config, &found);
   }
   // Cross-file pass: the token-level cross-TU rules, then the semantic rules
-  // on the FileIndex layer (cache-aware: unchanged files reuse their cached
-  // index). throw-flow findings attach to headers at line 1, so a
-  // suppression comment on the header's first line covers them.
-  std::vector<Finding> cross;
-  rule_fault_site_naming(files, &cross);
-  rule_metric_naming(files, &cross);
-  {
-    std::vector<FileIndex> owned(files.size());
-    std::vector<const FileIndex*> indexes(files.size(), nullptr);
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      const std::uint64_t hash = content_hash(files[i].content);
-      const FileIndex* hit = cache != nullptr ? cache->lookup(files[i].rel, hash) : nullptr;
-      if (hit != nullptr) {
-        indexes[i] = hit;
-      } else {
-        owned[i] = build_file_index(files[i]);
-        if (cache != nullptr) cache->store(owned[i]);
-        indexes[i] = &owned[i];
-      }
-    }
-    run_semantic_rules(files, indexes, config, &cross);
-  }
-  for (Finding& fd : cross) {
-    bool suppressed = false;
-    for (SourceFile& f : files) {
-      if (f.path != fd.file) continue;
-      std::vector<Suppression> sups = parse_suppressions(f, nullptr);
-      for (Suppression& s : sups)
-        if (covers(s, fd)) suppressed = true;
-    }
-    if (!suppressed) all.push_back(std::move(fd));
-  }
-  // Fill the repo-relative path on every finding (SARIF/baseline keys).
-  {
-    std::map<std::string, const std::string*> rel_of;
-    for (const SourceFile& f : files) rel_of[f.path] = &f.rel;
-    for (Finding& fd : all) {
-      const auto it = rel_of.find(fd.file);
-      fd.rel = it != rel_of.end() ? *it->second : fd.file;
-    }
-  }
+  // on the FileIndex layer. throw-flow findings attach to headers at line 1,
+  // so a suppression comment on the header's first line covers them.
+  rule_fault_site_naming(files, &found);
+  rule_metric_naming(files, &found);
+  run_semantic_rules(files, config, &found);
+  for (Finding& fd : found)
+    if (!suppressed(fd)) all.push_back(std::move(fd));
+
+  // A marker that covers nothing is stale: the finding it accepted is gone.
+  for (std::size_t i = 0; i < files.size(); ++i)
+    for (const Suppression& s : sups[i])
+      if (!s.used)
+        all.push_back({files[i].path, s.line, "suppression",
+                       "`allow(" + s.rule + ")` suppresses no finding; delete the marker"});
+
   std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;
-    return a.rule < b.rule;
+    if (a.rule != b.rule) return a.rule < b.rule;
+    return a.message < b.message;
   });
   return all;
 }

@@ -30,15 +30,17 @@
 //   journal-hygiene    (R18) no direct file I/O in request-handler code
 //                           (durability goes through src/durable/); a
 //                           rename() publish in src/durable/ needs an fsync
-//   suppression        (meta) malformed `csq-lint: allow(...)` comments
+//   suppression        (meta) malformed or unused `csq-lint: allow(...)`
+//                           comments
 //
 // Findings print as `file:line: [rule-id] message`. A finding on line L is
 // suppressed by `// csq-lint: allow(rule-id): reason` on line L or L-1; the
-// reason string is mandatory.
+// reason string is mandatory, and a marker that suppresses nothing is itself
+// a finding.
 //
-// Built as a library (csq_lint_lib) so tests/test_lint.cc and the csq_cli
-// --lint-selftest flag can drive it in-process; tools/lint/main.cc wraps it
-// into the csq_lint binary with csq_cli-compatible exit codes.
+// Built as a library (csq_lint_lib) so tests/test_lint.cc can drive it
+// in-process; tools/lint/main.cc wraps it into the csq_lint binary with
+// csq_cli-compatible exit codes.
 #pragma once
 
 #include <map>
@@ -93,19 +95,6 @@ struct Finding {
   int line = 0;
   std::string rule;
   std::string message;
-  // Repo-relative path ('/'-separated) for SARIF/baseline matching; filled
-  // in by run_rules from the originating SourceFile.
-  std::string rel;
-
-  Finding() = default;
-  // Rules construct findings without `rel`; run_rules fills it afterwards.
-  Finding(std::string file_, int line_, std::string rule_, std::string message_,
-          std::string rel_ = {})
-      : file(std::move(file_)),
-        line(line_),
-        rule(std::move(rule_)),
-        message(std::move(message_)),
-        rel(std::move(rel_)) {}
 };
 
 // `file:line: [rule-id] message`
@@ -116,7 +105,7 @@ struct Suppression {
   int alt_line = 0;  // for block comments: first line after the comment closes
   std::string rule;
   std::string reason;
-  bool used = false;
+  bool used = false;  // set by run_rules when the marker covers a finding
 };
 
 // Extract well-formed `csq-lint: allow(rule-id): reason` suppressions from a
@@ -133,7 +122,7 @@ struct RuleInfo {
   const char* detail;   // paragraph for --explain <rule>: why + how to fix
 };
 
-// Every registered rule, in catalog order (the two meta-rules last).
+// Every registered rule, in catalog order (the suppression meta-rule last).
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
 struct Config {
@@ -201,20 +190,16 @@ struct Config {
   std::vector<std::string> journal_publish_paths = {"src/durable/"};
 };
 
-class IndexCache;  // tools/lint/index.h
-
 // Run every rule over `files` — the token rules, then the semantic rules
-// (R13, R14, R16, R17) on the cross-TU index — apply suppressions, and
-// return the surviving findings sorted by (file, line, rule). Cross-file
-// rules see the whole set, so pass related .h/.cc files together. When
-// `cache` is non-null, unchanged files reuse their cached FileIndex and the
-// cache is updated in place (persisting it is the caller's job).
-[[nodiscard]] std::vector<Finding> run_rules(std::vector<SourceFile>& files,
-                                             const Config& config = {},
-                                             IndexCache* cache = nullptr);
+// (R13, R14, R16, R17) on the cross-TU index — apply suppressions, flag
+// markers that suppressed nothing, and return the surviving findings sorted
+// by (file, line, rule). Cross-file rules see the whole set, so pass related
+// .h/.cc files together.
+[[nodiscard]] std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
+                                             const Config& config = {});
 
-// Self-test of the suppression parser used by `csq_cli --lint-selftest`:
-// runs a battery of well-formed/malformed suppression comments through
+// Self-test of the suppression parser (run by tests/test_lint.cc): runs a
+// battery of well-formed/malformed suppression comments through
 // parse_suppressions and returns a human-readable pass/fail report. `ok` is
 // set to false if any expectation fails.
 [[nodiscard]] std::string suppression_selftest(bool* ok);

@@ -3,20 +3,12 @@
 //   csq_lint [flags] [paths...]        lint .h/.cc files (default: src tools)
 //   csq_lint --list-rules              print the rule catalog and exit
 //   csq_lint --explain RULE            print the full rationale for one rule
-//   csq_lint --selftest                suppression-parser + semantic-index self-tests
 //
 // Flags:
 //   --root DIR        resolve paths against DIR (default: current directory)
-//   --format=FMT      text (default) | json | sarif
-//   --baseline FILE   grandfathered findings (default: ROOT/lint_baseline.json
-//                     when present); exact-count matching, see tools/lint/sarif.h
-//   --no-baseline     ignore any baseline file
-//   --cache FILE      incremental semantic-index cache (loaded if present,
-//                     rewritten after the run)
 //
 // Paths may be files or directories (walked recursively for *.h / *.cc).
-// Findings print one per line as `file:line: [rule-id] message` (text), or
-// as a JSON/SARIF document on stdout.
+// Findings print one per line on stdout as `file:line: [rule-id] message`.
 //
 // Exit codes follow the csq_cli taxonomy: 0 clean, 2 invalid input (unknown
 // flag, unreadable or missing path — the offending path is named), 6
@@ -30,11 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "callgraph.h"
 #include "core/status.h"
-#include "index.h"
 #include "lint.h"
-#include "sarif.h"
 
 namespace {
 
@@ -114,10 +103,6 @@ void collect(const fs::path& target, const fs::path& root, std::vector<SourceFil
 int run(int argc, char** argv) {
   fs::path root = fs::current_path();
   bool root_given = false;
-  std::string format = "text";
-  std::string baseline_flag;  // explicit --baseline FILE
-  bool no_baseline = false;
-  std::string cache_file;
   std::vector<std::string> targets;
 
   for (int i = 1; i < argc; ++i) {
@@ -138,40 +123,10 @@ int run(int argc, char** argv) {
       throw csq::InvalidInputError("csq_lint: unknown rule `" + id +
                                    "` (see --list-rules)");
     }
-    if (arg == "--selftest") {
-      bool sup_ok = false;
-      bool idx_ok = false;
-      std::cout << "--- suppression parser ---\n"
-                << csq::lint::suppression_selftest(&sup_ok)
-                << "--- semantic index / call graph ---\n"
-                << csq::lint::index_selftest(&idx_ok);
-      return (sup_ok && idx_ok) ? 0 : exit_code(csq::ErrorCode::kVerificationFailed);
-    }
     if (arg == "--root") {
       if (i + 1 >= argc) throw csq::InvalidInputError("csq_lint: --root needs a directory");
       root = fs::path(argv[++i]);
       root_given = true;
-      continue;
-    }
-    if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json" && format != "sarif")
-        throw csq::InvalidInputError("csq_lint: unknown format `" + format +
-                                     "` (text|json|sarif)");
-      continue;
-    }
-    if (arg == "--baseline") {
-      if (i + 1 >= argc) throw csq::InvalidInputError("csq_lint: --baseline needs a file");
-      baseline_flag = argv[++i];
-      continue;
-    }
-    if (arg == "--no-baseline") {
-      no_baseline = true;
-      continue;
-    }
-    if (arg == "--cache") {
-      if (i + 1 >= argc) throw csq::InvalidInputError("csq_lint: --cache needs a file");
-      cache_file = argv[++i];
       continue;
     }
     if (arg.rfind("--", 0) == 0)
@@ -197,53 +152,8 @@ int run(int argc, char** argv) {
   std::error_code docs_ec;
   if (fs::is_regular_file(serve_docs, docs_ec)) config.serve_metric_docs = slurp(serve_docs);
 
-  // Incremental semantic-index cache: tolerant load (a stale or foreign
-  // file is simply rebuilt), best-effort save.
-  csq::lint::IndexCache cache;
-  if (!cache_file.empty()) {
-    std::error_code ec;
-    if (fs::is_regular_file(cache_file, ec)) (void)cache.load(slurp(cache_file));
-  }
-
-  std::vector<Finding> findings = csq::lint::run_rules(
-      files, config, cache_file.empty() ? nullptr : &cache);
-
-  if (!cache_file.empty()) {
-    std::ofstream out(cache_file, std::ios::binary | std::ios::trunc);
-    if (out)
-      out << cache.serialize();
-    else
-      std::cerr << "csq_lint: warning: cannot write cache " << cache_file << "\n";
-  }
-
-  // Baseline: an explicit --baseline FILE must exist; the default
-  // ROOT/lint_baseline.json applies only when present.
-  if (!no_baseline) {
-    fs::path baseline_path = baseline_flag.empty() ? root / "lint_baseline.json"
-                                                   : fs::path(baseline_flag);
-    std::error_code ec;
-    const bool exists = fs::is_regular_file(baseline_path, ec);
-    if (!baseline_flag.empty() && !exists)
-      throw csq::InvalidInputError("csq_lint: baseline not found: " +
-                                   baseline_path.string());
-    if (exists) {
-      std::vector<csq::lint::BaselineEntry> entries;
-      std::string error;
-      if (!csq::lint::load_baseline(slurp(baseline_path), &entries, &error))
-        throw csq::InvalidInputError("csq_lint: bad baseline " + baseline_path.string() +
-                                     ": " + error);
-      findings = csq::lint::apply_baseline(std::move(findings), entries,
-                                           rel_path(baseline_path, root));
-    }
-  }
-
-  if (format == "json") {
-    std::cout << csq::lint::to_json(findings) << "\n";
-  } else if (format == "sarif") {
-    std::cout << csq::lint::to_sarif(findings) << "\n";
-  } else {
-    for (const Finding& f : findings) std::cout << csq::lint::format_finding(f) << "\n";
-  }
+  const std::vector<Finding> findings = csq::lint::run_rules(files, config);
+  for (const Finding& f : findings) std::cout << csq::lint::format_finding(f) << "\n";
   if (findings.empty()) {
     std::cerr << "csq_lint: " << files.size() << " files clean\n";
     return 0;
