@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -23,8 +24,10 @@
 #include "analysis/truncated_cscq.h"
 #include "core/solver.h"
 #include "core/sweep.h"
+#include "dist/moment_match.h"
 #include "durable/journal.h"
 #include "sim/simulator.h"
+#include "transforms/busy_period.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: a global operator new override feeding an atomic
@@ -84,6 +87,52 @@ void BM_AnalyzeCscq(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_cscq(config()));
 }
 BENCHMARK(BM_AnalyzeCscq);
+
+// 8192 CS-CQ operating points with distinct long loads (rho_S = 1.2, so all
+// inside Theorem 1): twice the per-thread fit memo's 4096-entry cap, so
+// cycling through them misses the memo on every fit.
+const std::vector<SystemConfig>& cold_configs() {
+  static const std::vector<SystemConfig> configs = [] {
+    std::vector<SystemConfig> out;
+    for (double rho_l : linspace(0.05, 0.75, 8192))
+      out.push_back(SystemConfig::paper_setup(1.2, rho_l, 1.0, 1.0, 8.0));
+    return out;
+  }();
+  return configs;
+}
+
+void BM_AnalyzeCscqCold(benchmark::State& state) {
+  // BM_AnalyzeCscq re-analyzes one point, so after the first iteration its
+  // two Coxian fits are memo hits. Here every iteration has a new rho_L and
+  // pays both fits (B_L and B_{N+1}), as the serving path does for
+  // distinct requests; the QBD scratch stays warm.
+  const std::vector<SystemConfig>& configs = cold_configs();
+  std::size_t i = 0;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::analyze_cscq(configs[i]));
+    i = (i + 1) % configs.size();
+  }
+}
+BENCHMARK(BM_AnalyzeCscqCold);
+
+void BM_FitCoxian3Cold(benchmark::State& state) {
+  // One three-moment fit per iteration, each a memo miss: the B_L and
+  // B_{N+1} moments analyze_cscq fits at the cold_configs() points (mean
+  // short 1, so delta = 2 mu_S = 2).
+  std::vector<dist::Moments> busy;
+  for (const SystemConfig& c : cold_configs()) {
+    const dist::Moments xl = c.long_size->moments();
+    busy.push_back(transforms::mg1_busy_period(xl, c.lambda_long));
+    busy.push_back(transforms::batch_busy_period(xl, c.lambda_long, 2.0));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist::fit_ph(busy[i], 3));
+    i = (i + 1) % busy.size();
+  }
+}
+BENCHMARK(BM_FitCoxian3Cold);
 
 void BM_AnalyzeCsid(benchmark::State& state) {
   AllocScope allocs(state);

@@ -1,11 +1,14 @@
 #include "dist/moment_match.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/numeric.h"
 #include "core/status.h"
 #include "obs/obs.h"
 
@@ -42,10 +45,10 @@ struct FitEntry {
 };
 
 // The 3-moment Coxian fit runs a 4096-point grid scan plus bisection
-// (~17 us), and a sweep or batch re-fits the same few distributions for
-// every config. thread_local keeps the cache lock-free; the size cap bounds
-// memory on adversarial workloads (clearing is cheap and merely re-pays one
-// fit per distinct key).
+// (a few microseconds; BM_FitCoxian3Cold), and a sweep or batch re-fits the
+// same few distributions for every config. thread_local keeps the cache
+// lock-free; the size cap bounds memory on adversarial workloads (clearing
+// is cheap and merely re-pays one fit per distinct key).
 constexpr std::size_t kFitCacheCap = 4096;
 
 std::unordered_map<FitKey, FitEntry, FitKeyHash>& fit_cache() {
@@ -67,6 +70,22 @@ bool valid_root(double x, double y, double p, double m1) {
   return x > 0.0 && x < m1 && y > 0.0 && p > 0.0 && p <= 1.0 + 1e-12;
 }
 
+// The root scan visits x_i = m1 * i/(kGrid+1) for i = 1..kGrid. The
+// fractions do not depend on the call, so they are a table; constant
+// evaluation rounds i/(kGrid+1) exactly as the runtime division does.
+constexpr int kGrid = 4096;
+constexpr auto kGridFraction = [] {
+  std::array<double, kGrid + 1> f{};
+  for (int i = 1; i <= kGrid; ++i) f[i] = static_cast<double>(i) / (kGrid + 1);
+  return f;
+}();
+
+// g is evaluated kBlock grid points at a time into stack arrays (a loop with
+// no early exit, which the compiler vectorises); the scan then walks a block
+// in order only when it holds a sign change. kBlock divides kGrid.
+constexpr int kBlock = 64;
+static_assert(kGrid % kBlock == 0);
+
 }  // namespace
 
 bool fit_coxian2_3moments(const Moments& m, double* mu1, double* mu2, double* p_out) {
@@ -78,37 +97,62 @@ bool fit_coxian2_3moments(const Moments& m, double* mu1, double* mu2, double* p_
   // Eliminating p and y leaves a single equation g(x) = 0 on (0, m1).
   const double m1 = m.m1;
   if (m1 <= 0.0) return false;
-  const int kGrid = 4096;
-  double prev_x = m1 * (1.0 / (kGrid + 1));
-  double prev_g = reduced_g(prev_x, m, nullptr, nullptr);
-  for (int i = 2; i <= kGrid; ++i) {
-    const double x = m1 * (static_cast<double>(i) / (kGrid + 1));
-    const double g = reduced_g(x, m, nullptr, nullptr);
-    if (std::isfinite(prev_g) && std::isfinite(g) && prev_g * g <= 0.0) {
-      // Bisect on [prev_x, x].
-      double lo = prev_x, hi = x, glo = prev_g;
-      for (int it = 0; it < 200; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        const double gm = reduced_g(mid, m, nullptr, nullptr);
-        if (glo * gm <= 0.0) {
-          hi = mid;
-        } else {
-          lo = mid;
-          glo = gm;
+  double prev_x = 0.0;
+  double prev_g = 0.0;
+  for (int i0 = 1; i0 <= kGrid; i0 += kBlock) {
+    double xs[kBlock];
+    double gs[kBlock];
+    for (int k = 0; k < kBlock; ++k) {
+      xs[k] = m1 * kGridFraction[i0 + k];
+      gs[k] = reduced_g(xs[k], m, nullptr, nullptr);
+    }
+    // The ordered scan acts only where prev_g * g <= 0 (NaN products fail
+    // it), so a block with no such adjacent pair, counting the one across
+    // the block boundary, just hands its last point on.
+    int sign_changes = i0 > 1 && prev_g * gs[0] <= 0.0;
+    for (int k = 1; k < kBlock; ++k) sign_changes += gs[k - 1] * gs[k] <= 0.0;
+    if (sign_changes == 0) {
+      prev_x = xs[kBlock - 1];
+      prev_g = gs[kBlock - 1];
+      continue;
+    }
+    for (int k = 0; k < kBlock; ++k) {
+      const double x = xs[k];
+      const double g = gs[k];
+      if (i0 + k > 1 && std::isfinite(prev_g) && std::isfinite(g) && prev_g * g <= 0.0) {
+        // Bisect on [prev_x, x]. Once mid equals lo or hi the interval has
+        // reached adjacent doubles (or a single one), and no later step can
+        // move x_root: if the step keeps lo and hi, the next mid is the
+        // same; if it collapses them onto mid (hi = mid == lo, or lo = mid
+        // == hi), every later mid is 0.5 * (mid + mid) == mid. (glo is
+        // always g(lo), so lo = mid == lo rewrites glo with the same
+        // value.) Either way 0.5 * (lo + hi) after all 200 steps would be
+        // this mid, which is what stopping here leaves it as.
+        double lo = prev_x, hi = x, glo = prev_g;
+        for (int it = 0; it < 200; ++it) {
+          const double mid = 0.5 * (lo + hi);
+          if (num::exactly_eq(mid, lo) || num::exactly_eq(mid, hi)) break;
+          const double gm = reduced_g(mid, m, nullptr, nullptr);
+          if (glo * gm <= 0.0) {
+            hi = mid;
+          } else {
+            lo = mid;
+            glo = gm;
+          }
+        }
+        double y = 0.0, p = 0.0;
+        const double x_root = 0.5 * (lo + hi);
+        reduced_g(x_root, m, &y, &p);
+        if (valid_root(x_root, y, p, m1)) {
+          *mu1 = 1.0 / x_root;
+          *mu2 = 1.0 / y;
+          *p_out = std::min(p, 1.0);
+          return true;
         }
       }
-      double y = 0.0, p = 0.0;
-      const double x_root = 0.5 * (lo + hi);
-      reduced_g(x_root, m, &y, &p);
-      if (valid_root(x_root, y, p, m1)) {
-        *mu1 = 1.0 / x_root;
-        *mu2 = 1.0 / y;
-        *p_out = std::min(p, 1.0);
-        return true;
-      }
+      prev_x = x;
+      prev_g = g;
     }
-    prev_x = x;
-    prev_g = g;
   }
   return false;
 }
@@ -142,6 +186,12 @@ PhaseType fit_ph(const Moments& target, int max_moments, FitReport* report) {
   if (target.m1 <= 0.0) throw InvalidInputError("fit_ph: mean must be positive");
   if (max_moments < 1 || max_moments > 3)
     throw InvalidInputError("fit_ph: max_moments must be 1..3");
+  // NaN slips past the m1 <= 0 guard; a non-finite moment the fit reads
+  // would come back as a NaN-mean PhaseType (or a 3-moment "match"), and be
+  // memoised.
+  if (!std::isfinite(target.m1) || (max_moments >= 2 && !std::isfinite(target.m2)) ||
+      (max_moments == 3 && !std::isfinite(target.m3)))
+    throw InvalidInputError("fit_ph: moments must be finite");
 
   const FitKey key{std::bit_cast<std::uint64_t>(target.m1),
                    std::bit_cast<std::uint64_t>(target.m2),

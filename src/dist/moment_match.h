@@ -28,7 +28,8 @@ struct FitReport {
 // max_moments == 1: exponential with the target mean.
 //
 // Throws std::invalid_argument for non-realizable inputs (m1 <= 0, m2 < m1^2
-// beyond numerical slack, ...). `report`, when non-null, records what was
+// beyond numerical slack, a NaN or infinite moment among the first
+// max_moments, ...). `report`, when non-null, records what was
 // actually matched (used by the moment-matching ablation bench).
 //
 // Results are memoized per thread, keyed on the exact bit patterns of

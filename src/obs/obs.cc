@@ -1,5 +1,6 @@
 #include "obs/obs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -79,6 +80,7 @@ Registry::Entry& Registry::entry(const std::string& name, MetricKind kind) {
   auto [it, inserted] = entries_.try_emplace(name);
   if (inserted) {
     it->second.kind = kind;
+    if (kind == MetricKind::kCounter) counters_.push_back({&it->first, &it->second.counter});
   } else if (it->second.kind != kind) {
     throw InternalError(
         "obs metric \"" + name + "\" registered as " + to_string(it->second.kind) +
@@ -196,24 +198,25 @@ Diagnostics MetricsDelta::to_diagnostics() const {
 }
 
 DeltaScope::DeltaScope() {
-  for (const MetricRow& r : Registry::instance().snapshot())
-    if (r.kind == MetricKind::kCounter)
-      base_.emplace_back(r.name, static_cast<std::int64_t>(r.value));
+  const Registry& reg = Registry::instance();
+  std::lock_guard<std::mutex> lock(reg.mu_);
+  base_.reserve(reg.counters_.size());
+  for (const Registry::CounterSlot& c : reg.counters_) base_.push_back(c.counter->value());
 }
 
 MetricsDelta DeltaScope::delta() const {
   MetricsDelta d;
-  for (const MetricRow& r : Registry::instance().snapshot()) {
-    if (r.kind != MetricKind::kCounter) continue;
-    std::int64_t before = 0;
-    for (const auto& [n, v] : base_)
-      if (n == r.name) {
-        before = v;
-        break;
-      }
-    const auto now = static_cast<std::int64_t>(r.value);
-    if (now != before) d.values.emplace_back(r.name, now - before);
+  const Registry& reg = Registry::instance();
+  {
+    std::lock_guard<std::mutex> lock(reg.mu_);
+    for (std::size_t i = 0; i < reg.counters_.size(); ++i) {
+      const std::int64_t before = i < base_.size() ? base_[i] : 0;
+      const std::int64_t now = reg.counters_[i].counter->value();
+      if (now != before) d.values.emplace_back(*reg.counters_[i].name, now - before);
+    }
   }
+  std::sort(d.values.begin(), d.values.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return d;
 }
 

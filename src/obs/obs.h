@@ -127,7 +127,7 @@ struct MetricRow {
 // counters that moved are recorded, so an empty `values` means "nothing
 // instrumented ran" (or the build has obs compiled out).
 struct MetricsDelta {
-  std::vector<std::pair<std::string, std::int64_t>> values;
+  std::vector<std::pair<std::string, std::int64_t>> values;  // sorted by name
 
   // Increment of `name` within the scope; 0 if it did not move.
   [[nodiscard]] std::int64_t value(const std::string& name) const;
@@ -175,22 +175,35 @@ class Registry {
     Histogram histogram;
   };
 
+  // A counter in registration order; both pointers stay valid for the life
+  // of the process (entries_ is node-based), so a counter's index is stable.
+  struct CounterSlot {
+    const std::string* name;
+    const Counter* counter;
+  };
+
   Entry& entry(const std::string& name, MetricKind kind);
+
+  friend class DeltaScope;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
+  std::vector<CounterSlot> counters_;
 };
 
-// Snapshots every counter at construction; delta() reports the increments
-// since. Cheap relative to a solve (one mutex + O(#metrics) copies), not
-// relative to an inner loop — use at analysis granularity.
+// Copies every counter's value at construction (one int64 each, indexed by
+// registration order); delta() reports the increments since, materialising
+// names only for the counters that moved. A counter registered inside the
+// scope counts from 0. About a quarter of a microsecond with ~50 counters:
+// cheap next to a solve, not next to an inner loop, so use it at analysis
+// granularity.
 class DeltaScope {
  public:
   DeltaScope();
   [[nodiscard]] MetricsDelta delta() const;
 
  private:
-  std::vector<std::pair<std::string, std::int64_t>> base_;
+  std::vector<std::int64_t> base_;
 };
 
 }  // namespace csq::obs

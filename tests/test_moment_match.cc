@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/status.h"
 #include "dist/moment_match.h"
 #include "transforms/busy_period.h"
 
@@ -97,6 +99,26 @@ TEST(MomentMatch, InvalidInputsThrow) {
   EXPECT_THROW(fit_ph({1.0, 2.0, 6.0}, 4), std::invalid_argument);
   EXPECT_THROW(fit_ph({1.0, 0.5, 1.0}), std::invalid_argument);  // m2 < m1^2
   EXPECT_THROW(fit_mixed_erlang(1.0, 2.0), std::invalid_argument);
+}
+
+TEST(MomentMatch, RejectsNonFiniteMoments) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(fit_ph({bad, 2.0, 6.0}, 3), InvalidInputError);
+    EXPECT_THROW(fit_ph({1.0, bad, 6.0}, 3), InvalidInputError);
+    EXPECT_THROW(fit_ph({1.0, 2.0, bad}, 3), InvalidInputError);
+    EXPECT_THROW(fit_ph({bad, 2.0, 6.0}, 1), InvalidInputError);
+    EXPECT_THROW(fit_ph({1.0, bad, 6.0}, 2), InvalidInputError);
+    // A moment the fit does not read may be anything.
+    EXPECT_TRUE(fit_ph({1.0, bad, bad}, 1).is_exponential());
+    FitReport rep;
+    EXPECT_NEAR(fit_ph({1.0, 2.0, bad}, 2, &rep).mean(), 1.0, 1e-12);
+    EXPECT_EQ(rep.moments_matched, 3);  // scv 1: the exponential matches all
+  }
+  // The rejection comes before the memo: a retry throws again rather than
+  // returning a memoised NaN fit.
+  EXPECT_THROW(fit_ph({nan, 2.0, 6.0}, 3), InvalidInputError);
 }
 
 class CoxianFitSweep : public ::testing::TestWithParam<std::tuple<double, double>> {};

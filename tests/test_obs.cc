@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/cscq.h"
+#include "analysis/resilient.h"
 #include "core/config.h"
 #include "core/deadline.h"
 #include "core/status.h"
@@ -133,6 +136,86 @@ TEST(ObsDelta, AnalysisDeltaIsConsistentWithSolveStats) {
   const Diagnostics d = r.obs_metrics.to_diagnostics();
   EXPECT_GE(d.iterations, r.solve_stats.iterations);
   EXPECT_FALSE(d.notes.empty());
+}
+
+// Tests that bump counters through Registry calls (not the macros) need no
+// compiled_in() branch: those register in every build flavour.
+TEST(ObsDelta, CounterRegisteredInsideTheScopeCountsFromZero) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.counter("test.obs.early").add(3);
+  const obs::DeltaScope scope;
+  reg.counter("test.obs.early").add(2);
+  reg.counter("test.obs.late").add(5);
+  const obs::MetricsDelta d = scope.delta();
+  EXPECT_EQ(d.value("test.obs.early"), 2);
+  EXPECT_EQ(d.value("test.obs.late"), 5);
+}
+
+TEST(ObsDelta, ValuesAreSortedByName) {
+  obs::Registry& reg = obs::Registry::instance();
+  const obs::DeltaScope scope;
+  // Registered (and moved) in reverse name order.
+  for (const char* name : {"test.obs.zz", "test.obs.mm", "test.obs.aa"}) reg.counter(name).add(1);
+  const obs::MetricsDelta d = scope.delta();
+  ASSERT_EQ(d.values.size(), 3U);
+  EXPECT_EQ(d.values[0].first, "test.obs.aa");
+  EXPECT_EQ(d.values[1].first, "test.obs.mm");
+  EXPECT_EQ(d.values[2].first, "test.obs.zz");
+}
+
+TEST(ObsDelta, NestedScopesBothSeeTheInnerIncrements) {
+  const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 10.0, 1.0);
+  const std::int64_t one_cscq = analysis::analyze_cscq(c).obs_metrics.value("qbd.fi.iterations");
+  // Three scopes deep: this one, analyze_resilient's, and the exact rung's
+  // analyze_cscq inside it.
+  const obs::DeltaScope outer;
+  const analysis::ResilientResult r = analysis::analyze_resilient(c);
+  const obs::MetricsDelta d = outer.delta();
+  ASSERT_EQ(r.rung_used, analysis::Rung::kExact);
+  if (!obs::compiled_in()) {
+    EXPECT_TRUE(r.obs_metrics.empty());
+    return;
+  }
+  ASSERT_GT(one_cscq, 0);
+  EXPECT_EQ(r.obs_metrics.value("qbd.fi.iterations"), one_cscq);
+  EXPECT_EQ(d.value("qbd.fi.iterations"), one_cscq);
+  EXPECT_TRUE(std::is_sorted(r.obs_metrics.values.begin(), r.obs_metrics.values.end()));
+  // Nothing else ran, so the outer scope saw exactly the ladder's counters.
+  EXPECT_EQ(d.values, r.obs_metrics.values);
+}
+
+TEST(ObsDelta, ScopesRaceRegistrationsAndBumps) {
+  // Writers register fresh counters and bump them while readers open and
+  // close scopes; under the TSan build (`ctest -L obs`) this is the race
+  // gate for the registry's counter list.
+  constexpr int kWriters = 2, kReaders = 2, kCountersPerWriter = 64, kScopes = 200;
+  obs::Registry& reg = obs::Registry::instance();
+  const obs::DeltaScope before_all;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w)
+    threads.emplace_back([&reg, w] {
+      for (int i = 0; i < kCountersPerWriter; ++i)
+        reg.counter("test.obs.race" + std::to_string(w) + "_" + std::to_string(i)).add(i + 1);
+    });
+  std::atomic<int> bad{0};
+  for (int r = 0; r < kReaders; ++r)
+    threads.emplace_back([&bad] {
+      for (int s = 0; s < kScopes; ++s) {
+        const obs::DeltaScope scope;
+        const obs::MetricsDelta d = scope.delta();
+        // Counters only grow here, so every reported increment is positive.
+        for (const auto& [name, v] : d.values)
+          if (v <= 0) bad.fetch_add(1, std::memory_order_relaxed);
+        if (!std::is_sorted(d.values.begin(), d.values.end()))
+          bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  const obs::MetricsDelta d = before_all.delta();
+  for (int w = 0; w < kWriters; ++w)
+    for (int i = 0; i < kCountersPerWriter; ++i)
+      EXPECT_EQ(d.value("test.obs.race" + std::to_string(w) + "_" + std::to_string(i)), i + 1);
 }
 
 // --- Span tracing ----------------------------------------------------------

@@ -22,6 +22,11 @@
 #               safety), plus a -DCSQ_OBS=OFF -Werror build proving the
 #               compiled-out configuration stays warning-free
 #                                                        (CSQ_SKIP_OBS=1)
+#   portable    -DCSQ_NATIVE_KERNELS=OFF build with normal flags: the golden
+#               pins (ChainPins, SimPins, Fig 3-6; relative tolerances
+#               1e-6 / 1e-12), the Coxian fit's scalar reference and the
+#               sweep determinism suite must pass without the native
+#               per-file flags
 #   bench       fresh guarded-benchmark run vs newest committed BENCH_*.json;
 #               fails if BM_AnalyzeCscq (+10%), BM_AnalyzeBatch30 (+15%) or
 #               the 1-thread sweep panel (+15%) regresses, or if
@@ -33,7 +38,7 @@
 #
 # usage: tools/check_warnings.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #        (defaults: build-werror, build-tsan, build-asan; the chaos stage
-#        builds in build-chaos)
+#        builds in build-chaos, the portable stage in build-portable)
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -209,7 +214,24 @@ else
   note "PASS  obs         (TSan-clean counters/spans; CSQ_OBS=OFF builds and passes)"
 fi
 
-# --- stage 8: bench (perf regression gate) -----------------------------------
+# --- stage 8: portable (native kernels off, same bits) ------------------------
+# Every other stage builds the solver hot files with -march=native
+# -ffp-contract=off. The pinned figures, the fit's scalar reference and the
+# sweep determinism suite must also pass in a build without those flags.
+# The pins compare at a relative tolerance, so this is not a bit check; the
+# native-vs-scalar bit check of the fit is CoxianFitReference in the default
+# build (moment_match.cc native, the reference in the test file not).
+portable_dir="$repo_root/build-portable"
+cmake -B "$portable_dir" -S "$repo_root" -DCSQ_NATIVE_KERNELS=OFF -DCSQ_WERROR=ON >/dev/null \
+  || fail "portable (configure)"
+cmake --build "$portable_dir" -j --target csq_golden_tests csq_tests \
+  || fail "portable (build)"
+(cd "$portable_dir" && ctest -L golden --output-on-failure) || fail "portable (golden suite)"
+(cd "$portable_dir" && ctest -R '^(CoxianFitReference|SweepDeterminism)\.' --output-on-failure) \
+  || fail "portable (fit reference + sweep determinism)"
+note "PASS  portable    (golden pins, fit reference, sweep determinism with CSQ_NATIVE_KERNELS=OFF)"
+
+# --- stage 9: bench (perf regression gate) -----------------------------------
 if [ "${CSQ_SKIP_BENCH:-0}" = "1" ]; then
   note "SKIP  bench       (CSQ_SKIP_BENCH=1)"
 else
@@ -235,7 +257,7 @@ else
   note "PASS  bench       (guarded benchmarks within budget vs committed baseline)"
 fi
 
-# --- stage 9: clang-tidy (optional tool) ------------------------------------
+# --- stage 10: clang-tidy (optional tool) ------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then
   # compile_commands.json is exported by the werror configure above.
   find "$repo_root/src" -name '*.cc' -print0 \
@@ -246,7 +268,7 @@ else
   note "SKIP  clang-tidy  (not installed)"
 fi
 
-# --- stage 10: csq_lint -----------------------------------------------------
+# --- stage 11: csq_lint -----------------------------------------------------
 cmake --build "$build_dir" -j --target csq_lint || fail "csq-lint (build)"
 # One text scan: exit 0 and an empty stdout (findings print one per line),
 # with the full-tree run held to a 2-second wall-clock budget.
