@@ -81,12 +81,22 @@ const SystemConfig& config() {
 }
 
 void BM_AnalyzeCscq(benchmark::State& state) {
-  // Steady-state cost: the thread's QBD scratch (buffers + cached block
-  // patterns) persists across iterations, as it does across a sweep's points.
+  // Steady-state cost: the thread's QBD scratch persists across iterations,
+  // as it does across a sweep's points.
   AllocScope allocs(state);
   for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_cscq(config()));
 }
 BENCHMARK(BM_AnalyzeCscq);
+
+void BM_AnalyzeCscqNearFrontier(benchmark::State& state) {
+  // 1% of the way in from the CS-CQ frontier (2 - rho_L - rho_S = 1e-2,
+  // Coxian C^2 = 8 longs), where sp(R) -> 1: a linearly convergent R
+  // iteration needs ~1e4 steps here, logarithmic reduction a dozen doublings.
+  const SystemConfig c = SystemConfig::paper_setup(1.5 - 1e-2, 0.5, 1.0, 1.0, 8.0);
+  AllocScope allocs(state);
+  for (auto _ : state) benchmark::DoNotOptimize(analysis::analyze_cscq(c));
+}
+BENCHMARK(BM_AnalyzeCscqNearFrontier);
 
 // 8192 CS-CQ operating points with distinct long loads (rho_S = 1.2, so all
 // inside Theorem 1): twice the per-thread fit memo's 4096-entry cap, so

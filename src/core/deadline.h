@@ -8,7 +8,7 @@
 // into worker threads; a copy shares the parent's deadline and token.
 //
 // Polling is cooperative, so deadlines overshoot by at most one poll
-// interval: one functional/log-reduction iteration in qbd, one Gauss–Seidel
+// interval: one log-reduction doubling step in qbd, one Gauss–Seidel
 // sweep in ctmc, one sweep point, or one simulation replication (the current
 // replication always runs to completion). See docs/robustness.md §7 for the
 // full contract.

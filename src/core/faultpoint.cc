@@ -1,6 +1,7 @@
 #include "core/faultpoint.h"
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -11,10 +12,13 @@ namespace csq::fault {
 
 namespace {
 
+// Transparent comparators let a pass look a site up by its literal name
+// without building a std::string, so a site that has been hit once
+// allocates nothing on later passes, however long its name.
 struct Registry {
   std::mutex mutex;
-  std::map<std::string, ArmSpec> armed;  // site -> pending arming
-  std::map<std::string, long> hit_counts;
+  std::map<std::string, ArmSpec, std::less<>> armed;  // site -> pending arming
+  std::map<std::string, long, std::less<>> hit_counts;
 };
 
 Registry& registry() {
@@ -40,7 +44,9 @@ ErrorCode code_from_name(const std::string& name) {
 bool should_fire(const char* site, ArmSpec* out) {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  ++r.hit_counts[site];
+  auto hit = r.hit_counts.find(site);
+  if (hit == r.hit_counts.end()) hit = r.hit_counts.emplace(site, 0).first;
+  ++hit->second;
   const auto it = r.armed.find(site);
   if (it == r.armed.end()) return false;
   if (--it->second.trigger_count > 0) return false;

@@ -3,8 +3,8 @@
 //
 // A fault site is a named probe in recovery-relevant code:
 //
-//   CSQ_FAULT_POINT("qbd.logred.iterate");              // plain site
-//   CSQ_FAULT_POINT_MATRIX("qbd.fi.iterate", ptr, n);   // can corrupt data
+//   CSQ_FAULT_POINT("qbd.solve.boundary");                  // plain site
+//   CSQ_FAULT_POINT_MATRIX("qbd.logred.iterate", ptr, n);   // can corrupt data
 //
 // Site names are `module.sub.action` (three lowercase dot-separated
 // segments; lint rule `fault-site-naming`) and each name appears exactly
@@ -12,7 +12,7 @@
 // option OFF (the default) both macros expand to `((void)0)` — zero code,
 // zero data, no hot-path cost.
 //
-// Arming: `arm(parse_arm_spec("qbd.fi.iterate:3:throw:NotConverged"))` makes
+// Arming: `arm(parse_arm_spec("qbd.logred.iterate:3:throw:NotConverged"))` makes
 // the third pass through that site throw; the site then disarms itself
 // (single-shot), so the retry/fallback machinery that runs after the failure
 // sees a healthy site. Kinds:
@@ -66,7 +66,7 @@ struct ArmSpec {
 };
 
 // Parse "site:count:kind" where kind is "throw:<ErrorCode>", "nan", or
-// "burn:<ms>", e.g. "qbd.fi.iterate:1:throw:NotConverged".
+// "burn:<ms>", e.g. "qbd.logred.iterate:1:throw:NotConverged".
 [[nodiscard]] ArmSpec parse_arm_spec(const std::string& text);
 
 // Arm a site (replacing any previous arming of the same site). Throws

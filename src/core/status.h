@@ -24,7 +24,7 @@ enum class ErrorCode {
   kOk = 0,
   kInvalidInput,         // malformed model/config (caller bug)
   kUnstable,             // offered load outside the stability region
-  kNotConverged,         // iterative solver exhausted its fallback chain
+  kNotConverged,         // iterative solver stopped without a usable answer
   kIllConditioned,       // singular / numerically untrustworthy linear system
   kVerificationFailed,   // a computed solution failed its self-checks
   kInternal,             // anything else (should not happen)
@@ -59,8 +59,8 @@ struct Diagnostics {
   double tolerance = kUnset;         // tolerance in force when recorded
   double budget_ms = kUnset;         // RunBudget deadline in force, if any
   double elapsed_ms = kUnset;        // elapsed budget time when recorded
-  std::string stage;                 // solver stage ("functional_iteration", ...)
-  std::vector<std::string> notes;    // fallback / verification trail
+  std::string stage;                 // solver stage ("logarithmic_reduction", ...)
+  std::vector<std::string> notes;    // solver / verification trail
 
   static constexpr double kUnset = -1.0;
   [[nodiscard]] bool has(double field) const { return field >= 0.0; }

@@ -16,218 +16,6 @@ void check_multiply_args(const Matrix& dst, const Matrix& a, const Matrix& b) {
   require(&dst != &a && &dst != &b, "kernels: dst must not alias an operand");
 }
 
-// dst = a * diag(b): dst(i,j) = a(i,j) * b(j,j) — the only k that survives
-// is k == j, so this is exactly the generic sum with the zero terms skipped.
-void multiply_diagonal(Matrix& dst, const Matrix& a, const Matrix& b) {
-  const std::size_t rows = a.rows(), n = b.cols();
-  dst.reshape_zero(rows, n);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      const double x = a(i, j);
-      if (num::exactly_zero(x)) continue;  // keep +0, like the generic kernel
-      dst(i, j) = x * b(j, j);
-    }
-}
-
-// Row accumulator width shared by the banded kernel's stack-buffer path.
-constexpr std::size_t kAccCap = 32;
-
-// Sparse core with a compile-time column count. Walks the flattened nnz
-// list (row-major, so contributions to each dst(i,j) still arrive in
-// ascending k — bit-identical to the generic kernel): one predictable loop
-// of pat.nnz steps per output row, instead of `inner` nested loops whose
-// irregular 0..2-trip inner counts mispredict on every tiny block. The
-// compile-time N turns the accumulator zeroing and final store into
-// straight-line vector code and the k*N+j address math into shifts; with a
-// runtime n those loops pay per-row vectorizer prologue/remainder overhead
-// that dwarfs the 9-ish real multiplies.
-template <std::size_t N>
-void sparse_core_fixed(double* __restrict__ d, const double* __restrict__ pa,
-                       const double* __restrict__ pb, std::size_t rows,
-                       std::size_t inner, const std::uint32_t* __restrict__ ro,
-                       const std::uint32_t* __restrict__ ci, std::size_t nnz) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc[N] = {0.0};
-    const double* __restrict__ arow = pa + i * inner;
-    for (std::size_t idx = 0; idx < nnz; ++idx) {
-      const std::size_t k = ro[idx], j = ci[idx];
-      const double x = arow[k];
-      if (num::exactly_zero(x)) continue;  // matches the generic kernel's skip
-      acc[j] += x * pb[k * N + j];
-    }
-    double* __restrict__ drow = d + i * N;
-    for (std::size_t j = 0; j < N; ++j) drow[j] = acc[j];
-  }
-}
-
-// CSR walk over b's nonzeros. For each (i,j) the contributions arrive in
-// ascending k, matching the generic kernel's summation order bit-for-bit.
-void multiply_sparse(Matrix& dst, const Matrix& a, const Matrix& b,
-                     const BlockPattern& pat) {
-  const std::size_t rows = a.rows(), inner = a.cols(), n = b.cols();
-  dst.reshape_zero(rows, n);
-  if (rows == 0 || n == 0) return;
-  const std::uint32_t* rp = pat.row_ptr.data();
-  const std::uint32_t* ci = pat.col_idx.data();
-  const std::uint32_t* ro = pat.row_of.data();
-  const std::size_t nnz = pat.nnz;
-  double* __restrict__ d = &dst(0, 0);
-  const double* __restrict__ pa = a.data().data();
-  const double* __restrict__ pb = b.data().data();
-  switch (n) {
-    case 2: sparse_core_fixed<2>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 3: sparse_core_fixed<3>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 4: sparse_core_fixed<4>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 5: sparse_core_fixed<5>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 6: sparse_core_fixed<6>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 7: sparse_core_fixed<7>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    case 8: sparse_core_fixed<8>(d, pa, pb, rows, inner, ro, ci, nnz); return;
-    default: break;
-  }
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double x = a(i, k);
-      if (num::exactly_zero(x)) continue;
-      for (std::uint32_t idx = rp[k]; idx < rp[k + 1]; ++idx) {
-        const std::size_t j = ci[idx];
-        dst(i, j) += x * b(k, j);
-      }
-    }
-}
-
-// b banded: b(k,j) can be nonzero only for k - band_lower <= j <= k +
-// band_upper, so the inner j loop shrinks to the band. k stays the outer
-// accumulation index (ascending), matching the generic order.
-void multiply_banded(Matrix& dst, const Matrix& a, const Matrix& b,
-                     const BlockPattern& pat) {
-  const std::size_t rows = a.rows(), inner = a.cols(), n = b.cols();
-  dst.reshape_zero(rows, n);
-  if (n <= kAccCap) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      double acc[kAccCap];
-      for (std::size_t j = 0; j < n; ++j) acc[j] = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double x = a(i, k);
-        if (num::exactly_zero(x)) continue;
-        const std::size_t j0 = k > pat.band_lower ? k - pat.band_lower : 0;
-        const std::size_t j1 = std::min(n, k + pat.band_upper + 1);
-        for (std::size_t j = j0; j < j1; ++j) acc[j] += x * b(k, j);
-      }
-      for (std::size_t j = 0; j < n; ++j) dst(i, j) = acc[j];
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double x = a(i, k);
-      if (num::exactly_zero(x)) continue;
-      const std::size_t j0 = k > pat.band_lower ? k - pat.band_lower : 0;
-      const std::size_t j1 = std::min(n, k + pat.band_upper + 1);
-      for (std::size_t j = j0; j < j1; ++j) dst(i, j) += x * b(k, j);
-    }
-}
-
-}  // namespace
-
-const char* pattern_kind_name(PatternKind kind) {
-  switch (kind) {
-    case PatternKind::kDiagonal: return "diagonal";
-    case PatternKind::kSparse: return "sparse";
-    case PatternKind::kBanded: return "banded";
-    case PatternKind::kDense: return "dense";
-  }
-  return "?";
-}
-
-bool BlockPattern::matches(const Matrix& m) const {
-  if (m.rows() != rows || m.cols() != cols) return false;
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (num::exactly_zero(m(i, j))) continue;
-      bool covered = false;
-      switch (kind) {
-        case PatternKind::kDense:
-          covered = true;
-          break;
-        case PatternKind::kBanded:
-          covered = j + band_lower >= i && j <= i + band_upper;
-          break;
-        case PatternKind::kDiagonal:
-        case PatternKind::kSparse:
-          for (std::uint32_t idx = row_ptr[i]; idx < row_ptr[i + 1] && !covered; ++idx)
-            covered = col_idx[idx] == j;
-          break;
-      }
-      if (!covered) return false;
-    }
-  return true;
-}
-
-BlockPattern analyze_pattern(const Matrix& m) {
-  BlockPattern pat;
-  analyze_pattern_into(pat, m);
-  return pat;
-}
-
-void analyze_pattern_into(BlockPattern& pat, const Matrix& m) {
-  pat.rows = m.rows();
-  pat.cols = m.cols();
-  pat.nnz = 0;
-  pat.band_lower = 0;
-  pat.band_upper = 0;
-  pat.col_idx.clear();
-  pat.row_of.clear();
-  pat.row_ptr.assign(pat.rows + 1, 0);
-  bool diagonal_only = pat.rows == pat.cols;
-  std::size_t lower = 0, upper = 0;
-  for (std::size_t i = 0; i < pat.rows; ++i) {
-    pat.row_ptr[i] = static_cast<std::uint32_t>(pat.col_idx.size());
-    for (std::size_t j = 0; j < pat.cols; ++j) {
-      if (num::exactly_zero(m(i, j))) continue;
-      pat.col_idx.push_back(static_cast<std::uint32_t>(j));
-      pat.row_of.push_back(static_cast<std::uint32_t>(i));
-      if (i != j) diagonal_only = false;
-      if (j < i) lower = std::max(lower, i - j);
-      if (j > i) upper = std::max(upper, j - i);
-    }
-  }
-  pat.row_ptr[pat.rows] = static_cast<std::uint32_t>(pat.col_idx.size());
-  pat.nnz = pat.col_idx.size();
-  pat.band_lower = lower;
-  pat.band_upper = upper;
-
-  const std::size_t total = pat.rows * pat.cols;
-  if (diagonal_only && pat.rows > 0) {
-    pat.kind = PatternKind::kDiagonal;
-  } else if (total > 0 && pat.nnz * 4 <= total) {
-    // Sparse enough that the CSR walk beats even a tight band.
-    pat.kind = PatternKind::kSparse;
-  } else if (pat.cols > 0 && lower + upper + 1 <= (pat.cols + 1) / 2) {
-    pat.kind = PatternKind::kBanded;
-  } else {
-    pat.kind = PatternKind::kDense;
-    pat.row_ptr.clear();
-    pat.col_idx.clear();
-    pat.row_of.clear();
-  }
-}
-
-void multiply_into_pattern(Matrix& dst, const Matrix& a, const Matrix& b,
-                           const BlockPattern& pat) {
-  check_multiply_args(dst, a, b);
-  require(pat.rows == b.rows() && pat.cols == b.cols(),
-          "multiply_into_pattern: pattern shape does not match b");
-  switch (pat.kind) {
-    case PatternKind::kDiagonal: multiply_diagonal(dst, a, b); return;
-    case PatternKind::kSparse: multiply_sparse(dst, a, b, pat); return;
-    case PatternKind::kBanded: multiply_banded(dst, a, b, pat); return;
-    case PatternKind::kDense: break;
-  }
-  multiply_into_dense(dst, a, b);
-}
-
-namespace {
-
 // Dense core with a compile-time column count: the j loop unrolls fully, so
 // each k step is straight-line vector code with no remainder handling. The
 // QBD blocks are tiny (m is single digits for every paper config), where
@@ -291,31 +79,6 @@ void multiply_into_dense(Matrix& dst, const Matrix& a, const Matrix& b) {
     case 7: dense_core_fixed<7>(d, pa, pb, rows, inner); return;
     case 8: dense_core_fixed<8>(d, pa, pb, rows, inner); return;
     default: dense_core_general(d, pa, pb, rows, inner, n); return;
-  }
-}
-
-void add_into_pattern(Matrix& dst, const Matrix& b, const BlockPattern& pat) {
-  require(dst.rows() == b.rows() && dst.cols() == b.cols(),
-          "add_into_pattern: shape mismatch");
-  require(pat.rows == b.rows() && pat.cols == b.cols(),
-          "add_into_pattern: pattern shape does not match b");
-  switch (pat.kind) {
-    case PatternKind::kDiagonal:
-    case PatternKind::kSparse:
-      for (std::size_t i = 0; i < pat.rows; ++i)
-        for (std::uint32_t idx = pat.row_ptr[i]; idx < pat.row_ptr[i + 1]; ++idx) {
-          const std::size_t j = pat.col_idx[idx];
-          dst(i, j) += b(i, j);
-        }
-      return;
-    case PatternKind::kBanded:
-      for (std::size_t i = 0; i < pat.rows; ++i) {
-        const std::size_t j0 = i > pat.band_lower ? i - pat.band_lower : 0;
-        const std::size_t j1 = std::min(pat.cols, i + pat.band_upper + 1);
-        for (std::size_t j = j0; j < j1; ++j) dst(i, j) += b(i, j);
-      }
-      return;
-    case PatternKind::kDense: dst += b; return;
   }
 }
 

@@ -19,20 +19,21 @@ double norm1(const Matrix& a) {
   return best;
 }
 
-}  // namespace
-
-Lu::Lu(Matrix a) : a_(std::move(a)), lu_(a_) {
-  if (lu_.rows() != lu_.cols()) throw InvalidInputError("Lu: matrix not square");
-  const std::size_t n = lu_.rows();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = static_cast<int>(i);
+// Factor `lu` in place as PA = LU with partial pivoting; perm receives the
+// row permutation (its capacity is reused). Returns the permutation's sign.
+int factor_in_place(Matrix& lu, std::vector<int>& perm) {
+  if (lu.rows() != lu.cols()) throw InvalidInputError("Lu: matrix not square");
+  const std::size_t n = lu.rows();
+  perm.resize(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<int>(i);
+  int sign = 1;
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot.
     std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(lu(k, k));
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, k));
+      const double v = std::abs(lu(r, k));
       if (v > best) {
         best = v;
         piv = r;
@@ -47,29 +48,52 @@ Lu::Lu(Matrix a) : a_(std::move(a)), lu_(a_) {
                                 std::move(d));
     }
     if (piv != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
-      std::swap(perm_[k], perm_[piv]);
-      sign_ = -sign_;
+      for (std::size_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(piv, c));
+      std::swap(perm[k], perm[piv]);
+      sign = -sign;
     }
-    const double d = lu_(k, k);
+    const double d = lu(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = lu_(r, k) / d;
-      lu_(r, k) = m;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= m * lu_(k, c);
+      const double m = lu(r, k) / d;
+      lu(r, k) = m;
+      for (std::size_t c = k + 1; c < n; ++c) lu(r, c) -= m * lu(k, c);
     }
+  }
+  return sign;
+}
+
+// In-place forward/back substitution through packed factors; x(i) must
+// already hold the permuted right-hand side (x(i) = b[perm[i]]).
+template <class At>
+void substitute_factored(const Matrix& lu, At x) {
+  const std::size_t n = lu.rows();
+  // Forward substitution (L has unit diagonal).
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) x(i) -= lu(i, j) * x(j);
+  // Back substitution.
+  for (std::size_t ii = n; ii-- > 0;) {
+    for (std::size_t j = ii + 1; j < n; ++j) x(ii) -= lu(ii, j) * x(j);
+    x(ii) /= lu(ii, ii);
   }
 }
 
-void Lu::substitute(std::vector<double>& x) const {
-  const std::size_t n = lu_.rows();
-  // Forward substitution (L has unit diagonal).
-  for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j) x[i] -= lu_(i, j) * x[j];
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu_(ii, j) * x[j];
-    x[ii] /= lu_(ii, ii);
+// A^{-1} from packed factors, one column of dst at a time.
+void invert_factored(Matrix& dst, const Matrix& lu, const std::vector<int>& perm) {
+  const std::size_t n = lu.rows();
+  dst.reshape_zero(n, n);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t i = 0; i < n; ++i)
+      dst(i, c) = static_cast<std::size_t>(perm[i]) == c ? 1.0 : 0.0;
+    substitute_factored(lu, [&dst, c](std::size_t i) -> double& { return dst(i, c); });
   }
+}
+
+}  // namespace
+
+Lu::Lu(Matrix a) : a_(std::move(a)), lu_(a_) { sign_ = factor_in_place(lu_, perm_); }
+
+void Lu::substitute(std::vector<double>& x) const {
+  substitute_factored(lu_, [&x](std::size_t i) -> double& { return x[i]; });
 }
 
 std::vector<double> Lu::solve(std::vector<double> b) const {
@@ -117,15 +141,8 @@ double Lu::determinant() const {
 }
 
 Matrix Lu::inverse() const {
-  const std::size_t n = lu_.rows();
-  Matrix inv(n, n);
-  std::vector<double> x(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t i = 0; i < n; ++i)
-      x[i] = static_cast<std::size_t>(perm_[i]) == c ? 1.0 : 0.0;
-    substitute(x);
-    for (std::size_t r = 0; r < n; ++r) inv(r, c) = x[r];
-  }
+  Matrix inv;
+  invert_factored(inv, lu_, perm_);
   return inv;
 }
 
@@ -169,5 +186,13 @@ std::vector<double> solve_left(const Matrix& a, const std::vector<double>& b) {
 }
 
 Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
+
+void inverse_into(Matrix& dst, const Matrix& a, Matrix& lu, std::vector<int>& perm) {
+  if (&dst == &a || &dst == &lu || &lu == &a)
+    throw InvalidInputError("inverse_into: dst, a and lu must be distinct");
+  lu = a;
+  (void)factor_in_place(lu, perm);
+  invert_factored(dst, lu, perm);
+}
 
 }  // namespace csq::linalg

@@ -62,4 +62,10 @@ class Lu {
 
 [[nodiscard]] Matrix inverse(const Matrix& a);
 
+// dst = a^{-1}, bit-identical to inverse(a), factoring into the caller's
+// `lu` and `perm` scratch instead of fresh storage: once the three buffers
+// have held an n x n solve, further n x n inverses allocate nothing. dst, a
+// and lu must be distinct. Throws like Lu(a).
+void inverse_into(Matrix& dst, const Matrix& a, Matrix& lu, std::vector<int>& perm);
+
 }  // namespace csq::linalg

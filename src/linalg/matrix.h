@@ -73,9 +73,9 @@ class Matrix {
 // dst = v * m (row-vector product) reusing dst's storage; dst must not alias
 // v. Lets stationary-vector recursions (pi <- pi R) ping-pong two buffers
 // instead of allocating per level. There is deliberately no in-place
-// Matrix x Matrix overload: allocation-free matrix products go through the
-// structure-aware kernels of linalg/kernels.h (multiply_into_pattern /
-// multiply_into_dense), so a generic one cannot creep into the QBD loop.
+// Matrix x Matrix overload: allocation-free matrix products go through
+// linalg/kernels.h's multiply_into_dense, so a generic one cannot creep into
+// the QBD loop.
 void multiply_into(std::vector<double>& dst, const std::vector<double>& v, const Matrix& m);
 
 // max_ij |a_ij - b_ij| without forming a - b; shapes must match. NaN if any

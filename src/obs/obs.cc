@@ -189,8 +189,7 @@ std::int64_t MetricsDelta::value(const std::string& name) const {
 
 Diagnostics MetricsDelta::to_diagnostics() const {
   Diagnostics d;
-  const std::int64_t iters = value("qbd.fi.iterations") + value("qbd.relaxed.iterations") +
-                             value("qbd.logred.doublings");
+  const std::int64_t iters = value("qbd.logred.doublings");
   if (iters > 0) d.iterations = static_cast<int>(iters);
   for (const auto& [n, v] : values)
     d.notes.push_back("obs " + n + " += " + std::to_string(v));

@@ -15,8 +15,8 @@
 // the binary (the Registry type still exists so tooling links either way).
 //
 //   CSQ_OBS_COUNT("qbd.solve.calls");              // += 1
-//   CSQ_OBS_COUNT_N("qbd.fi.iterations", n);       // += n
-//   CSQ_OBS_GAUGE_SET("solver.fallback.stage", v); // last-write-wins level
+//   CSQ_OBS_COUNT_N("qbd.logred.doublings", n);   // += n
+//   CSQ_OBS_GAUGE_SET("serve.queue.depth", v);     // last-write-wins level
 //   CSQ_OBS_HIST("sweep.point.microseconds", us);  // count/sum/min/max
 //
 // Counters are monotone per process run; per-call attribution uses
@@ -133,8 +133,8 @@ struct MetricsDelta {
   [[nodiscard]] std::int64_t value(const std::string& name) const;
   [[nodiscard]] bool empty() const { return values.empty(); }
   // Folds the solver-loop counters into the Diagnostics shape used by
-  // SolveStats::to_diagnostics (iterations <- qbd.fi.iterations + relaxed +
-  // logred doublings; notes list every moved counter).
+  // SolveStats::to_diagnostics (iterations <- qbd.logred.doublings; notes
+  // list every moved counter).
   [[nodiscard]] Diagnostics to_diagnostics() const;
 };
 

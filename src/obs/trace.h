@@ -6,8 +6,8 @@
 // and record nothing unless tracing was switched on at runtime:
 //
 //   obs::set_tracing(true);
-//   { CSQ_OBS_SPAN("qbd.solve.fi"); ...stage... }   // one complete event
-//   std::string json = obs::chrome_trace_json();    // load in chrome://tracing
+//   { CSQ_OBS_SPAN("qbd.solve.logred"); ...stage... }   // one complete event
+//   std::string json = obs::chrome_trace_json();        // load in chrome://tracing
 //
 // Cost model: with tracing off (the default) a span is one relaxed atomic
 // load; with -DCSQ_OBS=OFF the macro vanishes entirely. With tracing on,

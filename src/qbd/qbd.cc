@@ -52,36 +52,18 @@ double r_residual(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Ma
   return (a0 + r * a1 + r * r * a2).max_abs();
 }
 
-struct IterationOutcome {
-  Matrix r;
-  bool converged = false;
-  bool diverged = false;
-  bool interrupted = false;  // the RunBudget stopped the loop
-  int iterations = 0;
-  double last_diff = -1.0;
-};
-
-// Tolerance multiplier for the last-resort relaxed retry of solve_r.
-constexpr double kFallbackToleranceFactor = 1e3;
-
-// Scratch buffers reused across solver iterations and across solves. The
-// functional iteration runs thousands of steps of R <- -(A0 + R² A2) A1⁻¹;
-// assembling each step into these buffers with the structure-aware kernels
-// instead of temporaries makes the hot loop allocation-free after warm-up.
-// The workspace also caches the BlockPatterns of the solve's constant
-// blocks: solve_r classifies A0/A2 once per solve (reusing the pattern
-// vectors' capacity across solves) and every iteration multiply dispatches
-// on the cached structure instead of paying the generic dense kernel.
+// Scratch buffers reused across doubling steps and across solves, so a
+// warm thread runs the whole R solve without per-step heap allocation.
 // Buffers size themselves lazily. Every buffer is fully overwritten before
 // it is read, so leftovers from an earlier solve (of any shape, finished or
 // thrown out of) never reach a result.
 struct Workspace {
-  Matrix r2, acc, next;         // functional iteration: R², A0 + R²A2, next R
-  Matrix cand;                  // Aitken-extrapolated candidate iterate
-  Matrix hh, ll, hl, lh;        // logarithmic reduction squares/cross terms
-  Matrix prod;                  // generic product scratch
-  linalg::BlockPattern pat_a0;  // zero structure of A0 (this solve)
-  linalg::BlockPattern pat_a2;  // zero structure of A2 (this solve)
+  Matrix h, l, g, t;      // logarithmic reduction: up/down blocks, G, T product
+  Matrix hh, ll, hl, lh;  // squares and cross terms
+  Matrix inv;             // (I - U)^{-1} of the step, and the per-solve inverses
+  Matrix prod;            // generic product scratch
+  Matrix lu;              // in-place LU factors behind every inverse
+  std::vector<int> perm;  // the factors' row permutation
 };
 
 // One workspace per thread, shared by every solve on it: sweeps, serve
@@ -93,131 +75,76 @@ Workspace& thread_workspace() {
   return ws;
 }
 
-// Per-solve kernel activity, flushed to the qbd.kernel.* counters once per
-// solve_r call (never per iteration — a counter bump inside the hot loop
-// would cost more than the multiply it measures).
-struct KernelTallies {
-  long pattern_mults = 0;   // structure-dispatched multiplies (non-dense kind)
-  long dense_mults = 0;     // blocked restrict dense multiplies
-  long extrapolations = 0;  // accepted Aitken limit jumps
-  long analyses = 0;        // block patterns classified
+struct LogRedOutcome {
+  int steps = 0;
+  double last_update = -1.0;  // min(‖T‖_max, ‖L‖_max) after the last step
+  bool converged = false;
+  bool finite = true;
+  bool interrupted = false;  // the RunBudget stopped the loop
 };
 
-// One FI step from `r` into ws.next: F(R) = (A0 + R² A2)(-A1⁻¹), assembled
-// with the pattern kernels (A2's structure cached in ws.pat_a2, A0 added
-// through its pattern). The caller passes -A1⁻¹ so the negation is folded
-// into the constant instead of costing a pass per iteration (IEEE negation
-// commutes with addition exactly, so the iterates are bit-identical to the
-// -(…)A1⁻¹ form). No heap allocation once the buffers are warm.
-void fi_step(const Matrix& r, const Matrix& a0, const Matrix& neg_a1_inv, const Matrix& a2,
-             Workspace& ws, KernelTallies& tally) {
-  linalg::multiply_into_dense(ws.r2, r, r);
-  linalg::multiply_into_pattern(ws.acc, ws.r2, a2, ws.pat_a2);
-  linalg::add_into_pattern(ws.acc, a0, ws.pat_a0);
-  linalg::multiply_into_dense(ws.next, ws.acc, neg_a1_inv);
-  tally.dense_mults += 2;
-  tally.pattern_mults += ws.pat_a2.kind == linalg::PatternKind::kDense ? 0 : 1;
-}
-
-// R <- -(A0 + R² A2) A1^{-1} from R = 0 until the update falls below tol.
-// Each step is assembled in the workspace's scratch buffers, so the loop
-// performs no heap allocation after the first iteration. The budget is
-// polled every 16 iterations (worst-case overshoot: 16 cheap steps).
-//
-// The iteration converges linearly at rate ~ sp(R), which drags near the
-// stability boundary, so the loop layers a deterministic Aitken jump on
-// top: once the observed update ratio is stable, the geometric limit
-// R* ≈ R + Δ ρ/(1-ρ) is formed elementwise and validated by one genuine FI
-// step — the jump is adopted only when that step's update is smaller than
-// the pre-jump update, so a bad extrapolation costs one step and changes
-// nothing. All decisions depend only on iterate values (never on timing or
-// thread count), keeping solves bit-reproducible.
-IterationOutcome functional_iteration(const Matrix& a0, const Matrix& neg_a1_inv,
-                                      const Matrix& a2, double tolerance,
-                                      int max_iterations, Workspace& ws,
-                                      const RunBudget& budget, KernelTallies& tally) {
-  IterationOutcome out;
+// G, the minimal solution of A2 + A1 G + A0 G² = 0, into ws.g by
+// logarithmic reduction (Latouche & Ramaswami 1999, Ch. 8). Each doubling
+// step squares the number of levels the iterates span, so the loop stops
+// after O(log) steps even where sp(R) -> 1. What G still lacks after a
+// step is bounded by ‖T‖ times the down-passage probabilities of the
+// reduced chain, which are of order ‖L‖. T vanishes for a positive-recurrent
+// chain and L for a transient one, so the loop stops when either falls
+// below the tolerance. The budget is polled every step; an interrupted
+// budget or a non-finite iterate stops the loop early.
+LogRedOutcome solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
+                             const Options& opts, Workspace& ws) {
   const std::size_t m = a0.rows();
-  out.r = Matrix(m, m);
-  double prev_diff = -1.0;
-  double prev_ratio = -1.0;
-  int next_extrap = 12;  // warm-up: let the linear rate establish itself
-  for (int it = 0; it < max_iterations; ++it) {
-    if ((it & 15) == 0 && budget.interrupted()) {
+  CSQ_OBS_SPAN("qbd.solve.logred");
+  ws.lh = a1;
+  ws.lh *= -1.0;
+  linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);  // (-A1)^{-1}
+  linalg::multiply_into_dense(ws.h, ws.inv, a0);        // "up" probability block
+  linalg::multiply_into_dense(ws.l, ws.inv, a2);        // "down" probability block
+  ws.g = ws.l;
+  ws.t = ws.h;
+  LogRedOutcome out;
+  while (out.steps < opts.max_iterations) {
+    if (opts.budget.interrupted()) {
       out.interrupted = true;
-      return out;
+      break;
     }
-    CSQ_FAULT_POINT_MATRIX("qbd.fi.iterate", &out.r(0, 0), m * m);
-    fi_step(out.r, a0, neg_a1_inv, a2, ws, tally);
-    const double diff = linalg::max_abs_diff(ws.next, out.r);
-    std::swap(out.r, ws.next);  // out.r = new iterate; ws.next = previous one
-    out.iterations = it + 1;
-    out.last_diff = diff;
-    // A non-finite update (e.g. NaN leaked into an iterate) can never
-    // converge — classify it as divergence so the fallback chain engages
-    // instead of burning the whole iteration budget.
-    if (!std::isfinite(diff) || out.r.max_abs() > 1e6) {
-      out.diverged = true;
-      return out;
+    CSQ_FAULT_POINT_MATRIX("qbd.logred.iterate", &ws.h(0, 0), m * m);
+    linalg::multiply_into_dense(ws.hl, ws.h, ws.l);
+    linalg::multiply_into_dense(ws.lh, ws.l, ws.h);
+    ws.hl += ws.lh;  // U = HL + LH
+    // I - U, built in scratch without a fresh identity.
+    ws.lh.reshape_zero(m, m);
+    for (std::size_t i = 0; i < m; ++i) ws.lh(i, i) = 1.0;
+    ws.lh.add_scaled(ws.hl, -1.0);
+    linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);
+    linalg::multiply_into_dense(ws.hh, ws.h, ws.h);
+    linalg::multiply_into_dense(ws.ll, ws.l, ws.l);
+    linalg::multiply_into_dense(ws.h, ws.inv, ws.hh);  // H <- (I - U)^{-1} H²
+    linalg::multiply_into_dense(ws.l, ws.inv, ws.ll);  // L <- (I - U)^{-1} L²
+    linalg::multiply_into_dense(ws.prod, ws.t, ws.l);
+    ws.g += ws.prod;  // G += T L'
+    linalg::multiply_into_dense(ws.prod, ws.t, ws.h);
+    std::swap(ws.t, ws.prod);  // T <- T H'
+    ++out.steps;
+    // max_abs is NaN on any NaN entry, so the finiteness check also catches
+    // poison in H before the next step spreads it.
+    const double t_max = ws.t.max_abs(), l_max = ws.l.max_abs();
+    out.last_update = std::min(t_max, l_max);
+    if (!std::isfinite(t_max) || !std::isfinite(l_max) || !std::isfinite(ws.h.max_abs())) {
+      out.finite = false;
+      break;
     }
-    if (diff < tolerance) {
+    if (out.last_update < opts.tolerance) {
       out.converged = true;
-      return out;
+      break;
     }
-
-    const double ratio = prev_diff > 0.0 ? diff / prev_diff : -1.0;
-    if (it + 1 >= next_extrap && prev_ratio > 0.0 && ratio > 0.05 && ratio < 0.995 &&
-        std::abs(ratio - prev_ratio) < 0.02 * ratio) {
-      // Geometric limit jump: cand = R + (R - R_prev) ρ/(1-ρ).
-      const double f = ratio / (1.0 - ratio);
-      ws.cand = out.r;
-      ws.cand.add_scaled(out.r, f);
-      ws.cand.add_scaled(ws.next, -f);
-      // Validate with one genuine step from the candidate; the step is real
-      // work, so it counts against the iteration budget.
-      ++it;
-      fi_step(ws.cand, a0, neg_a1_inv, a2, ws, tally);
-      const double cand_diff = linalg::max_abs_diff(ws.next, ws.cand);
-      out.iterations = it + 1;
-      if (std::isfinite(cand_diff) && cand_diff < diff) {
-        std::swap(out.r, ws.next);  // adopt F(cand): one step past the jump
-        out.last_diff = cand_diff;
-        ++tally.extrapolations;
-        if (cand_diff < tolerance && out.r.max_abs() <= 1e6) {
-          out.converged = true;
-          return out;
-        }
-        // Keep tracking the rate from the post-jump iterate. The asymptotic
-        // ratio is a property of the map, not the iterate, so the pre-jump
-        // estimate stays valid and the next jump only waits for the ratio to
-        // re-stabilize instead of a full warm-up.
-        prev_diff = cand_diff;
-        prev_ratio = ratio;
-        next_extrap = it + 1 + 3;
-        continue;
-      }
-      // Rejected jump: keep the pre-jump iterate, back off before retrying.
-      next_extrap = it + 1 + 32;
-      prev_diff = diff;
-      prev_ratio = ratio;
-      continue;
-    }
-    prev_diff = diff;
-    prev_ratio = ratio;
   }
+  CSQ_OBS_COUNT_N("qbd.logred.doublings", out.steps);
   return out;
 }
 
 }  // namespace
-
-const char* r_method_name(RMethod method) {
-  switch (method) {
-    case RMethod::kFunctionalIteration: return "functional_iteration";
-    case RMethod::kLogReduction: return "logarithmic_reduction";
-    case RMethod::kRelaxedIteration: return "relaxed_iteration";
-  }
-  return "?";
-}
 
 Diagnostics SolveStats::to_diagnostics() const {
   Diagnostics d;
@@ -227,7 +154,7 @@ Diagnostics SolveStats::to_diagnostics() const {
   d.condition_estimate = boundary_condition;
   // Move-assign a temporary: assigning the const char* directly trips a
   // GCC 12 -Wrestrict false positive inside std::string::_M_replace.
-  d.stage = std::string(r_method_name(method));
+  d.stage = std::string("logarithmic_reduction");
   d.notes = trail;
   return d;
 }
@@ -449,231 +376,89 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   Workspace& ws = thread_workspace();
   SolveStats stats;
   CSQ_OBS_COUNT("qbd.solve.calls");
-  // A warm workspace keeps the iteration allocation-free; count the solves
-  // that had to (re)shape this thread's scratch so sweeps can verify reuse.
-  if (ws.r2.rows() != m || ws.r2.cols() != m) CSQ_OBS_COUNT("qbd.workspace.resizes");
+  // A warm workspace keeps the solve allocation-free per step; count the
+  // solves that had to (re)shape this thread's scratch so sweeps can verify
+  // reuse.
+  if (ws.h.rows() != m || ws.h.cols() != m) CSQ_OBS_COUNT("qbd.workspace.resizes");
 
-  // Classify the constant blocks once per solve; every iteration multiply
-  // below dispatches on the cached structure. Tallies flush to the obs
-  // counters exactly once per solve — on success or failure — so the
-  // aggregates stay per-solve, not per-iteration.
-  linalg::analyze_pattern_into(ws.pat_a0, a0);
-  linalg::analyze_pattern_into(ws.pat_a2, a2);
-  KernelTallies tally;
-  tally.analyses = 2;
-  struct TallyFlush {
-    const KernelTallies& t;
-    ~TallyFlush() {
-      CSQ_OBS_COUNT_N("qbd.kernel.pattern_mults", t.pattern_mults);
-      CSQ_OBS_COUNT_N("qbd.kernel.dense_mults", t.dense_mults);
-      CSQ_OBS_COUNT_N("qbd.kernel.extrapolations", t.extrapolations);
-      CSQ_OBS_COUNT_N("qbd.kernel.pattern_analyses", t.analyses);
-    }
-  } tally_flush{tally};
+  // Failure exit: publish the stats gathered so far into the diagnostics.
+  const auto fail_diagnostics = [&] {
+    if (stats_out) *stats_out = stats;
+    Diagnostics d = stats.to_diagnostics();
+    d.tolerance = opts.tolerance;
+    return d;
+  };
+
+  // Interrupted exit: let the budget throw the matching taxonomy error
+  // (CancelledError / DeadlineExceededError) carrying the partial stats.
+  const auto throw_interrupted = [&](const std::string& where) {
+    stats.trail.push_back(where + ": interrupted by " +
+                          (opts.budget.cancelled() ? "cancellation" : "deadline"));
+    opts.budget.check(where, fail_diagnostics());
+    throw InternalError("solve_r: interrupted exit taken without an interrupted budget");
+  };
+
+  const LogRedOutcome lr = solve_g_logred(a0, a1, a2, opts, ws);
+  stats.iterations = lr.steps;
+  stats.trail.push_back("logarithmic_reduction: " + std::to_string(lr.steps) +
+                        " doubling steps (last update " + fmt(lr.last_update) + ")");
+  if (lr.interrupted) throw_interrupted("solve_r/logarithmic_reduction");
+  if (!lr.finite)
+    throw NotConvergedError("solve_r: logarithmic reduction produced a non-finite iterate",
+                            fail_diagnostics());
+
+  // R = A0 (-A1 - A0 G)^{-1}, also from a capped G (see below).
+  linalg::multiply_into_dense(ws.prod, a0, ws.g);
+  ws.lh = a1;
+  ws.lh *= -1.0;
+  ws.lh -= ws.prod;
+  linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);
+  Matrix r;
+  linalg::multiply_into_dense(r, a0, ws.inv);
+  stats.residual = r_residual(a0, a1, a2, r);
+
+  // sp(R) with a trusted convergence status: one larger-budget retry, then a
+  // structured failure — never a silently unconverged estimate. It is the
+  // instability arbiter: sp(R) >= 1 means the chain is not positive
+  // recurrent, whatever the iteration did.
+  bool sp_converged = false;
+  int sp_iters = 0;
+  stats.spectral_radius =
+      spectral_radius_estimate(r, 500, 1e-12, &sp_converged, &sp_iters, opts.budget);
+  if (!sp_converged && !opts.budget.interrupted())
+    stats.spectral_radius =
+        spectral_radius_estimate(r, 20000, 1e-12, &sp_converged, &sp_iters, opts.budget);
+  if (!sp_converged) {
+    stats.trail.push_back("spectral-radius estimate exhausted after " +
+                          std::to_string(sp_iters) + " squarings (last estimate " +
+                          fmt(stats.spectral_radius) + ")");
+    if (opts.budget.interrupted()) throw_interrupted("solve_r/spectral_radius");
+    Diagnostics d = fail_diagnostics();
+    d.iterations = sp_iters;
+    throw NotConvergedError("solve_r: spectral-radius estimate did not converge",
+                            std::move(d));
+  }
+  // A capped G is a partial sum of the minimal G, and R grows with G, so a
+  // capped solve of a positive-recurrent chain can only underestimate sp(R):
+  // the check below never calls such a chain unstable.
+  if (stats.spectral_radius >= 1.0 - 1e-10)
+    throw UnstableError("solve_r: spectral radius " + fmt(stats.spectral_radius) +
+                            " >= 1 (QBD not positive recurrent)",
+                        fail_diagnostics());
+  if (!lr.converged)
+    throw NotConvergedError("solve_r: logarithmic reduction did not converge in " +
+                                std::to_string(opts.max_iterations) + " doubling steps",
+                            fail_diagnostics());
 
   // Accept R when it solves its equation to near the rate scale's precision.
   const double scale =
       std::max(1.0, std::max(a0.max_abs(), std::max(a1.max_abs(), a2.max_abs())));
-  const double accept_residual = std::max(1e-10, opts.tolerance * 1e3) * scale;
-
-  // Interrupted exit: publish partial stats, then let the budget throw the
-  // matching taxonomy error (CancelledError / DeadlineExceededError).
-  const auto throw_interrupted = [&](const std::string& where) {
-    stats.trail.push_back(where + ": interrupted by " +
-                          (opts.budget.cancelled() ? "cancellation" : "deadline"));
-    if (stats_out) *stats_out = stats;
-    Diagnostics d = stats.to_diagnostics();
-    d.tolerance = opts.tolerance;
-    opts.budget.check(where, std::move(d));
-    throw InternalError("solve_r: interrupted exit taken without an interrupted budget");
-  };
-
-  // sp(R) with a trusted convergence status: one larger-budget retry, then a
-  // structured failure — never a silently unconverged estimate.
-  const auto sp_checked = [&](const Matrix& r, const std::string& where) -> double {
-    bool conv = false;
-    int iters = 0;
-    double sp = spectral_radius_estimate(r, 500, 1e-12, &conv, &iters, opts.budget);
-    if (!conv && !opts.budget.interrupted())
-      sp = spectral_radius_estimate(r, 20000, 1e-12, &conv, &iters, opts.budget);
-    if (conv) return sp;
-    stats.trail.push_back(where + ": spectral-radius power iteration exhausted after " +
-                          std::to_string(iters) + " iterations (last estimate " + fmt(sp) +
-                          ")");
-    if (opts.budget.interrupted()) throw_interrupted(where);
-    Diagnostics d = stats.to_diagnostics();
-    d.iterations = iters;
-    d.tolerance = opts.tolerance;
-    if (stats_out) *stats_out = stats;
-    throw NotConvergedError(
-        where + ": spectral-radius power iteration did not converge", std::move(d));
-  };
-
-  // Successful exit: record residual + spectral radius, reject sp(R) >= 1.
-  const auto finish = [&](Matrix r, RMethod method, int iterations) -> Matrix {
-    CSQ_OBS_GAUGE_SET("solver.fallback.stage", static_cast<int>(method));
-    if (method != RMethod::kFunctionalIteration) CSQ_OBS_COUNT("solver.fallback.engaged");
-    stats.method = method;
-    stats.iterations = iterations;
-    stats.residual = r_residual(a0, a1, a2, r);
-    stats.spectral_radius = sp_checked(r, std::string("solve_r/") + r_method_name(method));
-    if (stats.spectral_radius >= 1.0 - 1e-10) {
-      Diagnostics d = stats.to_diagnostics();
-      d.tolerance = opts.tolerance;
-      if (stats_out) *stats_out = stats;
-      throw UnstableError(
-          "solve_r: spectral radius " + fmt(stats.spectral_radius) +
-              " >= 1 (QBD not positive recurrent)",
-          std::move(d));
-    }
-    if (stats_out) *stats_out = stats;
-    return r;
-  };
-
-  // -A1⁻¹ once per solve: the fixed-point map is R <- (A0 + R² A2)(-A1⁻¹),
-  // so folding the sign here saves a negation pass every iteration.
-  Matrix neg_a1_inv = linalg::inverse(a1);
-  neg_a1_inv *= -1.0;
-
-  // Stage 1: functional iteration (linear convergence; stalls near the
-  // stability boundary where sp(R) -> 1).
-  const IterationOutcome fi = [&] {
-    CSQ_OBS_SPAN("qbd.solve.fi");
-    return functional_iteration(a0, neg_a1_inv, a2, opts.tolerance, opts.max_iterations, ws,
-                                opts.budget, tally);
-  }();
-  CSQ_OBS_COUNT_N("qbd.fi.iterations", fi.iterations);
-  stats.trail.push_back(std::string("functional_iteration: ") +
-                        (fi.converged      ? "converged"
-                         : fi.diverged     ? "diverged"
-                         : fi.interrupted  ? "interrupted by budget"
-                                           : "iteration budget exhausted") +
-                        " after " + std::to_string(fi.iterations) +
-                        " iterations (last update " + fmt(fi.last_diff) +
-                        (tally.extrapolations > 0
-                             ? ", " + std::to_string(tally.extrapolations) +
-                                   " accepted extrapolation jumps"
-                             : "") +
-                        ")");
-  if (fi.interrupted) throw_interrupted("solve_r/functional_iteration");
-  if (fi.converged) return finish(fi.r, RMethod::kFunctionalIteration, fi.iterations);
-
-  if (!opts.allow_fallback) {
-    stats.residual = r_residual(a0, a1, a2, fi.r);
-    Diagnostics d = stats.to_diagnostics();
-    d.iterations = fi.iterations;
-    d.tolerance = opts.tolerance;
-    d.stage = "functional_iteration";
-    if (stats_out) *stats_out = stats;
-    if (fi.diverged)
-      throw UnstableError("solve_r: iteration diverged (unstable QBD?)", std::move(d));
-    throw NotConvergedError("solve_r: functional iteration did not converge",
-                            std::move(d));
-  }
-
-  // Stage 2: logarithmic reduction (quadratically convergent; also the
-  // arbiter of genuine instability — sp(R from G) >= 1 means the chain is
-  // not positive recurrent, not that the iteration was unlucky).
-  if (opts.budget.interrupted()) throw_interrupted("solve_r/fallback_entry");
-  int lr_steps = 0;
-  double lr_last = -1.0;
-  const Matrix g = solve_g_logred(a0, a1, a2, opts, &lr_steps, &lr_last);
-  const Matrix r_lr = r_from_g(a0, a1, g);
-  const double lr_residual = r_residual(a0, a1, a2, r_lr);
-  stats.trail.push_back("logarithmic_reduction: " + std::to_string(lr_steps) +
-                        " doubling steps, residual " + fmt(lr_residual));
-  const double lr_sp = sp_checked(r_lr, "solve_r/logarithmic_reduction");
-  if (lr_sp >= 1.0 - 1e-10) {
-    stats.residual = lr_residual;
-    stats.spectral_radius = lr_sp;
-    Diagnostics d = stats.to_diagnostics();
-    d.stage = "logarithmic_reduction";
-    d.tolerance = opts.tolerance;
-    if (stats_out) *stats_out = stats;
-    throw UnstableError("solve_r: spectral radius " + fmt(lr_sp) +
-                            " >= 1 (QBD not positive recurrent)",
-                        std::move(d));
-  }
-  if (lr_residual <= accept_residual) return finish(r_lr, RMethod::kLogReduction, lr_steps);
-
-  // Stage 3: relaxed-tolerance functional iteration — rescues configs where
-  // the update plateaus just above the requested tolerance from rounding.
-  const double relaxed_tol = opts.tolerance * kFallbackToleranceFactor;
-  const IterationOutcome relaxed = [&] {
-    CSQ_OBS_SPAN("qbd.solve.relaxed");
-    return functional_iteration(a0, neg_a1_inv, a2, relaxed_tol, opts.max_iterations, ws,
-                                opts.budget, tally);
-  }();
-  CSQ_OBS_COUNT_N("qbd.relaxed.iterations", relaxed.iterations);
-  stats.trail.push_back(std::string("relaxed_iteration (tol ") + fmt(relaxed_tol) +
-                        "): " + (relaxed.converged ? "converged" : "failed") + " after " +
-                        std::to_string(relaxed.iterations) + " iterations");
-  if (relaxed.interrupted) throw_interrupted("solve_r/relaxed_iteration");
-  if (relaxed.converged) return finish(relaxed.r, RMethod::kRelaxedIteration, relaxed.iterations);
-
-  stats.residual = std::min(lr_residual, r_residual(a0, a1, a2, relaxed.r));
-  stats.spectral_radius = lr_sp;
-  Diagnostics d = stats.to_diagnostics();
-  d.iterations = fi.iterations + relaxed.iterations;
-  d.tolerance = opts.tolerance;
-  d.stage = "fallback_chain";
+  if (!(stats.residual <= std::max(1e-10, opts.tolerance * 1e3) * scale))
+    throw NotConvergedError("solve_r: R-equation residual " + fmt(stats.residual) +
+                                " above the acceptance bound",
+                            fail_diagnostics());
   if (stats_out) *stats_out = stats;
-  throw NotConvergedError(
-      "solve_r: fallback chain exhausted (functional iteration, logarithmic "
-      "reduction, relaxed retry) without an acceptable R",
-      std::move(d));
-}
-
-Matrix solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
-                      const Options& opts, int* steps_out, double* last_update_out) {
-  // Logarithmic reduction (Latouche & Ramaswami 1999, Ch. 8). The doubling
-  // loop assembles its products in workspace scratch; the per-step inverse
-  // is the only remaining allocation.
-  const std::size_t m = a0.rows();
-  Workspace& ws = thread_workspace();
-  CSQ_OBS_SPAN("qbd.solve.logred");
-  const Matrix neg_a1_inv = linalg::inverse((-1.0) * a1);
-  Matrix h = neg_a1_inv * a0;  // "up" probability block
-  Matrix l = neg_a1_inv * a2;  // "down" probability block
-  Matrix g = l;
-  Matrix t = h;
-  int steps = 0;
-  for (int it = 0; it < 64; ++it) {
-    if (opts.budget.interrupted()) {
-      Diagnostics d;
-      d.iterations = steps;
-      d.tolerance = opts.tolerance;
-      opts.budget.check("qbd::solve_g_logred", std::move(d));
-    }
-    CSQ_FAULT_POINT("qbd.logred.iterate");
-    linalg::multiply_into_dense(ws.hl, h, l);
-    linalg::multiply_into_dense(ws.lh, l, h);
-    ws.hl += ws.lh;  // U = HL + LH
-    // I - U, built in scratch without a fresh identity.
-    ws.lh.reshape_zero(m, m);
-    for (std::size_t i = 0; i < m; ++i) ws.lh(i, i) = 1.0;
-    ws.lh.add_scaled(ws.hl, -1.0);
-    // O(log eps) doubling steps: one fresh inverse per step is not the bottleneck.
-    const Matrix m2 = linalg::inverse(ws.lh);
-    linalg::multiply_into_dense(ws.hh, h, h);
-    linalg::multiply_into_dense(ws.ll, l, l);
-    linalg::multiply_into_dense(h, m2, ws.hh);  // H <- M2 H²
-    linalg::multiply_into_dense(l, m2, ws.ll);  // L <- M2 L²
-    linalg::multiply_into_dense(ws.prod, t, l);
-    g += ws.prod;  // G += T L'
-    linalg::multiply_into_dense(ws.prod, t, h);
-    std::swap(t, ws.prod);  // T <- T H'
-    steps = it + 1;
-    if (t.max_abs() < opts.tolerance) break;
-  }
-  if (steps_out) *steps_out = steps;
-  if (last_update_out) *last_update_out = t.max_abs();
-  CSQ_OBS_COUNT_N("qbd.logred.doublings", steps);
-  return g;
-}
-
-Matrix r_from_g(const Matrix& a0, const Matrix& a1, const Matrix& g) {
-  return a0 * linalg::inverse((-1.0) * a1 - a0 * g);
+  return r;
 }
 
 Solution solve(const Model& model, const Options& opts) {

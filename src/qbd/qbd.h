@@ -7,12 +7,11 @@
 // is the minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0
 // (Neuts 1981; Latouche & Ramaswami 1999).
 //
-// Robustness: solve_r runs a fallback chain — functional iteration, then
-// logarithmic reduction (quadratically convergent, so it survives the
-// near-boundary configs where the linear iteration stalls), then a
-// relaxed-tolerance retry — and records per-stage diagnostics in SolveStats.
-// Failures throw the structured taxonomy of core/status.h; solutions can be
-// self-verified via Solution::verify().
+// R comes from one solver: logarithmic reduction (Latouche & Ramaswami 1999,
+// Ch. 8), which converges quadratically, so a solve takes a few dozen
+// doubling steps at most, also where sp(R) -> 1 near the stability frontier.
+// SolveStats records its diagnostics. Failures throw the structured taxonomy
+// of core/status.h; solutions can be self-verified via Solution::verify().
 #pragma once
 
 #include <cstddef>
@@ -49,34 +48,29 @@ struct Model {
 };
 
 struct Options {
+  // Logarithmic reduction stops once its product T (positive-recurrent
+  // chains) or its down block L (transient ones) falls below this in max
+  // norm; either bounds what G still lacks.
   double tolerance = 1e-13;
-  int max_iterations = 200000;
-  // Enable the solve_r fallback chain (logarithmic reduction, then a
-  // relaxed-tolerance retry) when functional iteration fails. Off = the
-  // pre-fallback behaviour: functional iteration or bust.
-  bool allow_fallback = true;
+  // Cap on logarithmic reduction's doubling steps. Step k spans 2^k levels,
+  // so the paper's chains need 4-11 steps, and 24 at 1e-6 from the frontier.
+  int max_iterations = 64;
   // Self-verification level applied by solve() to its Solution.
   VerifyLevel verify = VerifyLevel::kBasic;
-  // Wall-clock/cancellation budget. The iteration loops poll it (functional
-  // iteration every 16 iterations, log-reduction every doubling step, power
-  // iteration every 64 steps) and throw csq::DeadlineExceededError /
+  // Wall-clock/cancellation budget. The loops poll it (every doubling step,
+  // every spectral-radius squaring) and throw csq::DeadlineExceededError /
   // csq::CancelledError with the partial SolveStats accumulated so far.
   // Default: unlimited.
   RunBudget budget;
 };
 
-// Which stage of the fallback chain produced R.
-enum class RMethod { kFunctionalIteration, kLogReduction, kRelaxedIteration };
-[[nodiscard]] const char* r_method_name(RMethod method);
-
 // Diagnostics recorded by solve_r / solve.
 struct SolveStats {
-  RMethod method = RMethod::kFunctionalIteration;
-  int iterations = 0;                 // iterations spent by the winning stage
+  int iterations = 0;                 // logarithmic-reduction doubling steps
   double residual = -1.0;             // ‖A0 + R A1 + R² A2‖_max at acceptance
   double spectral_radius = -1.0;      // sp(R) power-iteration estimate
   double boundary_condition = -1.0;   // condition estimate of the boundary solve
-  std::vector<std::string> trail;     // human-readable per-stage notes
+  std::vector<std::string> trail;     // human-readable solver notes
 
   // Fold these stats into a Diagnostics payload.
   [[nodiscard]] Diagnostics to_diagnostics() const;
@@ -126,38 +120,29 @@ struct Solution {
 };
 
 // Solve the QBD. Throws csq::UnstableError if the process is not positive
-// recurrent (sp(R) >= 1), csq::NotConvergedError when the whole fallback
-// chain fails, csq::InvalidInputError for malformed models,
+// recurrent (sp(R) >= 1), csq::NotConvergedError when R cannot be computed
+// (see solve_r), csq::InvalidInputError for malformed models,
 // csq::VerificationFailedError when opts.verify rejects the solution, and
 // csq::DeadlineExceededError / csq::CancelledError when opts.budget is
 // interrupted mid-solve (all derive from std exceptions).
 //
-// Every solve on a thread reuses that thread's scratch buffers and cached
-// block patterns (a thread_local inside qbd.cc), so repeated solves run
-// allocation-free in the R iteration. Reuse never changes results: every
-// buffer is fully overwritten before it is read.
+// Every solve on a thread reuses that thread's scratch buffers (a
+// thread_local inside qbd.cc), so repeated solves run allocation-free in the
+// R iteration. Reuse never changes results: every buffer is fully
+// overwritten before it is read.
 [[nodiscard]] Solution solve(const Model& model, const Options& opts = {});
 
 // Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0. a1 must carry its
-// diagonal. Runs the fallback chain described above (unless
-// opts.allow_fallback is false); per-stage diagnostics are written to
-// *stats_out when given. Shares solve()'s throw contract, plus
-// csq::IllConditionedError when a stage's linear solve degenerates. Uses
-// the thread's solver scratch, as solve() does.
+// diagonal. Logarithmic reduction computes G (A2 + A1 G + A0 G^2 = 0, the
+// first-passage probabilities down a level) and R = A0 (-A1 - A0 G)^{-1};
+// diagnostics are written to *stats_out when given. Throws
+// csq::NotConvergedError when the doubling steps hit opts.max_iterations,
+// an iterate turns non-finite, or R misses the residual bound — never
+// csq::UnstableError for those: only sp(R) >= 1 is instability. Shares
+// solve()'s other throws, plus csq::IllConditionedError when a linear solve
+// degenerates. Uses the thread's solver scratch, as solve() does.
 [[nodiscard]] Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                              const Options& opts = {}, SolveStats* stats_out = nullptr);
-
-// G matrix by logarithmic reduction (Latouche-Ramaswami); the second stage
-// of the solve_r fallback chain and an independent cross-check in the
-// test-suite. G solves A2 + A1 G + A0 G^2 = 0 (first-passage probabilities
-// down a level). Reports the doubling-step count / final update size via the
-// optional out-params.
-[[nodiscard]] Matrix solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
-                                    const Options& opts = {}, int* steps_out = nullptr,
-                                    double* last_update_out = nullptr);
-
-// R from G: R = A0 (-A1 - A0 G)^{-1}.
-[[nodiscard]] Matrix r_from_g(const Matrix& a0, const Matrix& a1, const Matrix& g);
 
 // Spectral-radius estimate via Gelfand's formula with repeated squaring
 // (||m^(2^k)||^(1/2^k)), with early exit once the estimate stops moving.

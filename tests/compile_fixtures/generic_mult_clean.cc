@@ -1,5 +1,5 @@
 // Compile fixture, expected to build: the twin of generic_mult_bad.cc. The
-// structure-aware kernel does the matrix product; the row-vector product
+// dense kernel does the matrix product; the row-vector product
 // (pi <- pi R, no block structure) keeps its generic in-place overload.
 #include <vector>
 

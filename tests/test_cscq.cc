@@ -4,6 +4,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "analysis/cscq.h"
 #include "analysis/csid.h"
@@ -111,6 +112,47 @@ TEST(Cscq, SaturatedLongResponseIsContinuousAtTheFrontier) {
   const double full = analyze_cscq(inside).metrics.longs.mean_response;
   const double saturated = cscq_long_response_saturated(inside);
   EXPECT_NEAR(full, saturated, 0.01 * saturated);
+}
+
+// Heavy traffic at rho_L = 0.5: rho_S = 1.5 - gap, gap = 2 - rho_L - rho_S.
+// The frontier is where sp(R) -> 1, so it is where an R solve that stops
+// early loses the most digits.
+double heavy_traffic_short_response(double gap, double scv_l, double tolerance = 1e-13,
+                                    double* residual = nullptr) {
+  CscqOptions o;
+  o.qbd.tolerance = tolerance;
+  const CscqResult r =
+      analyze_cscq(SystemConfig::paper_setup(1.5 - gap, 0.5, 1.0, 1.0, scv_l), o);
+  if (residual) *residual = r.solve_stats.residual;
+  return r.metrics.shorts.mean_response;
+}
+
+TEST(Cscq, NearFrontierAnswerIsInsensitiveToTheRTolerance) {
+  for (const double scv_l : {1.0, 8.0})
+    for (const double gap : {1e-2, 1e-3}) {
+      SCOPED_TRACE("C2_L = " + std::to_string(scv_l) + ", gap = " + std::to_string(gap));
+      double residual = -1.0;
+      const double loose = heavy_traffic_short_response(gap, scv_l, 1e-13, &residual);
+      const double tight = heavy_traffic_short_response(gap, scv_l, 1e-16);
+      EXPECT_NEAR(loose, tight, 1e-11 * tight);
+      EXPECT_LE(residual, 5e-14);
+    }
+}
+
+TEST(Cscq, HeavyTrafficScaledShortResponseConverges) {
+  // gap * E[T_S] tends to a finite heavy-traffic limit as gap -> 0: it must
+  // increase towards it, with successive differences shrinking at least 5x
+  // per decade of gap. (Below gap 1e-4 the p99 level walk dominates the
+  // analysis time, so the test stops there.)
+  for (const double scv_l : {1.0, 8.0}) {
+    SCOPED_TRACE("C2_L = " + std::to_string(scv_l));
+    std::vector<double> scaled;
+    for (const double gap : {1e-1, 1e-2, 1e-3, 1e-4})
+      scaled.push_back(gap * heavy_traffic_short_response(gap, scv_l));
+    for (std::size_t i = 1; i < scaled.size(); ++i) EXPECT_GT(scaled[i], scaled[i - 1]);
+    for (std::size_t i = 2; i < scaled.size(); ++i)
+      EXPECT_LE(5.0 * (scaled[i] - scaled[i - 1]), scaled[i - 1] - scaled[i - 2]);
+  }
 }
 
 TEST(Cscq, OutsideStabilityRegionThrows) {
@@ -328,7 +370,7 @@ TEST(CscqMap, MapReplacesLambdaShort) {
   // The MAP alone drives the short stream: lambda_short is ignored, and the
   // answer is the pinned bursty-MMPP value of the golden chain table.
   SystemConfig c = with_map(1.0, 0.5, dist::MapProcess::bursty(1.0, 4.0, 0.1, 3.0), 8.0);
-  const double pinned = 0x1.08960b65838e5p+3;
+  const double pinned = 0x1.08960b6581d78p+3;
   EXPECT_NEAR(analyze_cscq(c).metrics.shorts.mean_response, pinned, 1e-12 * pinned);
   c.lambda_short = 0.3;
   EXPECT_NEAR(analyze_cscq(c).metrics.shorts.mean_response, pinned, 1e-12 * pinned);

@@ -245,119 +245,119 @@ void PrintTo(const ChainPin& p, std::ostream* os) { *os << p.tag; }
 // clang-format off
 const ChainPin kChainPins[] = {
     {"fig3 1.0/0.5 exp 1/1", 1, 0.5, 1, 1,
-     0x1.44eb1b39e99bdp+1, 0x1.1ee7041be52dcp+1,
-     0x1.08c7df20d691bp-2, 0x1.8b8d01650f159p-3, 0x1.79f89f6c2c769p-1, 14},
+     0x1.44eb1b39e995ap+1, 0x1.1ee7041be52d6p+1,
+     0x1.08c7df20d6953p-2, 0x1.8b8d01650f111p-3, 0x1.79f89f6c2c753p-1, 14},
     {"fig4 0.5/0.5 exp 1/10", 0.5, 0.5, 10, 1,
-     0x1.77bb6b8f61d46p+0, 0x1.40e1854f99c3ap+4,
-     0x1.c79eac198ef88p-2, 0x1.b80a5ce119b9ap-5, 0x1.f1fdd15ca112dp-2, 5},
+     0x1.77bb6b8f61bc1p+0, 0x1.40e1854f99c39p+4,
+     0x1.c79eac198f1b2p-2, 0x1.b80a5ce119b53p-5, 0x1.f1fdd15ca0ee2p-2, 5},
     {"fig4 0.9/0.5 exp 1/10", 0.9, 0.5, 10, 1,
-     0x1.8c69d37c81145p+1, 0x1.42b4883b25e45p+4,
-     0x1.52ddf13685e9ap-2, 0x1.51d2105d68204p-3, 0x1.a99aa7fd194dp-1, 18},
+     0x1.8c69d37c7e7d7p+1, 0x1.42b4883b25e38p+4,
+     0x1.52ddf136871dcp-2, 0x1.51d2105d68bf6p-3, 0x1.a99aa7fd18dd2p-1, 18},
     {"fig4 1.2/0.5 exp 1/10", 1.2, 0.5, 10, 1,
-     0x1.425d9f3df9c76p+3, 0x1.44fea995d78afp+4,
-     0x1.80ab3514353a3p-3, 0x1.37de6f793cd1p-2, 0x1.e90958a54197bp-1, 83},
+     0x1.425d9f3dd70fbp+3, 0x1.44fea995d76eap+4,
+     0x1.80ab351448ae8p-3, 0x1.37de6f793a33fp-2, 0x1.e90958a53fcdep-1, 83},
     {"fig5 0.9/0.5 cx8 1/10", 0.9, 0.5, 10, 8,
-     0x1.d198022f87342p+1, 0x1.b95085fd10ee5p+5,
-     0x1.57bd01778accp-2, 0x1.4850c4f14e4d4p-3, 0x1.c20a0704e7874p-1, 25},
+     0x1.d198022f8d867p+1, 0x1.b95085fd10f02p+5,
+     0x1.57bd017787f26p-2, 0x1.4850c4f14e238p-3, 0x1.c20a0704e7ac9p-1, 25},
     {"fig5 1.2/0.5 cx8 1/10", 1.2, 0.5, 10, 8,
-     0x1.dbd02bc25500cp+4, 0x1.ba79824aabd4ap+5,
-     0x1.867db5541cf79p-3, 0x1.35075c9eb3c16p-2, 0x1.fa1ea3f53ded7p-1, 315},
+     0x1.dbd02bc1b8cbdp+4, 0x1.ba79824aabbc2p+5,
+     0x1.867db55443ecap-3, 0x1.35075c9eb32e9p-2, 0x1.fa1ea3f53cbd2p-1, 315},
     {"fig6 1.5/0.1 cx8 1/10", 1.5, 0.1, 10, 8,
-     0x1.c0cea8c952ebcp+2, 0x1.eaf638967bc8ep+3,
-     0x1.2233448a8c65p-2, 0x1.3a2114aa83601p-1, 0x1.f6f93305b271fp-1, 142},
+     0x1.c0cea8c9381a4p+2, 0x1.eaf638967bba8p+3,
+     0x1.2233448a8fa2p-2, 0x1.3a2114aa81c5ep-1, 0x1.f6f93305b258fp-1, 142},
     {"fig6 1.5/0.3 cx8 1/10", 1.5, 0.3, 10, 8,
-     0x1.2cdb17162f218p+5, 0x1.dafb8025e255ap+4,
-     0x1.1cbfe57b2aa4p-3, 0x1.1af7d416a1304p-1, 0x1.fbe32c219cfdcp-1, 465},
+     0x1.2cdb17163f01dp+5, 0x1.dafb8025e25fp+4,
+     0x1.1cbfe57b23f41p-3, 0x1.1af7d416a2a96p-1, 0x1.fbe32c219d186p-1, 465},
     {"grid 0.3/0.2 C2=1 1/1", 0.3, 0.2, 1, 1,
-     0x1.101253cfbb695p+0, 0x1.459725ea43c8fp+0,
-     0x1.87b5ed125a49ep-1, 0x1.043570696a59fp-5, 0x1.9918a87549c21p-3, 2},
+     0x1.101253cfbb69fp+0, 0x1.459725ea43c8fp+0,
+     0x1.87b5ed125a49cp-1, 0x1.043570696a5b4p-5, 0x1.9918a87549b59p-3, 2},
     {"grid 0.3/0.2 C2=8 1/1", 0.3, 0.2, 1, 8,
-     0x1.12b59e430697cp+0, 0x1.12b989400d836p+1,
-     0x1.88295e660feap-1, 0x1.fb4c8bacbca37p-6, 0x1.15dc903745b2ap-2, 2},
+     0x1.12b59e430695ap+0, 0x1.12b989400d836p+1,
+     0x1.88295e660feaap-1, 0x1.fb4c8bacbc9b3p-6, 0x1.15dc903745b39p-2, 2},
     {"grid 0.3/0.5 C2=1 1/1", 0.3, 0.5, 1, 1,
-     0x1.26a42deeb7a39p+0, 0x1.0355c7c19665ap+1,
-     0x1.e551c1f34cd33p-2, 0x1.55831a3c28a97p-6, 0x1.045f76be72504p-2, 3},
+     0x1.26a42deeb7a97p+0, 0x1.0355c7c19665dp+1,
+     0x1.e551c1f34cd17p-2, 0x1.55831a3c28bap-6, 0x1.045f76be72682p-2, 3},
     {"grid 0.3/0.5 C2=8 1/1", 0.3, 0.5, 1, 8,
-     0x1.2a194be1f716fp+0, 0x1.6198f3d359454p+2,
-     0x1.e670c2ca6ba8ep-2, 0x1.472975e104379p-6, 0x1.273e24a5a5d31p-2, 3},
+     0x1.2a194be1f70f6p+0, 0x1.6198f3d359453p+2,
+     0x1.e670c2ca6bacep-2, 0x1.472975e10424dp-6, 0x1.273e24a5a5d3fp-2, 3},
     {"grid 0.3/0.7 C2=1 1/1", 0.3, 0.7, 1, 1,
-     0x1.3bcf9bce2babcp+0, 0x1.ae83259ce5f5cp+1,
-     0x1.20bdb1dbb02fcp-2, 0x1.b58bf9e176b6bp-7, 0x1.20b87fa0da931p-2, 3},
+     0x1.3bcf9bce2ba4ep+0, 0x1.ae83259ce5f59p+1,
+     0x1.20bdb1dbb031ep-2, 0x1.b58bf9e176a29p-7, 0x1.20b87fa0da8aep-2, 3},
     {"grid 0.3/0.7 C2=8 1/1", 0.3, 0.7, 1, 8,
-     0x1.3da313b5b5857p+0, 0x1.70ee84a2f685ep+3,
-     0x1.214fa6fa4f9aep-2, 0x1.a8083e280aa12p-7, 0x1.2ed2aa1d88a5fp-2, 3},
+     0x1.3da313b5b58b4p+0, 0x1.70ee84a2f685ep+3,
+     0x1.214fa6fa4f8d6p-2, 0x1.a8083e280a8ccp-7, 0x1.2ed2aa1d88be3p-2, 3},
     {"grid 0.6/0.2 C2=1 1/1", 0.6, 0.2, 1, 1,
-     0x1.32f82354ef55ep+0, 0x1.53fb1963625a8p+0,
-     0x1.59a9485b92144p-1, 0x1.d1024eda65544p-4, 0x1.83f5631c709a8p-2, 4},
+     0x1.32f82354ef8d6p+0, 0x1.53fb1963625f4p+0,
+     0x1.59a9485b92028p-1, 0x1.d1024eda65bffp-4, 0x1.83f5631c70d3cp-2, 4},
     {"grid 0.6/0.2 C2=8 1/1", 0.6, 0.2, 1, 8,
-     0x1.3d3a868022661p+0, 0x1.19baf3b94387ep+1,
-     0x1.5b5381c4b6171p-1, 0x1.c4e67ec675a67p-4, 0x1.094c973c19efdp-1, 4},
+     0x1.3d3a86802248dp+0, 0x1.19baf3b94389p+1,
+     0x1.5b5381c4b62d2p-1, 0x1.c4e67ec675fep-4, 0x1.094c973c19c9ap-1, 4},
     {"grid 0.6/0.5 C2=1 1/1", 0.6, 0.5, 1, 1,
-     0x1.73449e42c0596p+0, 0x1.0c2deb125447fp+1,
-     0x1.9e90a76d5dafcp-2, 0x1.37cab5086d8bfp-4, 0x1.efd0b99756433p-2, 5},
+     0x1.73449e42c0045p+0, 0x1.0c2deb1254453p+1,
+     0x1.9e90a76d5dd66p-2, 0x1.37cab5086d51fp-4, 0x1.efd0b99755dd7p-2, 5},
     {"grid 0.6/0.5 C2=8 1/1", 0.6, 0.5, 1, 8,
-     0x1.8658dcc2da3b6p+0, 0x1.65c52556d9e31p+2,
-     0x1.a3adaa9262614p-2, 0x1.276dde2b94367p-4, 0x1.20791efe52043p-1, 6},
+     0x1.8658dcc2db124p+0, 0x1.65c52556d9e46p+2,
+     0x1.a3adaa9261b9cp-2, 0x1.276dde2b94146p-4, 0x1.20791efe52819p-1, 6},
     {"grid 0.6/0.7 C2=1 1/1", 0.6, 0.7, 1, 1,
-     0x1.ba49e50c2fbadp+0, 0x1.b8e6c4edf1e9ap+1,
-     0x1.ddbf03e087482p-3, 0x1.94e67940ce257p-5, 0x1.187f9abe64261p-1, 6},
+     0x1.ba49e50c2fe08p+0, 0x1.b8e6c4edf1ebp+1,
+     0x1.ddbf03e0872fbp-3, 0x1.94e67940ce436p-5, 0x1.187f9abe64353p-1, 6},
     {"grid 0.6/0.7 C2=8 1/1", 0.6, 0.7, 1, 8,
-     0x1.c7e9af697890dp+0, 0x1.736553ab9c6f7p+3,
-     0x1.e4003fdbbc246p-3, 0x1.825e1361f8bcfp-5, 0x1.2beeaaf8accdfp-1, 7},
+     0x1.c7e9af697840cp+0, 0x1.736553ab9c6e4p+3,
+     0x1.e4003fdbbc408p-3, 0x1.825e1361f8252p-5, 0x1.2beeaaf8acc54p-1, 7},
     {"grid 0.9/0.2 C2=1 1/1", 0.9, 0.2, 1, 1,
-     0x1.778fba41a10afp+0, 0x1.68bada70f0bfbp+0,
-     0x1.1743ab636401p-1, 0x1.d9f2a80af1707p-3, 0x1.156aac8045e9p-1, 7},
+     0x1.778fba41a107cp+0, 0x1.68bada70f0bf6p+0,
+     0x1.1743ab636402p-1, 0x1.d9f2a80af16d1p-3, 0x1.156aac8045e84p-1, 7},
     {"grid 0.9/0.2 C2=8 1/1", 0.9, 0.2, 1, 8,
-     0x1.977ba2725a68ap+0, 0x1.23ee1813a6fccp+1,
-     0x1.1a0c32b56ce26p-1, 0x1.cfd3a4b216fb4p-3, 0x1.6dbaae1127395p-1, 8},
+     0x1.977ba27259e12p+0, 0x1.23ee1813a6f8fp+1,
+     0x1.1a0c32b56cfa1p-1, 0x1.cfd3a4b216a12p-3, 0x1.6dbaae1126cbep-1, 8},
     {"grid 0.9/0.5 C2=1 1/1", 0.9, 0.5, 1, 1,
-     0x1.0f4300e65f00ep+1, 0x1.1987b7bdf8282p+1,
-     0x1.33c242103ec3ep-2, 0x1.46c92fe602063p-3, 0x1.5c5592dbcb222p-1, 10},
+     0x1.0f4300e65eab7p+1, 0x1.1987b7bdf820ap+1,
+     0x1.33c242103efb4p-2, 0x1.46c92fe601a13p-3, 0x1.5c5592dbcaccdp-1, 10},
     {"grid 0.9/0.5 C2=8 1/1", 0.9, 0.5, 1, 8,
-     0x1.43e53961892c6p+1, 0x1.6c20eacb20ef4p+2,
-     0x1.3df1534df0ed3p-2, 0x1.367de11ce49b6p-3, 0x1.973651c9b0e92p-1, 15},
+     0x1.43e5396188fc3p+1, 0x1.6c20eacb20ef1p+2,
+     0x1.3df1534df1114p-2, 0x1.367de11ce4b68p-3, 0x1.973651c9b0e6p-1, 15},
     {"grid 0.9/0.7 C2=1 1/1", 0.9, 0.7, 1, 1,
-     0x1.9417a5a6db288p+1, 0x1.c95672ad720d8p+1,
-     0x1.3ff54cb21fb6fp-3, 0x1.b435c743f793p-4, 0x1.8d71a7206f0f2p-1, 16},
+     0x1.9417a5a6db63cp+1, 0x1.c95672ad720bdp+1,
+     0x1.3ff54cb21f8eap-3, 0x1.b435c743f72dep-4, 0x1.8d71a7206f161p-1, 16},
     {"grid 0.9/0.7 C2=8 1/1", 0.9, 0.7, 1, 8,
-     0x1.e6aee1a3762dcp+1, 0x1.773bae89ee50dp+3,
-     0x1.50a5d1b5d676dp-3, 0x1.9b7c1ea6b7fe2p-4, 0x1.b1e1b007c3ec1p-1, 22},
+     0x1.e6aee1a369b16p+1, 0x1.773bae89ee403p+3,
+     0x1.50a5d1b5dcc3ap-3, 0x1.9b7c1ea6b8f29p-4, 0x1.b1e1b007c2fbfp-1, 22},
     {"grid 1.1/0.2 C2=1 1/1", 1.1, 0.2, 1, 1,
-     0x1.cbaa1fdf90f56p+0, 0x1.79511b1e4388dp+0,
-     0x1.c45f52718302ap-2, 0x1.4d7acc52fd502p-2, 0x1.4a8498fbd88ap-1, 10},
+     0x1.cbaa1fdf92069p+0, 0x1.79511b1e43a06p+0,
+     0x1.c45f527182643p-2, 0x1.4d7acc52fdd36p-2, 0x1.4a8498fbd8d5ep-1, 10},
     {"grid 1.1/0.2 C2=8 1/1", 1.1, 0.2, 1, 8,
-     0x1.05a7cacff6fbap+1, 0x1.2c365f151d47ep+1,
-     0x1.ca14d88b56098p-2, 0x1.484a23de6c047p-2, 0x1.9c080d5f839ap-1, 14},
+     0x1.05a7cacff795cp+1, 0x1.2c365f151d4f8p+1,
+     0x1.ca14d88b55a02p-2, 0x1.484a23de6c575p-2, 0x1.9c080d5f83b7fp-1, 14},
     {"grid 1.1/0.5 C2=1 1/1", 1.1, 0.5, 1, 1,
-     0x1.96aca9df8f80fp+1, 0x1.24b6eecc7af5p+1,
-     0x1.b49113385099fp-3, 0x1.d5f2570625c16p-3, 0x1.962382348e9bep-1, 18},
+     0x1.96aca9df928bep+1, 0x1.24b6eecc7b248p+1,
+     0x1.b49113384dba7p-3, 0x1.d5f25706283b8p-3, 0x1.962382348ef0ep-1, 18},
     {"grid 1.1/0.5 C2=8 1/1", 1.1, 0.5, 1, 8,
-     0x1.1e1959665a0efp+2, 0x1.71bf604b14dc5p+2,
-     0x1.c813f69d634a8p-3, 0x1.c6566de87b432p-3, 0x1.ca1bb9b809b7ep-1, 33},
+     0x1.1e1959665886bp+2, 0x1.71bf604b14dccp+2,
+     0x1.c813f69d6467ap-3, 0x1.c6566de87c793p-3, 0x1.ca1bb9b8097cbp-1, 33},
     {"grid 1.1/0.7 C2=1 1/1", 1.1, 0.7, 1, 1,
-     0x1.b4abbbe00bcfcp+2, 0x1.d84152457bda3p+1,
-     0x1.61803ac9e8de6p-4, 0x1.442f5285cf35ap-3, 0x1.cae6c25009031p-1, 40},
+     0x1.b4abbbdfff416p+2, 0x1.d84152457b6a9p+1,
+     0x1.61803ac9f19b6p-4, 0x1.442f5285cc71cp-3, 0x1.cae6c25007ce6p-1, 40},
     {"grid 1.1/0.7 C2=8 1/1", 1.1, 0.7, 1, 8,
-     0x1.6f3f64220e45cp+3, 0x1.7b07f50e5512cp+3,
-     0x1.7d9ce219a8fbap-4, 0x1.39c5e525e1e5p-3, 0x1.e76166b2007eep-1, 81},
+     0x1.6f3f642204e25p+3, 0x1.7b07f50e5515ap+3,
+     0x1.7d9ce219acb34p-4, 0x1.39c5e525e5f97p-3, 0x1.e76166b1ffd77p-1, 81},
     {"grid 1.25/0.2 C2=1 1/1", 1.25, 0.2, 1, 1,
-     0x1.1afeb02cc8742p+1, 0x1.86f5eb003483fp+0,
-     0x1.6d0d5331e322ap-2, 0x1.9cdc9d1877662p-2, 0x1.71bc61d18a79dp-1, 14},
+     0x1.1afeb02cc9e6p+1, 0x1.86f5eb0034b6p+0,
+     0x1.6d0d5331e1d98p-2, 0x1.9cdc9d1878802p-2, 0x1.71bc61d18b06p-1, 14},
     {"grid 1.25/0.2 C2=8 1/1", 1.25, 0.2, 1, 8,
-     0x1.4f536f387a5e5p+1, 0x1.33171efb961a9p+1,
-     0x1.720b40387e86p-2, 0x1.9852dce3e9c5bp-2, 0x1.b4f7071dcda05p-1, 21},
+     0x1.4f536f3877b7ap+1, 0x1.33171efb95fbcp+1,
+     0x1.720b40388036ep-2, 0x1.9852dce3e8886p-2, 0x1.b4f7071dcd55fp-1, 21},
     {"grid 1.25/0.5 C2=1 1/1", 1.25, 0.5, 1, 1,
-     0x1.47a2c6192e9dap+2, 0x1.2e38d78ba0d5ap+1,
-     0x1.1c728745f22dp-3, 0x1.27d2304a6b406p-2, 0x1.be8d971a5108bp-1, 32},
+     0x1.47a2c61924122p+2, 0x1.2e38d78ba0682p+1,
+     0x1.1c728745f97ep-3, 0x1.27d2304a69011p-2, 0x1.be8d971a4f3f3p-1, 32},
     {"grid 1.25/0.5 C2=8 1/1", 1.25, 0.5, 1, 8,
-     0x1.06592eac65c5fp+3, 0x1.76b17391404dap+2,
-     0x1.29d18dd7f6122p-3, 0x1.2278fa766a0f1p-2, 0x1.e171f1f9d1136p-1, 65},
+     0x1.06592eac6e56ap+3, 0x1.76b1739140864p+2,
+     0x1.29d18dd7ef386p-3, 0x1.2278fa766d1dcp-2, 0x1.e171f1f9d1ac2p-1, 65},
     {"grid 1.25/0.7 C2=1 1/1", 1.25, 0.7, 1, 1,
-     0x1.d6f6ee1609f9dp+4, 0x1.e5bf4940bc44ep+1,
-     0x1.79d06c9453c2bp-6, 0x1.a420d9807f716p-3, 0x1.f2f979ddf76f3p-1, 176},
+     0x1.d6f6ee1821de6p+4, 0x1.e5bf4940c1a5bp+1,
+     0x1.79d06c92b4ac8p-6, 0x1.a420d980a36a7p-3, 0x1.f2f979de054b2p-1, 176},
     {"grid 1.25/0.7 C2=8 1/1", 1.25, 0.7, 1, 8,
-     0x1.f3e7b78656488p+5, 0x1.7eacf692d9592p+3,
-     0x1.96d81c94ca78dp-6, 0x1.a170bafbb6e91p-3, 0x1.fa6b77895c5f1p-1, 405},
+     0x1.f3e7b78a4dd18p+5, 0x1.7eacf692dbb22p+3,
+     0x1.96d81c91f6eacp-6, 0x1.a170bafbf756cp-3, 0x1.fa6b77896602cp-1, 405},
 };
 // clang-format on
 
@@ -374,6 +374,24 @@ TEST_P(ChainPins, PaperChainMatchesPin) {
   expect_pinned(r.p_region2, p.p_region2);
   expect_pinned(r.short_count_decay, p.short_count_decay);
   EXPECT_EQ(r.short_count_p99, p.short_count_p99);
+}
+
+// A pin is only as good as the solve behind it: tightening the R tolerance
+// from the default 1e-13 to 1e-16 must move neither mean response by more
+// than the pin tolerance, and R must solve its equation to near rounding.
+// An R solver that stops on a small update, not a small remainder, leaves
+// an error far above its tolerance near the frontier and fails here.
+TEST_P(ChainPins, AnswerIsInsensitiveToTheRTolerance) {
+  const ChainPin& p = GetParam();
+  SCOPED_TRACE(p.tag);
+  const SystemConfig c = SystemConfig::paper_setup(p.rho_s, p.rho_l, 1.0, p.mean_l, p.scv_l);
+  analysis::CscqOptions tight;
+  tight.qbd.tolerance = 1e-16;
+  const analysis::CscqResult r = analysis::analyze_cscq(c);
+  const analysis::CscqResult t = analysis::analyze_cscq(c, tight);
+  expect_pinned(r.metrics.shorts.mean_response, t.metrics.shorts.mean_response);
+  expect_pinned(r.metrics.longs.mean_response, t.metrics.longs.mean_response);
+  EXPECT_LE(r.solve_stats.residual, 5e-14);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ChainPins, ::testing::ValuesIn(kChainPins),
@@ -407,29 +425,29 @@ struct PhShortsPin {
 // clang-format off
 const PhShortsPin kPhShortsPins[] = {
     {"erlang2 0.9/0.5 C2=1", ShortSizes::kErlang2, 0.9, 0.5, 1,
-     {0x1.e7d2fb2fb8dfbp+0, 0x1.143d515fedb48p+1,
-      0x1.382f0dca3aad7p-2, 0x1.4b45940a6f36p-3}, 0x1.a69f0cf8747a4p-2},
+     {0x1.e7d2fb2fba4ep+0, 0x1.143d515fedbfap+1,
+      0x1.382f0dca3a1dcp-2, 0x1.4b45940a6fc5dp-3}, 0x1.a69f0cf8747bap-2},
     {"erlang2 0.8/0.5 C2=8", ShortSizes::kErlang2, 0.8, 0.5, 8,
-     {0x1.d7cce76fd30e6p+0, 0x1.67b4cf6f3db6cp+2,
-      0x1.67a22297f9babp-2, 0x1.f956425bb96e8p-4}, 0x1.a602bd8118239p-2},
+     {0x1.d7cce76fd580ep+0, 0x1.67b4cf6f3db8dp+2,
+      0x1.67a22297f87bep-2, 0x1.f956425bb86d3p-4}, 0x1.a602bd811824p-2},
     {"erlang2 1.2/0.3 C2=1", ShortSizes::kErlang2, 1.2, 0.3, 1,
-     {0x1.1567bc36521cfp+1, 0x1.a759a7c19fa1bp+0,
-      0x1.3ed0195cc889fp-2, 0x1.6260e28853d34p-2}, 0x1.a4089e0000ca3p-2},
+     {0x1.1567bc36521c4p+1, 0x1.a759a7c19f9ecp+0,
+      0x1.3ed0195cc8a0cp-2, 0x1.6260e28853c3dp-2}, 0x1.a4089e0000ca4p-2},
     {"erlang2 1/0.5 C2=8", ShortSizes::kErlang2, 1, 0.5, 8,
-     {0x1.7326664ebe419p+1, 0x1.6bc6ef0858fb9p+2,
-      0x1.17a89f843c18cp-2, 0x1.81224ae61596dp-3}, 0x1.a702ad2b08913p-2},
+     {0x1.7326664ec01d2p+1, 0x1.6bc6ef085905p+2,
+      0x1.17a89f843b47p-2, 0x1.81224ae616a56p-3}, 0x1.a702ad2b0894cp-2},
     {"coxian4 0.9/0.5 C2=1", ShortSizes::kCoxian4, 0.9, 0.5, 1,
-     {0x1.9a09025d8f32dp+1, 0x1.325cfc816c2bep+1,
-      0x1.26f2b0d53ae11p-2, 0x1.3a8c69beec18ap-3}, 0x1.8535467af9b9ep-1},
+     {0x1.9a09025d994e4p+1, 0x1.325cfc816ce2ep+1,
+      0x1.26f2b0d537568p-2, 0x1.3a8c69bef04c7p-3}, 0x1.8535467af992ap-1},
     {"coxian4 0.8/0.5 C2=8", ShortSizes::kCoxian4, 0.8, 0.5, 8,
-     {0x1.895936d96d3fcp+1, 0x1.73a1f52bca814p+2,
-      0x1.57fae6d5c35f9p-2, 0x1.e5f09bd5d4b09p-4}, 0x1.883e892f2ba32p-1},
+     {0x1.895936d96d076p+1, 0x1.73a1f52bca77dp+2,
+      0x1.57fae6d5c3a74p-2, 0x1.e5f09bd5d3d9ap-4}, 0x1.883e892f2b93ep-1},
     {"coxian4 1.2/0.3 C2=1", ShortSizes::kCoxian4, 1.2, 0.3, 1,
-     {0x1.041de6f2c3a99p+2, 0x1.f597c8c1ca6e2p+0,
-      0x1.3071319ed1759p-2, 0x1.4c6007c59a806p-2}, 0x1.9ab12e1d85dc5p-1},
+     {0x1.041de6f2caa2ep+2, 0x1.f597c8c1cbd8cp+0,
+      0x1.3071319eccf18p-2, 0x1.4c6007c59e002p-2}, 0x1.9ab12e1d85b8cp-1},
     {"coxian4 1/0.5 C2=8", ShortSizes::kCoxian4, 1, 0.5, 8,
-     {0x1.4515838a80d31p+2, 0x1.7cdf0004f82c6p+2,
-      0x1.061738da605c9p-2, 0x1.6a9f7d97fc6ecp-3}, 0x1.836c1f8615f28p-1},
+     {0x1.4515838a7861ep+2, 0x1.7cdf0004f7e02p+2,
+      0x1.061738da641f3p-2, 0x1.6a9f7d97fa123p-3}, 0x1.836c1f8616148p-1},
 };
 
 struct MapArrivalsPin {
@@ -441,14 +459,14 @@ struct MapArrivalsPin {
 
 const MapArrivalsPin kMapArrivalsPins[] = {
     {"mmpp 1/0.5 C2=8 bursty(4,0.1,3)", 1, 0.5, 8, 4, 0.1, 3,
-     {0x1.08960b65838e5p+3, 0x1.70622cde51a15p+2,
-      0x1.f3ba6435cbaa4p-3, 0x1.a36ae3082996p-3}},
+     {0x1.08960b6581d78p+3, 0x1.70622cde5195fp+2,
+      0x1.f3ba6435cd43bp-3, 0x1.a36ae308289acp-3}},
     {"mmpp 0.9/0.5 C2=8 bursty(3,0.2,10)", 0.9, 0.5, 8, 3, 0.2, 10,
-     {0x1.73591b5aa4975p+3, 0x1.6ef809c59006cp+2,
-      0x1.107f63a6ff6a6p-2, 0x1.7f342d5b33a6p-3}},
+     {0x1.73591b5aa171bp+3, 0x1.6ef809c58ff72p+2,
+      0x1.107f63a7008e3p-2, 0x1.7f342d5b32502p-3}},
     {"mmpp 0.6/0.3 C2=1 bursty(2,0.25,5)", 0.6, 0.3, 1, 2, 0.25, 5,
-     {0x1.7b160460f897bp+0, 0x1.85dced4423f76p+0,
-      0x1.22c89adace7f2p-1, 0x1.d65ff74584ea6p-4}},
+     {0x1.7b160460f8acp+0, 0x1.85dced4423f8bp+0,
+      0x1.22c89adace7afp-1, 0x1.d65ff7458502p-4}},
 };
 // clang-format on
 

@@ -126,12 +126,10 @@ TEST(ObsDelta, AnalysisDeltaIsConsistentWithSolveStats) {
     EXPECT_TRUE(r.obs_metrics.empty());
     return;
   }
-  // Exactly one QBD solve backs a CS-CQ analysis; its winning-stage
-  // iteration count must agree with the obs counter for that stage.
+  // Exactly one QBD solve backs a CS-CQ analysis; its doubling-step count
+  // must agree with the obs counter.
   EXPECT_EQ(r.obs_metrics.value("qbd.solve.calls"), 1);
-  if (r.solve_stats.method == qbd::RMethod::kFunctionalIteration) {
-    EXPECT_EQ(r.obs_metrics.value("qbd.fi.iterations"), r.solve_stats.iterations);
-  }
+  EXPECT_EQ(r.obs_metrics.value("qbd.logred.doublings"), r.solve_stats.iterations);
   // to_diagnostics folds the solver-loop counters into `iterations`.
   const Diagnostics d = r.obs_metrics.to_diagnostics();
   EXPECT_GE(d.iterations, r.solve_stats.iterations);
@@ -165,7 +163,8 @@ TEST(ObsDelta, ValuesAreSortedByName) {
 
 TEST(ObsDelta, NestedScopesBothSeeTheInnerIncrements) {
   const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 10.0, 1.0);
-  const std::int64_t one_cscq = analysis::analyze_cscq(c).obs_metrics.value("qbd.fi.iterations");
+  const std::int64_t one_cscq =
+      analysis::analyze_cscq(c).obs_metrics.value("qbd.logred.doublings");
   // Three scopes deep: this one, analyze_resilient's, and the exact rung's
   // analyze_cscq inside it.
   const obs::DeltaScope outer;
@@ -177,8 +176,8 @@ TEST(ObsDelta, NestedScopesBothSeeTheInnerIncrements) {
     return;
   }
   ASSERT_GT(one_cscq, 0);
-  EXPECT_EQ(r.obs_metrics.value("qbd.fi.iterations"), one_cscq);
-  EXPECT_EQ(d.value("qbd.fi.iterations"), one_cscq);
+  EXPECT_EQ(r.obs_metrics.value("qbd.logred.doublings"), one_cscq);
+  EXPECT_EQ(d.value("qbd.logred.doublings"), one_cscq);
   EXPECT_TRUE(std::is_sorted(r.obs_metrics.values.begin(), r.obs_metrics.values.end()));
   // Nothing else ran, so the outer scope saw exactly the ladder's counters.
   EXPECT_EQ(d.values, r.obs_metrics.values);

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <utility>
 
+#include "linalg/lu.h"
 #include "mg1/mmc.h"
 #include "qbd/qbd.h"
 
@@ -87,9 +89,27 @@ TEST(Qbd, MalformedModelThrows) {
   EXPECT_THROW(solve(m2), std::invalid_argument);
 }
 
+// Reference R by plain functional iteration, R <- -(A0 + R² A2) A1⁻¹ from
+// R = 0, with generic products and no acceleration. It converges linearly
+// at rate ~ sp(R), so it is only a reference: run it to a tolerance far
+// below the one under test.
+Matrix functional_iteration_reference(const Matrix& a0, const Matrix& a1, const Matrix& a2,
+                                      double tolerance) {
+  const Matrix neg_a1_inv = (-1.0) * linalg::inverse(a1);
+  Matrix r(a0.rows(), a0.cols());
+  for (int it = 0; it < 1000000; ++it) {
+    Matrix next = (a0 + r * r * a2) * neg_a1_inv;
+    const double diff = linalg::max_abs_diff(next, r);
+    r = std::move(next);
+    if (diff < tolerance) return r;
+  }
+  ADD_FAILURE() << "reference functional iteration did not converge";
+  return r;
+}
+
 // A 2-phase MMPP/M/1: arrivals only in phase 1 at rate lambda; modulator
-// flips between phases at rates (a, b). Cross-check functional iteration
-// against logarithmic reduction.
+// flips between phases at rates (a, b). solve_r's logarithmic reduction
+// against the plain functional-iteration reference.
 TEST(Qbd, LogarithmicReductionAgreesWithFunctionalIteration) {
   const double lambda = 1.4, mu = 1.0, a = 0.3, b = 0.9;
   Matrix a0{{0.0, 0.0}, {0.0, lambda}};
@@ -98,14 +118,16 @@ TEST(Qbd, LogarithmicReductionAgreesWithFunctionalIteration) {
   // Fill a1 diagonal for the repeating generator row sums.
   a1(0, 0) = -(a + mu);
   a1(1, 1) = -(b + lambda + mu);
-  const Matrix r_iter = solve_r(a0, a1, a2);
-  const Matrix g = solve_g_logred(a0, a1, a2);
-  const Matrix r_lr = r_from_g(a0, a1, g);
-  EXPECT_LT((r_iter - r_lr).max_abs(), 1e-9);
-  // G must be stochastic for a recurrent chain.
+  SolveStats stats;
+  const Matrix r_lr = solve_r(a0, a1, a2, {}, &stats);
+  const Matrix r_fi = functional_iteration_reference(a0, a1, a2, 1e-15);
+  EXPECT_LT(linalg::max_abs_diff(r_lr, r_fi), 1e-12);
+  EXPECT_LE(stats.residual, 1e-14);
+  // G = (-(A1 + R A2))⁻¹ A2 must be stochastic for a recurrent chain.
+  const Matrix g = linalg::inverse((-1.0) * (a1 + r_lr * a2)) * a2;
   const auto rs = g.row_sums();
-  EXPECT_NEAR(rs[0], 1.0, 1e-9);
-  EXPECT_NEAR(rs[1], 1.0, 1e-9);
+  EXPECT_NEAR(rs[0], 1.0, 1e-12);
+  EXPECT_NEAR(rs[1], 1.0, 1e-12);
 }
 
 TEST(Qbd, MmppMeanLevelMatchesPollaczekKhinchineStyleCheck) {
@@ -134,9 +156,8 @@ TEST(Qbd, MmppMeanLevelMatchesPollaczekKhinchineStyleCheck) {
 // throws with the buffers mid-iteration must leave nothing behind that the
 // next solve can see, even when the next chain has a different shape.
 TEST(Qbd, FailedSolveDoesNotPoisonTheThreadScratch) {
-  // Four phases at lambda = 1.8 need over a hundred iterations; three with
-  // no fallback throw NotConvergedError with the R² / A0 + R²A2 / next-R
-  // buffers written.
+  // Four phases at lambda = 1.8 need several doubling steps; a cap of one
+  // throws NotConvergedError with the H / L / G / T buffers written.
   const std::size_t m4 = 4;
   Matrix a0(m4, m4), a1(m4, m4), a2(m4, m4);
   for (std::size_t i = 0; i < m4; ++i) {
@@ -146,8 +167,7 @@ TEST(Qbd, FailedSolveDoesNotPoisonTheThreadScratch) {
     a1(i, i) = -(1.8 + 2.0 + 0.3);
   }
   Options starved;
-  starved.max_iterations = 3;
-  starved.allow_fallback = false;
+  starved.max_iterations = 1;
 
   // The follow-up solve: the two-phase MMPP/M/1 above.
   Model next;

@@ -100,8 +100,8 @@ TEST(ResilientLadder, RungNamesAreStable) {
 // --- Fault-spec parsing (available in every build) -------------------------
 
 TEST(FaultSpec, ParsesTheThreeKinds) {
-  const fault::ArmSpec t = fault::parse_arm_spec("qbd.fi.iterate:2:throw:NotConverged");
-  EXPECT_EQ(t.site, "qbd.fi.iterate");
+  const fault::ArmSpec t = fault::parse_arm_spec("qbd.logred.iterate:2:throw:NotConverged");
+  EXPECT_EQ(t.site, "qbd.logred.iterate");
   EXPECT_EQ(t.trigger_count, 2);
   EXPECT_EQ(t.kind, fault::Kind::kThrow);
   EXPECT_EQ(t.code, ErrorCode::kNotConverged);
@@ -180,16 +180,22 @@ TEST_F(ResilientChaos, BothAnalyticRungsFaultedFallToSimulation) {
               0.5 * exact.metrics.shorts.mean_response);
 }
 
-TEST_F(ResilientChaos, NanInjectionIsAbsorbedByTheQbdFallbackChain) {
-  // Poison the functional iteration's R once: the solver must detect the
-  // damage and rescue the *exact* rung via logarithmic reduction — the
-  // ladder never even sees a failure.
-  fault::arm(fault::parse_arm_spec("qbd.fi.iterate:1:nan"));
+TEST_F(ResilientChaos, NanInjectionFallsToTheTruncatedRung) {
+  // Poison logarithmic reduction's H once: the solver must detect the
+  // non-finite iterate and fail the exact rung with NotConverged (never
+  // Unstable, never a NaN answer), and the ladder answers from the
+  // truncated chain.
+  fault::arm(fault::parse_arm_spec("qbd.logred.iterate:1:nan"));
   const ResilientResult r = analyze_resilient(clean_config(), fast_sim_opts());
-  EXPECT_EQ(r.rung_used, Rung::kExact);
-  EXPECT_EQ(r.solve_stats.method, qbd::RMethod::kLogReduction);
+  EXPECT_EQ(r.rung_used, Rung::kTruncated);
+  ASSERT_GE(r.attempts.size(), 2u);
+  EXPECT_EQ(r.attempts[0].rung, Rung::kExact);
+  EXPECT_EQ(r.attempts[0].status.code, ErrorCode::kNotConverged);
+  EXPECT_EQ(r.attempts.back().rung, Rung::kTruncated);
+  EXPECT_TRUE(r.attempts.back().succeeded);
   EXPECT_TRUE(std::isfinite(r.metrics.shorts.mean_response));
-  EXPECT_GE(fault::hits("qbd.fi.iterate"), 1);
+  EXPECT_TRUE(std::isfinite(r.metrics.longs.mean_response));
+  EXPECT_GE(fault::hits("qbd.logred.iterate"), 1);
 }
 
 TEST_F(ResilientChaos, BurnFaultTripsTheDeadlineMidLadder) {
