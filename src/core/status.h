@@ -52,7 +52,7 @@ enum class VerifyLevel { kNone = 0, kBasic, kFull };
 struct Diagnostics {
   long iterations = -1;              // iterations spent by the failing stage
   double residual = kUnset;          // e.g. ‖A0 + R A1 + R² A2‖_max
-  double spectral_radius = kUnset;   // sp(R) estimate (power iteration)
+  double spectral_radius = kUnset;   // sp(R) estimate (Gelfand squaring)
   double condition_estimate = kUnset;  // 1-norm condition estimate
   double rho_short = kUnset;
   double rho_long = kUnset;

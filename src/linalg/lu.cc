@@ -77,14 +77,28 @@ void substitute_factored(const Matrix& lu, At x) {
   }
 }
 
-// A^{-1} from packed factors, one column of dst at a time.
+// A^{-1} from packed factors. The substitutions sweep whole rows of dst,
+// X(i,:) -= lu(i,j) X(j,:), so every column sees substitute_factored's
+// operations in the same order (same bits) while the inner loop runs across
+// all columns at once and vectorises.
 void invert_factored(Matrix& dst, const Matrix& lu, const std::vector<int>& perm) {
   const std::size_t n = lu.rows();
   dst.reshape_zero(n, n);
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t i = 0; i < n; ++i)
-      dst(i, c) = static_cast<std::size_t>(perm[i]) == c ? 1.0 : 0.0;
-    substitute_factored(lu, [&dst, c](std::size_t i) -> double& { return dst(i, c); });
+  for (std::size_t i = 0; i < n; ++i) dst(i, static_cast<std::size_t>(perm[i])) = 1.0;
+  const auto axpy_row = [&dst, n](std::size_t i, double f, std::size_t j) {
+    double* xi = &dst(i, 0);
+    const double* xj = &dst(j, 0);
+    for (std::size_t c = 0; c < n; ++c) xi[c] -= f * xj[c];
+  };
+  // Forward substitution (L has unit diagonal).
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) axpy_row(i, lu(i, j), j);
+  // Back substitution.
+  for (std::size_t ii = n; ii-- > 0;) {
+    for (std::size_t j = ii + 1; j < n; ++j) axpy_row(ii, lu(ii, j), j);
+    const double d = lu(ii, ii);
+    double* xi = &dst(ii, 0);
+    for (std::size_t c = 0; c < n; ++c) xi[c] /= d;
   }
 }
 
@@ -148,22 +162,20 @@ Matrix Lu::inverse() const {
 
 double Lu::condition_estimate() const {
   if (cond_ >= 0.0) return cond_;
-  // The matrices here are small, so the exact ||A^{-1}||_1 via n unit-vector
-  // solves is affordable and beats a Hager-style estimate in reliability.
-  // The columns stream through one reused buffer — the boundary stage calls
-  // this once per analyze, so the n heap-allocating solves it used to make
-  // showed up in the allocation profile.
+  // The matrices here are small, so the exact ||A^{-1}||_1 from the full
+  // inverse is affordable and beats a Hager-style estimate in reliability.
+  // The inverse and its column sums live in per-thread buffers: the boundary
+  // stage calls this once per analyze on a fresh Lu. Each column sum adds
+  // its entries top to bottom, as a per-column loop would.
+  thread_local Matrix inv;
+  thread_local std::vector<double> col;
+  invert_factored(inv, lu_, perm_);
   const std::size_t n = lu_.rows();
-  std::vector<double> x(n);
+  col.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < n; ++c) col[c] += std::abs(inv(i, c));
   double inv_norm = 0.0;
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t i = 0; i < n; ++i)
-      x[i] = static_cast<std::size_t>(perm_[i]) == c ? 1.0 : 0.0;
-    substitute(x);
-    double col = 0.0;
-    for (std::size_t i = 0; i < n; ++i) col += std::abs(x[i]);
-    inv_norm = std::max(inv_norm, col);
-  }
+  for (std::size_t c = 0; c < n; ++c) inv_norm = std::max(inv_norm, col[c]);
   cond_ = norm1(a_) * inv_norm;
   return cond_;
 }

@@ -31,12 +31,12 @@ class Lu {
 
   [[nodiscard]] double determinant() const;
 
-  // A^{-1}, assembled column-by-column through one reused substitution
-  // buffer (cheaper than solve(Matrix::identity(n)), same values).
+  // A^{-1}, substituted across all columns at once (cheaper than
+  // solve(Matrix::identity(n)), same values).
   [[nodiscard]] Matrix inverse() const;
 
   // 1-norm condition number estimate ||A||_1 ||A^{-1}||_1. Computed on first
-  // use (the matrices here are tiny, so the extra n solves are cheap) and
+  // use (the matrices here are tiny, so the exact inverse is cheap) and
   // cached. Values >~ 1e14 mean the solve carries essentially no correct
   // digits in double precision.
   [[nodiscard]] double condition_estimate() const;

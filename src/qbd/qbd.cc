@@ -1,8 +1,8 @@
 #include "qbd/qbd.h"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "linalg/kernels.h"
@@ -40,11 +40,11 @@ void require(bool cond, const char* msg) {
   if (!cond) throw InvalidInputError(msg);
 }
 
+// The text an ostream prints at precision 6, without building a stream.
 std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
 }
 
 // ‖A0 + R A1 + R² A2‖_max — how well R solves its defining equation.
@@ -64,6 +64,8 @@ struct Workspace {
   Matrix prod;            // generic product scratch
   Matrix lu;              // in-place LU factors behind every inverse
   std::vector<int> perm;  // the factors' row permutation
+  Matrix pow, sq;         // spectral probe: normalized m^(2^k) and its square
+  std::vector<double> row, share, profile;  // the probe's row statistics
 };
 
 // One workspace per thread, shared by every solve on it: sweeps, serve
@@ -163,11 +165,19 @@ double spectral_radius_estimate(const Matrix& m, int max_iterations, double tole
                                 bool* converged_out, int* iterations_out,
                                 const RunBudget& budget) {
   // Gelfand's formula with repeated squaring: after k squarings the stored
-  // matrix is a normalized m^(2^k), and ||m^(2^k)||^(1/2^k) -> sp(m) with
-  // error O(log(2^k) / 2^k) — geometric in k even for defective or
-  // complex-pair spectra, where plain power iteration stalls at O(1/iters)
-  // and can never certify 1e-12. ~55 squarings of these small dense R
-  // matrices are cheaper than a few hundred power steps.
+  // matrix is a normalized m^(2^k), and L_k = log ||m^(2^k)|| / 2^k tends to
+  // log sp(m) geometrically in k for every spectrum, defective eigenvalues
+  // and equal-modulus complex pairs included (plain power iteration stalls
+  // at O(1/iters) there). The Richardson step 2 L_k - L_{k-1} cancels L_k's
+  // leading c / 2^k error, so the estimate settles in ~10 squarings, not ~36.
+  // It reads only the maximal row, so a calm step also needs settled rows: a
+  // growing row share is a larger eigenvalue behind a weaker row, and a
+  // moving maximal-row profile a second eigenvalue close enough for the
+  // estimate to plateau off the answer (CS-ID's R has pairs 1e-7 apart).
+  // Below 2^k = n a Jordan block looks converged (its row sums are exactly
+  // (lambda + 1)^(2^k)), two calm steps in a row guard against a chance
+  // agreement, and rows of a non-real dominant pair oscillate for ever, so
+  // at the cap a calm estimate stands.
   const std::size_t n = m.rows();
   CSQ_OBS_SPAN("qbd.solve.spectral");
   bool converged = false;
@@ -176,43 +186,66 @@ double spectral_radius_estimate(const Matrix& m, int max_iterations, double tole
   if (n == 0) {
     converged = true;
   } else {
-    const auto inf_norm = [n](const Matrix& a) {
-      double best = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double s = 0.0;
-        for (std::size_t j = 0; j < n; ++j) s += std::abs(a(i, j));
-        best = std::max(best, s);
-      }
-      return best;
-    };
-    Matrix p = m;
-    Matrix sq;  // squaring scratch, reused: no per-step allocation after k = 1
-    // log_est accumulates log ||m^(2^k)|| / 2^k across the normalizations.
+    Workspace& ws = thread_workspace();
+    Matrix& p = ws.pow;
+    p = m;
+    // Row sums of p; each row's share of ||p|| and the maximal row over
+    // ||p||, both from the previous step.
+    ws.row.resize(n);
+    ws.share.assign(n, 0.0);
+    ws.profile.assign(n, 0.0);
+    // log_est accumulates L_k across the normalizations.
     double log_est = 0.0;
     double scale = 1.0;  // 2^-k
     double prev = std::numeric_limits<double>::infinity();
+    int calm = 0;  // consecutive steps whose estimate moved less than the tolerance
     // 2^60 effective power puts the defectiveness error far below 1e-12;
     // honour a smaller caller-provided iteration cap.
     const int max_squarings = std::min(max_iterations, 60);
     for (int k = 0; k <= max_squarings; ++k) {
       if (budget.interrupted()) break;  // best effort; caller decides
       iterations = k;
-      const double c = inf_norm(p);
+      double c = 0.0;  // ||p||_inf, attained first at row `top`
+      std::size_t top = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double s = 0.0;
+        for (std::size_t j = 0; j < n; ++j) s += std::abs(p(i, j));
+        ws.row[i] = s;
+        if (s > c) {
+          c = s;
+          top = i;
+        }
+      }
       if (num::exactly_zero(c)) {  // m^(2^k) == 0: nilpotent, sp = 0
         estimate = 0.0;
         converged = true;
         break;
       }
+      const double prev_log = log_est;
       log_est += std::log(c) * scale;
-      estimate = std::exp(log_est);
-      if (std::abs(estimate - prev) < tolerance * std::max(estimate, 1.0)) {
+      estimate = std::exp(k == 0 ? log_est : 2.0 * log_est - prev_log);
+      const bool calm_step = scale * static_cast<double>(n) <= 1.0 &&
+                             std::abs(estimate - prev) < tolerance * std::max(estimate, 1.0);
+      calm = calm_step ? calm + 1 : 0;
+      const double allowed = tolerance / scale;
+      bool settled = true;
+      double moved = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double q = ws.row[i] / c;
+        settled = settled && q <= ws.share[i] * (1.0 + allowed);
+        ws.share[i] = q;
+        const double v = std::abs(p(top, i)) / c;
+        moved += std::abs(v - ws.profile[i]);
+        ws.profile[i] = v;
+      }
+      if (calm >= 2 && ((settled && moved <= allowed) || k == max_squarings)) {
         converged = true;
         break;
       }
       prev = estimate;
       p *= 1.0 / c;
-      linalg::multiply_into_dense(sq, p, p);
-      std::swap(p, sq);
+      linalg::multiply_into_dense(ws.sq, p, p);
+      std::swap(p, ws.sq);
       scale *= 0.5;
     }
   }
@@ -272,8 +305,8 @@ double Solution::level_tail(std::size_t n) const {
 }
 
 double Solution::tail_decay_rate() const {
-  // solve_r already ran the same estimator (500 squarings, 1e-12) on this R;
-  // reuse its result instead of re-estimating per query. Hand-built
+  // solve_r already ran the same estimator (at most 60 squarings, 1e-12) on
+  // this R; reuse its result instead of re-estimating per query. Hand-built
   // Solutions (tests, cross-checks) have no stats and estimate fresh.
   if (stats.spectral_radius >= 0.0) return stats.spectral_radius;
   return spectral_radius_estimate(r);
@@ -400,8 +433,10 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
 
   const LogRedOutcome lr = solve_g_logred(a0, a1, a2, opts, ws);
   stats.iterations = lr.steps;
-  stats.trail.push_back("logarithmic_reduction: " + std::to_string(lr.steps) +
-                        " doubling steps (last update " + fmt(lr.last_update) + ")");
+  char line[96];  // the trail's one success-path note, formatted without temporaries
+  std::snprintf(line, sizeof line, "logarithmic_reduction: %d doubling steps (last update %g)",
+                lr.steps, lr.last_update);
+  stats.trail.emplace_back(line);
   if (lr.interrupted) throw_interrupted("solve_r/logarithmic_reduction");
   if (!lr.finite)
     throw NotConvergedError("solve_r: logarithmic reduction produced a non-finite iterate",
@@ -417,17 +452,14 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   linalg::multiply_into_dense(r, a0, ws.inv);
   stats.residual = r_residual(a0, a1, a2, r);
 
-  // sp(R) with a trusted convergence status: one larger-budget retry, then a
-  // structured failure — never a silently unconverged estimate. It is the
-  // instability arbiter: sp(R) >= 1 means the chain is not positive
-  // recurrent, whatever the iteration did.
+  // sp(R) with a trusted convergence status: an unconverged estimate is a
+  // structured failure, never a silent answer. It is the instability
+  // arbiter: sp(R) >= 1 means the chain is not positive recurrent, whatever
+  // the iteration did.
   bool sp_converged = false;
   int sp_iters = 0;
   stats.spectral_radius =
-      spectral_radius_estimate(r, 500, 1e-12, &sp_converged, &sp_iters, opts.budget);
-  if (!sp_converged && !opts.budget.interrupted())
-    stats.spectral_radius =
-        spectral_radius_estimate(r, 20000, 1e-12, &sp_converged, &sp_iters, opts.budget);
+      spectral_radius_estimate(r, 60, 1e-12, &sp_converged, &sp_iters, opts.budget);
   if (!sp_converged) {
     stats.trail.push_back("spectral-radius estimate exhausted after " +
                           std::to_string(sp_iters) + " squarings (last estimate " +
@@ -505,8 +537,14 @@ Solution solve(const Model& model, const Options& opts) {
   }
 
   SolveStats stats;
-  const Matrix r = solve_r(model.a0, a1, model.a2, opts, &stats);
-  const Matrix i_minus_r_inv = linalg::inverse(Matrix::identity(m) - r);
+  Matrix r = solve_r(model.a0, a1, model.a2, opts, &stats);
+  // (I - R)^{-1}, factored in the thread's scratch.
+  Workspace& ws = thread_workspace();
+  ws.lh.reshape_zero(m, m);
+  for (std::size_t i = 0; i < m; ++i) ws.lh(i, i) = 1.0;
+  ws.lh -= r;
+  Matrix i_minus_r_inv;
+  linalg::inverse_into(i_minus_r_inv, ws.lh, ws.lu, ws.perm);
 
   // Assemble boundary balance equations. Unknowns x = (pi_0,...,pi_{k-1},pi_K).
   std::vector<std::size_t> offset(k + 1);
@@ -547,7 +585,9 @@ Solution solve(const Model& model, const Options& opts) {
 
   std::vector<double> rhs(n, 0.0);
   rhs[0] = 1.0;
-  opts.budget.check("qbd::solve/boundary", stats.to_diagnostics());
+  // Diagnostics cost a copy of the trail; build them only for the throw.
+  if (opts.budget.interrupted())
+    opts.budget.check("qbd::solve/boundary", stats.to_diagnostics());
   CSQ_FAULT_POINT("qbd.solve.boundary");
   std::vector<double> x;
   {
@@ -561,8 +601,8 @@ Solution solve(const Model& model, const Options& opts) {
   }
 
   Solution sol;
-  sol.r = r;
-  sol.i_minus_r_inv = i_minus_r_inv;
+  sol.r = std::move(r);
+  sol.i_minus_r_inv = std::move(i_minus_r_inv);
   sol.stats = std::move(stats);
   sol.boundary_pi.resize(k);
   for (std::size_t i = 0; i < k; ++i)

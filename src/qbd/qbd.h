@@ -68,7 +68,7 @@ struct Options {
 struct SolveStats {
   int iterations = 0;                 // logarithmic-reduction doubling steps
   double residual = -1.0;             // ‖A0 + R A1 + R² A2‖_max at acceptance
-  double spectral_radius = -1.0;      // sp(R) power-iteration estimate
+  double spectral_radius = -1.0;      // sp(R), extrapolated Gelfand estimate
   double boundary_condition = -1.0;   // condition estimate of the boundary solve
   std::vector<std::string> trail;     // human-readable solver notes
 
@@ -145,15 +145,17 @@ struct Solution {
                              const Options& opts = {}, SolveStats* stats_out = nullptr);
 
 // Spectral-radius estimate via Gelfand's formula with repeated squaring
-// (||m^(2^k)||^(1/2^k)), with early exit once the estimate stops moving.
-// Unlike plain power iteration this converges geometrically in k for every
-// spectrum — defective eigenvalues and equal-modulus complex pairs included
-// — so `tolerance` is genuinely reachable. When the iteration budget (or
-// the RunBudget) runs out before the estimate settles, the last iterate is
-// still returned but *converged_out is false — callers that need a trusted
-// estimate must check it (solve_r retries with a larger budget and then
-// throws csq::NotConvergedError; best-effort callers like tail_decay_rate
-// ignore it). *iterations_out reports the iterations actually spent.
+// (||m^(2^k)||^(1/2^k)), read through a Richardson step that cancels the
+// formula's leading 1/2^k error, with early exit once the estimate stops
+// moving. Unlike plain power iteration this converges geometrically in k
+// for every spectrum — defective eigenvalues and equal-modulus complex
+// pairs included — so `tolerance` is genuinely reachable. At most
+// min(max_iterations, 60) squarings run. When they (or the RunBudget) run
+// out before the estimate settles, the last iterate is still returned but
+// *converged_out is false — callers that need a trusted estimate must check
+// it (solve_r throws csq::NotConvergedError; best-effort callers like
+// tail_decay_rate ignore it). *iterations_out reports the squarings
+// actually spent.
 [[nodiscard]] double spectral_radius_estimate(const Matrix& m, int max_iterations = 500,
                                               double tolerance = 1e-12,
                                               bool* converged_out = nullptr,

@@ -127,12 +127,13 @@ TEST(HotPathAlloc, WarmSolveRCountIndependentOfIterations) {
 
 TEST(HotPathAlloc, WarmQbdLayersPinned) {
   // Warm allocation counts of the two QBD layers on the blocks above, as
-  // measured when this test was added (GCC 12, libstdc++): solve_r alone,
-  // then the whole qbd::solve (R, (I - R)^{-1}, boundary assembly and LU,
-  // Solution). solve_r's count is per solve, not per doubling step. Fault
-  // sites allocate nothing unless armed, so a -DCSQ_FAULT_INJECTION=ON
-  // build measures the same counts.
-  constexpr long kSolveR = 13, kSolve = 52;
+  // measured when the spectral probe and (I - R)^{-1} moved into the
+  // thread's solver scratch (GCC 12, libstdc++): solve_r alone, then the
+  // whole qbd::solve (R, (I - R)^{-1}, boundary assembly and LU, Solution).
+  // solve_r's count is per solve, not per doubling step. Fault sites
+  // allocate nothing unless armed, so a -DCSQ_FAULT_INJECTION=ON build
+  // measures the same counts.
+  constexpr long kSolveR = 9, kSolve = 36;
   const RepeatingBlocks blk = blocks(1.8);
   const qbd::Model mdl = model(blk);
   (void)qbd::solve(mdl);  // warm-up: scratch and one-time obs registration
@@ -144,10 +145,11 @@ TEST(HotPathAlloc, WarmQbdLayersPinned) {
 
 TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
   // Heap allocations of one warm analyze_cscq at the BM_AnalyzeCscq
-  // operating point, as measured when logarithmic reduction became the only
-  // R solver (GCC 12, libstdc++). Fault sites look their names up without
-  // allocating, so a -DCSQ_FAULT_INJECTION=ON build measures the same.
-  constexpr long kBudget = 99;
+  // operating point, as measured when the QBD solve's success path stopped
+  // building throwaway strings and scratch (GCC 12, libstdc++). Fault sites
+  // look their names up without allocating, so a -DCSQ_FAULT_INJECTION=ON
+  // build measures the same.
+  constexpr long kBudget = 83;
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
   (void)analysis::analyze_cscq(config);  // warm-up: solver scratch and fit memo
   const long count = allocations([&] { (void)analysis::analyze_cscq(config); });

@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <string>
 #include <thread>
 #include <utility>
 
+#include "analysis/cscq.h"
+#include "analysis/csid.h"
+#include "analysis/stability.h"
+#include "core/config.h"
+#include "core/numeric.h"
+#include "csid_chain.h"
 #include "linalg/lu.h"
 #include "mg1/mmc.h"
+#include "obs/obs.h"
 #include "qbd/qbd.h"
 
 namespace csq::qbd {
@@ -243,6 +253,137 @@ TEST(QbdTails, TailAndProbabilityConsistent) {
                 1e-12);
   }
   EXPECT_NEAR(sol.level_tail(0), 1.0 - sol.level_probability(0), 1e-12);
+}
+
+}  // namespace
+}  // namespace csq::qbd
+
+namespace csq::qbd {
+namespace {
+
+// --- spectral probe -------------------------------------------------------------
+
+// Plain Gelfand squaring for exactly 60 steps, no early stop: the limit the
+// probe's early stop must reach.
+double gelfand_60(const Matrix& m) {
+  const std::size_t n = m.rows();
+  Matrix p = m;
+  double log_est = 0.0, scale = 1.0;
+  for (int k = 0; k <= 60; ++k) {
+    double c = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < n; ++j) s += std::abs(p(i, j));
+      c = std::max(c, s);
+    }
+    if (num::exactly_zero(c)) return 0.0;
+    log_est += std::log(c) * scale;
+    p *= 1.0 / c;
+    p = p * p;
+    scale *= 0.5;
+  }
+  return std::exp(log_est);
+}
+
+void expect_radius(const Matrix& m, double want, const std::string& what) {
+  bool converged = false;
+  const double got = spectral_radius_estimate(m, 500, 1e-12, &converged);
+  EXPECT_TRUE(converged) << what;
+  EXPECT_NEAR(got, want, 1e-11 * want) << what;
+}
+
+TEST(QbdSpectral, HardSpectraWithinTolerance) {
+  // Jordan blocks: ||J^N|| = (lambda + 1)^N exactly while N < d, so two
+  // early estimates agree on lambda + 1; only from N >= d on do the norms
+  // see lambda, and then with a polynomial factor N^(d-1).
+  for (const double lambda : {0.5, 0.9})
+    for (std::size_t d = 2; d <= 12; ++d) {
+      Matrix j(d, d);
+      for (std::size_t i = 0; i < d; ++i) {
+        j(i, i) = lambda;
+        if (i + 1 < d) j(i, i + 1) = 1.0;
+      }
+      expect_radius(j, lambda, "Jordan d = " + std::to_string(d) +
+                                   ", lambda = " + std::to_string(lambda));
+    }
+  // Period 2: eigenvalues +-sqrt(0.4), and the row sums alternate.
+  expect_radius(Matrix{{0.0, 0.5}, {0.8, 0.0}}, std::sqrt(0.4), "2-cycle");
+  // Reducible with a zero row, like CS-ID's idle phase of R: the spectrum
+  // is {0} and that of the {0, 2} block.
+  expect_radius(Matrix{{0.3, 0.2, 0.1}, {0.0, 0.0, 0.0}, {0.2, 0.3, 0.5}},
+                0.4 + std::sqrt(0.03), "zero row");
+  expect_radius(Matrix{{0.7}}, 0.7, "1 x 1");
+  // The larger eigenvalue sits in the weaker row: row 0 has the larger
+  // norm until 2^k ~ 2400, and its estimate settles on 0.5 long before.
+  expect_radius(Matrix{{0.5, 0.3, 0.0}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.5001}}, 0.5001,
+                "larger eigenvalue behind a weaker row");
+  // A near-defective pair 1e-7 apart: the maximal row's norm is
+  // 0.5^N (1 + 1e-8 N) until N ~ 1e7, so its estimate plateaus 1e-8 high.
+  expect_radius(Matrix{{0.5, 5e-9}, {0.0, 0.5 * (1.0 - 1e-7)}}, 0.5, "near-defective pair");
+
+  bool converged = false;
+  const double nil = spectral_radius_estimate(
+      Matrix{{0.0, 1.0, 1.0, 1.0}, {0.0, 0.0, 1.0, 1.0}, {0.0, 0.0, 0.0, 1.0},
+             {0.0, 0.0, 0.0, 0.0}},
+      500, 1e-12, &converged);
+  EXPECT_TRUE(converged);
+  EXPECT_TRUE(num::exactly_zero(nil)) << nil;
+}
+
+double uniform(std::mt19937_64& rng, double lo, double hi) {
+  return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
+}
+
+TEST(QbdSpectral, SolveReportsTheGelfandLimit) {
+  // Seeded CS-ID chains across the stability region, long means 1..30 and
+  // C^2 1..20: the reported sp(R) must be the 60-squaring Gelfand limit,
+  // not an early stop's estimate of it.
+  std::mt19937_64 rng(24);
+  double worst = 0.0;
+  for (int rep = 0; rep < 300; ++rep) {
+    const double rho_l = uniform(rng, 0.05, 0.9);
+    const double rho_s = uniform(rng, 0.05, 0.999 * analysis::csid_max_rho_short(rho_l));
+    const double mean_l = std::exp(uniform(rng, 0.0, std::log(30.0)));
+    const double scv_l = std::exp(uniform(rng, 0.0, std::log(20.0)));
+    const Solution sol = solve(test::csid_chain(rho_s, rho_l, mean_l, scv_l));
+    const double want = gelfand_60(sol.r);
+    const double rel = std::abs(sol.stats.spectral_radius - want) / want;
+    EXPECT_LE(rel, 1e-14) << "rho_s " << rho_s << " rho_l " << rho_l << " mean_l " << mean_l
+                          << " scv_l " << scv_l;
+    worst = std::max(worst, rel);
+  }
+  RecordProperty("worst_relative_error", (::testing::Message() << worst).GetString());
+}
+
+TEST(QbdSpectral, SquaringsPerSolveStayFew) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs counters compiled out (-DCSQ_OBS=OFF)";
+  // Seeded analyses over the paper's parameter ranges (long means 1 and
+  // 10, C^2 1 and 8). Plain Gelfand squaring spends ~36 per solve on both
+  // chains. CS-ID's near-degenerate R needs more than CS-CQ's even with
+  // the extrapolation.
+  std::mt19937_64 rng(2024);
+  for (const bool csid : {false, true}) {
+    const obs::DeltaScope scope;
+    for (int rep = 0; rep < 200; ++rep) {
+      const double rho_l = uniform(rng, 0.05, 0.9);
+      const double cap = csid ? analysis::csid_max_rho_short(rho_l)
+                              : analysis::cscq_max_rho_short(rho_l);
+      const double rho_s = uniform(rng, 0.05, 0.999 * cap);
+      const double mean_l = (rng() & 1) != 0 ? 10.0 : 1.0;
+      const double scv_l = (rng() & 1) != 0 ? 8.0 : 1.0;
+      const SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, 1.0, mean_l, scv_l);
+      if (csid)
+        (void)analysis::analyze_csid(c);
+      else
+        (void)analysis::analyze_cscq(c);
+    }
+    const obs::MetricsDelta d = scope.delta();
+    const double per_solve = static_cast<double>(d.value("qbd.spectral.squarings")) /
+                             static_cast<double>(d.value("qbd.solve.calls"));
+    EXPECT_LE(per_solve, csid ? 20.0 : 12.0) << (csid ? "CS-ID" : "CS-CQ");
+    RecordProperty(csid ? "csid_squarings_per_solve" : "cscq_squarings_per_solve",
+                   (::testing::Message() << per_solve).GetString());
+  }
 }
 
 }  // namespace

@@ -294,7 +294,7 @@ TEST(StatusTaxonomy, Mg1OverloadIsUnstable) {
 }
 
 TEST(Tails, DecayRateMatchesSpectralRadiusEstimate) {
-  // tail_decay_rate delegates to the shared power iteration; for M/M/1 both
+  // tail_decay_rate delegates to the shared Gelfand estimator; for M/M/1 both
   // must equal rho exactly (up to the early-exit tolerance).
   const double rho = 0.85;
   const qbd::Solution sol = qbd::solve(mm1_model(rho, 1.0));

@@ -24,9 +24,9 @@
 #                                                        (CSQ_SKIP_OBS=1)
 #   portable    -DCSQ_NATIVE_KERNELS=OFF build with normal flags: the golden
 #               pins (ChainPins, SimPins, Fig 3-6; relative tolerances
-#               1e-6 / 1e-12), the Coxian fit's scalar reference and the
-#               sweep determinism suite must pass without the native
-#               per-file flags
+#               1e-6 / 1e-12), the Coxian fit's and the LU inverse's
+#               scalar references and the sweep determinism suite must
+#               pass without the native per-file flags
 #   bench       fresh guarded-benchmark run vs newest committed BENCH_*.json;
 #               fails if BM_AnalyzeCscq (+10%), BM_AnalyzeBatch30 (+15%) or
 #               the 1-thread sweep panel (+15%) regresses, or if
@@ -216,20 +216,21 @@ fi
 
 # --- stage 8: portable (native kernels off, same bits) ------------------------
 # Every other stage builds the solver hot files with -march=native
-# -ffp-contract=off. The pinned figures, the fit's scalar reference and the
-# sweep determinism suite must also pass in a build without those flags.
-# The pins compare at a relative tolerance, so this is not a bit check; the
-# native-vs-scalar bit check of the fit is CoxianFitReference in the default
-# build (moment_match.cc native, the reference in the test file not).
+# -ffp-contract=off. The pinned figures, the fit's and the LU inverse's
+# scalar references and the sweep determinism suite must also pass in a
+# build without those flags. The pins compare at a relative tolerance, so
+# this is not a bit check; the native-vs-scalar bit checks are
+# CoxianFitReference and LuReference in the default build (moment_match.cc
+# and lu.cc native, the references in the test files not).
 portable_dir="$repo_root/build-portable"
 cmake -B "$portable_dir" -S "$repo_root" -DCSQ_NATIVE_KERNELS=OFF -DCSQ_WERROR=ON >/dev/null \
   || fail "portable (configure)"
 cmake --build "$portable_dir" -j --target csq_golden_tests csq_tests \
   || fail "portable (build)"
 (cd "$portable_dir" && ctest -L golden --output-on-failure) || fail "portable (golden suite)"
-(cd "$portable_dir" && ctest -R '^(CoxianFitReference|SweepDeterminism)\.' --output-on-failure) \
-  || fail "portable (fit reference + sweep determinism)"
-note "PASS  portable    (golden pins, fit reference, sweep determinism with CSQ_NATIVE_KERNELS=OFF)"
+(cd "$portable_dir" && ctest -R '^(CoxianFitReference|LuReference|SweepDeterminism)\.' \
+  --output-on-failure) || fail "portable (fit and LU references + sweep determinism)"
+note "PASS  portable    (golden pins, fit and LU references, sweep determinism with CSQ_NATIVE_KERNELS=OFF)"
 
 # --- stage 9: bench (perf regression gate) -----------------------------------
 if [ "${CSQ_SKIP_BENCH:-0}" = "1" ]; then
