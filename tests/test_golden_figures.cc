@@ -505,10 +505,13 @@ TEST(ChainPins, MapArrivalsMatchPins) {
 // ---------------------------------------------------------------------------
 // Bit-exact pins of the event simulator.
 //
-// One row per registered policy on two 2-host workloads: the exponential
-// paper setup (rho_S = 0.9, rho_L = 0.5, sizes 1/1) and Coxian C^2 = 8
-// longs (mean 10) under bursty MMPP short arrivals (rho_S = 0.8,
-// rho_L = 0.5). Each run uses seed 15 and stops at 20000 completions. Every
+// One row per registered policy on three 2-host workloads: the exponential
+// paper setup (rho_S = 0.9, rho_L = 0.5, sizes 1/1); Coxian C^2 = 8 longs
+// (mean 10) under bursty MMPP short arrivals (rho_S = 0.8, rho_L = 0.5);
+// and the sweep panel's bounded-Pareto longs (panel_workload(kBPareto):
+// alpha 1.5, mean 10, exponential shorts of mean 1, rho_S = 0.8,
+// rho_L = 0.5), the heavy-tailed family serve's simulates ask for. Each
+// run uses seed 15 and stops at 20000 completions. Every
 // field of SimResult is pinned: class statistics, clock, per-host
 // utilization, the long-host idle fraction, the conservation ledger and the
 // arrival hash. Doubles are hexfloat literals compared for exact equality,
@@ -529,8 +532,7 @@ struct SimPin {
   std::uint64_t arrival_hash;
 };
 
-SystemConfig sim_pin_config(bool coxian_mmpp) {
-  if (!coxian_mmpp) return SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0);
+SystemConfig coxian_mmpp_pin_config() {
   SystemConfig c = SystemConfig::paper_setup(0.8, 0.5, 1.0, 10.0, 8.0);
   c.short_arrivals =
       std::make_shared<dist::MapProcess>(dist::MapProcess::bursty(0.8, 4.0, 0.1, 3.0));
@@ -664,6 +666,69 @@ const SimPin kCoxianMmppPins[] = {
      20041, 20000, 39, 2, 0x4e7f045191a3e680ULL},
 };
 
+const SimPin kBParetoPins[] = {
+    {"dedicated",
+     {16907, 0x1.6839e21851158p+2, 0x1.b51e76dd766bdp-1}, {1093, 0x1.709aad9e781c2p+5, 0x1.9750881b5cd3p+4},
+     0x1.6d2061c760cf9p+14, {0x1.9d584b6dcfaf6p-1, 0x1.27e3025cf7c11p-1}, 0x1.b039fb46107ep-2,
+     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+    {"csid",
+     {16907, 0x1.6c39224e28712p+1, 0x1.7f0989e260b2bp-2}, {1093, 0x1.74a12e3b321p+5, 0x1.97f77d3ad1fa6p+4},
+     0x1.6d2061c760cf9p+14, {0x1.3cf059ee68b2cp-1, 0x1.8838fcc301dbep-1}, 0x1.df1c0cf3f8907p-3,
+     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+    {"cscq",
+     {16907, 0x1.4e8773535bf03p+1, 0x1.96b201a5a8d97p-2}, {1093, 0x1.71a9cf77fe09cp+5, 0x1.96f7639ed43b6p+4},
+     0x1.6d2061c760cf9p+14, {0x1.8413d4a6bbe14p-1, 0x1.412779240b8f5p-1}, 0x1.7db10db7e8e17p-2,
+     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+    {"cscq-norename",
+     {16907, 0x1.4d0677fe87a1cp+1, 0x1.960f4424cb42fp-2}, {1093, 0x1.7552e276b4857p+5, 0x1.9798eca569836p+4},
+     0x1.6d2061c760cf9p+14, {0x1.2a330ec1d156bp-1, 0x1.9af647ef9937ep-1}, 0x1.9426e0419b206p-3,
+     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+    {"mg2-fcfs",
+     {16913, 0x1.dcb2a65475624p+2, 0x1.18c6c960763c7p+2}, {1087, 0x1.016050ca7fff7p+4, 0x1.3cbb0c398e433p+2},
+     0x1.6d7bb61dea0e6p+14, {0x1.7d1ece8879b5ap-1, 0x1.4a1bfda2b8299p-1}, 0x1.6bc804ba8facdp-2,
+     20020, 20000, 18, 2, 0x34c65489562aa37aULL},
+    {"mg2-sjf",
+     {16913, 0x1.226f73f9e88d5p+1, 0x1.a7fff3aa607a7p-2}, {1087, 0x1.30ab3f303333dp+4, 0x1.97b228f8ba619p+2},
+     0x1.6d5d3065a4077p+14, {0x1.7cdbe9292aaddp-1, 0x1.4a2f420765a87p-1}, 0x1.6ba17bf134af2p-2,
+     20016, 20000, 14, 2, 0x0ce5dcfb422ea220ULL},
+    {"lwr",
+     {16913, 0x1.dcb2a65475624p+2, 0x1.18c6c960763c7p+2}, {1087, 0x1.016050ca7fff7p+4, 0x1.3cbb0c398e433p+2},
+     0x1.6d7bb61dea0e6p+14, {0x1.6f8c6b095dc13p-1, 0x1.57ae6121d41e1p-1}, 0x1.50a33dbc57c3fp-2,
+     20020, 20000, 18, 2, 0x34c65489562aa37aULL},
+    {"tags",
+     {16998, 0x1.8cd0f18dbbaafp+9, 0x1.a9e8b7b6c1029p+6}, {1002, 0x1.2081932a9ee66p+11, 0x1.3cf51fbe0f3a5p+8},
+     0x1.821eab6cbb46fp+14, {0x1.1fbeb103af489p-1, 0x1.ff9a5a3add6a5p-1}, 0x1.9697148a56c67p-11,
+     21143, 20000, 1142, 1, 0x68c2b763efd9c63bULL},
+    {"rr",
+     {16914, 0x1.a761756d7f2b6p+4, 0x1.f3444e369c792p+3}, {1086, 0x1.00f7680444f38p+5, 0x1.93c74fe1876eep+3},
+     0x1.6f4786b67434bp+14, {0x1.68ca5b19cb003p-1, 0x1.5d35912198f5p-1}, 0x1.4594ddbcce15fp-2,
+     20115, 20000, 113, 2, 0x0571323cd6b40f1eULL},
+    {"random",
+     {16914, 0x1.0be7fde06a71p+5, 0x1.483c92915cb72p+4}, {1086, 0x1.35aa29eab3bcp+5, 0x1.0f729698d68bap+4},
+     0x1.6e37af5fb12e4p+14, {0x1.4d8b573afbf07p-1, 0x1.772e0a741217ep-1}, 0x1.11a3eb17dbd03p-2,
+     20071, 20000, 69, 2, 0x16138dcee1bc5ebdULL},
+    {"jiq",
+     {16914, 0x1.375cf0acfe638p+4, 0x1.b9e8417a3151dp+3}, {1086, 0x1.cfc90f3e0cddap+4, 0x1.ffa31b40bc94cp+3},
+     0x1.6e3696a0032b6p+14, {0x1.5be39bc915cbfp-1, 0x1.6a9eb17ee682ap-1}, 0x1.2ac29d0232fabp-2,
+     20069, 20000, 67, 2, 0xdcb4ed90176abb1aULL},
+    {"steal-one",
+     {16914, 0x1.f9126916b2519p+2, 0x1.1802e6afc1f6ap+2}, {1086, 0x1.049c5e1ec69d4p+4, 0x1.1f052c92315d5p+2},
+     0x1.6d803a4b53bb1p+14, {0x1.60fbd0b41fbe6p-1, 0x1.6631f2c2b3d95p-1}, 0x1.339c1a7a984d7p-2,
+     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+    {"steal-half",
+     {16914, 0x1.fe3fc9b911bc6p+2, 0x1.1b4c1ed45d415p+2}, {1086, 0x1.044d4b53d951p+4, 0x1.22cc037ded6cp+2},
+     0x1.6d803a4b53bb1p+14, {0x1.610ad3485844bp-1, 0x1.6622500c78bb5p-1}, 0x1.33bb5fe70e896p-2,
+     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+    {"threshold-steal",
+     {16914, 0x1.0a3ffb6e7a2f1p+3, 0x1.20ac26695dfc9p+2}, {1086, 0x1.0b5a0972b8c42p+4, 0x1.23e03bb99f29bp+2},
+     0x1.6d803a4b53bb1p+14, {0x1.5fca2e9505b9p-1, 0x1.67606b67795f9p-1}, 0x1.313f29310d40cp-2,
+     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+    {"work-sharing",
+     {16915, 0x1.b8b5ab15a70c2p+3, 0x1.f3e754d313e65p+2}, {1085, 0x1.6930a3b1e02a5p+4, 0x1.2a96abfa0a9a7p+3},
+     0x1.6d944c1f864f2p+14, {0x1.6285f9f3027c2p-1, 0x1.647016d8d2908p-1}, 0x1.371fd24e5adefp-2,
+     20025, 20000, 23, 2, 0x1cc33bf8cfb04627ULL},
+};
+
 // clang-format on
 
 void expect_class_pin(const sim::ClassStats& actual, const SimClassPin& pin) {
@@ -672,9 +737,8 @@ void expect_class_pin(const sim::ClassStats& actual, const SimClassPin& pin) {
   EXPECT_EQ(actual.ci95, pin.ci95);
 }
 
-void expect_sim_pins(bool coxian_mmpp, const SimPin (&pins)[15]) {
+void expect_sim_pins(const SystemConfig& c, const SimPin (&pins)[15]) {
   ASSERT_EQ(sim::policy_registry().size(), std::size(pins));
-  const SystemConfig c = sim_pin_config(coxian_mmpp);
   sim::SimOptions o;
   o.seed = 15;
   o.total_completions = 20000;
@@ -696,8 +760,16 @@ void expect_sim_pins(bool coxian_mmpp, const SimPin (&pins)[15]) {
   }
 }
 
-TEST(SimPins, ExponentialPaperSetupEveryPolicy) { expect_sim_pins(false, kExponentialPins); }
+TEST(SimPins, ExponentialPaperSetupEveryPolicy) {
+  expect_sim_pins(SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0), kExponentialPins);
+}
 
-TEST(SimPins, CoxianLongsMmppShortsEveryPolicy) { expect_sim_pins(true, kCoxianMmppPins); }
+TEST(SimPins, CoxianLongsMmppShortsEveryPolicy) {
+  expect_sim_pins(coxian_mmpp_pin_config(), kCoxianMmppPins);
+}
+
+TEST(SimPins, BoundedParetoLongsEveryPolicy) {
+  expect_sim_pins(panel_workload(JobSizeDist::kBPareto, 0.8, 0.5, 1.0, 10.0, 1.0), kBParetoPins);
+}
 
 }  // namespace
