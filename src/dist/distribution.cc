@@ -33,7 +33,8 @@ Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
 }
 
 double Uniform::sample(Rng& rng) const {
-  return std::uniform_real_distribution<double>(lo_, hi_)(rng);
+  // libstdc++'s uniform_real_distribution(lo, hi): U * (hi - lo) + lo.
+  return canonical(rng) * (hi_ - lo_) + lo_;
 }
 
 double Uniform::moment(int k) const {
@@ -55,7 +56,7 @@ BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
 }
 
 double BoundedPareto::sample(Rng& rng) const {
-  const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+  const double u = canonical(rng);
   // Inverse CDF of the bounded Pareto.
   const double la = std::pow(lo_, alpha_);
   const double ha = std::pow(hi_, alpha_);

@@ -119,10 +119,9 @@ double PhaseType::rate() const {
 
 double PhaseType::sample(Rng& rng) const {
   // Walk the absorbing CTMC.
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
   double total = 0.0;
   // Draw initial phase.
-  double u = unif(rng);
+  double u = canonical(rng);
   std::size_t phase = 0;
   for (; phase + 1 < alpha_.size(); ++phase) {
     if (u < alpha_[phase]) break;
@@ -130,8 +129,8 @@ double PhaseType::sample(Rng& rng) const {
   }
   for (;;) {
     const double out = -t_(phase, phase);
-    total += std::exponential_distribution<double>(out)(rng);
-    double v = unif(rng) * out;
+    total += exp_draw(rng, out);
+    double v = canonical(rng) * out;
     if (v < exit_[phase]) return total;
     v -= exit_[phase];
     std::size_t next = 0;

@@ -86,8 +86,16 @@ double Matrix::max_abs() const {
   return m;
 }
 
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
+// `lhs op= rhs; return lhs;` moves the by-value parameter into the result;
+// `return lhs op= rhs;` would copy it out of the returned reference.
+Matrix operator+(Matrix lhs, const Matrix& rhs) {
+  lhs += rhs;
+  return lhs;
+}
+Matrix operator-(Matrix lhs, const Matrix& rhs) {
+  lhs -= rhs;
+  return lhs;
+}
 
 Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
   if (lhs.cols() != rhs.rows()) throw InvalidInputError("Matrix*: shape mismatch");
@@ -101,8 +109,14 @@ Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
   return out;
 }
 
-Matrix operator*(double s, Matrix m) { return m *= s; }
-Matrix operator*(Matrix m, double s) { return m *= s; }
+Matrix operator*(double s, Matrix m) {
+  m *= s;
+  return m;
+}
+Matrix operator*(Matrix m, double s) {
+  m *= s;
+  return m;
+}
 
 void multiply_into(std::vector<double>& dst, const std::vector<double>& v, const Matrix& m) {
   if (v.size() != m.rows()) throw InvalidInputError("multiply_into: shape mismatch");

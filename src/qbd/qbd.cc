@@ -47,11 +47,6 @@ std::string fmt(double v) {
   return buf;
 }
 
-// ‖A0 + R A1 + R² A2‖_max — how well R solves its defining equation.
-double r_residual(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Matrix& r) {
-  return (a0 + r * a1 + r * r * a2).max_abs();
-}
-
 // Scratch buffers reused across doubling steps and across solves, so a
 // warm thread runs the whole R solve without per-step heap allocation.
 // Buffers size themselves lazily. Every buffer is fully overwritten before
@@ -67,6 +62,22 @@ struct Workspace {
   Matrix pow, sq;         // spectral probe: normalized m^(2^k) and its square
   std::vector<double> row, share, profile;  // the probe's row statistics
 };
+
+// ‖A0 + R A1 + R² A2‖_max — how well R solves its defining equation —
+// in the thread scratch, with no heap allocation on a warm thread. The
+// same products and sums, in the same order, as evaluating
+// (a0 + r * a1 + r * r * a2).max_abs() (multiply_into_dense is bit-identical
+// to operator*), so the residual is the same bits.
+double r_residual(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Matrix& r,
+                  Workspace& ws) {
+  linalg::multiply_into_dense(ws.prod, r, a1);
+  ws.hl = a0;
+  ws.hl += ws.prod;  // A0 + R A1
+  linalg::multiply_into_dense(ws.sq, r, r);
+  linalg::multiply_into_dense(ws.prod, ws.sq, a2);
+  ws.hl += ws.prod;  // + R² A2
+  return ws.hl.max_abs();
+}
 
 // One workspace per thread, shared by every solve on it: sweeps, serve
 // workers and plain loops all get warm scratch without passing anything.
@@ -450,7 +461,7 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);
   Matrix r;
   linalg::multiply_into_dense(r, a0, ws.inv);
-  stats.residual = r_residual(a0, a1, a2, r);
+  stats.residual = r_residual(a0, a1, a2, r, ws);
 
   // sp(R) with a trusted convergence status: an unconverged estimate is a
   // structured failure, never a silent answer. It is the instability

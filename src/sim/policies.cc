@@ -10,11 +10,14 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/status.h"
 #include "obs/obs.h"
+#include "sim/engine_loop.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -338,9 +341,23 @@ class MgnSjfPolicy final : public Policy {
 
 constexpr std::uint64_t kPolicyStream = 11;
 
-// Jobs moved victim -> thief by any stealing policy (one call site so the
-// metric catalogue stays statically enumerable).
-void note_steals(std::size_t n) { CSQ_OBS_COUNT_N("sim.policy.steals", n); }
+// The zoo's sim.policy.* counts for one run: plain integers bumped per
+// event and added to the registry once, when the policy (one per run) is
+// destroyed, instead of one shared atomic add per event. A count that stayed
+// 0 registers nothing, as a counter that was never hit did not.
+struct ZooTally {
+  std::int64_t dispatches = 0;  // random dispatch decisions
+  std::int64_t idle_hits = 0;   // JIQ arrivals that took an idle server
+  std::int64_t shares = 0;      // Work-Sharing arrivals pushed elsewhere
+  std::int64_t steals = 0;      // jobs moved victim -> thief by any stealer
+
+  ~ZooTally() {
+    if (dispatches > 0) CSQ_OBS_COUNT_N("sim.policy.dispatches", dispatches);
+    if (idle_hits > 0) CSQ_OBS_COUNT_N("sim.policy.idle_hits", idle_hits);
+    if (shares > 0) CSQ_OBS_COUNT_N("sim.policy.shares", shares);
+    if (steals > 0) CSQ_OBS_COUNT_N("sim.policy.steals", steals);
+  }
+};
 
 class RandomDispatchPolicy : public PerHostQueues {
  public:
@@ -350,7 +367,7 @@ class RandomDispatchPolicy : public PerHostQueues {
  protected:
   // Uniform over all hosts.
   int random_host() {
-    CSQ_OBS_COUNT("sim.policy.dispatches");
+    ++tally_.dispatches;
     return static_cast<int>(rng_() % queue_.size());
   }
   // Uniform over the hosts other than `host`; no draw when there is one.
@@ -361,6 +378,7 @@ class RandomDispatchPolicy : public PerHostQueues {
   }
 
   dist::Rng rng_;
+  ZooTally tally_;
 };
 
 // Uniform random dispatch, per-host FCFS, no migration: the blind baseline
@@ -387,7 +405,7 @@ class JiqPolicy final : public RandomDispatchPolicy {
     if (!idle_.empty()) {
       const int s = idle_.front();
       idle_.pop_front();
-      CSQ_OBS_COUNT("sim.policy.idle_hits");
+      ++tally_.idle_hits;
       eng.start(s, job);
       return;
     }
@@ -442,7 +460,7 @@ class StealingPolicy final : public RandomDispatchPolicy {
       if (longest < static_cast<std::size_t>(cfg_.steal_threshold)) return;
       take = std::min(longest, static_cast<std::size_t>(cfg_.steal_batch));
     }
-    note_steals(take);
+    tally_.steals += static_cast<std::int64_t>(take);
     JobQueue& from = at(victim);
     serve_front(eng, server, from);
     for (std::size_t i = 1; i < take; ++i) {
@@ -473,7 +491,7 @@ class WorkSharingPolicy final : public RandomDispatchPolicy {
     const int host = random_host();
     if (!eng.server_idle(host) &&
         at(host).size() >= static_cast<std::size_t>(cfg_.share_threshold)) {
-      CSQ_OBS_COUNT("sim.policy.shares");
+      ++tally_.shares;
       int other = eng.find_idle(0, eng.hosts());
       if (other < 0) other = random_other(host);
       enqueue_or_start(eng, other, job);
@@ -486,28 +504,48 @@ class WorkSharingPolicy final : public RandomDispatchPolicy {
   PolicyConfig cfg_;
 };
 
+// Call f(std::type_identity<P>{}, args...) with the concrete `final` policy
+// type P for `kind` and its constructor arguments: the one switch over
+// PolicyKind, behind both make_policy() and simulate().
+template <class F>
+auto with_policy(PolicyKind kind, const Engine& engine, F&& f) {
+  switch (kind) {
+    case PolicyKind::kDedicated: return f(std::type_identity<DedicatedPolicy>{});
+    case PolicyKind::kCsId: return f(std::type_identity<CsIdPolicy>{}, engine);
+    case PolicyKind::kCsCq: return f(std::type_identity<CsCqPolicy>{});
+    case PolicyKind::kCsCqNoRename: return f(std::type_identity<CsCqNoRenamePolicy>{});
+    case PolicyKind::kMg2Fcfs: return f(std::type_identity<MgnFcfsPolicy>{});
+    case PolicyKind::kMg2Sjf: return f(std::type_identity<MgnSjfPolicy>{});
+    case PolicyKind::kLwr: return f(std::type_identity<LwrPolicy>{}, engine);
+    case PolicyKind::kTags:
+      return f(std::type_identity<TagsPolicy>{}, engine, engine.options().tags_cutoff);
+    case PolicyKind::kRoundRobin: return f(std::type_identity<RoundRobinPolicy>{}, engine);
+    case PolicyKind::kRandom: return f(std::type_identity<RandomPolicy>{}, engine);
+    case PolicyKind::kJiq: return f(std::type_identity<JiqPolicy>{}, engine);
+    case PolicyKind::kStealOne:
+    case PolicyKind::kStealHalf:
+    case PolicyKind::kThresholdSteal:
+      return f(std::type_identity<StealingPolicy>{}, engine, kind);
+    case PolicyKind::kWorkSharing: return f(std::type_identity<WorkSharingPolicy>{}, engine);
+  }
+  throw InvalidInputError("make_policy: unknown kind");
+}
+
 }  // namespace
 
 std::unique_ptr<Policy> make_policy(PolicyKind kind, const Engine& engine) {
-  switch (kind) {
-    case PolicyKind::kDedicated: return std::make_unique<DedicatedPolicy>();
-    case PolicyKind::kCsId: return std::make_unique<CsIdPolicy>(engine);
-    case PolicyKind::kCsCq: return std::make_unique<CsCqPolicy>();
-    case PolicyKind::kCsCqNoRename: return std::make_unique<CsCqNoRenamePolicy>();
-    case PolicyKind::kMg2Fcfs: return std::make_unique<MgnFcfsPolicy>();
-    case PolicyKind::kMg2Sjf: return std::make_unique<MgnSjfPolicy>();
-    case PolicyKind::kLwr: return std::make_unique<LwrPolicy>(engine);
-    case PolicyKind::kTags:
-      return std::make_unique<TagsPolicy>(engine, engine.options().tags_cutoff);
-    case PolicyKind::kRoundRobin: return std::make_unique<RoundRobinPolicy>(engine);
-    case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(engine);
-    case PolicyKind::kJiq: return std::make_unique<JiqPolicy>(engine);
-    case PolicyKind::kStealOne:
-    case PolicyKind::kStealHalf:
-    case PolicyKind::kThresholdSteal: return std::make_unique<StealingPolicy>(engine, kind);
-    case PolicyKind::kWorkSharing: return std::make_unique<WorkSharingPolicy>(engine);
-  }
-  throw InvalidInputError("make_policy: unknown kind");
+  return with_policy(kind, engine,
+                     [](auto type, const auto&... args) -> std::unique_ptr<Policy> {
+                       return std::make_unique<typename decltype(type)::type>(args...);
+                     });
+}
+
+SimResult simulate(PolicyKind kind, const SystemConfig& config, const SimOptions& opts) {
+  Engine engine(config, opts);
+  return with_policy(kind, engine, [&engine](auto type, const auto&... args) {
+    typename decltype(type)::type policy(args...);
+    return engine.run(policy);
+  });
 }
 
 }  // namespace csq::sim

@@ -3,43 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "parallel/task_pool.h"
+#include "sim/engine_loop.h"
 #include "sim/rng.h"
 
 #include "core/faultpoint.h"
-#include "core/numeric.h"
 #include "core/status.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
 
 namespace csq::sim {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// FNV-1a over the bits of one word; chained per arrival to fingerprint the
-// arrival sequence independently of any policy decision.
-std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t word) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (word >> (8 * b)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t double_bits(double x) {
-  std::uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(x));
-  std::memcpy(&u, &x, sizeof(u));
-  return u;
-}
-}
 
 namespace {
 constexpr PolicyInfo kPolicies[] = {
@@ -145,106 +121,7 @@ void Engine::record_completion(const Job& job) {
   (job.cls == JobClass::kShort ? resp_short_ : resp_long_).add(resp);
 }
 
-SimResult Engine::run(Policy& policy) {
-  CSQ_OBS_SPAN("sim.engine.run");
-  std::uint64_t events = 0;
-  std::size_t arrivals = 0;
-  std::uint64_t arrival_hash = 14695981039346656037ULL;  // FNV offset basis
-  dist::MapProcess::State map_state;
-  if (config_.short_arrivals) map_state = config_.short_arrivals->stationary_state(rng_);
-  const auto draw_interarrival = [this, &map_state](JobClass cls) {
-    if (cls == JobClass::kShort && config_.short_arrivals)
-      return config_.short_arrivals->next_interarrival(map_state, rng_);
-    const double rate = cls == JobClass::kShort ? config_.lambda_short : config_.lambda_long;
-    if (rate <= 0.0) return kInf;
-    return std::exponential_distribution<double>(rate)(rng_);
-  };
-  const auto draw_size = [this](JobClass cls) {
-    const dist::Distribution& d =
-        cls == JobClass::kShort ? *config_.short_size : *config_.long_size;
-    return d.sample(rng_);
-  };
-
-  next_arrival_[0] = draw_interarrival(JobClass::kShort);
-  next_arrival_[1] = draw_interarrival(JobClass::kLong);
-
-  const std::size_t n = servers_.size();
-  const std::size_t first_long = static_cast<std::size_t>(opts_.short_hosts);
-  while (completions_ < opts_.total_completions) {
-    ++events;
-    // Next event: one of two arrivals or a completion on some server.
-    double t = next_arrival_[0];
-    std::size_t ev = 0;  // 0,1: arrival short/long; 2 + s: completion on server s
-    if (next_arrival_[1] < t) {
-      t = next_arrival_[1];
-      ev = 1;
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (servers_[s].busy && servers_[s].done < t) {
-        t = servers_[s].done;
-        ev = 2 + s;
-      }
-    }
-    if (num::exactly_eq(t, kInf))
-      throw InternalError("Engine::run: no events (both arrival rates zero?)");
-
-    // Accumulate busy/idle time over (last_event_time_, t].
-    const double dt = t - last_event_time_;
-    bool long_host_idle = false;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (servers_[s].busy)
-        servers_[s].busy_time += dt;
-      else if (s >= first_long)
-        long_host_idle = true;
-    }
-    if (long_host_idle) long_host_idle_time_ += dt;
-    last_event_time_ = t;
-    now_ = t;
-
-    if (ev <= 1) {
-      const JobClass cls = static_cast<JobClass>(ev);
-      Job job{now_, draw_size(cls), cls};
-      next_arrival_[ev] = now_ + draw_interarrival(cls);
-      ++arrivals;
-      arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.arrival));
-      arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.size));
-      arrival_hash = fnv1a_mix(arrival_hash, static_cast<std::uint64_t>(job.cls));
-      policy.on_arrival(*this, job);
-    } else {
-      const int s = static_cast<int>(ev - 2);
-      Server& freed = servers_[ev - 2];
-      const Job done = freed.job;
-      freed.busy = false;
-      freed.done = 0.0;
-      if (policy.on_service_end(*this, s, done)) record_completion(done);
-      policy.on_server_free(*this, s);
-    }
-  }
-
-  CSQ_OBS_COUNT_N("sim.engine.events", events);
-  CSQ_OBS_COUNT_N("sim.engine.arrivals", arrivals);
-
-  SimResult res;
-  res.shorts = {resp_short_.count(), resp_short_.mean(), resp_short_.ci95_halfwidth()};
-  res.longs = {resp_long_.count(), resp_long_.mean(), resp_long_.ci95_halfwidth()};
-  res.sim_time = now_;
-  res.p_long_host_idle = long_host_idle_time_ / now_;
-  res.arrivals = arrivals;
-  res.completions_total = completions_;
-  res.queued_final = policy.queued();
-  for (const Server& s : servers_) {
-    res.utilization.push_back(s.busy_time / now_);
-    if (s.busy) ++res.in_service_final;
-  }
-  res.arrival_hash = arrival_hash;
-  return res;
-}
-
-SimResult simulate(PolicyKind kind, const SystemConfig& config, const SimOptions& opts) {
-  Engine engine(config, opts);
-  const std::unique_ptr<Policy> policy = make_policy(kind, engine);
-  return engine.run(*policy);
-}
+template SimResult Engine::run<Policy>(Policy& policy);
 
 ClassStats aggregate_replications(const std::vector<ClassStats>& reps) {
   ClassStats agg;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -227,8 +228,14 @@ class Engine {
   // server_speeds that are not empty / one finite positive speed per host.
   Engine(const SystemConfig& config, const SimOptions& opts);
 
-  // Run to completion with the given policy.
-  [[nodiscard]] SimResult run(Policy& policy);
+  // Run to completion with the given policy. The event loop is a template
+  // over the policy's static type (sim/engine_loop.h): simulate()
+  // instantiates it for the concrete `final` policy it builds, so every
+  // policy hook is a direct call, and a caller holding a Policy& gets the
+  // same loop through the virtual hooks (instantiated once in
+  // simulator.cc). Either way the result is bit for bit the same.
+  template <std::derived_from<Policy> P>
+  [[nodiscard]] SimResult run(P& policy);
 
   // --- services for Policy implementations --------------------------------
   [[nodiscard]] const SimOptions& options() const { return opts_; }
@@ -284,6 +291,8 @@ class Engine {
   BatchMeans resp_short_;
   BatchMeans resp_long_;
 };
+
+extern template SimResult Engine::run<Policy>(Policy& policy);
 
 // Simulate the given policy on the given system.
 [[nodiscard]] SimResult simulate(PolicyKind kind, const SystemConfig& config,
