@@ -33,8 +33,7 @@ Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
 }
 
 double Uniform::sample(Rng& rng) const {
-  // libstdc++'s uniform_real_distribution(lo, hi): U * (hi - lo) + lo.
-  return canonical(rng) * (hi_ - lo_) + lo_;
+  return std::uniform_real_distribution<double>(lo_, hi_)(rng);
 }
 
 double Uniform::moment(int k) const {
@@ -56,7 +55,7 @@ BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
 }
 
 double BoundedPareto::sample(Rng& rng) const {
-  const double u = canonical(rng);
+  const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
   // Inverse CDF of the bounded Pareto.
   const double la = std::pow(lo_, alpha_);
   const double ha = std::pow(hi_, alpha_);

@@ -8,11 +8,6 @@
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <concepts>
-#include <cstdint>
-#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -38,43 +33,6 @@ struct Moments {
 };
 
 using Rng = std::mt19937_64;
-
-// A 64-bit uniform random bit generator: mt19937_64, or a test double
-// that replays chosen words.
-template <class G>
-concept Bits64 = std::uniform_random_bit_generator<G> && G::min() == 0 &&
-                 G::max() == std::numeric_limits<std::uint64_t>::max();
-
-// One uniform draw on [0, 1), bit for bit libstdc++'s
-// std::generate_canonical<double, 53>(g) — and so
-// std::uniform_real_distribution<double>(0, 1) — on the same engine state.
-// The library rounds the 64-bit word x to double and scales by 2^-64. On an
-// ISA without an unsigned 64-bit conversion its conversion branches on bit
-// 63, a coin flip the predictor loses half the time; this one converts the
-// two 32-bit halves instead: both are exact, hi * 2^32 is exact, and the
-// one rounding of the sum is the correctly rounded double(x) the library
-// gets. AVX-512F has the unsigned conversion, just as correctly rounded, in
-// one instruction. Results that round up to 1 clamp to the largest double
-// below 1, as the library's do; min() is that clamp without a branch.
-template <Bits64 G>
-[[nodiscard]] inline double canonical(G& g) {
-  const std::uint64_t x = g();
-#if defined(__AVX512F__)
-  const double d = static_cast<double>(x);
-#else
-  const double hi = static_cast<double>(static_cast<std::int64_t>(x >> 32));
-  const double lo = static_cast<double>(static_cast<std::int64_t>(x & 0xffffffffULL));
-  const double d = hi * 0x1p32 + lo;
-#endif
-  return std::min(d * 0x1p-64, 0x1.fffffffffffffp-1);
-}
-
-// One Exp(rate) draw, bit for bit std::exponential_distribution<double>(rate)
-// on the same engine state: libstdc++'s own -log(1 - U) / rate.
-template <Bits64 G>
-[[nodiscard]] inline double exp_draw(G& g, double rate) {
-  return -std::log(1.0 - canonical(g)) / rate;
-}
 
 class Distribution {
  public:

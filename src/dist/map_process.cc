@@ -72,7 +72,7 @@ MapProcess MapProcess::bursty(double mean_rate, double peak_to_mean, double high
 }
 
 MapProcess::State MapProcess::stationary_state(Rng& rng) const {
-  double u = canonical(rng);
+  double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
   State s;
   for (std::size_t i = 0; i + 1 < pi_.size(); ++i) {
     if (u < pi_[i]) {
@@ -91,8 +91,8 @@ double MapProcess::next_interarrival(State& state, Rng& rng) const {
   double elapsed = 0.0;
   for (;;) {
     const double out = -d0_(state.phase, state.phase);
-    elapsed += exp_draw(rng, out);
-    double u = canonical(rng) * out;
+    elapsed += std::exponential_distribution<double>(out)(rng);
+    double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng) * out;
     // Arrival transitions first.
     for (std::size_t j = 0; j < n; ++j) {
       if (u < d1_(state.phase, j)) {

@@ -119,9 +119,10 @@ double PhaseType::rate() const {
 
 double PhaseType::sample(Rng& rng) const {
   // Walk the absorbing CTMC.
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
   double total = 0.0;
   // Draw initial phase.
-  double u = canonical(rng);
+  double u = unif(rng);
   std::size_t phase = 0;
   for (; phase + 1 < alpha_.size(); ++phase) {
     if (u < alpha_[phase]) break;
@@ -129,8 +130,8 @@ double PhaseType::sample(Rng& rng) const {
   }
   for (;;) {
     const double out = -t_(phase, phase);
-    total += exp_draw(rng, out);
-    double v = canonical(rng) * out;
+    total += std::exponential_distribution<double>(out)(rng);
+    double v = unif(rng) * out;
     if (v < exit_[phase]) return total;
     v -= exit_[phase];
     std::size_t next = 0;

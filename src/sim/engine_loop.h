@@ -1,10 +1,8 @@
 // Engine::run's event loop, as a template over the policy's static type.
 //
-// Private to src/sim/: simulator.cc instantiates it for the Policy base
-// class (virtual hooks), and policies.cc's simulate() for each concrete
-// `final` policy, whose hooks then compile to direct, inlinable calls. Both
-// run the same statements in the same order, so the results agree bit for
-// bit (SimPins pins them).
+// Private to src/sim/: policies.cc's simulate() instantiates it for each
+// concrete `final` policy, whose hooks then compile to direct, inlinable
+// calls.
 //
 // Throws csq::InternalError when no event is left to run (both arrival
 // rates zero) or a policy starts a busy server, and passes on the
@@ -16,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 
 #include "core/numeric.h"
 #include "core/status.h"
@@ -62,7 +61,7 @@ SimResult Engine::run(P& policy) {
       return config_.short_arrivals->next_interarrival(map_state, rng_);
     const double rate = cls == JobClass::kShort ? config_.lambda_short : config_.lambda_long;
     if (rate <= 0.0) return kInf;
-    return dist::exp_draw(rng_, rate);
+    return std::exponential_distribution<double>(rate)(rng_);
   };
   const auto draw_size = [this](JobClass cls) {
     const dist::Distribution& d =

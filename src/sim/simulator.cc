@@ -8,7 +8,6 @@
 #include <string>
 
 #include "parallel/task_pool.h"
-#include "sim/engine_loop.h"
 #include "sim/rng.h"
 
 #include "core/faultpoint.h"
@@ -120,8 +119,6 @@ void Engine::record_completion(const Job& job) {
   const double resp = now_ - job.arrival;
   (job.cls == JobClass::kShort ? resp_short_ : resp_long_).add(resp);
 }
-
-template SimResult Engine::run<Policy>(Policy& policy);
 
 ClassStats aggregate_replications(const std::vector<ClassStats>& reps) {
   ClassStats agg;

@@ -229,11 +229,9 @@ class Engine {
   Engine(const SystemConfig& config, const SimOptions& opts);
 
   // Run to completion with the given policy. The event loop is a template
-  // over the policy's static type (sim/engine_loop.h): simulate()
-  // instantiates it for the concrete `final` policy it builds, so every
-  // policy hook is a direct call, and a caller holding a Policy& gets the
-  // same loop through the virtual hooks (instantiated once in
-  // simulator.cc). Either way the result is bit for bit the same.
+  // over the policy's static type, defined in the src/sim-private
+  // sim/engine_loop.h: simulate() instantiates it for each concrete `final`
+  // policy, so every policy hook is a direct call.
   template <std::derived_from<Policy> P>
   [[nodiscard]] SimResult run(P& policy);
 
@@ -291,8 +289,6 @@ class Engine {
   BatchMeans resp_short_;
   BatchMeans resp_long_;
 };
-
-extern template SimResult Engine::run<Policy>(Policy& policy);
 
 // Simulate the given policy on the given system.
 [[nodiscard]] SimResult simulate(PolicyKind kind, const SystemConfig& config,

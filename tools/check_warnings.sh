@@ -24,10 +24,10 @@
 #                                                        (CSQ_SKIP_OBS=1)
 #   portable    -DCSQ_NATIVE_KERNELS=OFF build with normal flags: the golden
 #               pins (ChainPins and Fig 3-6 at relative tolerances 1e-12 /
-#               1e-6; SimPins, all three tables, exact), the draw-identity
-#               suite, the Coxian fit's and the LU inverse's scalar
-#               references and the sweep determinism suite must pass
-#               without the native per-file flags
+#               1e-6; SimPins, all three tables, exact), the Coxian fit's
+#               and the LU inverse's scalar references and the sweep
+#               determinism suite must pass without the native per-file
+#               flags
 #   bench       fresh guarded-benchmark run vs newest committed BENCH_*.json;
 #               fails if BM_AnalyzeCscq (+10%), BM_AnalyzeBatch30 (+15%) or
 #               the 1-thread sweep panel (+15%) regresses, or if
@@ -217,15 +217,13 @@ fi
 
 # --- stage 8: portable (native kernels off, same bits) ------------------------
 # Every other stage builds the solver and simulator hot files with
-# -march=native -ffp-contract=off. The pinned figures, the draw-identity
-# suite, the fit's and the LU inverse's scalar references and the sweep
-# determinism suite must also pass in a build without those flags. ChainPins
-# and the figure pins compare at a relative tolerance, so they are not a bit
-# check; SimPins compare every field with EXPECT_EQ, so passing them here and
-# in the default build is an exact native-vs-portable check of the
-# simulator's samplers and event loop. SimDraws checks each build's own
-# conversion path (test_draws.cc is compiled like the samplers) against the
-# standard library; the other native-vs-scalar bit checks are
+# -march=native -ffp-contract=off. The pinned figures, the fit's and the LU
+# inverse's scalar references and the sweep determinism suite must also
+# pass in a build without those flags. ChainPins and the figure pins
+# compare at a relative tolerance, so they are not a bit check; SimPins
+# compare every field with EXPECT_EQ, so passing them here and in the
+# default build is an exact native-vs-portable check of the simulator's
+# samplers and event loop. The other native-vs-scalar bit checks are
 # CoxianFitReference and LuReference in the default build (moment_match.cc
 # and lu.cc native, the references in the test files not).
 portable_dir="$repo_root/build-portable"
@@ -234,9 +232,9 @@ cmake -B "$portable_dir" -S "$repo_root" -DCSQ_NATIVE_KERNELS=OFF -DCSQ_WERROR=O
 cmake --build "$portable_dir" -j --target csq_golden_tests csq_tests \
   || fail "portable (build)"
 (cd "$portable_dir" && ctest -L golden --output-on-failure) || fail "portable (golden suite)"
-(cd "$portable_dir" && ctest -R '^(SimDraws|CoxianFitReference|LuReference|SweepDeterminism)\.' \
-  --output-on-failure) || fail "portable (draws, fit and LU references + sweep determinism)"
-note "PASS  portable    (golden and sim pins, draws, fit and LU references, sweep determinism with CSQ_NATIVE_KERNELS=OFF)"
+(cd "$portable_dir" && ctest -R '^(CoxianFitReference|LuReference|SweepDeterminism)\.' \
+  --output-on-failure) || fail "portable (fit and LU references + sweep determinism)"
+note "PASS  portable    (golden and sim pins, fit and LU references, sweep determinism with CSQ_NATIVE_KERNELS=OFF)"
 
 # --- stage 9: bench (perf regression gate) -----------------------------------
 if [ "${CSQ_SKIP_BENCH:-0}" = "1" ]; then
