@@ -99,8 +99,7 @@ void BM_AnalyzeCscqNearFrontier(benchmark::State& state) {
 BENCHMARK(BM_AnalyzeCscqNearFrontier);
 
 // 8192 CS-CQ operating points with distinct long loads (rho_S = 1.2, so all
-// inside Theorem 1): twice the per-thread fit memo's 4096-entry cap, so
-// cycling through them misses the memo on every fit.
+// inside Theorem 1): every iteration fits and solves a new point.
 const std::vector<SystemConfig>& cold_configs() {
   static const std::vector<SystemConfig> configs = [] {
     std::vector<SystemConfig> out;
@@ -112,10 +111,10 @@ const std::vector<SystemConfig>& cold_configs() {
 }
 
 void BM_AnalyzeCscqCold(benchmark::State& state) {
-  // BM_AnalyzeCscq re-analyzes one point, so after the first iteration its
-  // two Coxian fits are memo hits. Here every iteration has a new rho_L and
-  // pays both fits (B_L and B_{N+1}), as the serving path does for
-  // distinct requests; the QBD scratch stays warm.
+  // BM_AnalyzeCscq re-analyzes one point. Here every iteration has a new
+  // rho_L, so its busy periods, fits (B_L and B_{N+1}) and chain differ from
+  // the last, as on the serving path for distinct requests; the QBD scratch
+  // stays warm.
   const std::vector<SystemConfig>& configs = cold_configs();
   std::size_t i = 0;
   AllocScope allocs(state);
@@ -127,9 +126,9 @@ void BM_AnalyzeCscqCold(benchmark::State& state) {
 BENCHMARK(BM_AnalyzeCscqCold);
 
 void BM_FitCoxian3Cold(benchmark::State& state) {
-  // One three-moment fit per iteration, each a memo miss: the B_L and
-  // B_{N+1} moments analyze_cscq fits at the cold_configs() points (mean
-  // short 1, so delta = 2 mu_S = 2).
+  // One three-moment fit per iteration, cycling through the B_L and B_{N+1}
+  // moments analyze_cscq fits at the cold_configs() points (mean short 1,
+  // so delta = 2 mu_S = 2).
   std::vector<dist::Moments> busy;
   for (const SystemConfig& c : cold_configs()) {
     const dist::Moments xl = c.long_size->moments();
@@ -152,7 +151,7 @@ BENCHMARK(BM_AnalyzeCsid);
 
 void BM_AnalyzeBatch30(benchmark::State& state) {
   // A figure panel's worth of CS-CQ points as a plain try_analyze loop: the
-  // thread's QBD scratch and the fit memo are amortized over all 30 solves.
+  // thread's QBD scratch is amortized over all 30 solves.
   std::vector<SystemConfig> points;
   for (double rho_s : linspace(1.45 / 30.0, 1.45, 30)) {
     const SystemConfig c = SystemConfig::paper_setup(rho_s, 0.5, 1.0, 1.0, 8.0);

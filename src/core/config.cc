@@ -101,14 +101,4 @@ std::string canonical_key(const SystemConfig& config) {
   return key;
 }
 
-std::uint64_t config_hash(const SystemConfig& config) {
-  // FNV-1a 64-bit over the canonical key.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : canonical_key(config)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace csq

@@ -3,7 +3,6 @@
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -60,7 +59,7 @@ struct SystemConfig {
 // zoo of docs/policies.md). One block covers every policy: each policy reads
 // only the knobs it names and ignores the rest, so a single PolicyConfig can
 // drive a whole policy x load sweep panel. Validation happens in the policy
-// constructors (make_policy throws csq::InvalidInputError on bad knobs).
+// constructors (sim::simulate throws csq::InvalidInputError on bad knobs).
 struct PolicyConfig {
   // Threshold stealing: an idle thief raids the longest queue only when it
   // holds at least steal_threshold jobs...
@@ -96,9 +95,5 @@ struct PolicyMetrics {
 // design, since the analytic solvers consume only the moments.
 // Throws csq::InvalidInputError (via validate()) on malformed configs.
 [[nodiscard]] std::string canonical_key(const SystemConfig& config);
-
-// FNV-1a 64-bit hash of canonical_key() — a compact shard/bucket identity
-// for the serve-layer solver cache.
-[[nodiscard]] std::uint64_t config_hash(const SystemConfig& config);
 
 }  // namespace csq

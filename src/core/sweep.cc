@@ -52,16 +52,6 @@ std::vector<double> linspace(double lo, double hi, int n) {
   return v;
 }
 
-std::vector<double> linspace_open(double lo, double hi, int n) {
-  if (n <= 0) throw InvalidInputError("linspace_open: need n >= 1");
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi))
-    throw InvalidInputError("linspace_open: need finite lo < hi");
-  std::vector<double> v(static_cast<std::size_t>(n));
-  const double step = (hi - lo) / (n + 1);
-  for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = lo + step * (i + 1);
-  return v;
-}
-
 std::vector<double> fig_grid_rho_short() { return linspace(0.05, 1.45, 29); }
 
 std::vector<double> fig_grid_rho_long_shorts() { return linspace(0.01, 0.49, 25); }

@@ -94,13 +94,6 @@ struct SweepOptions {
 // bounds.
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, int n);
 
-// n evenly spaced points strictly inside (lo, hi): lo + k (hi-lo)/(n+1) for
-// k = 1..n. Use for sweep grids over a stability region so no point lands
-// exactly on the boundary, where the analysis is degenerate. Requires
-// lo < hi and n >= 1. Edge case, deliberately unlike linspace: n == 1
-// yields the single midpoint {(lo+hi)/2}, never the boundary {lo}.
-[[nodiscard]] std::vector<double> linspace_open(double lo, double hi, int n);
-
 // Canonical operating-point grids for the paper's figure series. The fig4/5/6
 // benches, the golden regression suite (tests/test_golden_figures.cc) and ad
 // hoc sweeps all pull from these three builders, so the x-axes cannot drift
@@ -189,7 +182,7 @@ struct PanelOptions {
   // Simulation effort per non-analytic cell.
   std::size_t sim_completions = 200000;
   int sim_replications = 4;
-  // Per-policy knobs forwarded to make_policy for the simulated cells.
+  // Per-policy knobs forwarded to the simulated cells' policies.
   PolicyConfig policy;
   // Same once-per-cell budget contract as SweepOptions::budget.
   RunBudget budget;

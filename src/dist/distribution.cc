@@ -13,41 +13,6 @@ void check_moment_order(int k) {
 }
 }  // namespace
 
-Deterministic::Deterministic(double value) : value_(value) {
-  if (value < 0.0) throw InvalidInputError("Deterministic: negative value");
-}
-
-double Deterministic::moment(int k) const {
-  check_moment_order(k);
-  return std::pow(value_, k);
-}
-
-std::string Deterministic::name() const {
-  std::ostringstream os;
-  os << "Det(" << value_ << ")";
-  return os.str();
-}
-
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-  if (lo < 0.0 || hi <= lo) throw InvalidInputError("Uniform: need 0 <= lo < hi");
-}
-
-double Uniform::sample(Rng& rng) const {
-  return std::uniform_real_distribution<double>(lo_, hi_)(rng);
-}
-
-double Uniform::moment(int k) const {
-  check_moment_order(k);
-  // E[X^k] = (hi^{k+1} - lo^{k+1}) / ((k+1)(hi - lo))
-  return (std::pow(hi_, k + 1) - std::pow(lo_, k + 1)) / ((k + 1) * (hi_ - lo_));
-}
-
-std::string Uniform::name() const {
-  std::ostringstream os;
-  os << "U(" << lo_ << "," << hi_ << ")";
-  return os.str();
-}
-
 BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
     : lo_(lo), hi_(hi), alpha_(alpha) {
   if (lo <= 0.0 || hi <= lo || alpha <= 0.0)
@@ -92,27 +57,6 @@ BoundedPareto BoundedPareto::with_mean(double mean, double hi, double alpha) {
     (m < mean ? a : b) = mid;
   }
   return {0.5 * (a + b), hi, alpha};
-}
-
-LogNormal::LogNormal(double mean, double scv) {
-  if (mean <= 0.0 || scv <= 0.0) throw InvalidInputError("LogNormal: need mean, scv > 0");
-  sigma_ = std::sqrt(std::log(1.0 + scv));
-  mu_ = std::log(mean) - 0.5 * sigma_ * sigma_;
-}
-
-double LogNormal::sample(Rng& rng) const {
-  return std::exp(std::normal_distribution<double>(mu_, sigma_)(rng));
-}
-
-double LogNormal::moment(int k) const {
-  check_moment_order(k);
-  return std::exp(k * mu_ + 0.5 * k * k * sigma_ * sigma_);
-}
-
-std::string LogNormal::name() const {
-  std::ostringstream os;
-  os << "LogN(mu=" << mu_ << ",sig=" << sigma_ << ")";
-  return os.str();
 }
 
 }  // namespace csq::dist

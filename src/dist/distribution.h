@@ -50,30 +50,6 @@ class Distribution {
 
 using DistPtr = std::shared_ptr<const Distribution>;
 
-// Point mass at `value`.
-class Deterministic final : public Distribution {
- public:
-  explicit Deterministic(double value);
-  [[nodiscard]] double sample(Rng&) const override { return value_; }
-  [[nodiscard]] double moment(int k) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double value_;
-};
-
-// Uniform on [lo, hi].
-class Uniform final : public Distribution {
- public:
-  Uniform(double lo, double hi);
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double moment(int k) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double lo_, hi_;
-};
-
 // Bounded Pareto on [lo, hi] with shape alpha — the canonical heavy-tailed
 // job-size model in the task-assignment literature (Harchol-Balter et al.).
 class BoundedPareto final : public Distribution {
@@ -88,18 +64,6 @@ class BoundedPareto final : public Distribution {
 
  private:
   double lo_, hi_, alpha_;
-};
-
-// Lognormal parameterized by mean and squared coefficient of variation.
-class LogNormal final : public Distribution {
- public:
-  LogNormal(double mean, double scv);
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double moment(int k) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double mu_, sigma_;
 };
 
 }  // namespace csq::dist

@@ -32,18 +32,16 @@ struct FitReport {
 // max_moments, ...). `report`, when non-null, records what was
 // actually matched (used by the moment-matching ablation bench).
 //
-// Results are memoized per thread, keyed on the exact bit patterns of
-// (m1, m2, m3, max_moments): sweeps and batches re-fit the same few
-// distributions for every config, and the 3-moment Coxian fit's root search
-// is the analysis path's single most expensive scalar computation. Cached
-// returns are copies of the originally computed fit, so memoization is
-// observationally invisible (cache hit/miss traffic is exported as the
-// dist.fit.cache_hits / dist.fit.cache_misses counters).
+// Every call fits afresh and is deterministic in its inputs: the 3-moment
+// fit solves one quadratic in closed form (tens of nanoseconds), so there is
+// nothing worth caching.
 [[nodiscard]] PhaseType fit_ph(const Moments& target, int max_moments = 3,
                                FitReport* report = nullptr);
 
 // Exact three-moment 2-stage Coxian fit. Returns false when infeasible.
-// On success fills rates {mu1, mu2} and continuation probability p.
+// On success fills rates {mu1, mu2} and continuation probability p. The
+// sojourn means 1/mu1 and 1/mu2 are the two roots of a quadratic in the
+// moments; 1/mu1 is the smaller one whenever that choice gives p in (0, 1].
 bool fit_coxian2_3moments(const Moments& target, double* mu1, double* mu2, double* p);
 
 // Two-moment mixed-Erlang fit for scv < 1 (Tijms' construction): mixture of

@@ -66,18 +66,6 @@ PhaseType PhaseType::erlang(int k, double rate) {
   return {std::move(alpha), std::move(t)};
 }
 
-PhaseType PhaseType::hyperexp(std::vector<double> probs, std::vector<double> rates) {
-  if (probs.size() != rates.size() || probs.empty())
-    throw InvalidInputError("PhaseType::hyperexp: bad params");
-  const std::size_t n = probs.size();
-  linalg::Matrix t(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rates[i] <= 0.0) throw InvalidInputError("PhaseType::hyperexp: rate <= 0");
-    t(i, i) = -rates[i];
-  }
-  return {std::move(probs), std::move(t)};
-}
-
 PhaseType PhaseType::coxian(std::vector<double> rates, std::vector<double> cont) {
   const std::size_t n = rates.size();
   if (n == 0 || cont.size() != n - 1)
@@ -161,13 +149,6 @@ std::string PhaseType::name() const {
 
 jets::Jet PhaseType::lst_jet() const {
   return jets::lst_from_moments(moments_[0], moments_[1], moments_[2]);
-}
-
-PhaseType PhaseType::scaled(double factor) const {
-  if (factor <= 0.0) throw InvalidInputError("PhaseType::scaled: factor <= 0");
-  linalg::Matrix t = t_;
-  t *= 1.0 / factor;
-  return {alpha_, std::move(t)};
 }
 
 }  // namespace csq::dist

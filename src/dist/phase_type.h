@@ -1,7 +1,7 @@
 // Continuous phase-type (PH) distributions: absorption time of a CTMC with
-// initial vector alpha and subgenerator T. Covers exponential, Erlang,
-// hyperexponential and Coxian as named constructors; arbitrary (alpha, T)
-// accepted with validation.
+// initial vector alpha and subgenerator T. Covers exponential, Erlang and
+// Coxian as named constructors; arbitrary (alpha, T) accepted with
+// validation.
 //
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
@@ -27,8 +27,6 @@ class PhaseType final : public Distribution {
 
   static PhaseType exponential(double rate);
   static PhaseType erlang(int k, double rate);
-  // Mixture of exponentials: with probability probs[i], Exp(rates[i]).
-  static PhaseType hyperexp(std::vector<double> probs, std::vector<double> rates);
   // Coxian: phase i has rate rates[i]; after phase i < k-1, continue to phase
   // i+1 with probability cont[i], else absorb. cont has size k-1.
   static PhaseType coxian(std::vector<double> rates, std::vector<double> cont);
@@ -52,9 +50,6 @@ class PhaseType final : public Distribution {
 
   // Jet of the LST built from the first three moments.
   [[nodiscard]] jets::Jet lst_jet() const;
-
-  // Same shape, mean scaled by `factor` (all rates divided by factor).
-  [[nodiscard]] PhaseType scaled(double factor) const;
 
  private:
   std::vector<double> alpha_;

@@ -20,13 +20,12 @@ double norm1(const Matrix& a) {
 }
 
 // Factor `lu` in place as PA = LU with partial pivoting; perm receives the
-// row permutation (its capacity is reused). Returns the permutation's sign.
-int factor_in_place(Matrix& lu, std::vector<int>& perm) {
+// row permutation (its capacity is reused).
+void factor_in_place(Matrix& lu, std::vector<int>& perm) {
   if (lu.rows() != lu.cols()) throw InvalidInputError("Lu: matrix not square");
   const std::size_t n = lu.rows();
   perm.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<int>(i);
-  int sign = 1;
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot.
@@ -50,7 +49,6 @@ int factor_in_place(Matrix& lu, std::vector<int>& perm) {
     if (piv != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(piv, c));
       std::swap(perm[k], perm[piv]);
-      sign = -sign;
     }
     const double d = lu(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -59,7 +57,6 @@ int factor_in_place(Matrix& lu, std::vector<int>& perm) {
       for (std::size_t c = k + 1; c < n; ++c) lu(r, c) -= m * lu(k, c);
     }
   }
-  return sign;
 }
 
 // In-place forward/back substitution through packed factors; x(i) must
@@ -104,7 +101,7 @@ void invert_factored(Matrix& dst, const Matrix& lu, const std::vector<int>& perm
 
 }  // namespace
 
-Lu::Lu(Matrix a) : a_(std::move(a)), lu_(a_) { sign_ = factor_in_place(lu_, perm_); }
+Lu::Lu(Matrix a) : a_(std::move(a)), lu_(a_) { factor_in_place(lu_, perm_); }
 
 void Lu::substitute(std::vector<double>& x) const {
   substitute_factored(lu_, [&x](std::size_t i) -> double& { return x[i]; });
@@ -148,12 +145,6 @@ std::vector<double> Lu::solve_refined(const std::vector<double>& b) const {
   return x;
 }
 
-double Lu::determinant() const {
-  double d = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
-  return d;
-}
-
 Matrix Lu::inverse() const {
   Matrix inv;
   invert_factored(inv, lu_, perm_);
@@ -180,30 +171,13 @@ double Lu::condition_estimate() const {
   return cond_;
 }
 
-double Lu::residual_max(const std::vector<double>& x, const std::vector<double>& b) const {
-  const std::size_t n = lu_.rows();
-  if (x.size() != n || b.size() != n)
-    throw InvalidInputError("Lu::residual_max: size mismatch");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < n; ++j) s -= a_(i, j) * x[j];
-    worst = std::max(worst, std::abs(s));
-  }
-  return worst;
-}
-
-std::vector<double> solve_left(const Matrix& a, const std::vector<double>& b) {
-  return Lu(a.transpose()).solve(b);
-}
-
 Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
 
 void inverse_into(Matrix& dst, const Matrix& a, Matrix& lu, std::vector<int>& perm) {
   if (&dst == &a || &dst == &lu || &lu == &a)
     throw InvalidInputError("inverse_into: dst, a and lu must be distinct");
   lu = a;
-  (void)factor_in_place(lu, perm);
+  factor_in_place(lu, perm);
   invert_factored(dst, lu, perm);
 }
 

@@ -29,8 +29,6 @@ class Lu {
   // condition number at the cost of one extra substitution pass.
   [[nodiscard]] std::vector<double> solve_refined(const std::vector<double>& b) const;
 
-  [[nodiscard]] double determinant() const;
-
   // A^{-1}, substituted across all columns at once (cheaper than
   // solve(Matrix::identity(n)), same values).
   [[nodiscard]] Matrix inverse() const;
@@ -41,24 +39,16 @@ class Lu {
   // digits in double precision.
   [[nodiscard]] double condition_estimate() const;
 
-  // max-norm of the residual b - A x for a candidate solution x.
-  [[nodiscard]] double residual_max(const std::vector<double>& x,
-                                    const std::vector<double>& b) const;
-
  private:
   // In-place forward/back substitution; x must already hold the permuted
   // right-hand side (x[i] = b[perm_[i]]).
   void substitute(std::vector<double>& x) const;
 
-  Matrix a_;                // original matrix (refinement, condition, residual)
+  Matrix a_;                // original matrix (refinement, condition)
   Matrix lu_;               // packed L (unit diagonal, below) and U (on/above)
   std::vector<int> perm_;   // row permutation
-  int sign_ = 1;
   mutable double cond_ = -1.0;  // cached condition estimate (-1 = not computed)
 };
-
-// Solve x A = b for a row vector x (i.e. A^T x^T = b^T).
-[[nodiscard]] std::vector<double> solve_left(const Matrix& a, const std::vector<double>& b);
 
 [[nodiscard]] Matrix inverse(const Matrix& a);
 

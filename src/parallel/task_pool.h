@@ -7,9 +7,8 @@
 // The library's call sites (replications, the sweep, the policy panel) are
 // flat maps over independent indices, so a central queue balances them.
 //
-// The submitter never runs indices itself, so the thread_local caches the
-// library keeps (the Coxian fit memo, the QBD solver scratch) stay warm on
-// long-lived workers.
+// The submitter never runs indices itself, so the thread_local scratch the
+// library keeps (the QBD solver's) stays warm on long-lived workers.
 // Idle workers sleep on a condition variable: an idle pool costs nothing.
 //
 // Every index is attempted; the first exception thrown by the body is

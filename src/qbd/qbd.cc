@@ -81,8 +81,7 @@ double r_residual(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Ma
 
 // One workspace per thread, shared by every solve on it: sweeps, serve
 // workers and plain loops all get warm scratch without passing anything.
-// thread_local keeps it lock-free, like the Coxian fit memo in
-// dist/moment_match.cc.
+// thread_local keeps it lock-free.
 Workspace& thread_workspace() {
   thread_local Workspace ws;
   return ws;
@@ -266,16 +265,6 @@ double spectral_radius_estimate(const Matrix& m, int max_iterations, double tole
   return estimate;
 }
 
-double Solution::r_row_sum_max() const {
-  double best = 0.0;
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < r.cols(); ++j) s += r(i, j);
-    best = std::max(best, s);
-  }
-  return best;
-}
-
 double Solution::mean_level() const {
   const std::size_t k = boundary_pi.size();
   double mean = 0.0;
@@ -284,18 +273,6 @@ double Solution::mean_level() const {
   const std::vector<double> tail2 = (tail * i_minus_r_inv) * r;    // sum_j j pi_K R^j
   mean += static_cast<double>(k) * linalg::sum(tail) + linalg::sum(tail2);
   return mean;
-}
-
-double Solution::level_probability(std::size_t n) const {
-  const std::size_t k = boundary_pi.size();
-  if (n < k) return linalg::sum(boundary_pi[n]);
-  std::vector<double> v = pi_k;
-  std::vector<double> scratch;  // ping-pong buffer: no per-level allocation
-  for (std::size_t j = k; j < n; ++j) {
-    linalg::multiply_into(scratch, v, r);
-    std::swap(v, scratch);
-  }
-  return linalg::sum(v);
 }
 
 std::vector<double> Solution::repeating_mass_by_phase() const { return pi_k * i_minus_r_inv; }

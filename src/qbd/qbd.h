@@ -83,14 +83,8 @@ struct Solution {
   Matrix i_minus_r_inv;                          // (I - R)^{-1}
   SolveStats stats;                              // how R was obtained, residuals
 
-  // Spectral-radius proxy: max row sum of R (< 1 for positive recurrence).
-  [[nodiscard]] double r_row_sum_max() const;
-
   // E[level] with boundary level i worth i and repeating level K+j worth K+j.
   [[nodiscard]] double mean_level() const;
-
-  // P(level == n).
-  [[nodiscard]] double level_probability(std::size_t n) const;
 
   // P(level > n) — exact partial sums for the boundary plus the closed-form
   // matrix-geometric tail.

@@ -10,7 +10,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -506,7 +505,8 @@ class WorkSharingPolicy final : public RandomDispatchPolicy {
 
 // Call f(std::type_identity<P>{}, args...) with the concrete `final` policy
 // type P for `kind` and its constructor arguments: the one switch over
-// PolicyKind, behind both make_policy() and simulate().
+// PolicyKind, behind simulate(). -Werror=switch makes a kind it misses a
+// build error.
 template <class F>
 auto with_policy(PolicyKind kind, const Engine& engine, F&& f) {
   switch (kind) {
@@ -528,17 +528,10 @@ auto with_policy(PolicyKind kind, const Engine& engine, F&& f) {
       return f(std::type_identity<StealingPolicy>{}, engine, kind);
     case PolicyKind::kWorkSharing: return f(std::type_identity<WorkSharingPolicy>{}, engine);
   }
-  throw InvalidInputError("make_policy: unknown kind");
+  throw InvalidInputError("simulate: unknown policy kind");
 }
 
 }  // namespace
-
-std::unique_ptr<Policy> make_policy(PolicyKind kind, const Engine& engine) {
-  return with_policy(kind, engine,
-                     [](auto type, const auto&... args) -> std::unique_ptr<Policy> {
-                       return std::make_unique<typename decltype(type)::type>(args...);
-                     });
-}
 
 SimResult simulate(PolicyKind kind, const SystemConfig& config, const SimOptions& opts) {
   Engine engine(config, opts);

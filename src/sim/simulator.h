@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,9 +83,9 @@ struct PolicyInfo {
 // whose underlying value is i (a static_assert in simulator.cc holds the
 // table to that). The registry is the single source the CLI, the serve
 // layer and the sweep panel resolve names against, so adding a PolicyKind
-// means adding exactly one row there, plus the make_policy() case that
-// -Werror=switch demands; docs/policies.md carries the same rows (a
-// tier-1 test compares them).
+// means adding exactly one row there, plus the case in simulate()'s policy
+// switch that -Werror=switch demands; docs/policies.md carries the same
+// rows (a tier-1 test compares them).
 [[nodiscard]] std::span<const PolicyInfo> policy_registry();
 
 // Display name of `kind` ("CS-CQ", "Steal-Half", ...); "?" for a value
@@ -290,15 +289,12 @@ class Engine {
   BatchMeans resp_long_;
 };
 
-// Simulate the given policy on the given system.
+// Simulate the given policy on the given system: builds the policy for the
+// host counts and options, then runs the event loop on it. Throws
+// csq::InvalidInputError for a kind outside the registry, on bad policy
+// knobs, and for TAGS on anything but two hosts.
 [[nodiscard]] SimResult simulate(PolicyKind kind, const SystemConfig& config,
                                  const SimOptions& opts = {});
-
-// Factory used by simulate(): builds the policy for the engine's host counts
-// and options. Exposed for tests that drive Engine directly. Throws
-// csq::InvalidInputError on bad policy knobs, and for TAGS on anything but
-// two hosts.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind, const Engine& engine);
 
 // ci95 / |mean_response|, or 0 when the mean is zero (no meaningful
 // relative width). Drives the adaptive CI-width stopping rule.

@@ -6,7 +6,7 @@ enum class PolicyKind : int {
   kGamma,
 };
 
-int make_policy(PolicyKind k) {
+int with_policy(PolicyKind k) {
   switch (k) {
     case PolicyKind::kAlpha: return 1;
     case PolicyKind::kBeta: return 2;

@@ -79,28 +79,6 @@ TEST(Sweep, LinspaceEdgeCases) {
   EXPECT_THROW((void)linspace(0, 1, -3), std::invalid_argument);
 }
 
-TEST(Sweep, LinspaceOpenStaysStrictlyInsideTheInterval) {
-  // Boundary-exclusive grid for sweeping a stability region: no point may
-  // land on lo or hi, where the analysis is degenerate.
-  const auto v = linspace_open(0.0, 2.0, 9);
-  ASSERT_EQ(v.size(), 9u);
-  for (const double x : v) {
-    EXPECT_GT(x, 0.0);
-    EXPECT_LT(x, 2.0);
-  }
-  EXPECT_DOUBLE_EQ(v[4], 1.0);  // midpoint of an odd-sized grid
-  EXPECT_THROW((void)linspace_open(1.0, 1.0, 3), csq::InvalidInputError);
-  EXPECT_THROW((void)linspace_open(0, 1, 0), csq::InvalidInputError);
-}
-
-TEST(Sweep, LinspaceOpenSingletonIsTheMidpoint) {
-  // Deliberately unlike linspace: n == 1 yields the interior midpoint,
-  // never the boundary, so a one-point stability-region grid stays solvable.
-  const auto v = linspace_open(0.4, 1.2, 1);
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_DOUBLE_EQ(v[0], 0.8);
-}
-
 TEST(Sweep, ExpiredBudgetMarksEveryPointTimedOutButKeepsRows) {
   SweepOptions opts;
   opts.budget = RunBudget::with_timeout_ms(0);

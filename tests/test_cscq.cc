@@ -166,7 +166,7 @@ TEST(Cscq, OutsideStabilityRegionThrows) {
 
 TEST(Cscq, NonPhaseTypeShortsRejected) {
   SystemConfig c = SystemConfig::paper_setup(0.5, 0.5, 1.0, 1.0);
-  c.short_size = std::make_shared<dist::Deterministic>(1.0);
+  c.short_size = std::make_shared<dist::BoundedPareto>(1.0, 100.0, 1.5);
   EXPECT_THROW((void)analyze_cscq(c), std::invalid_argument);
 }
 

@@ -172,11 +172,11 @@ TEST(GoldenGrids, FigureGridsArePinned) {
   EXPECT_DOUBLE_EQ(rll.back(), 0.96);
 }
 
-// Every pin through one warm thread — each solve reusing the QBD scratch and
-// Coxian fit memo the solves before it left behind, the way the figure
-// drivers run — must match the same point analyzed on a fresh thread. The
-// comparison is exact (==), not kRelTol: scratch reuse is not allowed to
-// move a result by even one bit.
+// Every pin through one warm thread — each solve reusing the QBD scratch the
+// solves before it left behind, the way the figure drivers run — must match
+// the same point analyzed on a fresh thread. The comparison is exact (==),
+// not kRelTol: scratch reuse is not allowed to move a result by even one
+// bit.
 TEST(GoldenFigures, WarmThreadAnalysisReproducesEveryPinBitForBit) {
   constexpr Policy kPolicies[] = {Policy::kCsCq, Policy::kCsId};
   std::vector<AnalyzeOutcome> warm;

@@ -94,22 +94,9 @@ TEST(Lu, InverseRoundTrip) {
     for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(eye(i, j), i == j ? 1.0 : 0.0, 1e-12);
 }
 
-TEST(Lu, Determinant) {
-  const Matrix a{{3, 8}, {4, 6}};
-  EXPECT_NEAR(Lu(a).determinant(), -14.0, 1e-12);
-}
-
 TEST(Lu, SingularThrows) {
   const Matrix a{{1, 2}, {2, 4}};
   EXPECT_THROW(Lu{a}, std::domain_error);
-}
-
-TEST(Lu, SolveLeft) {
-  const Matrix a{{1, 2}, {3, 4}};
-  // x A = b with b = (7, 10) has x = (1, 2).
-  const auto x = solve_left(a, std::vector<double>{7, 10});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, PivotingHandlesZeroLeadingEntry) {

@@ -116,8 +116,7 @@ TEST(MomentMatch, RejectsNonFiniteMoments) {
     EXPECT_NEAR(fit_ph({1.0, 2.0, bad}, 2, &rep).mean(), 1.0, 1e-12);
     EXPECT_EQ(rep.moments_matched, 3);  // scv 1: the exponential matches all
   }
-  // The rejection comes before the memo: a retry throws again rather than
-  // returning a memoised NaN fit.
+  // A retry throws again.
   EXPECT_THROW(fit_ph({nan, 2.0, 6.0}, 3), InvalidInputError);
 }
 

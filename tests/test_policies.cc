@@ -73,28 +73,32 @@ TEST(PolicyRegistry, TokenKindDisplayRoundTrip) {
 
 // A value outside the enum (a corrupt cast, a stale serialized kind) gets
 // the documented fallbacks: a printable placeholder name, and the taxonomy
-// error from everything that would have to act on it (make_policy() is
-// swept over every value below).
+// error from everything that would have to act on it (simulate() is swept
+// over every value below).
 TEST(PolicyRegistry, OutOfRangeKindFallsBackOrThrows) {
   const auto bogus = static_cast<sim::PolicyKind>(200);
   EXPECT_STREQ(sim::policy_name(bogus), "?");
   EXPECT_THROW((void)sim::policy_token(bogus), InvalidInputError);
 }
 
-// make_policy() and the registry table must cover the same kinds:
-// -Werror=switch rejects an enumerator make_policy() misses, and this
+// simulate()'s policy switch and the registry table must cover the same
+// kinds: -Werror=switch rejects an enumerator the switch misses, and this
 // catches one it builds but the table (every token, display name and docs
 // row) lacks.
 TEST(PolicyRegistry, FactoryBuildsExactlyTheTableRows) {
-  const sim::Engine engine(zoo_config(), {});
+  const SystemConfig c = zoo_config();
+  sim::SimOptions o;
+  o.total_completions = 300;
   const std::size_t rows = sim::policy_registry().size();
   for (std::size_t v = 0; v <= 255; ++v) {
     SCOPED_TRACE(v);
     const auto kind = static_cast<sim::PolicyKind>(v);
-    if (v < rows)
-      EXPECT_NE(sim::make_policy(kind, engine), nullptr);
-    else
-      EXPECT_THROW((void)sim::make_policy(kind, engine), InvalidInputError);
+    if (v < rows) {
+      const sim::SimResult r = sim::simulate(kind, c, o);
+      EXPECT_GT(r.shorts.completions + r.longs.completions, 0u);
+    } else {
+      EXPECT_THROW((void)sim::simulate(kind, c, o), InvalidInputError);
+    }
   }
 }
 

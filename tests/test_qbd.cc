@@ -42,8 +42,9 @@ TEST(Qbd, MM1GeometricSolution) {
   EXPECT_NEAR(sol.r(0, 0), rho, 1e-10);
   EXPECT_NEAR(sol.total_mass(), 1.0, 1e-10);
   EXPECT_NEAR(sol.mean_level(), rho / (1 - rho), 1e-8);
-  EXPECT_NEAR(sol.level_probability(0), 1 - rho, 1e-10);
-  EXPECT_NEAR(sol.level_probability(3), (1 - rho) * std::pow(rho, 3), 1e-10);
+  // P(level == n) = P(level > n - 1) - P(level > n), P(level == 0) = 1 - P(level > 0).
+  EXPECT_NEAR(1.0 - sol.level_tail(0), 1 - rho, 1e-10);
+  EXPECT_NEAR(sol.level_tail(2) - sol.level_tail(3), (1 - rho) * std::pow(rho, 3), 1e-10);
 }
 
 TEST(Qbd, MM1WithExtraBoundaryLevels) {
@@ -63,7 +64,7 @@ TEST(Qbd, MM1WithExtraBoundaryLevels) {
   }
   const Solution sol = solve(m);
   EXPECT_NEAR(sol.mean_level(), 1.0, 1e-8);
-  EXPECT_NEAR(sol.level_probability(1), 0.25, 1e-10);
+  EXPECT_NEAR(sol.level_tail(0) - sol.level_tail(1), 0.25, 1e-10);  // P(level == 1)
 }
 
 TEST(Qbd, MM2MatchesErlangC) {
@@ -248,11 +249,16 @@ TEST(QbdTails, TailAndProbabilityConsistent) {
   m.boundary[1].up = Matrix{{lambda}};
   m.boundary[1].down = Matrix{{mu}};
   const Solution sol = solve(m);
+  // M/M/2 with rho = lambda / (2 mu): P(level == 0) = (1 - rho)/(1 + rho) and
+  // P(level == n) = 2 P(level == 0) rho^n for n >= 1. The first tail crosses
+  // the boundary, the rest lie in the repeating portion.
+  const double rho = lambda / (2.0 * mu);
+  const double p0 = (1.0 - rho) / (1.0 + rho);
+  EXPECT_NEAR(sol.level_tail(0), 1.0 - p0, 1e-12);
   for (const std::size_t n : {0u, 1u, 3u, 7u}) {
-    EXPECT_NEAR(sol.level_tail(n) - sol.level_tail(n + 1), sol.level_probability(n + 1),
-                1e-12);
+    EXPECT_NEAR(sol.level_tail(n) - sol.level_tail(n + 1),
+                2.0 * p0 * std::pow(rho, static_cast<double>(n + 1)), 1e-12);
   }
-  EXPECT_NEAR(sol.level_tail(0), 1.0 - sol.level_probability(0), 1e-12);
 }
 
 }  // namespace

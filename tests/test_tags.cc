@@ -35,11 +35,13 @@ TEST(Tags, HugeCutoffIsSingleMG1) {
 }
 
 TEST(Tags, DeterministicSizesShowKillAndRestartCost) {
-  // Shorts of size 1, longs of size 10, cutoff 2: at light load a long's
-  // response is ~ cutoff (wasted at host 0) + full restart at host 1.
+  // Shorts of size ~1, longs of size ~10 (bounded Pareto on supports 0.1%
+  // wide, so deterministic to the test's tolerance), cutoff 2: at light
+  // load a long's response is ~ cutoff (wasted at host 0) + full restart at
+  // host 1.
   SystemConfig c;
-  c.short_size = std::make_shared<dist::Deterministic>(1.0);
-  c.long_size = std::make_shared<dist::Deterministic>(10.0);
+  c.short_size = std::make_shared<dist::BoundedPareto>(1.0, 1.001, 1.5);
+  c.long_size = std::make_shared<dist::BoundedPareto>(10.0, 10.01, 1.5);
   c.lambda_short = 0.02;
   c.lambda_long = 0.002;
   const SimResult r = simulate(PolicyKind::kTags, c, tags_opts(2.0, 200000));

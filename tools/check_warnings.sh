@@ -25,7 +25,7 @@
 #   portable    -DCSQ_NATIVE_KERNELS=OFF build with normal flags: the golden
 #               pins (ChainPins and Fig 3-6 at relative tolerances 1e-12 /
 #               1e-6; SimPins, all three tables, exact), the Coxian fit's
-#               and the LU inverse's scalar references and the sweep
+#               and the LU inverse's references and the sweep
 #               determinism suite must pass without the native per-file
 #               flags
 #   bench       fresh guarded-benchmark run vs newest committed BENCH_*.json;
@@ -217,15 +217,17 @@ fi
 
 # --- stage 8: portable (native kernels off, same bits) ------------------------
 # Every other stage builds the solver and simulator hot files with
-# -march=native -ffp-contract=off. The pinned figures, the fit's and the LU
-# inverse's scalar references and the sweep determinism suite must also
+# -march=native -ffp-contract=off. The pinned figures, the Coxian fit's
+# and the LU inverse's references and the sweep determinism suite must also
 # pass in a build without those flags. ChainPins and the figure pins
 # compare at a relative tolerance, so they are not a bit check; SimPins
 # compare every field with EXPECT_EQ, so passing them here and in the
 # default build is an exact native-vs-portable check of the simulator's
-# samplers and event loop. The other native-vs-scalar bit checks are
-# CoxianFitReference and LuReference in the default build (moment_match.cc
-# and lu.cc native, the references in the test files not).
+# samplers and event loop. The other native-vs-scalar bit check is
+# LuReference in the default build (lu.cc native, the reference in the test
+# file not). The closed-form Coxian fit has no native flags, and its
+# std::fma calls round correctly in either build; CoxianFitReference checks
+# its verdicts and accuracy against the retired grid scan, in both builds.
 portable_dir="$repo_root/build-portable"
 cmake -B "$portable_dir" -S "$repo_root" -DCSQ_NATIVE_KERNELS=OFF -DCSQ_WERROR=ON >/dev/null \
   || fail "portable (configure)"
