@@ -6,6 +6,7 @@
 
 #include "analysis/cscq.h"
 #include "analysis/stability.h"
+#include "analysis/truncated_cscq.h"
 #include "core/solver.h"
 #include "obs/trace.h"
 // csq-lint: allow(module-layering): degradation ladder's last rung calls sim::simulate_replications: analysis -> sim is the documented resilience escape hatch (ROADMAP: invert by extracting a ladder module)
@@ -124,7 +125,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     }
   }
 
-  // --- rung 2: truncated finite CTMC with growing caps ---------------------
+  // --- rung 2: long-capped exact chain with growing caps -------------------
   for (const int cap : opts.start_rung > Rung::kTruncated ? std::vector<int>{}
                                                           : opts.truncation_caps) {
     if (opts.budget.interrupted()) {
@@ -132,19 +133,10 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
       break;
     }
     const bool ok = attempt(Rung::kTruncated, [&] {
-      TruncatedCscqOptions topts = opts.truncated;
-      topts.max_shorts = cap;
-      topts.max_longs = cap;
-      topts.budget = opts.budget;
-      const TruncatedCscqResult r = analyze_cscq_truncated(config, topts);
-      const double mass = std::max(r.mass_at_short_cap, r.mass_at_long_cap);
-      Diagnostics d = Diagnostics::loads(rho_s, rho_l);
-      d.iterations = r.sweeps;
-      if (!r.converged)
-        throw NotConvergedError("analyze_resilient: truncated solve did not converge at cap " +
-                                    std::to_string(cap),
-                                std::move(d));
+      const TruncatedCscqResult r = analyze_cscq_truncated(config, {cap, opts.budget});
+      const double mass = r.mass_at_long_cap;
       if (mass > opts.truncation_mass_tolerance) {
+        Diagnostics d = Diagnostics::loads(rho_s, rho_l);
         d.residual = mass;
         throw VerificationFailedError(
             "analyze_resilient: stranded probability mass " + std::to_string(mass) +

@@ -6,14 +6,14 @@
 //   rung 1 (exact)      — the paper's QBD analysis (analyze_cscq), run under
 //                         a ~50% slice of the overall budget so a stuck
 //                         solve cannot starve the fallbacks;
-//   rung 2 (truncated)  — the finite-CTMC truncation oracle
-//                         (analyze_cscq_truncated) with growing caps,
-//                         accepted only when converged and the probability
-//                         mass stranded at either cap is below
-//                         truncation_mass_tolerance (a rejected cap raises
-//                         csq::VerificationFailedError internally; it is
-//                         recorded in the attempt trail, never escaping the
-//                         ladder);
+//   rung 2 (truncated)  — the long-capped exact-chain oracle
+//                         (analyze_cscq_truncated, solved by the same
+//                         qbd::solve as rung 1) with growing long caps,
+//                         accepted only when the probability mass stranded
+//                         at the cap is below truncation_mass_tolerance
+//                         (a rejected cap raises csq::VerificationFailedError
+//                         internally; it is recorded in the attempt trail,
+//                         never escaping the ladder);
 //   rung 3 (simulation) — sim::simulate_replications of CS-CQ on the
 //                         default 1 + 1 hosts (the analyzed system), with
 //                         adaptive CI-width stopping. Once
@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/truncated_cscq.h"
 #include "core/config.h"
 #include "core/deadline.h"
 #include "core/status.h"
@@ -80,11 +79,10 @@ struct ResilientOptions {
   int busy_period_moments = 3;  // exact rung (3 = paper's setting)
   VerifyLevel verify = VerifyLevel::kBasic;
   qbd::Options qbd;  // exact rung; its budget is overwritten by the slice
-  // Truncated rung: square caps tried in order until the health check
-  // passes. Options other than caps/budget come from `truncated`.
+  // Truncated rung: long-count caps tried in order until the health check
+  // passes; the rung's solve shares the overall budget.
   std::vector<int> truncation_caps = {100, 200, 400};
   double truncation_mass_tolerance = 1e-6;
-  TruncatedCscqOptions truncated;
   // Simulation rung. sim.seed/total_completions/... are used as given;
   // sim_reps.budget/target_rel_ci are overwritten from this struct.
   sim::SimOptions sim;
@@ -103,7 +101,7 @@ struct ResilientResult {
   int replications_used = 0;
   // Exact rung only: the QBD solve trail.
   qbd::SolveStats solve_stats;
-  // Truncated rung only: accepted caps and the worst stranded mass.
+  // Truncated rung only: accepted long cap and the mass stranded there.
   int truncation_cap = 0;
   double truncation_mass = 0.0;
   // Obs counter increments across the whole ladder walk (every rung

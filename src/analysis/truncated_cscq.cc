@@ -1,12 +1,13 @@
 #include "analysis/truncated_cscq.h"
 
+#include <cstddef>
+#include <vector>
+
 #include "analysis/stability.h"
 #include "core/faultpoint.h"
 #include "core/status.h"
-#include "ctmc/sparse.h"
-#include "obs/trace.h"
-#include "ctmc/stationary.h"
 #include "dist/phase_type.h"
+#include "obs/trace.h"
 
 namespace csq::analysis {
 
@@ -22,10 +23,7 @@ double exponential_rate(const dist::DistPtr& d, const char* what) {
 
 }  // namespace
 
-TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
-                                           const TruncatedCscqOptions& opts) {
-  CSQ_OBS_SPAN("analysis.truncated.analyze");
-  const obs::DeltaScope obs_scope;
+qbd::Model cscq_truncated_model(const SystemConfig& config, int max_longs) {
   config.validate();
   config.require_poisson_shorts("analyze_cscq_truncated");
   const double mu_s = exponential_rate(config.short_size, "short");
@@ -37,95 +35,98 @@ TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
   if (!cscq_stable(rho_s, rho_l))
     throw UnstableError("analyze_cscq_truncated: outside CS-CQ stability region",
                         Diagnostics::loads(rho_s, rho_l));
-  if (opts.max_shorts < 3 || opts.max_longs < 2)
-    throw InvalidInputError("analyze_cscq_truncated: caps too small");
+  if (max_longs < 1) throw InvalidInputError("analyze_cscq_truncated: max_longs < 1");
 
-  const int ns_max = opts.max_shorts;
-  const int nl_max = opts.max_longs;
+  const std::size_t nl_max = static_cast<std::size_t>(max_longs);
+  const std::size_t kA = 0;
+  const auto id_l = [](std::size_t nl) { return nl; };
+  const auto id_w = [nl_max](std::size_t nl) { return nl_max + nl; };
+  const std::size_t b = nl_max + 1;      // levels 0-1: A, L (W needs two shorts)
+  const std::size_t m = 2 * nl_max + 1;  // levels >= 2: A, L, W
 
-  // State encoding. Configurations: A only at n_L = 0; L for n_L >= 1; W for
-  // n_L >= 1 and n_S >= 2. Pack as:
-  //   A(ns)        -> ns                                  (0..ns_max)
-  //   L(ns, nl)    -> base_l + (nl-1)*(ns_max+1) + ns
-  //   W(ns, nl)    -> base_w + (nl-1)*(ns_max-1) + (ns-2)
-  const std::size_t base_l = static_cast<std::size_t>(ns_max) + 1;
-  const std::size_t stride_l = static_cast<std::size_t>(ns_max) + 1;
-  const std::size_t base_w = base_l + static_cast<std::size_t>(nl_max) * stride_l;
-  const std::size_t stride_w = static_cast<std::size_t>(ns_max) - 1;
-  const std::size_t n_states = base_w + static_cast<std::size_t>(nl_max) * stride_w;
-
-  const auto id_a = [&](int ns) { return static_cast<std::size_t>(ns); };
-  const auto id_l = [&](int ns, int nl) {
-    return base_l + static_cast<std::size_t>(nl - 1) * stride_l + static_cast<std::size_t>(ns);
-  };
-  const auto id_w = [&](int ns, int nl) {
-    return base_w + static_cast<std::size_t>(nl - 1) * stride_w + static_cast<std::size_t>(ns - 2);
-  };
-
-  ctmc::Generator q(n_states);
-
-  for (int ns = 0; ns <= ns_max; ++ns) {
-    // --- A states ---
-    if (ns < ns_max) q.add(id_a(ns), id_a(ns + 1), ls);
-    if (ns >= 1) q.add(id_a(ns), id_a(ns - 1), std::min(ns, 2) * mu_s);
-    if (nl_max >= 1 && ll > 0.0) {
-      if (ns >= 2)
-        q.add(id_a(ns), id_w(ns, 1), ll);
-      else
-        q.add(id_a(ns), id_l(ns, 1), ll);
+  // Long arrivals and departures within a level; a long arriving to A waits
+  // (W) when both servers are on shorts, else starts on the free one (L).
+  const auto add_long_moves = [&](qbd::Matrix& local, bool both_busy) {
+    local(kA, both_busy ? id_w(1) : id_l(1)) += ll;
+    for (std::size_t nl = 1; nl <= nl_max; ++nl) {
+      if (nl < nl_max) local(id_l(nl), id_l(nl + 1)) += ll;
+      local(id_l(nl), nl == 1 ? kA : id_l(nl - 1)) += mu_l;
+      if (both_busy && nl < nl_max) local(id_w(nl), id_w(nl + 1)) += ll;
     }
-    for (int nl = 1; nl <= nl_max; ++nl) {
-      // --- L states ---
-      const std::size_t s = id_l(ns, nl);
-      if (ns < ns_max) q.add(s, id_l(ns + 1, nl), ls);
-      if (nl < nl_max && ll > 0.0) q.add(s, id_l(ns, nl + 1), ll);
-      q.add(s, nl == 1 ? id_a(ns) : id_l(ns, nl - 1), mu_l);
-      if (ns >= 1) q.add(s, id_l(ns - 1, nl), mu_s);
-      // --- W states (n_S >= 2) ---
-      if (ns >= 2) {
-        const std::size_t w = id_w(ns, nl);
-        if (ns < ns_max) q.add(w, id_w(ns + 1, nl), ls);
-        if (nl < nl_max && ll > 0.0) q.add(w, id_w(ns, nl + 1), ll);
-        q.add(w, id_l(ns - 1, nl), 2.0 * mu_s);
-      }
+  };
+  // A short arrival moves up a level and keeps the phase.
+  const auto add_short_arrivals = [&](qbd::Matrix& up) {
+    for (std::size_t i = 0; i < up.rows(); ++i) up(i, i) += ls;
+  };
+  // A short completion from a level >= 2: A -> A at 2 mu_S, L -> L at mu_S,
+  // and W -> L at 2 mu_S (the freed server takes the first waiting long).
+  const auto add_two_server_completions = [&](qbd::Matrix& down) {
+    down(kA, kA) += 2.0 * mu_s;
+    for (std::size_t nl = 1; nl <= nl_max; ++nl) {
+      down(id_l(nl), id_l(nl)) += mu_s;
+      down(id_w(nl), id_l(nl)) += 2.0 * mu_s;
     }
+  };
+
+  qbd::Model model;
+  model.boundary.resize(2);
+  for (std::size_t level = 0; level < 2; ++level) {
+    qbd::BoundaryLevel& lvl = model.boundary[level];
+    lvl.local = qbd::Matrix(b, b);
+    add_long_moves(lvl.local, /*both_busy=*/false);
+    lvl.up = qbd::Matrix(b, level == 0 ? b : m);
+    add_short_arrivals(lvl.up);
   }
-  q.finalize();
+  model.boundary[1].down = qbd::Matrix(b, b);
+  for (std::size_t i = 0; i < b; ++i) model.boundary[1].down(i, i) = mu_s;
+  model.a0 = qbd::Matrix(m, m);
+  add_short_arrivals(model.a0);
+  model.a1 = qbd::Matrix(m, m);
+  add_long_moves(model.a1, /*both_busy=*/true);
+  model.a2 = qbd::Matrix(m, m);
+  add_two_server_completions(model.a2);
+  model.first_down = qbd::Matrix(m, b);
+  add_two_server_completions(model.first_down);
+  return model;
+}
 
+TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
+                                           const TruncatedCscqOptions& opts) {
+  CSQ_OBS_SPAN("analysis.truncated.analyze");
+  const qbd::Model model = cscq_truncated_model(config, opts.max_longs);
   CSQ_FAULT_POINT("analysis.truncated.solve");
-  const ctmc::StationaryResult st =
-      ctmc::stationary(q, {opts.tolerance, opts.max_sweeps, opts.sor_omega, opts.budget});
+  qbd::Options qopts;
+  qopts.budget = opts.budget;
+  const qbd::Solution sol = qbd::solve(model, qopts);
 
   TruncatedCscqResult res;
-  res.converged = st.converged;
-  res.sweeps = st.sweeps;
-
-  double mean_shorts = 0.0, mean_longs = 0.0;
-  for (int ns = 0; ns <= ns_max; ++ns) {
-    const double pa = st.pi[id_a(ns)];
-    mean_shorts += ns * pa;
-    if (ns <= 1)
-      res.p_region1 += pa;
-    else
-      res.p_region2 += pa;
-    if (ns == ns_max) res.mass_at_short_cap += pa;
-    for (int nl = 1; nl <= nl_max; ++nl) {
-      double p = st.pi[id_l(ns, nl)];
-      if (ns >= 2) p += st.pi[id_w(ns, nl)];
-      mean_shorts += ns * p;
-      mean_longs += nl * p;
-      if (ns == ns_max) res.mass_at_short_cap += p;
-      if (nl == nl_max) res.mass_at_long_cap += p;
+  const std::size_t nl_max = static_cast<std::size_t>(opts.max_longs);
+  double mean_longs = 0.0;
+  // Phase 0 is A (region 1 at levels 0-1, region 2 above); phase i >= 1 is
+  // L or W with n_L = i or i - nl_max.
+  const auto add_long_mass = [&](const std::vector<double>& pi) {
+    for (std::size_t i = 1; i < pi.size(); ++i) {
+      const std::size_t nl = i > nl_max ? i - nl_max : i;
+      mean_longs += static_cast<double>(nl) * pi[i];
+      if (nl == nl_max) res.mass_at_long_cap += pi[i];
     }
+  };
+  for (const std::vector<double>& pi : sol.boundary_pi) {
+    res.p_region1 += pi[0];
+    add_long_mass(pi);
   }
+  const std::vector<double> rep_mass = sol.repeating_mass_by_phase();
+  res.p_region2 = rep_mass[0];
+  add_long_mass(rep_mass);
 
-  const double mean_xs = 1.0 / mu_s;
-  const double mean_xl = 1.0 / mu_l;
-  res.metrics.shorts = class_metrics_from_response(ls > 0.0 ? mean_shorts / ls : mean_xs,
-                                                   ls, mean_xs);
+  const double ls = config.lambda_short;
+  const double ll = config.lambda_long;
+  const double mean_xs = config.short_size->mean();
+  const double mean_xl = config.long_size->mean();
+  res.metrics.shorts = class_metrics_from_response(
+      ls > 0.0 ? sol.mean_level() / ls : mean_xs, ls, mean_xs);
   res.metrics.longs = class_metrics_from_response(ll > 0.0 ? mean_longs / ll : mean_xl,
                                                   ll, mean_xl);
-  res.obs_metrics = obs_scope.delta();
   return res;
 }
 

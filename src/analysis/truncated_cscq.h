@@ -1,56 +1,57 @@
-// Exact CS-CQ chain for exponential short and long sizes, truncated in both
-// dimensions and solved as a finite sparse CTMC.
+// Exact CS-CQ chain for exponential short and long sizes, with the long
+// count capped and the short count left infinite, solved as a QBD.
 //
-// The paper rejects this approach for production use ("truncation is neither
-// sufficiently accurate nor robust") — we implement it as an exactness
-// oracle: for exponential/exponential workloads and generous caps it
-// converges to the true chain, letting the test-suite and the ablation bench
-// measure (a) the busy-period-transition approximation error of the QBD
-// analysis and (b) the truncation error the paper warns about.
+// The paper rejects truncating the chain for production use ("truncation is
+// neither sufficiently accurate nor robust") — we implement it as an
+// exactness oracle: for exponential/exponential workloads and a generous
+// long cap it converges to the true chain, letting the test-suite and the
+// ablation bench measure (a) the busy-period-transition approximation error
+// of the QBD analysis and (b) the truncation error the paper warns about.
 //
 // State space: (n_S, n_L, c) with
 //   c = A — n_L == 0, shorts on min(n_S,2) servers;
 //   c = L — n_L >= 1, one server serving longs, the other serving shorts;
 //   c = W — n_L >= 1, both servers on shorts (n_S >= 2), longs all waiting.
+// The level is n_S (exact, matrix-geometric above level 1); the phase is
+// (c, n_L) with n_L <= max_longs, so levels 0-1 carry {A, L(1..N)} and the
+// repeating levels >= 2 carry {A, L(1..N), W(1..N)}.
 //
 // Throws csq::InvalidInputError on malformed arguments,
 // csq::UnstableError when the offered load is outside the stability
-// region, and csq::DeadlineExceededError / csq::CancelledError when
-// opts.budget is interrupted during the Gauss-Seidel solve (core/status.h).
+// region, and the failures of qbd::solve (core/status.h):
+// csq::NotConvergedError, csq::IllConditionedError and
+// csq::VerificationFailedError from the solve itself, and
+// csq::DeadlineExceededError / csq::CancelledError when opts.budget is
+// interrupted.
 #pragma once
 
 #include "core/config.h"
 #include "core/deadline.h"
-#include "obs/obs.h"
+#include "qbd/qbd.h"
 
 namespace csq::analysis {
 
 struct TruncatedCscqOptions {
-  int max_shorts = 200;
-  int max_longs = 200;
-  double tolerance = 1e-10;  // L1 change per sweep; see ctmc::StationaryOptions
-  int max_sweeps = 50000;
-  double sor_omega = 1.0;
-  // Wall-clock/cancellation budget, forwarded to ctmc::stationary (polled
-  // once per Gauss-Seidel sweep).
+  // Cap N on the long count; the solve costs O(N^3). The long count decays
+  // about geometrically in rho_L, so at rho_L <= 0.75 the default leaves
+  // < 1e-12 of the mass at the cap (see mass_at_long_cap).
+  int max_longs = 100;
+  // Wall-clock/cancellation budget, forwarded to qbd::solve.
   RunBudget budget;
 };
 
 struct TruncatedCscqResult {
   PolicyMetrics metrics;
-  double p_region1 = 0.0;       // P(n_L = 0, n_S <= 1)
-  double p_region2 = 0.0;       // P(n_L = 0, n_S >= 2)
-  double mass_at_short_cap = 0.0;  // truncation health: P(n_S == max)
-  double mass_at_long_cap = 0.0;
-  bool converged = false;
-  int sweeps = 0;
-  obs::MetricsDelta obs_metrics;   // counter increments during this call
+  double p_region1 = 0.0;         // P(n_L = 0, n_S <= 1)
+  double p_region2 = 0.0;         // P(n_L = 0, n_S >= 2)
+  double mass_at_long_cap = 0.0;  // truncation health: P(n_L == max_longs)
 };
 
-// Throws std::invalid_argument unless both size distributions are
-// exponential and short arrivals are Poisson; std::domain_error outside the CS-CQ stability region.
-// The truncated-chain solve can also surface csq::IllConditionedError
-// from the linear-algebra stage.
+// The chain's QBD blocks. Phase indices, at every level: A -> 0,
+// L(n_L) -> n_L, and on levels >= 2 W(n_L) -> max_longs + n_L. Validates its
+// arguments and throws as analyze_cscq_truncated does.
+[[nodiscard]] qbd::Model cscq_truncated_model(const SystemConfig& config, int max_longs);
+
 [[nodiscard]] TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
                                                          const TruncatedCscqOptions& opts = {});
 

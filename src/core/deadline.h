@@ -8,10 +8,9 @@
 // into worker threads; a copy shares the parent's deadline and token.
 //
 // Polling is cooperative, so deadlines overshoot by at most one poll
-// interval: one log-reduction doubling step in qbd, one Gauss–Seidel
-// sweep in ctmc, one sweep point, or one simulation replication (the current
-// replication always runs to completion). See docs/robustness.md §7 for the
-// full contract.
+// interval: one log-reduction doubling step in qbd, one sweep point, or one
+// simulation replication (the current replication always runs to
+// completion). See docs/robustness.md §7 for the full contract.
 //
 // Time source: timebase::now_ns() is std::chrono::steady_clock plus an
 // atomic *virtual offset* that tests and the fault-injection layer can

@@ -4,7 +4,7 @@
 
 namespace csq::qbd {
 
-int stationary_clean(int x) { return x * 2; }
+int solve_r(int x) { return x * 2; }
 
 struct FixtureBudget {
   bool interrupted() const { return false; }
@@ -14,7 +14,7 @@ int drive_polled(int n, const FixtureBudget& budget) {
   int acc = 0;
   for (int i = 0; i < n; ++i) {
     if (budget.interrupted()) return acc;
-    acc += stationary_clean(i);
+    acc += solve_r(i);
   }
   return acc;
 }

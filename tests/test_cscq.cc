@@ -44,18 +44,14 @@ TEST(Cscq, LimitNoShortsIsExactMG1ForLongs) {
 }
 
 TEST(Cscq, MatchesExactTruncatedChain) {
-  // Exponential/exponential: the truncated 2-D chain is exact up to
-  // truncation; the busy-period-transition QBD should track it closely
-  // (the paper reports <2% typical vs simulation).
+  // Exponential/exponential: the long-capped chain is exact up to the cap;
+  // the busy-period-transition QBD should track it closely (the paper
+  // reports <2% typical vs simulation).
   for (const double rho_l : {0.3, 0.6}) {
     for (const double rho_s : {0.5, 1.0}) {
       const SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, 1.0, 1.0);
       const CscqResult qbd = analyze_cscq(c);
-      TruncatedCscqOptions topts;
-      topts.max_shorts = 150;
-      topts.max_longs = 150;
-      const TruncatedCscqResult exact = analyze_cscq_truncated(c, topts);
-      ASSERT_TRUE(exact.converged);
+      const TruncatedCscqResult exact = analyze_cscq_truncated(c);
       EXPECT_NEAR(qbd.metrics.shorts.mean_response, exact.metrics.shorts.mean_response,
                   0.02 * exact.metrics.shorts.mean_response)
           << "rho_s=" << rho_s << " rho_l=" << rho_l;
@@ -172,10 +168,7 @@ TEST(Cscq, NonPhaseTypeShortsRejected) {
 
 TEST(Cscq, FewerMomentsStillSolveButLoseAccuracy) {
   const SystemConfig c = SystemConfig::paper_setup(1.0, 0.6, 1.0, 1.0);
-  TruncatedCscqOptions topts;
-  topts.max_shorts = 140;
-  topts.max_longs = 140;
-  const double exact = analyze_cscq_truncated(c, topts).metrics.shorts.mean_response;
+  const double exact = analyze_cscq_truncated(c).metrics.shorts.mean_response;
   double err[4] = {};
   for (int k = 1; k <= 3; ++k) {
     CscqOptions o;

@@ -407,7 +407,7 @@ TEST(LintSemantic, DeadlinePollUnpolledKernelLoop) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(fs[0].rule, "deadline-poll");
   EXPECT_EQ(fs[0].line, 13);
-  EXPECT_NE(fs[0].message.find("stationary()"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("solve_r()"), std::string::npos);
 }
 
 TEST(LintSemantic, DeadlinePollCleanTwin) {

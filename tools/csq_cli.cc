@@ -176,7 +176,7 @@ int cmd_analyze(const Args& a) {
     print_metrics(r.metrics);
     std::cout << "rung: " << analysis::rung_name(r.rung_used);
     if (r.rung_used == analysis::Rung::kTruncated)
-      std::cout << " (caps " << r.truncation_cap << ", stranded mass "
+      std::cout << " (long cap " << r.truncation_cap << ", stranded mass "
                 << format_cell(r.truncation_mass) << ")";
     if (r.rung_used == analysis::Rung::kSimulation)
       std::cout << " (" << r.replications_used << " replications, ci95 short "

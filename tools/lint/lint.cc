@@ -293,7 +293,7 @@ const std::vector<RuleInfo>& rules() {
        "solver/simulator loops that reach an iterative kernel must poll "
        "RunBudget/CancelToken (R14)",
        "The cooperative-cancellation contract (core/deadline.h): any loop in\n"
-       "src/{qbd,ctmc,mg1,sim,core} whose body transitively reaches an\n"
+       "src/{qbd,mg1,sim,core} whose body transitively reaches an\n"
        "iterative kernel must poll the budget — interrupted()/expired()/\n"
        "cancelled()/check() in the loop, or a callee that provably polls.\n"
        "Unresolved calls never count as polling (conservative direction: a loop\n"
@@ -310,7 +310,7 @@ const std::vector<RuleInfo>& rules() {
        "function's doc block."},
       {"module-layering",
        "includes must follow the module DAG core -> linalg -> jets/dist/transforms "
-       "-> qbd/ctmc/mg1 -> analysis -> sim/parallel -> serve/tools; cycles are "
+       "-> qbd/mg1 -> analysis -> sim/parallel -> serve/tools; cycles are "
        "findings (R17)",
        "The module DAG keeps the solver core reusable and the build layerable:\n"
        "an #include pointing at a higher layer couples the foundation to its\n"

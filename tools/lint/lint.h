@@ -151,15 +151,15 @@ struct Config {
   std::string serve_metric_docs_name = "docs/serving.md";
   // deadline-poll (R14): directories whose loops must poll the budget when
   // they transitively reach an iterative kernel.
-  std::vector<std::string> deadline_poll_dirs = {"src/qbd/", "src/ctmc/", "src/mg1/",
-                                                 "src/sim/", "src/core/"};
+  std::vector<std::string> deadline_poll_dirs = {"src/qbd/", "src/mg1/", "src/sim/",
+                                                 "src/core/"};
   // The iterative kernels: entry points whose runtime is data-dependent and
   // unbounded without a budget. A function qualifies when its name matches
   // AND it is defined in one of iterative_kernel_modules.
   std::vector<std::string> iterative_kernels = {
-      "solve",      "solve_r", "solve_g_logred", "stationary",
-      "run",        "simulate", "simulate_replications", "spectral_radius_estimate"};
-  std::vector<std::string> iterative_kernel_modules = {"qbd", "ctmc", "mg1", "sim"};
+      "solve",    "solve_r",  "solve_g_logred", "run",
+      "simulate", "simulate_replications", "spectral_radius_estimate"};
+  std::vector<std::string> iterative_kernel_modules = {"qbd", "mg1", "sim"};
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
   std::vector<std::string> atomic_order_dirs = {"src/parallel/", "src/obs/"};
@@ -168,7 +168,7 @@ struct Config {
   // fixtures) are unconstrained.
   std::map<std::string, int> module_ranks = {
       {"core", 0},  {"linalg", 1}, {"jets", 2},     {"dist", 2},  {"transforms", 2},
-      {"qbd", 3},   {"ctmc", 3},   {"mg1", 3},      {"analysis", 4}, {"sim", 5},
+      {"qbd", 3},   {"mg1", 3},    {"analysis", 4}, {"sim", 5},
       {"parallel", 5}, {"obs", 5},   {"durable", 5},
       {"serve", 6}, {"tools", 6},  {"tests", 6}};
   // Modules excluded from the layering check as include *targets*:
