@@ -25,6 +25,26 @@ const char* rung_name(Rung r) {
 
 namespace {
 
+// The exact rung's share of the remaining budget; the rest is left for the
+// fallbacks, so a stuck exact solve cannot starve them.
+constexpr double kExactBudgetFraction = 0.5;
+// Largest probability mass the truncated rung may strand at its long cap.
+constexpr double kTruncationMassTolerance = 1e-6;
+// The truncated rung's long cap is clamped to [kMinTruncationCap,
+// kMaxTruncationCap]: the floor keeps every cap the rung accepted at
+// moderate rho_L, and a solve costs O(N^3) past the ceiling.
+constexpr int kMinTruncationCap = 100;
+constexpr int kMaxTruncationCap = 400;
+
+// Smallest cap N with eta^N <= kTruncationMassTolerance, clamped: the mass
+// at the cap falls about like eta^N.
+int truncation_cap(const SystemConfig& config) {
+  const double n =
+      std::ceil(std::log(kTruncationMassTolerance) / std::log(long_count_decay(config)));
+  return static_cast<int>(std::clamp(n, static_cast<double>(kMinTruncationCap),
+                                     static_cast<double>(kMaxTruncationCap)));
+}
+
 Diagnostics ladder_diagnostics(const SystemConfig& config, const ResilientOptions& opts,
                                const std::vector<RungAttempt>& attempts) {
   Diagnostics d = Diagnostics::loads(config.rho_short(), config.rho_long());
@@ -43,10 +63,6 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
   CSQ_OBS_SPAN("analysis.resilient.ladder");
   const obs::DeltaScope obs_scope;
   config.validate();
-  if (!(opts.exact_budget_fraction > 0.0) || !(opts.exact_budget_fraction <= 1.0))
-    throw InvalidInputError("analyze_resilient: exact_budget_fraction must be in (0, 1]");
-  if (!(opts.truncation_mass_tolerance > 0.0))
-    throw InvalidInputError("analyze_resilient: truncation_mass_tolerance must be > 0");
   const double rho_s = config.rho_short();
   const double rho_l = config.rho_long();
   if (rho_l >= 1.0 || !cscq_stable(rho_s, rho_l))
@@ -104,13 +120,11 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     deadline_skip(Rung::kExact, "analyze_resilient/exact");
   } else {
     CscqOptions copts;
-    copts.busy_period_moments = opts.busy_period_moments;
-    copts.qbd = opts.qbd;
     copts.qbd.verify = opts.verify;
-    copts.qbd.budget = opts.budget.has_deadline()
-                           ? opts.budget.slice_ms(opts.budget.remaining_ms() *
-                                                  opts.exact_budget_fraction)
-                           : opts.budget;
+    copts.qbd.budget =
+        opts.budget.has_deadline()
+            ? opts.budget.slice_ms(opts.budget.remaining_ms() * kExactBudgetFraction)
+            : opts.budget;
     const bool ok = attempt(Rung::kExact, [&] {
       const CscqResult r = analyze_cscq(config, copts);
       const SolverStatus v = verify_metrics(r.metrics, config, opts.verify);
@@ -125,17 +139,17 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     }
   }
 
-  // --- rung 2: long-capped exact chain with growing caps -------------------
-  for (const int cap : opts.start_rung > Rung::kTruncated ? std::vector<int>{}
-                                                          : opts.truncation_caps) {
-    if (opts.budget.interrupted()) {
-      deadline_skip(Rung::kTruncated, "analyze_resilient/truncated");
-      break;
-    }
+  // --- rung 2: long-capped exact chain, one solve ------------------------
+  if (opts.start_rung > Rung::kTruncated) {
+    // Skipped by request.
+  } else if (opts.budget.interrupted()) {
+    deadline_skip(Rung::kTruncated, "analyze_resilient/truncated");
+  } else {
     const bool ok = attempt(Rung::kTruncated, [&] {
+      const int cap = truncation_cap(config);
       const TruncatedCscqResult r = analyze_cscq_truncated(config, {cap, opts.budget});
       const double mass = r.mass_at_long_cap;
-      if (mass > opts.truncation_mass_tolerance) {
+      if (mass > kTruncationMassTolerance) {
         Diagnostics d = Diagnostics::loads(rho_s, rho_l);
         d.residual = mass;
         throw VerificationFailedError(
@@ -154,9 +168,6 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
       res.obs_metrics = obs_scope.delta();
       return res;
     }
-    // A caps-independent rejection (e.g. non-exponential longs) will not be
-    // cured by growing the truncation; fall through to simulation at once.
-    if (res.attempts.back().status.code == ErrorCode::kInvalidInput) break;
   }
 
   // --- rung 3: simulation (always runs its initial batch) ------------------

@@ -6,14 +6,17 @@
 //   rung 1 (exact)      — the paper's QBD analysis (analyze_cscq), run under
 //                         a ~50% slice of the overall budget so a stuck
 //                         solve cannot starve the fallbacks;
-//   rung 2 (truncated)  — the long-capped exact-chain oracle
+//   rung 2 (truncated)  — one solve of the long-capped exact-chain oracle
 //                         (analyze_cscq_truncated, solved by the same
-//                         qbd::solve as rung 1) with growing long caps,
-//                         accepted only when the probability mass stranded
-//                         at the cap is below truncation_mass_tolerance
-//                         (a rejected cap raises csq::VerificationFailedError
-//                         internally; it is recorded in the attempt trail,
-//                         never escaping the ladder);
+//                         qbd::solve as rung 1). Its long cap is
+//                         N = clamp(ceil(ln 1e-6 / ln eta), 100, 400), eta
+//                         the long count's decay (long_count_decay), so the
+//                         mass stranded at the cap is about eta^N <= 1e-6.
+//                         The answer is accepted only when the measured
+//                         stranded mass is <= 1e-6 (a rejected cap raises
+//                         csq::VerificationFailedError internally; it is
+//                         recorded in the attempt trail, never escaping the
+//                         ladder);
 //   rung 3 (simulation) — sim::simulate_replications of CS-CQ on the
 //                         default 1 + 1 hosts (the analyzed system), with
 //                         adaptive CI-width stopping. Once
@@ -23,8 +26,8 @@
 //                         of the estimate.
 //
 // Budget contract: the overall budget is checked once at ladder entry (an
-// already-expired budget throws immediately — "no rung fits") and at each
-// truncated-rung attempt; expiry between rungs skips straight to the
+// already-expired budget throws immediately — "no rung fits") and before
+// the truncated rung; expiry between rungs skips straight to the
 // simulation rung. Cancellation, by contrast, aborts the whole ladder at
 // the next poll point: a user who cancelled does not want a simulation
 // consolation prize.
@@ -69,20 +72,14 @@ struct ResilientOptions {
   // Overall ladder budget (see the contract above). Default: unlimited.
   RunBudget budget;
   // First rung to try. A caller that already ran (and failed) the exact
-  // analysis itself — the serve layer's retry loop — starts at kTruncated
-  // instead of paying for the exact solve a second time; earlier rungs are
-  // simply not attempted (they leave no trail entry).
+  // analysis itself — the serve layer — starts at kTruncated instead of
+  // paying for the exact solve a second time; earlier rungs are simply not
+  // attempted (they leave no trail entry).
   Rung start_rung = Rung::kExact;
-  // Fraction of the remaining budget granted to the exact rung (its slice);
-  // the rest is left for the fallbacks.
-  double exact_budget_fraction = 0.5;
-  int busy_period_moments = 3;  // exact rung (3 = paper's setting)
+  // Self-check level of every rung. The exact rung runs analyze_cscq with
+  // the CscqOptions defaults under half of the remaining budget; the rest is
+  // left for the fallbacks.
   VerifyLevel verify = VerifyLevel::kBasic;
-  qbd::Options qbd;  // exact rung; its budget is overwritten by the slice
-  // Truncated rung: long-count caps tried in order until the health check
-  // passes; the rung's solve shares the overall budget.
-  std::vector<int> truncation_caps = {100, 200, 400};
-  double truncation_mass_tolerance = 1e-6;
   // Simulation rung. sim.seed/total_completions/... are used as given;
   // sim_reps.budget/target_rel_ci are overwritten from this struct.
   sim::SimOptions sim;

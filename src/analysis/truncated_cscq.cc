@@ -1,5 +1,6 @@
 #include "analysis/truncated_cscq.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -22,6 +23,12 @@ double exponential_rate(const dist::DistPtr& d, const char* what) {
 }
 
 }  // namespace
+
+double long_count_decay(const SystemConfig& config) {
+  const double ll = config.lambda_long;
+  const double mu_s = 1.0 / config.short_size->mean();
+  return std::max(config.rho_long(), ll / (ll + 2.0 * mu_s));
+}
 
 qbd::Model cscq_truncated_model(const SystemConfig& config, int max_longs) {
   config.validate();

@@ -47,6 +47,15 @@ struct TruncatedCscqResult {
   double mass_at_long_cap = 0.0;  // truncation health: P(n_L == max_longs)
 };
 
+// Geometric decay rate eta of the long count, P(n_L >= n) ~ eta^n, read off
+// the paper's long-job model: an M/G/1 queue of longs whose busy cycle
+// starts after a setup of 0 or Exp(2 mu_S) (a long arriving while both
+// servers run shorts waits for the first of them to finish). The queue
+// decays like rho_L and the longs that arrive during the setup like
+// lambda_L / (lambda_L + 2 mu_S); the slower of the two sets the tail:
+// eta = max(rho_L, lambda_L / (lambda_L + 2 mu_S)), with mu_S = 1 / E[X_S].
+[[nodiscard]] double long_count_decay(const SystemConfig& config);
+
 // The chain's QBD blocks. Phase indices, at every level: A -> 0,
 // L(n_L) -> n_L, and on levels >= 2 W(n_L) -> max_longs + n_L. Validates its
 // arguments and throws as analyze_cscq_truncated does.

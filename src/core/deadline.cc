@@ -29,8 +29,6 @@ void advance_virtual_ns(std::int64_t delta_ns) {
 
 void reset_virtual() { virtual_offset().store(0, std::memory_order_relaxed); }
 
-std::int64_t virtual_offset_ns() { return virtual_offset().load(std::memory_order_relaxed); }
-
 }  // namespace timebase
 
 namespace {

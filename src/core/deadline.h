@@ -42,8 +42,6 @@ void advance_virtual_ns(std::int64_t delta_ns);
 // Reset the virtual offset to zero (test isolation).
 void reset_virtual();
 
-[[nodiscard]] std::int64_t virtual_offset_ns();
-
 }  // namespace timebase
 
 // Shared cooperative cancel flag. Construction allocates the shared state;

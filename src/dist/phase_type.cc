@@ -147,8 +147,4 @@ std::string PhaseType::name() const {
   return os.str();
 }
 
-jets::Jet PhaseType::lst_jet() const {
-  return jets::lst_from_moments(moments_[0], moments_[1], moments_[2]);
-}
-
 }  // namespace csq::dist

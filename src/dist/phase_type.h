@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "dist/distribution.h"
-#include "jets/jet.h"
 #include "linalg/matrix.h"
 
 namespace csq::dist {
@@ -47,9 +46,6 @@ class PhaseType final : public Distribution {
   [[nodiscard]] double sample(Rng& rng) const override;
   [[nodiscard]] double moment(int k) const override;
   [[nodiscard]] std::string name() const override;
-
-  // Jet of the LST built from the first three moments.
-  [[nodiscard]] jets::Jet lst_jet() const;
 
  private:
   std::vector<double> alpha_;

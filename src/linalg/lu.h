@@ -29,8 +29,8 @@ class Lu {
   // condition number at the cost of one extra substitution pass.
   [[nodiscard]] std::vector<double> solve_refined(const std::vector<double>& b) const;
 
-  // A^{-1}, substituted across all columns at once (cheaper than
-  // solve(Matrix::identity(n)), same values).
+  // A^{-1}, substituted across all columns at once (cheaper than solving
+  // against the identity column by column, same values).
   [[nodiscard]] Matrix inverse() const;
 
   // 1-norm condition number estimate ||A||_1 ||A^{-1}||_1. Computed on first

@@ -21,12 +21,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
     throw InvalidInputError("Matrix+=: shape mismatch");

@@ -22,7 +22,6 @@ class Matrix {
   // Row-major brace construction: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix identity(std::size_t n);
   static Matrix zeros(std::size_t rows, std::size_t cols) { return Matrix(rows, cols); }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }

@@ -257,15 +257,20 @@ void append_field(std::string* out, const char* key, const std::string& value_js
   *out += value_json;
 }
 
-std::string quoted(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string quoted(const std::string& s) {
+  // Appended rather than "\"" + ...: GCC 12's -Wrestrict misfires on the
+  // insert-at-front of operator+(const char*, std::string&&) in Release.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
 
 std::string response_prefix(const std::string& id, bool ok) {
   return "{\"id\":" + quoted(id) + ",\"ok\":" + (ok ? "true" : "false");
 }
 
 void append_extras(std::string* out, const ResponseExtras& extras) {
-  if (extras.retries > 0)
-    append_field(out, "retries", std::to_string(extras.retries));
   if (extras.degraded) {
     append_field(out, "degraded", "true");
     append_field(out, "rung", quoted(extras.rung));
@@ -300,14 +305,13 @@ std::string ok_response(const Request& req, const std::string& result_json,
 }
 
 std::string error_response(const std::string& id, ErrorCode code, const std::string& message,
-                           double retry_after_ms, int retries) {
+                           double retry_after_ms) {
   std::string out = response_prefix(id, false);
   std::string err = "{\"code\":" + quoted(error_code_name(code)) +
                     ",\"message\":" + quoted(message);
   if (retry_after_ms >= 0.0) err += ",\"retry_after_ms\":" + json_number(retry_after_ms);
   err += "}";
   append_field(&out, "error", err);
-  if (retries > 0) append_field(&out, "retries", std::to_string(retries));
   out += "}";
   return out;
 }

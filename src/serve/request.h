@@ -103,12 +103,11 @@ struct Request {
 [[nodiscard]] Request parse_request(const std::string& line);
 
 // Extra response annotations accumulated by the server while executing a
-// request: retry count, degradation rung, attempt trail.
+// request: degradation rung, attempt trail.
 struct ResponseExtras {
-  int retries = 0;            // transient failures retried before the answer
   bool degraded = false;      // answer came from a fallback rung
   std::string rung;           // rung_name() of the rung that held (degraded)
-  std::vector<std::string> attempts;  // human-readable ladder/retry trail
+  std::vector<std::string> attempts;  // human-readable attempt/ladder trail
 };
 
 // {"id":...,"ok":true,"op":...,"result":<result_json>} plus any extras.
@@ -117,10 +116,10 @@ struct ResponseExtras {
                                       const ResponseExtras& extras = {});
 
 // {"id":...,"ok":false,"error":{"code":...,"message":...}}; retry_after_ms
-// is emitted when >= 0 (Overloaded responses), retries when > 0.
+// is emitted when >= 0 (Overloaded responses).
 [[nodiscard]] std::string error_response(const std::string& id, ErrorCode code,
                                          const std::string& message,
-                                         double retry_after_ms = -1.0, int retries = 0);
+                                         double retry_after_ms = -1.0);
 
 // Result payload builders (serialized JSON values for ok_response).
 [[nodiscard]] std::string metrics_json(const PolicyMetrics& m);

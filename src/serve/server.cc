@@ -37,6 +37,10 @@ namespace {
 
 }  // namespace
 
+bool transient(ErrorCode code) {
+  return code == ErrorCode::kNotConverged || code == ErrorCode::kIllConditioned;
+}
+
 const std::string& Ticket::wait() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return done_; });
@@ -63,7 +67,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)), cache_(opts_.cache_
     throw InvalidInputError("ServerOptions: shed_retry_after_ms must be finite and >= 0");
   if (opts_.op_threads < 0)
     throw InvalidInputError("ServerOptions: op_threads must be >= 0");
-  opts_.retry.validate();
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -276,7 +279,7 @@ void Server::execute(const std::shared_ptr<Pending>& p) {
   bool cancelled = false;
   try {
     const RunBudget budget = request_budget(*p);
-    response = run_with_retries(*p, budget);
+    response = run_request(*p, budget);
   } catch (const CancelledError&) {
     // Normalized message: the stage the cancel landed in is timing-
     // dependent, and responses must depend only on request content.
@@ -302,45 +305,29 @@ RunBudget Server::request_budget(const Pending& p) const {
   return base.with_token(p.cancel);
 }
 
-std::string Server::run_with_retries(const Pending& p, const RunBudget& budget) {
+std::string Server::run_request(const Pending& p, const RunBudget& budget) {
   const Request& req = p.request;
   ResponseExtras extras;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      CSQ_FAULT_POINT("serve.dispatch.run");
-      budget.check("serve/dispatch");
-      return execute_op(req, budget, &extras);
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const DeadlineExceededError&) {
-      throw;
-    } catch (const Error& e) {
-      const SolverStatus st = e.status();
-      const bool retryable = transient(st.code) && attempt < opts_.retry.max_attempts &&
-                             !budget.interrupted();
-      extras.attempts.push_back("attempt " + std::to_string(attempt) + ": " +
-                                error_code_name(st.code) + " — " + st.message);
-      if (retryable) {
-        ++extras.retries;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.retried;
-        }
-        CSQ_OBS_COUNT("serve.requests.retried");
-        const double delay = std::min(backoff_delay_ms(opts_.retry, req.id, extras.retries),
-                                      budget.remaining_ms());
-        if (delay > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
-        continue;
-      }
-      // Out of retries (or non-transient): a CS-CQ analyze escalates through
-      // the degradation ladder — skipping the exact rung already attempted —
-      // so the client still gets an answer, marked degraded.
-      if (transient(st.code) && req.op == OpKind::kAnalyze && req.policy == Policy::kCsCq &&
-          !req.resilient && opts_.allow_degraded && !budget.interrupted())
-        return run_resilient(req, budget, &extras, /*skip_exact=*/true);
-      return error_response(req.id, st.code, st.message, -1.0, extras.retries);
+  try {
+    CSQ_FAULT_POINT("serve.dispatch.run");
+    budget.check("serve/dispatch");
+    return execute_op(req, budget, &extras);
+  } catch (const CancelledError&) {
+    throw;
+  } catch (const DeadlineExceededError&) {
+    throw;
+  } catch (const Error& e) {
+    const SolverStatus st = e.status();
+    // A transient CS-CQ analyze failure escalates through the degradation
+    // ladder, skipping the exact rung that just failed, so the client still
+    // gets an answer, marked degraded.
+    if (transient(st.code) && req.op == OpKind::kAnalyze && req.policy == Policy::kCsCq &&
+        !req.resilient && opts_.allow_degraded && !budget.interrupted()) {
+      extras.attempts.push_back(std::string("attempt 1: ") + error_code_name(st.code) +
+                                " — " + st.message);
+      return run_resilient(req, budget, &extras, /*skip_exact=*/true);
     }
+    return error_response(req.id, st.code, st.message);
   }
 }
 

@@ -1,5 +1,5 @@
-// The csq_serve core: a bounded-admission, retrying, degrading analysis
-// server over the solver stack. The csq_serve binary
+// The csq_serve core: a bounded-admission, degrading analysis server over
+// the solver stack. The csq_serve binary
 // (tools/csq_serve.cc) is a thin stdin/stdout shell around this class; every
 // behaviour lives here so the deterministic test suite (tests/test_serve.cc)
 // can drive it in-process.
@@ -17,16 +17,14 @@
 //     │                     runs the op under a per-request RunBudget slice
 //     │                     derived from the server deadline policy and the
 //     │                     request's own timeout_ms, cancellable at drain
-//     ├─ retry            — transient failures (NotConverged /
-//     │                     IllConditioned) retried up to
-//     │                     RetryPolicy::max_attempts with capped
-//     │                     exponential backoff + deterministic jitter
-//     │                     (serve.requests.retried)
-//     ├─ degrade          — a CS-CQ analyze whose retries are exhausted
-//     │                     escalates through analyze_resilient() starting
-//     │                     at the truncated rung; the response is marked
-//     │                     degraded with the attempt trail
-//     │                     (serve.requests.degraded) and is NEVER cached
+//     ├─ degrade          — a CS-CQ analyze whose failure is transient()
+//     │                     (NotConverged / IllConditioned) escalates once
+//     │                     through analyze_resilient() starting at the
+//     │                     truncated rung; the response is marked degraded
+//     │                     with the attempt trail (serve.requests.degraded)
+//     │                     and is NEVER cached. Nothing is retried: the
+//     │                     solve is deterministic, so a second run of the
+//     │                     same request would repeat the same failure
 //     └─ respond          — every admitted request gets exactly one
 //                           response (serve.requests.completed, or
 //                           serve.requests.cancelled when drain cancelled
@@ -55,8 +53,8 @@
 // a completed journal record would have replayed.
 //
 // Fault sites (compiled under -DCSQ_FAULT_INJECTION): serve.admission.shed
-// (admission decision), serve.dispatch.run (per attempt, at execution
-// start), serve.cache.insert (in SolverCache).
+// (admission decision), serve.dispatch.run (at execution start),
+// serve.cache.insert (in SolverCache).
 //
 // Thread-safety: submit()/call()/drain()/stats() are safe from any thread.
 //
@@ -80,7 +78,6 @@
 #include "core/deadline.h"
 #include "core/status.h"
 #include "durable/journal.h"
-#include "serve/backoff.h"
 #include "serve/cache.h"
 #include "serve/request.h"
 
@@ -104,13 +101,12 @@ struct ServerOptions {
   // (1 + pending depth at the shed decision).
   double shed_retry_after_ms = 10.0;
   std::size_t cache_capacity = 256;
-  RetryPolicy retry;
   // Threads handed to sweep/replication execution inside one request
   // (sweeps and simulations parallelize internally; keep 1 unless the
   // server itself runs few workers).
   int op_threads = 1;
-  // Escalate exhausted CS-CQ analyzes through the degradation ladder
-  // instead of failing them.
+  // Escalate transient() CS-CQ analyze failures through the degradation
+  // ladder instead of failing them.
   bool allow_degraded = true;
   // When set, invoked (serialized by an internal mutex) with every finished
   // response line — the binary's stdout writer. Tickets are completed
@@ -147,6 +143,12 @@ class Ticket {
   bool done_ = false;
   std::string response_;
 };
+
+// True for the failures a CS-CQ analyze escalates through the degradation
+// ladder: NotConverged and IllConditioned, where another method may still
+// answer. InvalidInput, Unstable and VerificationFailed are properties of
+// the request; Deadline/Cancelled mean the caller no longer wants an answer.
+[[nodiscard]] bool transient(ErrorCode code);
 
 class Server {
  public:
@@ -193,7 +195,6 @@ class Server {
     std::int64_t invalid = 0;
     std::int64_t completed = 0;
     std::int64_t cancelled = 0;
-    std::int64_t retried = 0;
     std::int64_t degraded = 0;
     std::int64_t recovered = 0;           // journal replays re-admitted
     std::int64_t invalid_suppressed = 0;  // burst-suppressed invalid lines
@@ -228,8 +229,8 @@ class Server {
   // csq::UnstableError, csq::NotConvergedError, csq::IllConditionedError,
   // csq::VerificationFailedError from the solver chain, and
   // csq::DeadlineExceededError / csq::CancelledError when the request
-  // budget interrupts a retry.
-  std::string run_with_retries(const Pending& p, const RunBudget& budget);
+  // budget interrupts it.
+  std::string run_request(const Pending& p, const RunBudget& budget);
   std::string execute_op(const Request& req, const RunBudget& budget, ResponseExtras* extras);
   std::string run_resilient(const Request& req, const RunBudget& budget,
                             ResponseExtras* extras, bool skip_exact);

@@ -141,10 +141,16 @@ ClassStats aggregate_replications(const std::vector<ClassStats>& reps) {
   return agg;
 }
 
+namespace {
+
+// ci95 / |mean_response|, or 0 when the mean is zero (no meaningful
+// relative width). Drives the adaptive CI-width stopping rule.
 double relative_ci(const ClassStats& stats) {
   const double mean = std::abs(stats.mean_response);
   return mean > 0.0 ? stats.ci95 / mean : 0.0;
 }
+
+}  // namespace
 
 ReplicatedResult simulate_replications(PolicyKind kind, const SystemConfig& config,
                                        const SimOptions& opts,

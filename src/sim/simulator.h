@@ -296,10 +296,6 @@ class Engine {
 [[nodiscard]] SimResult simulate(PolicyKind kind, const SystemConfig& config,
                                  const SimOptions& opts = {});
 
-// ci95 / |mean_response|, or 0 when the mean is zero (no meaningful
-// relative width). Drives the adaptive CI-width stopping rule.
-[[nodiscard]] double relative_ci(const ClassStats& stats);
-
 // Run ropts.replications independent simulations, replication r seeded with
 // the substream split_seed(opts.seed, r), in parallel on ropts.threads
 // workers. Results (per replication and aggregated) are bit-identical

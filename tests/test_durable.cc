@@ -70,6 +70,17 @@ void spit(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+// "<prefix><i>", appended into a reserved string (GCC 12's Release-only
+// -Wrestrict misfires on "literal" + std::to_string(i)).
+std::string numbered(const char* prefix, int i) {
+  const std::string digits = std::to_string(i);
+  std::string s;
+  s.reserve(std::char_traits<char>::length(prefix) + digits.size());
+  s += prefix;
+  s += digits;
+  return s;
+}
+
 std::string analyze_line(const std::string& id, double rho_s, double rho_l) {
   return "{\"id\":\"" + id + "\",\"op\":\"analyze\",\"rho_s\":" + std::to_string(rho_s) +
          ",\"rho_l\":" + std::to_string(rho_l) + ",\"mean_s\":1,\"mean_l\":1,\"scv_l\":1}";
@@ -238,7 +249,7 @@ TEST(DurableJournal, FsyncIsBatchedAndFlushedOnClose) {
   JournalOptions opts;
   opts.fsync_every = 4;
   Journal j = Journal::open(path, opts);
-  for (int i = 0; i < 8; ++i) (void)j.append_request("r" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) (void)j.append_request(numbered("r", i));
   EXPECT_EQ(j.fsyncs(), 2);  // two full batches
   (void)j.append_request("tail");
   EXPECT_EQ(j.fsyncs(), 2);  // ninth append sits in the open batch
@@ -786,8 +797,7 @@ TEST(ServeCrash, KillMidLoadThenRecoverDeliversExactlyOnce) {
   Child serve = spawn(CSQ_SERVE_BIN, {"--workers", "0", "--journal=" + journal,
                                       "--fsync-every", "1"});
   for (int i = 0; i < kRequests; ++i)
-    write_line(serve.stdin_fd, analyze_line("c" + std::to_string(i),
-                                            0.3 + 0.01 * i, 0.4));
+    write_line(serve.stdin_fd, analyze_line(numbered("c", i), 0.3 + 0.01 * i, 0.4));
   // Let it chew through part of the load, then kill it dead — no drain, no
   // destructor, whatever instant the scheduler picked.
   ::usleep(150 * 1000);
@@ -835,7 +845,7 @@ TEST(ServeCrash, SecondCrashDuringRecoveryStillConverges) {
   Child serve = spawn(CSQ_SERVE_BIN, {"--workers", "0", "--journal=" + journal,
                                       "--fsync-every", "1"});
   for (int i = 0; i < 12; ++i)
-    write_line(serve.stdin_fd, analyze_line("d" + std::to_string(i), 0.5, 0.3));
+    write_line(serve.stdin_fd, analyze_line(numbered("d", i), 0.5, 0.3));
   ::usleep(80 * 1000);
   ::kill(serve.pid, SIGKILL);
   ::close(serve.stdin_fd);

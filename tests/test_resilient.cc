@@ -13,6 +13,7 @@
 
 #include "analysis/cscq.h"
 #include "analysis/resilient.h"
+#include "analysis/truncated_cscq.h"
 #include "core/config.h"
 #include "core/deadline.h"
 #include "core/faultpoint.h"
@@ -82,13 +83,40 @@ TEST(ResilientLadder, UnstableConfigThrowsBeforeAnyRung) {
   EXPECT_THROW((void)analyze_resilient(c), UnstableError);
 }
 
-TEST(ResilientLadder, MalformedOptionsThrowInvalidInput) {
+TEST(ResilientLadder, TruncatedRungSolvesOnceAtTheCapTheLongDecayGives) {
+  // eta = rho_L = 0.9 here, so the cap is ceil(ln 1e-6 / ln 0.9) = 132: one
+  // solve, where cap 100 would strand 3e-6 of the mass and fail the rung.
+  const SystemConfig c = SystemConfig::paper_setup(0.5, 0.9, 1.0, 1.0);
   ResilientOptions opts;
-  opts.exact_budget_fraction = 0.0;
-  EXPECT_THROW((void)analyze_resilient(clean_config(), opts), InvalidInputError);
-  opts = ResilientOptions{};
-  opts.truncation_mass_tolerance = 0.0;
-  EXPECT_THROW((void)analyze_resilient(clean_config(), opts), InvalidInputError);
+  opts.start_rung = Rung::kTruncated;
+  const ResilientResult r = analyze_resilient(c, opts);
+  EXPECT_EQ(r.rung_used, Rung::kTruncated);
+  ASSERT_EQ(r.attempts.size(), 1u);
+  EXPECT_EQ(r.attempts[0].rung, Rung::kTruncated);
+  EXPECT_TRUE(r.attempts[0].succeeded);
+  EXPECT_EQ(r.truncation_cap, 132);
+  EXPECT_LE(r.truncation_mass, 1e-6);
+}
+
+TEST(ResilientLadder, TruncatedRungKeepsTheFloorCapAtModerateLongLoad) {
+  // At rho_L = 0.5 the decay asks for 20 levels; the floor keeps cap 100,
+  // and with it the oracle's answer bit for bit.
+  const SystemConfig c = clean_config();
+  ResilientOptions opts;
+  opts.start_rung = Rung::kTruncated;
+  const ResilientResult r = analyze_resilient(c, opts);
+  ASSERT_EQ(r.rung_used, Rung::kTruncated);
+  EXPECT_EQ(r.truncation_cap, 100);
+  analysis::TruncatedCscqOptions o;
+  o.max_longs = 100;
+  const analysis::TruncatedCscqResult t = analysis::analyze_cscq_truncated(c, o);
+  EXPECT_EQ(r.truncation_mass, t.mass_at_long_cap);
+  EXPECT_EQ(r.metrics.shorts.mean_response, t.metrics.shorts.mean_response);
+  EXPECT_EQ(r.metrics.shorts.mean_wait, t.metrics.shorts.mean_wait);
+  EXPECT_EQ(r.metrics.shorts.mean_number, t.metrics.shorts.mean_number);
+  EXPECT_EQ(r.metrics.longs.mean_response, t.metrics.longs.mean_response);
+  EXPECT_EQ(r.metrics.longs.mean_wait, t.metrics.longs.mean_wait);
+  EXPECT_EQ(r.metrics.longs.mean_number, t.metrics.longs.mean_number);
 }
 
 TEST(ResilientLadder, RungNamesAreStable) {
@@ -152,7 +180,7 @@ TEST_F(ResilientChaos, ExactRungFaultFallsBackToTruncated) {
   EXPECT_FALSE(r.attempts[0].succeeded);
   EXPECT_EQ(r.attempts[0].status.code, ErrorCode::kNotConverged);
   EXPECT_TRUE(r.attempts[1].succeeded);
-  EXPECT_EQ(r.truncation_cap, 100);  // first cap suffices on this easy config
+  EXPECT_EQ(r.truncation_cap, 100);  // the cap rule's floor at rho_L = 0.5
   EXPECT_LE(r.truncation_mass, 1e-6);
   EXPECT_GT(r.metrics.shorts.mean_response, 1.0);
   // Single-shot: the site fired once and is healthy again.
@@ -163,9 +191,8 @@ TEST_F(ResilientChaos, ExactRungFaultFallsBackToTruncated) {
 TEST_F(ResilientChaos, BothAnalyticRungsFaultedFallToSimulation) {
   fault::arm(fault::parse_arm_spec("analysis.cscq.solve:1:throw:NotConverged"));
   fault::arm(fault::parse_arm_spec("analysis.truncated.solve:1:throw:NotConverged"));
-  ResilientOptions opts = fast_sim_opts();
-  opts.truncation_caps = {60};  // one cap, so the single-shot fault kills the rung
-  const ResilientResult r = analyze_resilient(clean_config(), opts);
+  // The truncated rung solves once, so the single-shot fault kills it.
+  const ResilientResult r = analyze_resilient(clean_config(), fast_sim_opts());
   EXPECT_EQ(r.rung_used, Rung::kSimulation);
   ASSERT_EQ(r.attempts.size(), 3u);
   EXPECT_EQ(r.attempts[0].rung, Rung::kExact);

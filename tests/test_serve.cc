@@ -1,15 +1,13 @@
-// The csq_serve core (src/serve/): JSON codec, request schema, backoff
-// policy, LRU memo-cache, and the Server itself — admission control, budget
-// slicing, drain, and the determinism contract (bit-identical responses
-// across worker counts).
+// The csq_serve core (src/serve/): JSON codec, request schema, LRU
+// memo-cache, and the Server itself — admission control, budget slicing,
+// drain, and the determinism contract (bit-identical responses across
+// worker counts).
 //
 // Suite layout mirrors the ctest labels (tests/serve_labels.cmake):
 //   Serve*       tier1;serve — deterministic, no fault injection needed
 //   ServeSoak    tier1;serve — the concurrent mixed-traffic soak
-//   ServeChaos   chaos       — fault-injected retry/degrade/shed paths;
+//   ServeChaos   chaos       — fault-injected degrade/shed paths;
 //                              GTEST_SKIPs unless -DCSQ_FAULT_INJECTION=ON
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -22,7 +20,6 @@
 #include "core/config.h"
 #include "core/faultpoint.h"
 #include "core/status.h"
-#include "serve/backoff.h"
 #include "serve/cache.h"
 #include "serve/json.h"
 #include "serve/request.h"
@@ -35,7 +32,6 @@ using serve::JsonValue;
 using serve::parse_json;
 using serve::parse_request;
 using serve::Request;
-using serve::RetryPolicy;
 using serve::Server;
 using serve::ServerOptions;
 using serve::SolverCache;
@@ -68,6 +64,17 @@ std::string error_code(const std::string& response) {
   const JsonValue* err = v.find("error");
   if (err == nullptr || err->find("code") == nullptr) return "";
   return err->find("code")->as_string("code");
+}
+
+// "<prefix><i>", appended into a reserved string (GCC 12's Release-only
+// -Wrestrict misfires on "literal" + std::to_string(i)).
+std::string numbered(const char* prefix, int i) {
+  const std::string digits = std::to_string(i);
+  std::string s;
+  s.reserve(std::char_traits<char>::length(prefix) + digits.size());
+  s += prefix;
+  s += digits;
+  return s;
 }
 
 // A serial server: nothing runs until process_one()/call() drives it.
@@ -183,35 +190,6 @@ TEST(ServeRequest, CacheKeyIsCanonicalAndVerifyAware) {
   EXPECT_NE(a.cache_key(), d.cache_key());
 }
 
-// --- Backoff ---------------------------------------------------------------
-
-TEST(ServeBackoff, DeterministicJitterWithinBounds) {
-  const RetryPolicy p;  // 1ms base, x2, 50ms cap, 25% jitter
-  const double d1 = serve::backoff_delay_ms(p, "req-1", 1);
-  EXPECT_DOUBLE_EQ(d1, serve::backoff_delay_ms(p, "req-1", 1));  // replayable
-  EXPECT_NE(d1, serve::backoff_delay_ms(p, "req-2", 1));  // keyed per request
-  for (int retry = 1; retry <= 10; ++retry) {
-    const double base = std::min(p.base_delay_ms * std::pow(p.multiplier, retry - 1),
-                                 p.max_delay_ms);
-    const double d = serve::backoff_delay_ms(p, "req-1", retry);
-    EXPECT_GE(d, base * (1.0 - p.jitter_fraction));
-    EXPECT_LE(d, base * (1.0 + p.jitter_fraction));
-  }
-  // The cap holds however deep the retry count gets.
-  EXPECT_LE(serve::backoff_delay_ms(p, "req-1", 40),
-            p.max_delay_ms * (1.0 + p.jitter_fraction));
-}
-
-TEST(ServeBackoff, OnlySolverTransientsAreRetryable) {
-  EXPECT_TRUE(serve::transient(ErrorCode::kNotConverged));
-  EXPECT_TRUE(serve::transient(ErrorCode::kIllConditioned));
-  EXPECT_FALSE(serve::transient(ErrorCode::kInvalidInput));
-  EXPECT_FALSE(serve::transient(ErrorCode::kUnstable));
-  EXPECT_FALSE(serve::transient(ErrorCode::kDeadlineExceeded));
-  EXPECT_FALSE(serve::transient(ErrorCode::kCancelled));
-  EXPECT_FALSE(serve::transient(ErrorCode::kOverloaded));
-}
-
 // --- LRU cache -------------------------------------------------------------
 
 TEST(ServeCache, LruEvictionOrder) {
@@ -283,6 +261,16 @@ TEST(ServeServer, UnstableLoadIsAnErrorResponseNotACrash) {
   const std::string r = server.call(analyze_line("u", 1.6, 0.9));
   EXPECT_FALSE(response_ok(r));
   EXPECT_EQ(error_code(r), "Unstable");
+}
+
+TEST(ServeServer, OnlySolverTransientsEscalate) {
+  EXPECT_TRUE(serve::transient(ErrorCode::kNotConverged));
+  EXPECT_TRUE(serve::transient(ErrorCode::kIllConditioned));
+  EXPECT_FALSE(serve::transient(ErrorCode::kInvalidInput));
+  EXPECT_FALSE(serve::transient(ErrorCode::kUnstable));
+  EXPECT_FALSE(serve::transient(ErrorCode::kDeadlineExceeded));
+  EXPECT_FALSE(serve::transient(ErrorCode::kCancelled));
+  EXPECT_FALSE(serve::transient(ErrorCode::kOverloaded));
 }
 
 TEST(ServeServer, QueueDepthShedsWithRetryAfterHint) {
@@ -401,7 +389,7 @@ TEST(ServeDrain, DrainIsIdempotentAndThreadedDrainCompletes) {
   Server server(o);
   std::vector<std::shared_ptr<Ticket>> tickets;
   for (int i = 0; i < 8; ++i)
-    tickets.push_back(server.submit(analyze_line("w" + std::to_string(i), 0.4, 0.4)));
+    tickets.push_back(server.submit(analyze_line(numbered("w", i), 0.4, 0.4)));
   server.drain();
   server.drain();  // idempotent
   std::int64_t answered = 0;
@@ -421,7 +409,7 @@ std::vector<std::string> soak_traffic(int n) {
   std::vector<std::string> lines;
   lines.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const std::string id = "r" + std::to_string(i);
+    const std::string id = numbered("r", i);
     switch (i % 10) {
       case 0:
         lines.push_back("{\"id\":\"" + id + "\",\"op\":\"ping\"}");
@@ -525,32 +513,21 @@ class ServeChaos : public ::testing::Test {
   }
 };
 
-TEST_F(ServeChaos, TransientDispatchFaultIsRetriedWithBackoff) {
+TEST_F(ServeChaos, TransientDispatchFaultDegradesThroughLadderAndSkipsCache) {
   Server server(serial_opts());
-  fault::arm(fault::parse_arm_spec("serve.dispatch.run:1:throw:NotConverged"));
-  const std::string r = server.call(analyze_line("c1", 0.5, 0.5));
-  ASSERT_TRUE(response_ok(r)) << r;
-  // One attempt burned, the retry answered; the trail is in the response.
-  EXPECT_EQ(parsed(r).find("retries")->as_number("retries"), 1.0);
-  EXPECT_EQ(server.stats().retried, 1);
-  // Two passes through the dispatch site: the faulted attempt + the retry.
-  EXPECT_EQ(fault::hits("serve.dispatch.run"), 2);
-  // The answer produced after a faulted attempt is still a verified exact
-  // solve, so it IS cacheable.
-  EXPECT_EQ(server.cache_stats().inserts, 1);
-}
-
-TEST_F(ServeChaos, ExhaustedRetriesDegradeThroughLadderAndSkipCache) {
-  ServerOptions o = serial_opts();
-  o.retry.max_attempts = 1;  // no retry budget: first transient escalates
-  Server server(o);
   fault::arm(fault::parse_arm_spec("serve.dispatch.run:1:throw:NotConverged"));
   const std::string r = server.call(analyze_line("c2", 0.5, 0.5));
   ASSERT_TRUE(response_ok(r)) << r;
   const JsonValue v = parsed(r);
   EXPECT_TRUE(v.find("degraded")->as_bool("degraded"));
   EXPECT_EQ(v.find("rung")->as_string("rung"), "truncated");
-  EXPECT_GE(v.find("attempts")->as_array("attempts").size(), 1u);
+  // One pass: the failed attempt goes straight to the ladder, unretried.
+  EXPECT_EQ(fault::hits("serve.dispatch.run"), 1);
+  EXPECT_EQ(v.find("retries"), nullptr);
+  const auto& trail = v.find("attempts")->as_array("attempts");
+  ASSERT_EQ(trail.size(), 2u);
+  EXPECT_EQ(trail[0].as_string("attempt").rfind("attempt 1: NotConverged — ", 0), 0u);
+  EXPECT_EQ(trail[1].as_string("attempt"), "truncated: ok");
   EXPECT_EQ(server.stats().degraded, 1);
   // A degraded answer must never enter the memo-cache.
   EXPECT_EQ(server.cache_stats().inserts, 0);
@@ -562,9 +539,8 @@ TEST_F(ServeChaos, ExhaustedRetriesDegradeThroughLadderAndSkipCache) {
   EXPECT_EQ(server.cache_stats().inserts, 1);
 }
 
-TEST_F(ServeChaos, NoDegradeOptionTurnsExhaustionIntoAnError) {
+TEST_F(ServeChaos, NoDegradeOptionTurnsTheFailureIntoAnError) {
   ServerOptions o = serial_opts();
-  o.retry.max_attempts = 1;
   o.allow_degraded = false;
   Server server(o);
   fault::arm(fault::parse_arm_spec("serve.dispatch.run:1:throw:NotConverged"));

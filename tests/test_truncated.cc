@@ -39,6 +39,44 @@ TEST(TruncatedCscq, ConvergesMonotonicallyInLongCap) {
   EXPECT_LT(prev_mass, 1e-8);
 }
 
+// Exp/exp rows (rho_S, rho_L, E[X_S], E[X_L]) on both sides of
+// rho_L = lambda_L / (lambda_L + 2 mu_S), which decides the term of
+// long_count_decay that holds, and one row on it.
+struct DecayRow {
+  double rho_s, rho_l, mean_s, mean_l;
+};
+constexpr DecayRow kDecayRows[] = {{0.5, 0.5, 1, 1},  {0.5, 0.8, 1, 1}, {0.5, 0.9, 1, 1},
+                                   {1.2, 0.7, 1, 1},  {0.3, 0.3, 10, 1}, {0.9, 0.3, 10, 1},
+                                   {1.1, 0.8, 1, 10}, {0.2, 0.6, 5, 1}};
+
+TEST(TruncatedCscq, MassAtTheLongCapFallsAtTheLongCountDecay) {
+  for (const DecayRow& row : kDecayRows) {
+    const SystemConfig c =
+        SystemConfig::paper_setup(row.rho_s, row.rho_l, row.mean_s, row.mean_l);
+    const double eta = long_count_decay(c);
+    std::vector<double> mass;
+    for (const int cap : {20, 40, 60}) {
+      TruncatedCscqOptions o;
+      o.max_longs = cap;
+      mass.push_back(analyze_cscq_truncated(c, o).mass_at_long_cap);
+      // The cap rule's premise: eta^N bounds the mass stranded at cap N.
+      EXPECT_LE(mass.back(), std::pow(eta, cap))
+          << "rho_s=" << row.rho_s << " rho_l=" << row.rho_l << " cap=" << cap;
+    }
+    const double ratio = mass[2] / mass[1] / std::pow(eta, 20);
+    const double setup = c.lambda_long / (c.lambda_long + 2.0 / row.mean_s);
+    if (std::abs(setup - row.rho_l) > 1e-9) {
+      EXPECT_NEAR(ratio, 1.0, 0.03) << "rho_s=" << row.rho_s << " rho_l=" << row.rho_l;
+    } else {
+      // A tie (the last row): the two geometric terms merge into a double
+      // root, P(n_L = n) ~ (n + a) eta^n, so the ratio carries a factor
+      // (60 + a) / (40 + a) in (1, 1.5]. It reads 1.17.
+      EXPECT_GT(ratio, 1.0);
+      EXPECT_LE(ratio, 1.5);
+    }
+  }
+}
+
 TEST(TruncatedCscq, RegionProbabilitiesSumToNoLongProbability) {
   const SystemConfig c = SystemConfig::paper_setup(0.8, 0.4, 1.0, 1.0);
   const TruncatedCscqResult r = analyze_cscq_truncated(c);

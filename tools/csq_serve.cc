@@ -1,8 +1,8 @@
 // csq_serve — long-lived NDJSON analysis server over stdin/stdout.
 //
 // Reads one JSON request per line from stdin (docs/serving.md has the
-// schema), dispatches it onto the serve::Server (admission control, retry
-// with backoff, degradation ladder, LRU memo-cache) and writes one JSON
+// schema), dispatches it onto the serve::Server (admission control,
+// degradation ladder, LRU memo-cache) and writes one JSON
 // response per line to stdout, in completion order. Responses carry the
 // request's "id" so clients can match them up.
 //
@@ -24,7 +24,6 @@
 //   --no-degrade            hard-error instead of the degradation ladder
 //   --cache-capacity N      solver memo-cache entries (default 256)
 //   --op-threads N          solver threads inside one request (default 1)
-//   --retry-attempts N      max attempts per request (default 3)
 //   --max-requests N        drain after admitting N requests (test hook)
 //   --metrics[=file]        obs counter dump on exit (stdout without =file)
 //   --trace=file            Chrome trace-event JSON on exit
@@ -185,7 +184,6 @@ Flags parse_flags(int argc, char** argv) {
     else if (key == "cache-capacity")
       f.server.cache_capacity = static_cast<std::size_t>(int_flag(key, need(), 0, 1 << 20));
     else if (key == "op-threads") f.server.op_threads = int_flag(key, need(), 0, 256);
-    else if (key == "retry-attempts") f.server.retry.max_attempts = int_flag(key, need(), 1, 16);
     else if (key == "max-requests") f.max_requests = int_flag(key, need(), 1, 1 << 30);
     else if (key == "metrics") {
       f.metrics = true;
