@@ -14,7 +14,12 @@ void check_moment_order(int k) {
 }  // namespace
 
 BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha) {
+    : lo_(lo),
+      hi_(hi),
+      alpha_(alpha),
+      lo_a_(std::pow(lo, alpha)),
+      hi_a_(std::pow(hi, alpha)),
+      neg_inv_alpha_(-1.0 / alpha) {
   if (lo <= 0.0 || hi <= lo || alpha <= 0.0)
     throw InvalidInputError("BoundedPareto: need 0 < lo < hi, alpha > 0");
 }
@@ -22,16 +27,12 @@ BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
 double BoundedPareto::sample(Rng& rng) const {
   const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
   // Inverse CDF of the bounded Pareto.
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
+  return std::pow(-(u * hi_a_ - u * lo_a_ - hi_a_) / (hi_a_ * lo_a_), neg_inv_alpha_);
 }
 
 double BoundedPareto::moment(int k) const {
   check_moment_order(k);
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  const double norm = la / (1.0 - la / ha);
+  const double norm = lo_a_ / (1.0 - lo_a_ / hi_a_);
   if (std::abs(alpha_ - k) < 1e-12) {
     // E[X^k] = alpha * norm * ln(hi/lo) when alpha == k.
     return alpha_ * norm * std::log(hi_ / lo_);

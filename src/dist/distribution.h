@@ -64,6 +64,9 @@ class BoundedPareto final : public Distribution {
 
  private:
   double lo_, hi_, alpha_;
+  // lo^alpha, hi^alpha and -1/alpha, fixed at construction: the inverse CDF
+  // in sample() needs all three on every draw.
+  double lo_a_, hi_a_, neg_inv_alpha_;
 };
 
 }  // namespace csq::dist
