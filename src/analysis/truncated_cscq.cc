@@ -125,6 +125,9 @@ TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
   const std::vector<double> rep_mass = sol.repeating_mass_by_phase();
   res.p_region2 = rep_mass[0];
   add_long_mass(rep_mass);
+  // Round-off in pi can leave a tiny negative sum where the true mass is
+  // ~rho_L^N; a probability is never negative.
+  res.mass_at_long_cap = std::max(res.mass_at_long_cap, 0.0);
 
   const double ls = config.lambda_short;
   const double ll = config.lambda_long;

@@ -8,6 +8,9 @@
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -32,7 +35,52 @@ struct Moments {
   }
 };
 
-using Rng = std::mt19937_64;
+// One splitmix64 step: advances `state` and returns a well-mixed word.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// xoshiro256++ (Blackman & Vigna): 256 bits of state, one 64-bit word per
+// call, a UniformRandomBitGenerator for the <random> distributions. Every
+// uniform or exponential draw in the samplers consumes exactly one word.
+class Rng {
+ public:
+  using result_type = std::uint64_t;
+
+  // The four state words as given; they must not all be zero.
+  explicit Rng(const std::array<std::uint64_t, 4>& state) : s_(state) {}
+  // The state words are four successive splitmix64 outputs from `seed`
+  // (never all zero: splitmix64 is a bijection of its counter).
+  explicit Rng(std::uint64_t seed) {
+    for (std::uint64_t& w : s_) w = splitmix64(seed);
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    const std::uint64_t out = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return out;
+  }
+
+  // Equal state means equal future output: tests count the words a sampler
+  // consumes by comparing generators.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
+ private:
+  std::array<std::uint64_t, 4> s_{};
+};
 
 class Distribution {
  public:

@@ -7,6 +7,7 @@
 
 #include "linalg/lu.h"
 
+#include "core/numeric.h"
 #include "core/status.h"
 
 namespace csq::dist {
@@ -23,6 +24,16 @@ PhaseType::PhaseType(std::vector<double> alpha, linalg::Matrix t)
   }
   if (std::abs(mass - 1.0) > 1e-9)
     throw InvalidInputError("PhaseType: alpha must sum to 1");
+  // A unit alpha fixes the start phase, so sample() need not draw it.
+  fixed_start_ = k;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (num::exactly_eq(alpha_[i], 1.0)) {
+      fixed_start_ = i;
+    } else if (!num::exactly_zero(alpha_[i])) {
+      fixed_start_ = k;
+      break;
+    }
+  }
   exit_.assign(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     if (t_(i, i) >= 0.0) throw InvalidInputError("PhaseType: diagonal must be negative");
@@ -106,19 +117,24 @@ double PhaseType::rate() const {
 }
 
 double PhaseType::sample(Rng& rng) const {
-  // Walk the absorbing CTMC.
+  // Walk the absorbing CTMC, drawing only where the outcome is uncertain:
+  // an exponential takes one word, a two-phase Coxian two or three.
   std::uniform_real_distribution<double> unif(0.0, 1.0);
   double total = 0.0;
-  // Draw initial phase.
-  double u = unif(rng);
-  std::size_t phase = 0;
-  for (; phase + 1 < alpha_.size(); ++phase) {
-    if (u < alpha_[phase]) break;
-    u -= alpha_[phase];
+  std::size_t phase = fixed_start_;
+  if (phase == num_phases()) {
+    double u = unif(rng);
+    for (phase = 0; phase + 1 < alpha_.size(); ++phase) {
+      if (u < alpha_[phase]) break;
+      u -= alpha_[phase];
+    }
   }
   for (;;) {
     const double out = -t_(phase, phase);
     total += std::exponential_distribution<double>(out)(rng);
+    // unif * out < out, so the exit test below cannot fail when the exit
+    // rate is the whole rate (a phase with no off-diagonal rate): skip it.
+    if (exit_[phase] >= out) return total;
     double v = unif(rng) * out;
     if (v < exit_[phase]) return total;
     v -= exit_[phase];

@@ -51,6 +51,8 @@ class PhaseType final : public Distribution {
   std::vector<double> alpha_;
   linalg::Matrix t_;
   std::vector<double> exit_;
+  // The start phase when alpha is a unit vector, else num_phases().
+  std::size_t fixed_start_;
   double moments_[3];  // cached raw moments
 };
 

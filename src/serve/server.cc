@@ -432,6 +432,13 @@ std::string Server::run_resilient(const Request& req, const RunBudget& budget,
       // Armed serve.cache.insert fault: drop the insert.
     }
   }
+  // A simulated answer reports its precision the way a simulate response
+  // does.
+  if (r.rung_used == analysis::Rung::kSimulation)
+    return ok_response(req,
+                       simulate_json(r.metrics.shorts, r.ci_half_width_short, r.metrics.longs,
+                                     r.ci_half_width_long, r.replications_used),
+                       *extras);
   return ok_response(req, metrics_json(r.metrics), *extras);
 }
 

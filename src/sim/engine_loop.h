@@ -26,14 +26,12 @@ namespace csq::sim {
 
 namespace engine_detail {
 
-// FNV-1a over the bits of one word; chained per arrival to fingerprint the
-// arrival sequence independently of any policy decision.
-inline std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t word) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (word >> (8 * b)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-  return h;
+// One multiply-xorshift step over a whole word; chained per arrival to
+// fingerprint the arrival sequence independently of any policy decision.
+// Both halves are bijections of h, so no single-word change goes unseen.
+inline std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
 }
 
 inline std::uint64_t double_bits(double x) {
@@ -48,12 +46,12 @@ inline std::uint64_t double_bits(double x) {
 template <std::derived_from<Policy> P>
 SimResult Engine::run(P& policy) {
   using engine_detail::double_bits;
-  using engine_detail::fnv1a_mix;
+  using engine_detail::hash_word;
   CSQ_OBS_SPAN("sim.engine.run");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::uint64_t events = 0;
   std::size_t arrivals = 0;
-  std::uint64_t arrival_hash = 14695981039346656037ULL;  // FNV offset basis
+  std::uint64_t arrival_hash = 14695981039346656037ULL;  // any nonzero start
   dist::MapProcess::State map_state;
   if (config_.short_arrivals) map_state = config_.short_arrivals->stationary_state(rng_);
   const auto draw_interarrival = [this, &map_state](JobClass cls) {
@@ -110,9 +108,9 @@ SimResult Engine::run(P& policy) {
       Job job{now_, draw_size(cls), cls};
       next_arrival_[ev] = now_ + draw_interarrival(cls);
       ++arrivals;
-      arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.arrival));
-      arrival_hash = fnv1a_mix(arrival_hash, double_bits(job.size));
-      arrival_hash = fnv1a_mix(arrival_hash, static_cast<std::uint64_t>(job.cls));
+      arrival_hash = hash_word(arrival_hash, double_bits(job.arrival));
+      arrival_hash = hash_word(arrival_hash, double_bits(job.size));
+      arrival_hash = hash_word(arrival_hash, static_cast<std::uint64_t>(job.cls));
       policy.on_arrival(*this, job);
     } else {
       const int s = static_cast<int>(ev - 2);

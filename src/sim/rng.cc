@@ -2,23 +2,10 @@
 
 namespace csq::sim {
 
-namespace {
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-}  // namespace
+using dist::splitmix64;
 
 dist::Rng make_rng(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t s = seed ^ (0xd1b54a32d192ed03ULL * (stream + 1));
-  const std::uint64_t a = splitmix64(s);
-  const std::uint64_t b = splitmix64(s);
-  std::seed_seq seq{static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(a >> 32),
-                    static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(b >> 32)};
-  return dist::Rng(seq);
+  return dist::Rng(seed ^ (0xd1b54a32d192ed03ULL * (stream + 1)));
 }
 
 std::uint64_t split_seed(std::uint64_t seed, std::uint64_t key) {

@@ -8,8 +8,8 @@
 namespace csq::sim {
 
 // Deterministically derive a well-mixed RNG from (seed, stream) so replicas
-// and parameter sweeps get independent, reproducible streams
-// (splitmix64-style seeding of std::mt19937_64).
+// and parameter sweeps get independent, reproducible streams: the
+// xoshiro256++ state is four splitmix64 outputs from a keyed seed.
 [[nodiscard]] dist::Rng make_rng(std::uint64_t seed, std::uint64_t stream = 0);
 
 // Seed-sequence split: derive a child seed from (seed, key) with a splitmix

@@ -9,6 +9,7 @@
 
 #include "parallel/task_pool.h"
 #include "sim/rng.h"
+#include "sim/stats.h"
 
 #include "core/faultpoint.h"
 #include "core/status.h"
@@ -136,7 +137,7 @@ ClassStats aggregate_replications(const std::vector<ClassStats>& reps) {
       const double d = r.mean_response - agg.mean_response;
       ss += d * d;
     }
-    agg.ci95 = 1.96 * std::sqrt(ss / (n - 1.0) / n);
+    agg.ci95 = student_t_975(static_cast<int>(reps.size()) - 1) * std::sqrt(ss / (n - 1.0) / n);
   }
   return agg;
 }

@@ -149,11 +149,13 @@ struct SimResult {
   std::size_t completions_total = 0;  // includes the warmup prefix
   std::size_t queued_final = 0;
   std::size_t in_service_final = 0;
-  // FNV-1a hash over the arrival sequence (arrival time, size and class
-  // bits, in order). The engine draws arrivals from its own RNG stream and
-  // policies draw decisions from a disjoint stream, so this hash depends
-  // only on (seed, config) — never on the policy. The substream-isolation
-  // regression test pins that.
+  // Hash over the arrival sequence (arrival time, size and class bits, in
+  // order, one multiply-xorshift step per word). The engine draws arrivals
+  // from its own RNG stream and policies draw decisions from a disjoint
+  // stream, so this hash depends only on (seed, config) and on how many
+  // arrivals the run drew — never on the policy's decisions. A run stops at
+  // its Nth completion, so two runs share a hash when they drew the same
+  // number of arrivals; the substream-isolation tests pin that.
   std::uint64_t arrival_hash = 0;
 };
 
@@ -190,8 +192,9 @@ struct ReplicatedResult {
   // is bit-identical for every thread count.
   std::vector<SimResult> replications;
   // Across-replication aggregates: mean of the per-replication means, with
-  // a normal-approximation 95% CI over replications (the independent-
-  // replications estimator, tighter-tailed than single-run batch means).
+  // a Student-t 95% CI on n - 1 degrees of freedom over the n replications
+  // (the independent-replications estimator). At 2 replications the t
+  // quantile is 12.71, so that CI is wide by design.
   ClassStats shorts;
   ClassStats longs;
 };
@@ -311,8 +314,8 @@ class Engine {
                                                      const ReplicationOptions& ropts = {});
 
 // Across-replication aggregation used by simulate_replications: mean of
-// per-replication means plus a 95% normal CI over replications. Exposed for
-// tests.
+// per-replication means plus a 95% Student-t CI over replications. Exposed
+// for tests.
 [[nodiscard]] ClassStats aggregate_replications(const std::vector<ClassStats>& reps);
 
 }  // namespace csq::sim

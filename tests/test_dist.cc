@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "dist/distribution.h"
 #include "dist/map_process.h"
@@ -82,6 +83,54 @@ TEST(PhaseType, InvalidInputsThrow) {
   EXPECT_THROW(PhaseType({1.0}, linalg::Matrix{{1.0}}), std::invalid_argument);
   const PhaseType d = PhaseType::exponential(1.0);
   EXPECT_THROW((void)d.moment(4), std::invalid_argument);
+}
+
+// --- The simulator's random stream (also run by the portable CI stage) -----
+
+// xoshiro256++ from state {1, 2, 3, 4}: the first output is
+// rotl(1 + 4, 23) + 1; the rest follow the reference recurrence.
+TEST(RngStream, Xoshiro256PlusPlusKnownAnswers) {
+  Rng rng({1, 2, 3, 4});
+  constexpr std::uint64_t kExpected[] = {41943041ULL,
+                                         58720359ULL,
+                                         3588806011781223ULL,
+                                         3591011842654386ULL,
+                                         9228616714210784205ULL,
+                                         9973669472204895162ULL};
+  for (const std::uint64_t want : kExpected) EXPECT_EQ(rng(), want);
+}
+
+// A sample draws only what can change it: an exponential one word (no
+// start-phase or exit draw), a two-phase Coxian two words when it absorbs
+// from the first phase and three when it continues to the second.
+TEST(RngStream, PhaseTypeSamplesConsumeOnlyDecidingDraws) {
+  const auto advanced = [](Rng rng, int words) {
+    for (int i = 0; i < words; ++i) (void)rng();
+    return rng;
+  };
+  Rng rng = sim::make_rng(3);
+  const PhaseType expo = PhaseType::exponential(2.0);
+  for (int i = 0; i < 100; ++i) {
+    const Rng want = advanced(rng, 1);
+    (void)expo.sample(rng);
+    ASSERT_TRUE(rng == want) << "sample " << i;
+  }
+  const PhaseType cox = PhaseType::coxian({2.0, 0.5}, {0.5});
+  int absorbed_first = 0;
+  int continued = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Rng two = advanced(rng, 2);
+    const Rng three = advanced(rng, 3);
+    (void)cox.sample(rng);
+    if (rng == two) {
+      ++absorbed_first;
+    } else {
+      ASSERT_TRUE(rng == three) << "sample " << i;
+      ++continued;
+    }
+  }
+  EXPECT_GT(absorbed_first, 0);
+  EXPECT_GT(continued, 0);
 }
 
 TEST(BoundedPareto, MomentsMatchSampling) {

@@ -542,191 +542,191 @@ SystemConfig coxian_mmpp_pin_config() {
 // clang-format off
 const SimPin kExponentialPins[] = {
     {"dedicated",
-     {11457, 0x1.17a2e844e21fbp+3, 0x1.a8486c3299402p+0}, {6543, 0x1.000e3ecf5cdcep+1, 0x1.74735e013cf2cp-3},
-     0x1.bdd63dd9909ap+13, {0x1.c95c1d59963c8p-1, 0x1.03ff521ea126fp-1}, 0x1.f8015bc2bdb21p-2,
-     20011, 20000, 9, 2, 0x08d431c70bb7b48bULL},
+     {11587, 0x1.7e16990195dcbp+3, 0x1.e45bdb34c11e9p+1}, {6413, 0x1.00f68f1018415p+1, 0x1.e43226a2168d7p-4},
+     0x1.ba66897a85a3cp+13, {0x1.cb50edd55d1a8p-1, 0x1.0373289baad38p-1}, 0x1.f919aec8aa58fp-2,
+     20002, 20000, 1, 1, 0x5f76c0ebee65495bULL},
     {"csid",
-     {11460, 0x1.72c6bd26dfe28p+1, 0x1.10ce771dbe99ap-2}, {6540, 0x1.410a174307f74p+1, 0x1.58d0e674659bcp-3},
-     0x1.bd896f1945adcp+13, {0x1.519418ea8d526p-1, 0x1.7c36153ffeab2p-1}, 0x1.0793d58002a9bp-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11588, 0x1.66fa8a1c4dcc2p+1, 0x1.1338295f03dacp-2}, {6412, 0x1.3f11d8c6b34dp+1, 0x1.f7825b9bc78f8p-4},
+     0x1.ba60e593c984p+13, {0x1.55a9788028e0dp-1, 0x1.792f19e1fc34ep-1}, 0x1.0da1cc3c07964p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"cscq",
-     {11460, 0x1.16d28637635f7p+1, 0x1.5747b6cbd2c52p-3}, {6540, 0x1.1907ec9cd56d7p+1, 0x1.73a4965910c5dp-3},
-     0x1.bd896f1945adcp+13, {0x1.8ccea088d1534p-1, 0x1.40fb8da1baaa3p-1}, 0x1.7e08e4bc8aab8p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11588, 0x1.0bcb5b4b6e3a9p+1, 0x1.4a7dca7b4efdp-3}, {6412, 0x1.1955338d6486bp+1, 0x1.079f8af19cbffp-3},
+     0x1.ba60e593c984p+13, {0x1.8ad00ed3ff72bp-1, 0x1.4408838e25a2fp-1}, 0x1.77eef8e3b4ba1p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"cscq-norename",
-     {11460, 0x1.14384ef8b8001p+1, 0x1.5265e1de7c6a6p-3}, {6540, 0x1.50d41745afc2p+1, 0x1.6979b75453764p-3},
-     0x1.bd896f1945adcp+13, {0x1.2c21c196107fcp-1, 0x1.a1a86c947b7ddp-1}, 0x1.795e4dae1208cp-3,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11588, 0x1.08a24c8358552p+1, 0x1.3d1c6fd4fa045p-3}, {6412, 0x1.51d8d1f7df818p+1, 0x1.24ba54e309818p-3},
+     0x1.ba60e593c984p+13, {0x1.3029ec2bb8f7fp-1, 0x1.9eaea6366c1dep-1}, 0x1.854567264f886p-3,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"mg2-fcfs",
-     {11460, 0x1.f769410be46bcp+0, 0x1.0cc946cea0684p-3}, {6540, 0x1.003bee98a89fbp+1, 0x1.4a509802432a7p-3},
-     0x1.bd896f1945adcp+13, {0x1.7ff0ee7a16cfp-1, 0x1.4dd93fb0752eap-1}, 0x1.644d809f15a2dp-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11590, 0x1.eed9231e41991p+0, 0x1.0769091c75b0ep-3}, {6410, 0x1.fc0630ae48ecp+0, 0x1.30840e534dbcp-3},
+     0x1.ba60e593c984p+13, {0x1.7ff4f6280647ep-1, 0x1.4ee39c3a1ecdep-1}, 0x1.6238c78bc2646p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"mg2-sjf",
-     {11460, 0x1.9687a62ed94f4p+0, 0x1.10ac7faddf71ap-4}, {6540, 0x1.92aca789fe0ap+0, 0x1.3fc1d5ed787f1p-4},
-     0x1.bd896f1945adcp+13, {0x1.800864bfe1cd6p-1, 0x1.4dc1c96aaa305p-1}, 0x1.647c6d2aab9f6p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11589, 0x1.90905dd550163p+0, 0x1.0e92f51b9d375p-4}, {6411, 0x1.943a575efb46ep+0, 0x1.1f48671f1261dp-4},
+     0x1.ba60e593c984p+13, {0x1.800e923cbad79p-1, 0x1.4eca00256a3e3p-1}, 0x1.626bffb52b83bp-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"lwr",
-     {11460, 0x1.f769410be46bcp+0, 0x1.0cc946cea0684p-3}, {6540, 0x1.003bee98a89fbp+1, 0x1.4a509802432a7p-3},
-     0x1.bd896f1945adcp+13, {0x1.7a8e5f59161b8p-1, 0x1.533bced175e22p-1}, 0x1.5988625d143bdp-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11590, 0x1.eed9231e41991p+0, 0x1.0769091c75b0ep-3}, {6410, 0x1.fc0630ae48ecp+0, 0x1.30840e534dbcp-3},
+     0x1.ba60e593c984p+13, {0x1.57dcc4800c4d9p-1, 0x1.76fbcde218c83p-1}, 0x1.1208643bce6f9p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"tags",
-     {11467, 0x1.ae3d77dc86d53p+6, 0x1.967d15553d93ap+4}, {6533, 0x1.a7cfccf827adp+6, 0x1.91aa59b8b0ea4p+4},
-     0x1.c333d90d96d14p+13, {0x1.c7732e44fbd78p-1, 0x1.fd82587e9c9dfp-1}, 0x1.3ed3c0b1b1053p-8,
-     20283, 20000, 281, 2, 0xaee93cb86518dca2ULL},
+     {11567, 0x1.893fba36b07d6p+6, 0x1.c1d62eb46e6ap+4}, {6433, 0x1.90643e09a6bc2p+6, 0x1.cf5702bdc10fbp+4},
+     0x1.bf92d6025994ap+13, {0x1.c846de4b62324p-1, 0x1.fe6fff0075117p-1}, 0x1.9000ff8aee844p-9,
+     20241, 20000, 239, 2, 0xb1533caf7ae790f2ULL},
     {"rr",
-     {11460, 0x1.4eaee4d6a629ap+1, 0x1.8a332e9ca148ep-3}, {6540, 0x1.56c2b14213017p+1, 0x1.d4bbe15804886p-3},
-     0x1.bd896f1945adcp+13, {0x1.66dab670658fap-1, 0x1.66ef77ba266dfp-1}, 0x1.3221108bb3241p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11589, 0x1.4c5ef04e772d9p+1, 0x1.c99cf808a486dp-3}, {6411, 0x1.55a384e59c53bp+1, 0x1.07133d37cf665p-2},
+     0x1.ba74bd179896ep+13, {0x1.6360ebaee8dd2p-1, 0x1.6b577cc8c01d9p-1}, 0x1.2951066e7fc4ep-2,
+     20009, 20000, 7, 2, 0xc6813074f3488d31ULL},
     {"random",
-     {11460, 0x1.b561ec223beb1p+1, 0x1.cfd4f165e9921p-3}, {6540, 0x1.b4557c59db85ap+1, 0x1.fe6f7b4e48abbp-3},
-     0x1.bd896f1945adcp+13, {0x1.606be33933aa3p-1, 0x1.6d5e4af158535p-1}, 0x1.25436a1d4f596p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11588, 0x1.a8411a6d681fcp+1, 0x1.e22c286a25e65p-3}, {6412, 0x1.af55e75018816p+1, 0x1.d21c6ad6e9888p-3},
+     0x1.ba75d131bc88bp+13, {0x1.69ba8e01f30adp-1, 0x1.6507b8ab1981bp-1}, 0x1.35f08ea9ccfccp-2,
+     20009, 20000, 7, 2, 0xc6813074f3488d31ULL},
     {"jiq",
-     {11460, 0x1.33c1f77f018acp+1, 0x1.4d2ee0861d9ebp-3}, {6540, 0x1.348adf3733879p+1, 0x1.afcc4213aed62p-3},
-     0x1.bd896f1945adcp+13, {0x1.649aa8ab2e09cp-1, 0x1.692f857f5df3cp-1}, 0x1.2da0f50144186p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11590, 0x1.2b2079461fd16p+1, 0x1.4722a1f6e43a4p-3}, {6410, 0x1.39d4f3eea8899p+1, 0x1.c4dc4a7e4d08ap-3},
+     0x1.ba60e593c984p+13, {0x1.6707b3bad88ddp-1, 0x1.67d0dea74c87dp-1}, 0x1.305e42b166f05p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"steal-one",
-     {11460, 0x1.1c1995db1743cp+1, 0x1.085d71c7afc6ep-3}, {6540, 0x1.1e32f654f819bp+1, 0x1.4d9b7c633d3d1p-3},
-     0x1.bd896f1945adcp+13, {0x1.63341b759a9c5p-1, 0x1.6a9612b4f1615p-1}, 0x1.2ad3da961d3d7p-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11589, 0x1.17a525145a27ep+1, 0x1.0791ac3aba26ap-3}, {6411, 0x1.1d8c003e355p+1, 0x1.123e1d6086554p-3},
+     0x1.ba61feb9807a6p+13, {0x1.6a45641dae7bfp-1, 0x1.6491656b6a7b6p-1}, 0x1.36dd35292b096p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"steal-half",
-     {11460, 0x1.1ea57e0c35c0ap+1, 0x1.17d9948334e7cp-3}, {6540, 0x1.20759606fe802p+1, 0x1.5804688e4ba9ap-3},
-     0x1.bd896f1945adcp+13, {0x1.624db75b69df6p-1, 0x1.6b7c76cf221e2p-1}, 0x1.29071261bbc3cp-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11590, 0x1.17328a1ca130ap+1, 0x1.0dde727dcf9bp-3}, {6410, 0x1.1ddadad967cc4p+1, 0x1.20ef6f786be2p-3},
+     0x1.ba610735046b6p+13, {0x1.6a6addd165accp-1, 0x1.646d7deb22ec7p-1}, 0x1.37250429ba273p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
     {"threshold-steal",
-     {11460, 0x1.34906d7413483p+1, 0x1.1c53fc5bb96abp-3}, {6540, 0x1.37dafab79bddbp+1, 0x1.63bf5847f6334p-3},
-     0x1.bd896f1945adcp+13, {0x1.633aa5b6c6d46p-1, 0x1.6a8f8873c5294p-1}, 0x1.2ae0ef1875adap-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11589, 0x1.2d01cc7d6a44ep+1, 0x1.17e806b0db1c9p-3}, {6411, 0x1.371443f492bfap+1, 0x1.1585738ba22d9p-3},
+     0x1.ba63a38cae1ebp+13, {0x1.6b8a06ebeb297p-1, 0x1.634b528441b28p-1}, 0x1.39695af77c9aep-2,
+     20002, 20000, 0, 2, 0x5f76c0ebee65495bULL},
     {"work-sharing",
-     {11460, 0x1.29f05a62fc20ep+1, 0x1.4774964567848p-3}, {6540, 0x1.2f73e2485e993p+1, 0x1.741e730b60247p-3},
-     0x1.bd896f1945adcp+13, {0x1.64ce123b092cfp-1, 0x1.68fc1bef82d0bp-1}, 0x1.2e07c820fa5ecp-2,
-     20000, 20000, 0, 0, 0xa9e55dee8f288d7bULL},
+     {11589, 0x1.1fe6e71cb2df7p+1, 0x1.249d613314e3ep-3}, {6411, 0x1.2968e0b54b4fdp+1, 0x1.3ca2c9b0f8be6p-3},
+     0x1.ba60e593c984p+13, {0x1.6ca8c7e7794cep-1, 0x1.622fca7aabc8dp-1}, 0x1.3ba06b0aa86e6p-2,
+     20000, 20000, 0, 0, 0x19fbc2118989350aULL},
 };
 
 const SimPin kCoxianMmppPins[] = {
     {"dedicated",
-     {16933, 0x1.f312d5920188bp+3, 0x1.083dce9484d14p+2}, {1067, 0x1.c2e4e3cd01693p+5, 0x1.c2d126514953fp+4},
-     0x1.6390d65107f3bp+14, {0x1.a3d9a8904f17cp-1, 0x1.1131eed298457p-1}, 0x1.dd9c225acf751p-2,
-     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+     {16893, 0x1.9099db61525b8p+3, 0x1.618e9014a965bp+1}, {1107, 0x1.1ccc11cec7e48p+5, 0x1.3c67b661d9606p+4},
+     0x1.737a26fd42dbfp+14, {0x1.8d9d46a13952p-1, 0x1.c28d0dc88f7fbp-2}, 0x1.1eb9791bb8403p-1,
+     20005, 20000, 4, 1, 0xedb5d1407a81a333ULL},
     {"csid",
-     {16932, 0x1.13258d770740bp+3, 0x1.1cafbc317933cp+1}, {1068, 0x1.c53ab4261e3fep+5, 0x1.c3d9467556ad4p+4},
-     0x1.6390d65107f3bp+14, {0x1.4737e26e3af07p-1, 0x1.6dd1ca90bff4cp-1}, 0x1.245c6ade80167p-2,
-     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+     {16893, 0x1.864f672e7e31ep+2, 0x1.0cb521ef5b419p+0}, {1107, 0x1.2050c20b45fd9p+5, 0x1.3c3f83c41c211p+4},
+     0x1.737a26fd42dbfp+14, {0x1.1ea358ed72cb5p-1, 0x1.504074980e46ap-1}, 0x1.5f7f16cfe372dp-2,
+     20005, 20000, 4, 1, 0xedb5d1407a81a333ULL},
     {"cscq",
-     {16932, 0x1.c70d628c872a6p+2, 0x1.e2a80e697aebdp+0}, {1068, 0x1.c38e6c3545d1ap+5, 0x1.c42ad2c1a6b65p+4},
-     0x1.6390d65107f3bp+14, {0x1.7be10dbdeee01p-1, 0x1.392a89a4f87d2p-1}, 0x1.8daaecb60f05cp-2,
-     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+     {16893, 0x1.3b24cc2959eb4p+2, 0x1.ed13c15ce5feap-1}, {1107, 0x1.1e02bd95282e6p+5, 0x1.3c541fb1d3f32p+4},
+     0x1.737a26fd42dbfp+14, {0x1.5b5e555e53063p-1, 0x1.138578272e0bcp-1}, 0x1.d8f50fb1a3e89p-2,
+     20005, 20000, 3, 2, 0xedb5d1407a81a333ULL},
     {"cscq-norename",
-     {16932, 0x1.c7246b47fea2bp+2, 0x1.e235b9c75d9cp+0}, {1068, 0x1.c63f6796788dcp+5, 0x1.c3ae390f0319ep+4},
-     0x1.6390d65107f3bp+14, {0x1.266cf4c08041fp-1, 0x1.8e9cb83e7aa36p-1}, 0x1.c58d1f061572ep-3,
-     20018, 20000, 16, 2, 0x39c9439cefc4a681ULL},
+     {16893, 0x1.3acbd94424545p+2, 0x1.eab8b16cb0fa1p-1}, {1107, 0x1.20fbc751b18dep+5, 0x1.3c542813d33fp+4},
+     0x1.737a26fd42dbfp+14, {0x1.fd8b37233b9fp-2, 0x1.701e31f3e3428p-1}, 0x1.1fc39c18397b3p-2,
+     20005, 20000, 3, 2, 0xedb5d1407a81a333ULL},
     {"mg2-fcfs",
-     {16931, 0x1.9916d749664b3p+3, 0x1.670817ced53fcp+2}, {1069, 0x1.55d6e6001c5c8p+4, 0x1.db111d64f061cp+2},
-     0x1.6389f97be26c9p+14, {0x1.71fda5fe638ap-1, 0x1.432d69a86afdep-1}, 0x1.79a52caf2a045p-2,
-     20015, 20000, 13, 2, 0xb252f3886661441eULL},
+     {16893, 0x1.2282f068f8afep+3, 0x1.2caccfca62d05p+2}, {1107, 0x1.05befea11d1a6p+4, 0x1.ecd46ef3c833bp+2},
+     0x1.7371f8fc6c6abp+14, {0x1.55233a77e5b82p-1, 0x1.19cdcf4cb75cbp-1}, 0x1.cc64616691468p-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"mg2-sjf",
-     {16931, 0x1.237de782a0727p+2, 0x1.dae695bdefbc9p+0}, {1069, 0x1.5e03956f0d47cp+4, 0x1.0cd3ba0601db1p+3},
-     0x1.63457104ed85cp+14, {0x1.6ef55c613179p-1, 0x1.45f5e1b55c95bp-1}, 0x1.74143c9546d4ap-2,
-     20008, 20000, 6, 2, 0x8b271cb0b66765b3ULL},
+     {16893, 0x1.f211e755992acp+1, 0x1.bc3f04df9ae88p+0}, {1107, 0x1.07cc6de33f1cfp+4, 0x1.7d90b8cafda5fp+2},
+     0x1.7371f8fc6c6abp+14, {0x1.54e61c9fbee76p-1, 0x1.1a0aed24de2d8p-1}, 0x1.cbea25b643a5p-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"lwr",
-     {16931, 0x1.9916d749664b3p+3, 0x1.670817ced53fcp+2}, {1069, 0x1.55d6e6001c5c8p+4, 0x1.db111d64f061cp+2},
-     0x1.6389f97be26c9p+14, {0x1.43cb95f6b3393p-1, 0x1.715f79b01b4ecp-1}, 0x1.1d410c9fc962ap-2,
-     20015, 20000, 13, 2, 0xb252f3886661441eULL},
+     {16893, 0x1.2282f068f8afep+3, 0x1.2caccfca62d05p+2}, {1107, 0x1.05befea11d1a6p+4, 0x1.ecd46ef3c833bp+2},
+     0x1.7371f8fc6c6abp+14, {0x1.52966aa1b747ap-1, 0x1.1c5a9f22e5cd3p-1}, 0x1.c74ac1ba3465ap-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"tags",
-     {16984, 0x1.4d003aaca014dp+9, 0x1.2525cc5ec9966p+7}, {1016, 0x1.9b10481d93e37p+10, 0x1.4108807284ecep+8},
-     0x1.73d5687d85cc7p+14, {0x1.2312fcbf62448p-1, 0x1.fe822f8b80cd6p-1}, 0x1.7dd0747f329edp-9,
-     20957, 20000, 956, 1, 0x00e2e6c119cd0260ULL},
+     {16907, 0x1.79e46f8482d18p+7, 0x1.6106c03543251p+5}, {1093, 0x1.bbd2a9b75bcb6p+8, 0x1.6a057410247a1p+6},
+     0x1.76bfd68751bbfp+14, {0x1.1489b794a534ap-1, 0x1.f608cd3b16aeep-1}, 0x1.3ee6589d2a245p-6,
+     20167, 20000, 165, 2, 0xd8c3e7b1cd5bc8aeULL},
     {"rr",
-     {16929, 0x1.3c25591bc39d4p+5, 0x1.2006f8b4f69e7p+4}, {1071, 0x1.7f52a254dce7p+5, 0x1.1439bea6cad7p+4},
-     0x1.64c2389e9446cp+14, {0x1.56ef9101ed72cp-1, 0x1.5dcd02d7deaffp-1}, 0x1.4465fa5042a03p-2,
-     20083, 20000, 82, 1, 0x9d554356617efd19ULL},
+     {16893, 0x1.293e222ce0737p+4, 0x1.a0f3cb1978fd9p+2}, {1107, 0x1.9cd4207757dcep+4, 0x1.1adce02244663p+3},
+     0x1.73782f0460438p+14, {0x1.43beed09cb00bp-1, 0x1.2b2b85dd44d3p-1}, 0x1.a9a8f4457659fp-2,
+     20005, 20000, 3, 2, 0xedb5d1407a81a333ULL},
     {"random",
-     {16931, 0x1.0569cdb194dc4p+5, 0x1.99f64e93a63c6p+3}, {1069, 0x1.3fd4e0802ae6p+5, 0x1.ce51884cae9e2p+3},
-     0x1.64e180bee4a5p+14, {0x1.61683955a940cp-1, 0x1.5313010f48fd9p-1}, 0x1.59d9fde16e04fp-2,
-     20085, 20000, 84, 1, 0x9e4a65b111634334ULL},
+     {16895, 0x1.34fa67b69ebdep+4, 0x1.811f3f12f9bdfp+2}, {1105, 0x1.bc7787b252a7p+4, 0x1.397ba68cf8051p+3},
+     0x1.73a4f3a0ca8a2p+14, {0x1.38a983a1dc238p-1, 0x1.35ab3ca0b54c8p-1}, 0x1.94a986be95671p-2,
+     20014, 20000, 13, 1, 0x8244f74c16766a01ULL},
     {"jiq",
-     {16930, 0x1.7aeff849333adp+4, 0x1.374b5f468cefp+3}, {1070, 0x1.f74b4189fbc2ep+4, 0x1.80a473fb7d783p+3},
-     0x1.63e02a056596cp+14, {0x1.630d7a95f5c4fp-1, 0x1.51e16bfd701e7p-1}, 0x1.5c3d28051fc33p-2,
-     20049, 20000, 47, 2, 0xe3f13246436362b5ULL},
+     {16893, 0x1.ac41fa6fac5fep+3, 0x1.69d0fa7ff50edp+2}, {1107, 0x1.4287284c88d81p+4, 0x1.103dc75f83005p+3},
+     0x1.7371f8fc6c6abp+14, {0x1.39b57bac101a2p-1, 0x1.353b8e188cfacp-1}, 0x1.9588e3cee60a7p-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"steal-one",
-     {16930, 0x1.b22cab1750cd4p+3, 0x1.a1e60380384fbp+2}, {1070, 0x1.66294b8adf26cp+4, 0x1.12c1673da177fp+3},
-     0x1.63a31cb72e607p+14, {0x1.57a06b9f3b7d5p-1, 0x1.5d8e661f1aba2p-1}, 0x1.44e333c1ca8bcp-2,
-     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+     {16893, 0x1.342a1baea64a1p+3, 0x1.36a07c36b1c05p+2}, {1107, 0x1.0e52d95356da7p+4, 0x1.f92c0c80eb77ap+2},
+     0x1.7372dbdf9cb8cp+14, {0x1.37501291c8d17p-1, 0x1.379f704c3936bp-1}, 0x1.90c11f678d92ap-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"steal-half",
-     {16930, 0x1.c3731875d53c6p+3, 0x1.a662698eea78dp+2}, {1070, 0x1.5edef933e25dbp+4, 0x1.007d213c8d353p+3},
-     0x1.63a31cb72e607p+14, {0x1.58b8fe5d67b14p-1, 0x1.5c75d360ee864p-1}, 0x1.4714593e22f38p-2,
-     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+     {16893, 0x1.344b927def4e1p+3, 0x1.37a6e5d346355p+2}, {1107, 0x1.0d6fff559579cp+4, 0x1.f92b32881a63p+2},
+     0x1.7372dbdf9cb8cp+14, {0x1.3861a4467cd98p-1, 0x1.368f8148301b3p-1}, 0x1.92e0fd6f9fc98p-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"threshold-steal",
-     {16930, 0x1.c06529430ac2p+3, 0x1.a4f96349e1835p+2}, {1070, 0x1.673f50a719fc4p+4, 0x1.0a2659606b294p+3},
-     0x1.63a255242820ep+14, {0x1.5a388d865c186p-1, 0x1.5af583f0e23dbp-1}, 0x1.4a14f81e3b849p-2,
-     20034, 20000, 32, 2, 0x6ff63303f5df5d44ULL},
+     {16893, 0x1.38f6d0620ad54p+3, 0x1.370ef777806a9p+2}, {1107, 0x1.12ab6bbfb1fefp+4, 0x1.f8366d4b5ed21p+2},
+     0x1.7372dbdf9cb8cp+14, {0x1.36edd3094d0d6p-1, 0x1.3801afd4b4fabp-1}, 0x1.8ffca056960a9p-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
     {"work-sharing",
-     {16930, 0x1.4b3def5bc630cp+4, 0x1.325f90083e388p+3}, {1070, 0x1.bddf63313e295p+4, 0x1.611f591b710e7p+3},
-     0x1.63bbe988e785ap+14, {0x1.5da29b74de8aep-1, 0x1.574a04469cf79p-1}, 0x1.516bf772c610fp-2,
-     20041, 20000, 39, 2, 0x4e7f045191a3e680ULL},
+     {16893, 0x1.8f9e56ed00e01p+3, 0x1.57b6d5d0bd901p+2}, {1107, 0x1.2f879e1098797p+4, 0x1.00dbda56488fcp+3},
+     0x1.7372dbdf9cb8cp+14, {0x1.3285ac584e9a3p-1, 0x1.3c6c52658e991p-1}, 0x1.87275b34e2cddp-2,
+     20004, 20000, 2, 2, 0xf1bb45964f0e125bULL},
 };
 
 const SimPin kBParetoPins[] = {
     {"dedicated",
-     {16907, 0x1.6839e21851158p+2, 0x1.b51e76dd766bdp-1}, {1093, 0x1.709aad9e781c2p+5, 0x1.9750881b5cd3p+4},
-     0x1.6d2061c760cf9p+14, {0x1.9d584b6dcfaf6p-1, 0x1.27e3025cf7c11p-1}, 0x1.b039fb46107ep-2,
-     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+     {16935, 0x1.5576e05fff4f7p+2, 0x1.a50f40f4feb73p-1}, {1065, 0x1.7913382a8b889p+4, 0x1.4432ebc6011dbp+3},
+     0x1.6c5e2b335d445p+14, {0x1.9aef840f54aa4p-1, 0x1.d9e29ae4f4a74p-2}, 0x1.130eb28d85ac6p-1,
+     20014, 20000, 12, 2, 0x7e58c0a315a944baULL},
     {"csid",
-     {16907, 0x1.6c39224e28712p+1, 0x1.7f0989e260b2bp-2}, {1093, 0x1.74a12e3b321p+5, 0x1.97f77d3ad1fa6p+4},
-     0x1.6d2061c760cf9p+14, {0x1.3cf059ee68b2cp-1, 0x1.8838fcc301dbep-1}, 0x1.df1c0cf3f8907p-3,
-     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+     {16935, 0x1.493327094fac1p+1, 0x1.b7c290145f3e9p-2}, {1065, 0x1.7f5d4021007a9p+4, 0x1.430f0dc4fe0c6p+3},
+     0x1.6c5e2b335d445p+14, {0x1.208c10c43e503p-1, 0x1.6754c0bd90adcp-1}, 0x1.31567e84dea47p-2,
+     20014, 20000, 12, 2, 0x7e58c0a315a944baULL},
     {"cscq",
-     {16907, 0x1.4e8773535bf03p+1, 0x1.96b201a5a8d97p-2}, {1093, 0x1.71a9cf77fe09cp+5, 0x1.96f7639ed43b6p+4},
-     0x1.6d2061c760cf9p+14, {0x1.8413d4a6bbe14p-1, 0x1.412779240b8f5p-1}, 0x1.7db10db7e8e17p-2,
-     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+     {16935, 0x1.27b3624d9deefp+1, 0x1.c992047fefda3p-2}, {1065, 0x1.7b09b45e757c4p+4, 0x1.43cbde3aeb8c4p+3},
+     0x1.6c5e2b335d445p+14, {0x1.6b4254a54b226p-1, 0x1.1c9e7cdc83dbbp-1}, 0x1.c6c30646f848cp-2,
+     20014, 20000, 12, 2, 0x7e58c0a315a944baULL},
     {"cscq-norename",
-     {16907, 0x1.4d0677fe87a1cp+1, 0x1.960f4424cb42fp-2}, {1093, 0x1.7552e276b4857p+5, 0x1.9798eca569836p+4},
-     0x1.6d2061c760cf9p+14, {0x1.2a330ec1d156bp-1, 0x1.9af647ef9937ep-1}, 0x1.9426e0419b206p-3,
-     20005, 20000, 3, 2, 0x43b2af95e87b0155ULL},
+     {16935, 0x1.2646b7f782bb6p+1, 0x1.cbc8b570b07d7p-2}, {1065, 0x1.801a3d0e9ea9cp+4, 0x1.425c96f01f6a1p+3},
+     0x1.6c5e2b335d445p+14, {0x1.09c5d3bf261fcp-1, 0x1.7e1afdc2a8de4p-1}, 0x1.03ca047aae437p-2,
+     20014, 20000, 12, 2, 0x7e58c0a315a944baULL},
     {"mg2-fcfs",
-     {16913, 0x1.dcb2a65475624p+2, 0x1.18c6c960763c7p+2}, {1087, 0x1.016050ca7fff7p+4, 0x1.3cbb0c398e433p+2},
-     0x1.6d7bb61dea0e6p+14, {0x1.7d1ece8879b5ap-1, 0x1.4a1bfda2b8299p-1}, 0x1.6bc804ba8facdp-2,
-     20020, 20000, 18, 2, 0x34c65489562aa37aULL},
+     {16929, 0x1.17ced3221516p+2, 0x1.cdbcdc7652ab7p+0}, {1071, 0x1.8dec3293af8b5p+3, 0x1.648e14340ac98p+1},
+     0x1.6db2ad4ad3243p+14, {0x1.64aa91f414cbp-1, 0x1.2546603281c7bp-1}, 0x1.b5733f9afc709p-2,
+     20099, 20000, 97, 2, 0x1572c0c623077483ULL},
     {"mg2-sjf",
-     {16913, 0x1.226f73f9e88d5p+1, 0x1.a7fff3aa607a7p-2}, {1087, 0x1.30ab3f303333dp+4, 0x1.97b228f8ba619p+2},
-     0x1.6d5d3065a4077p+14, {0x1.7cdbe9292aaddp-1, 0x1.4a2f420765a87p-1}, 0x1.6ba17bf134af2p-2,
-     20016, 20000, 14, 2, 0x0ce5dcfb422ea220ULL},
+     {16929, 0x1.e8a5ed027985fp+0, 0x1.a1041b82a9b5ap-3}, {1071, 0x1.e9cca6bd3378p+3, 0x1.560f4f0b10fdfp+2},
+     0x1.6c52553305578p+14, {0x1.630e72e3ea5eap-1, 0x1.25758e809a40fp-1}, 0x1.b514e2fecb7ep-2,
+     20008, 20000, 6, 2, 0xb172a6aac8145423ULL},
     {"lwr",
-     {16913, 0x1.dcb2a65475624p+2, 0x1.18c6c960763c7p+2}, {1087, 0x1.016050ca7fff7p+4, 0x1.3cbb0c398e433p+2},
-     0x1.6d7bb61dea0e6p+14, {0x1.6f8c6b095dc13p-1, 0x1.57ae6121d41e1p-1}, 0x1.50a33dbc57c3fp-2,
-     20020, 20000, 18, 2, 0x34c65489562aa37aULL},
+     {16929, 0x1.17ced3221516p+2, 0x1.cdbcdc7652ab7p+0}, {1071, 0x1.8dec3293af8b5p+3, 0x1.648e14340ac98p+1},
+     0x1.6db2ad4ad3243p+14, {0x1.64aa91f414cbp-1, 0x1.2546603281c7bp-1}, 0x1.b5733f9afc709p-2,
+     20099, 20000, 97, 2, 0x1572c0c623077483ULL},
     {"tags",
-     {16998, 0x1.8cd0f18dbbaafp+9, 0x1.a9e8b7b6c1029p+6}, {1002, 0x1.2081932a9ee66p+11, 0x1.3cf51fbe0f3a5p+8},
-     0x1.821eab6cbb46fp+14, {0x1.1fbeb103af489p-1, 0x1.ff9a5a3add6a5p-1}, 0x1.9697148a56c67p-11,
-     21143, 20000, 1142, 1, 0x68c2b763efd9c63bULL},
+     {16958, 0x1.247b1fc39a9eep+8, 0x1.1531f7b02d265p+6}, {1042, 0x1.9c0726f5c48bap+9, 0x1.657574cc5d58cp+7},
+     0x1.73783c6f337e5p+14, {0x1.1ecd78e532a15p-1, 0x1.ff71064796456p-1}, 0x1.1df370d3753a1p-10,
+     20398, 20000, 397, 1, 0x52e9f470340d613aULL},
     {"rr",
-     {16914, 0x1.a761756d7f2b6p+4, 0x1.f3444e369c792p+3}, {1086, 0x1.00f7680444f38p+5, 0x1.93c74fe1876eep+3},
-     0x1.6f4786b67434bp+14, {0x1.68ca5b19cb003p-1, 0x1.5d35912198f5p-1}, 0x1.4594ddbcce15fp-2,
-     20115, 20000, 113, 2, 0x0571323cd6b40f1eULL},
+     {16932, 0x1.bda465e974cf9p+3, 0x1.e21ac3bdfbd54p+2}, {1068, 0x1.5933eddda48d2p+4, 0x1.2a50715ec5035p+3},
+     0x1.6e717d3590aecp+14, {0x1.3dffcaa360a61p-1, 0x1.4bc4ce5b54c92p-1}, 0x1.68766349566dbp-2,
+     20143, 20000, 141, 2, 0x148f8addfc14f5b7ULL},
     {"random",
-     {16914, 0x1.0be7fde06a71p+5, 0x1.483c92915cb72p+4}, {1086, 0x1.35aa29eab3bcp+5, 0x1.0f729698d68bap+4},
-     0x1.6e37af5fb12e4p+14, {0x1.4d8b573afbf07p-1, 0x1.772e0a741217ep-1}, 0x1.11a3eb17dbd03p-2,
-     20071, 20000, 69, 2, 0x16138dcee1bc5ebdULL},
+     {16931, 0x1.d0ccc1bed0b1fp+3, 0x1.a8a2461bafc68p+2}, {1069, 0x1.5addc25f47e74p+4, 0x1.d2d9384bfc692p+2},
+     0x1.6e7caf4a36702p+14, {0x1.45ad56709807bp-1, 0x1.42860b80dd4d2p-1}, 0x1.7af3e8fe4565dp-2,
+     20145, 20000, 143, 2, 0x879ed8265a56f5d2ULL},
     {"jiq",
-     {16914, 0x1.375cf0acfe638p+4, 0x1.b9e8417a3151dp+3}, {1086, 0x1.cfc90f3e0cddap+4, 0x1.ffa31b40bc94cp+3},
-     0x1.6e3696a0032b6p+14, {0x1.5be39bc915cbfp-1, 0x1.6a9eb17ee682ap-1}, 0x1.2ac29d0232fabp-2,
-     20069, 20000, 67, 2, 0xdcb4ed90176abb1aULL},
+     {16933, 0x1.09934ed161165p+3, 0x1.177052f50f0b6p+2}, {1067, 0x1.ecbcb339982e3p+3, 0x1.22b7640c1b0dap+2},
+     0x1.6d434f45eb3bdp+14, {0x1.430e69b97a2b7p-1, 0x1.44a5dec6b04d9p-1}, 0x1.76b442729f64dp-2,
+     20064, 20000, 63, 1, 0x889d31eed9bbd585ULL},
     {"steal-one",
-     {16914, 0x1.f9126916b2519p+2, 0x1.1802e6afc1f6ap+2}, {1086, 0x1.049c5e1ec69d4p+4, 0x1.1f052c92315d5p+2},
-     0x1.6d803a4b53bb1p+14, {0x1.60fbd0b41fbe6p-1, 0x1.6631f2c2b3d95p-1}, 0x1.339c1a7a984d7p-2,
-     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+     {16929, 0x1.39452822bfaf3p+2, 0x1.ce71192e84ffcp+0}, {1071, 0x1.9b185b4684eecp+3, 0x1.5dec142614e9cp+1},
+     0x1.6dbafa9639e0ep+14, {0x1.4753387fe3602p-1, 0x1.4299cd6d6754fp-1}, 0x1.7acc652531562p-2,
+     20101, 20000, 99, 2, 0xe96b63b1afe393adULL},
     {"steal-half",
-     {16914, 0x1.fe3fc9b911bc6p+2, 0x1.1b4c1ed45d415p+2}, {1086, 0x1.044d4b53d951p+4, 0x1.22cc037ded6cp+2},
-     0x1.6d803a4b53bb1p+14, {0x1.610ad3485844bp-1, 0x1.6622500c78bb5p-1}, 0x1.33bb5fe70e896p-2,
-     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+     {16929, 0x1.3915d5687726ap+2, 0x1.ca36e6ef139b9p+0}, {1071, 0x1.9af19943c3715p+3, 0x1.628aa9423e671p+1},
+     0x1.6db2634af6199p+14, {0x1.47a67f563836bp-1, 0x1.423dbcea49e99p-1}, 0x1.7b84862b6c2cep-2,
+     20099, 20000, 97, 2, 0x1572c0c623077483ULL},
     {"threshold-steal",
-     {16914, 0x1.0a3ffb6e7a2f1p+3, 0x1.20ac26695dfc9p+2}, {1086, 0x1.0b5a0972b8c42p+4, 0x1.23e03bb99f29bp+2},
-     0x1.6d803a4b53bb1p+14, {0x1.5fca2e9505b9p-1, 0x1.67606b67795f9p-1}, 0x1.313f29310d40cp-2,
-     20021, 20000, 19, 2, 0x5b22a6154fd6b5f3ULL},
+     {16931, 0x1.40469370d5377p+2, 0x1.c64596af02c71p+0}, {1069, 0x1.9c9f4b3a62528p+3, 0x1.581b04e92ac46p+1},
+     0x1.6c70ca3b9619ep+14, {0x1.462f4af05bdffp-1, 0x1.427101cd006ccp-1}, 0x1.7b1dfc65ff268p-2,
+     20019, 20000, 17, 2, 0xed63831d11d90f7cULL},
     {"work-sharing",
-     {16915, 0x1.b8b5ab15a70c2p+3, 0x1.f3e754d313e65p+2}, {1085, 0x1.6930a3b1e02a5p+4, 0x1.2a96abfa0a9a7p+3},
-     0x1.6d944c1f864f2p+14, {0x1.6285f9f3027c2p-1, 0x1.647016d8d2908p-1}, 0x1.371fd24e5adefp-2,
-     20025, 20000, 23, 2, 0x1cc33bf8cfb04627ULL},
+     {16935, 0x1.c91adfdabac7dp+2, 0x1.cce197c6fb031p+1}, {1065, 0x1.c5bc3b60826e1p+3, 0x1.ff7cbc1cc76fep+1},
+     0x1.6ce8c26547849p+14, {0x1.486e7f4affb31p-1, 0x1.3f234caae9c02p-1}, 0x1.81b966aa2c7fep-2,
+     20037, 20000, 35, 2, 0x2bb941834e25f614ULL},
 };
 
 // clang-format on

@@ -563,6 +563,30 @@ TEST_F(ServeChaos, FaultedCacheInsertNeverPoisonsTheCache) {
   EXPECT_EQ(server.cache_stats().misses, 2);
 }
 
+// An answer from the simulation rung reports its precision under the names
+// a simulate response uses, with the values the same simulate request gets.
+TEST_F(ServeChaos, SimulationRungAnswerCarriesItsCi) {
+  Server server(serial_opts());
+  fault::arm(fault::parse_arm_spec("serve.dispatch.run:1:throw:NotConverged"));
+  fault::arm(fault::parse_arm_spec("analysis.truncated.solve:1:throw:NotConverged"));
+  const JsonValue degraded = parsed(server.call(analyze_line("c8", 0.5, 0.5)));
+  ASSERT_TRUE(degraded.find("ok")->as_bool("ok"));
+  EXPECT_EQ(degraded.find("rung")->as_string("rung"), "simulation");
+  const JsonValue simulated = parsed(server.call(
+      "{\"id\":\"c9\",\"op\":\"simulate\",\"rho_s\":0.5,\"rho_l\":0.5,\"mean_s\":1,"
+      "\"mean_l\":1,\"scv_l\":1,\"completions\":20000,\"replications\":2}"));
+  ASSERT_TRUE(simulated.find("ok")->as_bool("ok"));
+  const JsonValue* got = degraded.find("result");
+  const JsonValue* want = simulated.find("result");
+  for (const char* key : {"ci95_short", "ci95_long", "replications"}) {
+    SCOPED_TRACE(key);
+    ASSERT_NE(got->find(key), nullptr);
+    EXPECT_EQ(got->find(key)->as_number(key), want->find(key)->as_number(key));
+  }
+  EXPECT_GT(got->find("ci95_short")->as_number("ci95_short"), 0.0);
+  EXPECT_EQ(got->find("replications")->as_number("replications"), 2.0);
+}
+
 TEST_F(ServeChaos, ForcedAdmissionShed) {
   Server server(serial_opts());
   fault::arm(fault::parse_arm_spec("serve.admission.shed:1:throw:Overloaded"));

@@ -155,8 +155,8 @@ TEST(Replications, AggregateMatchesHandComputedMeanAndCi) {
   const sim::ClassStats agg = sim::aggregate_replications(reps);
   EXPECT_EQ(agg.completions, 40u);
   EXPECT_DOUBLE_EQ(agg.mean_response, 2.5);
-  // sample sd = sqrt(5/3); CI = 1.96 * sd / 2.
-  EXPECT_NEAR(agg.ci95, 1.96 * std::sqrt(5.0 / 3.0) / 2.0, 1e-12);
+  // sample sd = sqrt(5/3); CI = t(0.975, 3 df) * sd / 2.
+  EXPECT_NEAR(agg.ci95, 3.18 * std::sqrt(5.0 / 3.0) / 2.0, 1e-12);
 }
 
 }  // namespace

@@ -39,6 +39,16 @@ TEST(TruncatedCscq, ConvergesMonotonicallyInLongCap) {
   EXPECT_LT(prev_mass, 1e-8);
 }
 
+// At (0.5, 0.3) the mass at cap 100 is ~0.3^100, below round-off: the
+// unclamped sum of pi came out -2.6e-33, which the --resilient trailer
+// printed as "stranded mass -0.0000".
+TEST(TruncatedCscq, MassAtTheLongCapIsNeverNegative) {
+  const SystemConfig c = SystemConfig::paper_setup(0.5, 0.3, 1.0, 1.0);
+  const TruncatedCscqResult r = analyze_cscq_truncated(c);
+  EXPECT_GE(r.mass_at_long_cap, 0.0);
+  EXPECT_LE(r.mass_at_long_cap, std::pow(long_count_decay(c), 100));
+}
+
 // Exp/exp rows (rho_S, rho_L, E[X_S], E[X_L]) on both sides of
 // rho_L = lambda_L / (lambda_L + 2 mu_S), which decides the term of
 // long_count_decay that holds, and one row on it.
