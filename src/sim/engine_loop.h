@@ -28,7 +28,8 @@ namespace engine_detail {
 
 // One multiply-xorshift step over a whole word; chained per arrival to
 // fingerprint the arrival sequence independently of any policy decision.
-// Both halves are bijections of h, so no single-word change goes unseen.
+// A step is a bijection of the word for fixed h and of h for fixed word,
+// so changing any one word of the sequence changes the final hash.
 inline std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
   h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
   return h ^ (h >> 32);

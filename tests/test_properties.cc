@@ -89,9 +89,9 @@ TEST(Properties, CscqShortResponseMonotoneInRhoL) {
 // --- Analysis vs simulation --------------------------------------------------
 
 // The tolerance is 0.05 m + 2 ci95, with a Student-t ci95 over the
-// replications. Its half-width per replication SD is t(n-1)/sqrt(n): 0.834
-// at n = 8, below the 0.98 that the 4-replication normal CI these checks
-// once used gave, so the tolerance is no wider than it was.
+// replications: t(n-1)/sqrt(n) replication SDs, 1.59 at n = 4 but 0.834 at
+// n = 8. Eight keep it under the 0.98 of a 4-replication normal CI, so a
+// wrong analysis is no likelier to pass than with that CI.
 constexpr int kAgreementReplications = 8;
 
 struct AgreementConfig {
