@@ -98,7 +98,6 @@ dist::Moments exp_moments(double delta, double w) {
 
 CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
   CSQ_OBS_SPAN("analysis.cscq.analyze");
-  const obs::DeltaScope obs_scope;
   config.validate();
   const auto* short_ph = dynamic_cast<const dist::PhaseType*>(config.short_size.get());
   if (short_ph == nullptr)
@@ -369,7 +368,6 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
     window_alpha = std::move(pair_cond);
     if (diff < 1e-10) break;
   }
-  res.obs_metrics = obs_scope.delta();
   return res;
 }
 

@@ -74,9 +74,6 @@ struct CscqResult {
   std::size_t num_phases = 0;   // repeating-level phase count
   int window_iterations = 0;    // Theta fixed-point passes (1 for exponential shorts)
   qbd::SolveStats solve_stats;  // R-solver stage, residual, condition estimate
-  // Obs counter increments during this call (process-global; see
-  // src/obs/obs.h for the concurrent-solve attribution caveat).
-  obs::MetricsDelta obs_metrics;
 
   // Short-job queue-length distribution (the chain tracks it exactly):
   // P(N_S = n) ~ c * decay^n asymptotically, and the 99th percentile of the

@@ -26,7 +26,6 @@ const dist::PhaseType& require_exponential_shorts(const SystemConfig& config) {
 
 CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
   CSQ_OBS_SPAN("analysis.csid.analyze");
-  const obs::DeltaScope obs_scope;
   config.validate();
   config.require_poisson_shorts("analyze_csid");
   const double mu_s = require_exponential_shorts(config).rate();
@@ -125,7 +124,6 @@ CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
     shorts = class_metrics_from_response(xs.m1, 0.0, xs.m1);
   }
   res.metrics.shorts = shorts;
-  res.obs_metrics = obs_scope.delta();
   return res;
 }
 

@@ -48,7 +48,6 @@ struct CsidResult {
   dist::FitReport fit_single;
   dist::FitReport fit_batch;
   qbd::SolveStats solve_stats;     // R-solver stage, residual, condition estimate
-  obs::MetricsDelta obs_metrics;   // counter increments during this call
 };
 
 // Throws csq::UnstableError (a std::domain_error) outside the CS-ID

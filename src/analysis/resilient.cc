@@ -9,7 +9,6 @@
 #include "analysis/truncated_cscq.h"
 #include "core/solver.h"
 #include "obs/trace.h"
-// csq-lint: allow(module-layering): degradation ladder's last rung calls sim::simulate_replications: analysis -> sim is the documented resilience escape hatch (ROADMAP: invert by extracting a ladder module)
 #include "sim/simulator.h"
 
 namespace csq::analysis {
@@ -61,7 +60,6 @@ Diagnostics ladder_diagnostics(const SystemConfig& config, const ResilientOption
 
 ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOptions& opts) {
   CSQ_OBS_SPAN("analysis.resilient.ladder");
-  const obs::DeltaScope obs_scope;
   config.validate();
   const double rho_s = config.rho_short();
   const double rho_l = config.rho_long();
@@ -133,10 +131,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
       res.solve_stats = r.solve_stats;
       res.rung_used = Rung::kExact;
     });
-    if (ok) {
-      res.obs_metrics = obs_scope.delta();
-      return res;
-    }
+    if (ok) return res;
   }
 
   // --- rung 2: long-capped exact chain, one solve ------------------------
@@ -164,10 +159,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
       res.truncation_cap = cap;
       res.truncation_mass = mass;
     });
-    if (ok) {
-      res.obs_metrics = obs_scope.delta();
-      return res;
-    }
+    if (ok) return res;
   }
 
   // --- rung 3: simulation (always runs its initial batch) ------------------
@@ -193,10 +185,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     res.ci_half_width_long = mr.longs.ci95;
     res.replications_used = static_cast<int>(mr.replications.size());
   });
-  if (ok) {
-    res.obs_metrics = obs_scope.delta();
-    return res;
-  }
+  if (ok) return res;
 
   // Every rung failed. Prefer the budget's typed error when it was the
   // limiting factor; otherwise report the exhausted ladder with its trail.

@@ -48,7 +48,6 @@
 #include "core/status.h"
 #include "obs/obs.h"
 #include "qbd/qbd.h"
-// csq-lint: allow(module-layering): ResilientResult embeds the simulation rung's sim:: report type; inverting needs a shared result module first
 #include "sim/simulator.h"
 
 namespace csq::analysis {
@@ -101,9 +100,6 @@ struct ResilientResult {
   // Truncated rung only: accepted long cap and the mass stranded there.
   int truncation_cap = 0;
   double truncation_mass = 0.0;
-  // Obs counter increments across the whole ladder walk (every rung
-  // attempted, not just the one that held).
-  obs::MetricsDelta obs_metrics;
 };
 
 // Rungs that fail are caught and recorded in `attempts`; only errors the

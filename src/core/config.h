@@ -6,11 +6,8 @@
 #include <stdexcept>
 #include <string>
 
-// csq-lint: allow(module-layering): SystemConfig holds dist:: size/arrival distributions by value; the config type predates the layering and every module consumes it
 #include "dist/distribution.h"
-// csq-lint: allow(module-layering): SystemConfig holds dist:: size/arrival distributions by value; the config type predates the layering and every module consumes it
 #include "dist/map_process.h"
-// csq-lint: allow(module-layering): SystemConfig holds dist:: size/arrival distributions by value; the config type predates the layering and every module consumes it
 #include "dist/phase_type.h"
 
 namespace csq {

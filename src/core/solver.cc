@@ -4,13 +4,9 @@
 #include <string>
 #include <vector>
 
-// csq-lint: allow(module-layering): core::analyze is the policy-dispatch facade over analysis/; planned fix is moving the facade up, not linking analysis down
 #include "analysis/cscq.h"
-// csq-lint: allow(module-layering): core::analyze is the policy-dispatch facade over analysis/; planned fix is moving the facade up, not linking analysis down
 #include "analysis/csid.h"
-// csq-lint: allow(module-layering): core::analyze is the policy-dispatch facade over analysis/; planned fix is moving the facade up, not linking analysis down
 #include "analysis/dedicated.h"
-// csq-lint: allow(module-layering): core::analyze is the policy-dispatch facade over analysis/; planned fix is moving the facade up, not linking analysis down
 #include "analysis/stability.h"
 
 namespace csq {

@@ -3,24 +3,17 @@
 #include <cmath>
 #include <functional>
 
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "analysis/cscq.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "analysis/csid.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "analysis/resilient.h"
 #include "core/numeric.h"
 #include "core/solver.h"
 #include "core/status.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "mg1/mg1.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "parallel/task_pool.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "sim/rng.h"
-// csq-lint: allow(module-layering): sweep drives analysis/, mg1/, the parallel/ pool and (for the policy panel's simulated cells) sim/ from core; same facade inversion as core/solver.cc
 #include "sim/simulator.h"
 
 namespace csq {

@@ -21,11 +21,11 @@
 //
 // Counters are monotone per process run; per-call attribution uses
 // DeltaScope, which snapshots every counter at construction and returns the
-// increments since (`MetricsDelta`). Analysis entry points capture one and
-// attach the delta to their *Result next to SolveStats. Deltas are computed
-// from process-global counters, so under concurrent solves (a threaded
-// sweep) a delta attributes the *process's* activity during the call, not
-// the call's alone — exact attribution needs a single-threaded run.
+// increments since (`MetricsDelta`); open one around a call to see what it
+// moved. Deltas are computed from process-global counters, so under
+// concurrent solves (a threaded sweep) a delta attributes the *process's*
+// activity during the call, not the call's alone — exact attribution needs a
+// single-threaded run.
 //
 // Thread-safety: registration takes a mutex (once per site); updates are
 // lock-free relaxed atomics, safe from any pool worker.

@@ -121,17 +121,19 @@ TEST(ObsDelta, ReportsOnlyCountersThatMoved) {
 
 TEST(ObsDelta, AnalysisDeltaIsConsistentWithSolveStats) {
   const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 10.0, 1.0);
+  const obs::DeltaScope scope;
   const analysis::CscqResult r = analysis::analyze_cscq(c);
+  const obs::MetricsDelta delta = scope.delta();
   if (!obs::compiled_in()) {
-    EXPECT_TRUE(r.obs_metrics.empty());
+    EXPECT_TRUE(delta.empty());
     return;
   }
   // Exactly one QBD solve backs a CS-CQ analysis; its doubling-step count
   // must agree with the obs counter.
-  EXPECT_EQ(r.obs_metrics.value("qbd.solve.calls"), 1);
-  EXPECT_EQ(r.obs_metrics.value("qbd.logred.doublings"), r.solve_stats.iterations);
+  EXPECT_EQ(delta.value("qbd.solve.calls"), 1);
+  EXPECT_EQ(delta.value("qbd.logred.doublings"), r.solve_stats.iterations);
   // to_diagnostics folds the solver-loop counters into `iterations`.
-  const Diagnostics d = r.obs_metrics.to_diagnostics();
+  const Diagnostics d = delta.to_diagnostics();
   EXPECT_GE(d.iterations, r.solve_stats.iterations);
   EXPECT_FALSE(d.notes.empty());
 }
@@ -163,24 +165,30 @@ TEST(ObsDelta, ValuesAreSortedByName) {
 
 TEST(ObsDelta, NestedScopesBothSeeTheInnerIncrements) {
   const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 10.0, 1.0);
-  const std::int64_t one_cscq =
-      analysis::analyze_cscq(c).obs_metrics.value("qbd.logred.doublings");
-  // Three scopes deep: this one, analyze_resilient's, and the exact rung's
-  // analyze_cscq inside it.
+  std::int64_t one_cscq = 0;
+  {
+    const obs::DeltaScope single;
+    (void)analysis::analyze_cscq(c);
+    one_cscq = single.delta().value("qbd.logred.doublings");
+  }
+  // Two scopes deep: the outer one, and an inner one around the ladder
+  // (whose exact rung runs analyze_cscq).
   const obs::DeltaScope outer;
+  const obs::DeltaScope inner;
   const analysis::ResilientResult r = analysis::analyze_resilient(c);
+  const obs::MetricsDelta ladder = inner.delta();
   const obs::MetricsDelta d = outer.delta();
   ASSERT_EQ(r.rung_used, analysis::Rung::kExact);
   if (!obs::compiled_in()) {
-    EXPECT_TRUE(r.obs_metrics.empty());
+    EXPECT_TRUE(ladder.empty());
     return;
   }
   ASSERT_GT(one_cscq, 0);
-  EXPECT_EQ(r.obs_metrics.value("qbd.logred.doublings"), one_cscq);
+  EXPECT_EQ(ladder.value("qbd.logred.doublings"), one_cscq);
   EXPECT_EQ(d.value("qbd.logred.doublings"), one_cscq);
-  EXPECT_TRUE(std::is_sorted(r.obs_metrics.values.begin(), r.obs_metrics.values.end()));
+  EXPECT_TRUE(std::is_sorted(ladder.values.begin(), ladder.values.end()));
   // Nothing else ran, so the outer scope saw exactly the ladder's counters.
-  EXPECT_EQ(d.values, r.obs_metrics.values);
+  EXPECT_EQ(d.values, ladder.values);
 }
 
 TEST(ObsDelta, ScopesRaceRegistrationsAndBumps) {

@@ -336,22 +336,27 @@ TEST(Properties, TimeRescalingScalesMeanResponses) {
         }
 }
 
-// --- Results carry their own obs attribution ---------------------------------
+// --- Per-analysis obs attribution -------------------------------------------
 
 TEST(Properties, AnalysisResultsCarryObsMetrics) {
   const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 10.0, 1.0);
+  const obs::DeltaScope cq_scope;
   const analysis::CscqResult cq = analysis::analyze_cscq(c);
-  const analysis::CsidResult id = analysis::analyze_csid(c);
+  const obs::MetricsDelta cq_delta = cq_scope.delta();
+  const obs::DeltaScope id_scope;
+  (void)analysis::analyze_csid(c);
+  const obs::MetricsDelta id_delta = id_scope.delta();
   if (!obs::compiled_in()) {
-    EXPECT_TRUE(cq.obs_metrics.empty());
-    EXPECT_TRUE(id.obs_metrics.empty());
+    EXPECT_TRUE(cq_delta.empty());
+    EXPECT_TRUE(id_delta.empty());
     return;
   }
-  // Each exact analysis runs exactly one QBD solve and reports it.
-  EXPECT_EQ(cq.obs_metrics.value("qbd.solve.calls"), 1);
-  EXPECT_EQ(id.obs_metrics.value("qbd.solve.calls"), 1);
-  EXPECT_GT(cq.obs_metrics.value("qbd.logred.doublings"), 0);
-  EXPECT_EQ(cq.obs_metrics.value("qbd.logred.doublings"), cq.solve_stats.iterations);
+  // Each exact analysis runs exactly one QBD solve, and a scope around it
+  // sees that solve.
+  EXPECT_EQ(cq_delta.value("qbd.solve.calls"), 1);
+  EXPECT_EQ(id_delta.value("qbd.solve.calls"), 1);
+  EXPECT_GT(cq_delta.value("qbd.logred.doublings"), 0);
+  EXPECT_EQ(cq_delta.value("qbd.logred.doublings"), cq.solve_stats.iterations);
 }
 
 }  // namespace

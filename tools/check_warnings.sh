@@ -36,10 +36,15 @@
 #   clang-tidy  src/ against .clang-tidy, if clang-tidy is installed
 #   csq-lint    project invariants: one repo scan that must exit 0 with
 #               no findings on stdout, under a 2s wall-clock budget
+#   perfbench   perfbench/ configured standalone (as perfbench/run.py does)
+#               and csq_perfbench built, not run: the frozen harness links
+#               `csq` and includes src/ headers by path, so a build change
+#               that breaks that contract fails here
 #
 # usage: tools/check_warnings.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #        (defaults: build-werror, build-tsan, build-asan; the chaos stage
-#        builds in build-chaos, the portable stage in build-portable)
+#        builds in build-chaos, the portable stage in build-portable, the
+#        perfbench stage in build-perfbench)
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -296,5 +301,11 @@ case "$lint_start" in
     ;;
 esac
 note "PASS  csq-lint    (repo clean in <2s)"
+
+# --- stage 12: perfbench (the benchmark harness still builds) ----------------
+perfbench_dir="$repo_root/build-perfbench"
+cmake -B "$perfbench_dir" -S "$repo_root/perfbench" >/dev/null || fail "perfbench (configure)"
+cmake --build "$perfbench_dir" -j --target csq_perfbench || fail "perfbench (build)"
+note "PASS  perfbench   (standalone perfbench/ configures and csq_perfbench builds)"
 
 finish

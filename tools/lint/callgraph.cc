@@ -77,7 +77,6 @@ RepoIndex RepoIndex::build(std::vector<FileIndex> files, const Config& config) {
   idx.finalize_methods();
   idx.resolve_all(config);
   idx.run_fixpoints(config);
-  idx.build_include_graph();
   return idx;
 }
 
@@ -200,95 +199,6 @@ void RepoIndex::run_fixpoints(const Config& config) {
       }
     }
   }
-}
-
-void RepoIndex::build_include_graph() {
-  std::map<std::string, std::size_t> by_rel;
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) by_rel[files_[fi].rel] = fi;
-
-  include_edges_.assign(files_.size(), {});
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    const std::string& rel = files_[fi].rel;
-    const std::size_t slash = rel.rfind('/');
-    const std::string dir = slash == std::string::npos ? "" : rel.substr(0, slash + 1);
-    for (const IncludeRef& inc : files_[fi].includes) {
-      if (inc.system) continue;
-      // Quoted includes resolve against src/ (the repo include root) or the
-      // including file's own directory.
-      std::size_t target = files_.size();
-      for (const std::string& cand : {"src/" + inc.target, dir + inc.target, inc.target}) {
-        const auto it = by_rel.find(cand);
-        if (it != by_rel.end()) {
-          target = it->second;
-          break;
-        }
-      }
-      if (target < files_.size()) include_edges_[fi].push_back(target);
-    }
-  }
-
-  // Tarjan SCC over the include edges; components of size > 1 (or with a
-  // self-loop) are cycles.
-  const std::size_t n = files_.size();
-  std::vector<int> index(n, -1);
-  std::vector<int> low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  int next = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::size_t edge;
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] >= 0) continue;
-    std::vector<Frame> call_stack = {{root, 0}};
-    index[root] = low[root] = next++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!call_stack.empty()) {
-      Frame& fr = call_stack.back();
-      if (fr.edge < include_edges_[fr.v].size()) {
-        const std::size_t w = include_edges_[fr.v][fr.edge++];
-        if (index[w] < 0) {
-          index[w] = low[w] = next++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[fr.v] = std::min(low[fr.v], index[w]);
-        }
-      } else {
-        if (low[fr.v] == index[fr.v]) {
-          std::vector<std::size_t> comp;
-          while (true) {
-            const std::size_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            comp.push_back(w);
-            if (w == fr.v) break;
-          }
-          bool self_loop = false;
-          for (const std::size_t w : include_edges_[fr.v])
-            if (w == fr.v) self_loop = true;
-          if (comp.size() > 1 || self_loop) {
-            std::sort(comp.begin(), comp.end(), [&](std::size_t a, std::size_t b) {
-              return files_[a].rel < files_[b].rel;
-            });
-            include_cycles_.push_back(std::move(comp));
-          }
-        }
-        const std::size_t v = fr.v;
-        call_stack.pop_back();
-        if (!call_stack.empty())
-          low[call_stack.back().v] = std::min(low[call_stack.back().v], low[v]);
-      }
-    }
-  }
-  std::sort(include_cycles_.begin(), include_cycles_.end(),
-            [&](const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
-              return files_[a.front()].rel < files_[b.front()].rel;
-            });
 }
 
 // --- Rules ------------------------------------------------------------------
@@ -442,61 +352,6 @@ void rule_atomic_order(const std::vector<SourceFile>& files, const RepoIndex& re
   }
 }
 
-// R17 module-layering: `#include` edges must point down the module DAG, and
-// include cycles are findings. Cross-cutting modules (obs) may be included
-// from anywhere.
-void rule_module_layering(const std::vector<SourceFile>& files, const RepoIndex& repo,
-                          const Config& cfg, std::vector<Finding>* out) {
-  const auto rank_of = [&](const std::string& module) {
-    const auto it = cfg.module_ranks.find(module);
-    return it == cfg.module_ranks.end() ? -1 : it->second;
-  };
-  std::map<std::string, std::size_t> by_rel;
-  for (std::size_t fi = 0; fi < files.size(); ++fi) by_rel[files[fi].rel] = fi;
-
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const FileIndex& fx = repo.files()[fi];
-    const int my_rank = rank_of(fx.module);
-    if (my_rank < 0) continue;
-    for (const IncludeRef& inc : fx.includes) {
-      if (inc.system) continue;
-      // Module of the include target: leading path segment of the spelled
-      // target (the repo convention is `#include "module/file.h"`).
-      const std::size_t slash = inc.target.find('/');
-      if (slash == std::string::npos) continue;  // same-dir include
-      const std::string target_module = inc.target.substr(0, slash);
-      if (target_module == fx.module) continue;
-      if (contains(cfg.cross_cutting_modules, target_module)) continue;
-      const int target_rank = rank_of(target_module);
-      if (target_rank < 0) continue;
-      if (target_rank > my_rank)
-        out->push_back({files[fi].path, inc.line, "module-layering",
-                        "`" + fx.module + "` (layer " + std::to_string(my_rank) +
-                            ") includes `" + inc.target + "` from higher layer `" +
-                            target_module + "` (layer " + std::to_string(target_rank) +
-                            ") — the module DAG points the other way"});
-    }
-  }
-
-  for (const std::vector<std::size_t>& cycle : repo.include_cycles()) {
-    std::string path;
-    for (std::size_t m : cycle) {
-      if (!path.empty()) path += " -> ";
-      path += repo.files()[m].rel;
-    }
-    const std::size_t anchor = cycle.front();
-    int line = 1;
-    for (const IncludeRef& inc : repo.files()[anchor].includes)
-      if (!inc.system) {
-        line = inc.line;
-        break;
-      }
-    out->push_back({files[anchor].path, line, "module-layering",
-                    "include cycle: " + path + " — break the cycle with a forward "
-                        "declaration or an interface split"});
-  }
-}
-
 }  // namespace
 
 std::string index_selftest(bool* ok) {
@@ -540,16 +395,11 @@ std::string index_selftest(bool* ok) {
       "int sweep_method(Lu& lu, int n) { return lu.solve(n); }\n"
       "int sweep_external(int n) { return external_helper(n); }\n"
       "}\n";
-  // Include cycle pair.
-  const std::string x_h = "#pragma once\n#include \"a/y.h\"\n";
-  const std::string y_h = "#pragma once\n#include \"a/x.h\"\n";
 
   std::vector<SourceFile> files;
   files.push_back(scan_source("src/linalg/lu.h", "src/linalg/lu.h", lu_h));
   files.push_back(scan_source("src/qbd/qbd.cc", "src/qbd/qbd.cc", qbd_cc));
   files.push_back(scan_source("src/core/sweep.cc", "src/core/sweep.cc", sweep_cc));
-  files.push_back(scan_source("src/a/x.h", "src/a/x.h", x_h));
-  files.push_back(scan_source("src/a/y.h", "src/a/y.h", y_h));
 
   std::vector<FileIndex> indexes;
   for (const SourceFile& f : files) indexes.push_back(build_file_index(f));
@@ -606,10 +456,6 @@ std::string index_selftest(bool* ok) {
   check(repo.escapes(ext).empty() && !repo.polls(ext) && !repo.reaches_kernel(ext),
         "unresolved external_helper() supplies no property (may do anything)");
 
-  // --- include-graph cycles ------------------------------------------------
-  check(repo.include_cycles().size() == 1 && repo.include_cycles()[0].size() == 2,
-        "x.h <-> y.h include cycle detected as one 2-file SCC");
-
   if (ok != nullptr) *ok = pass;
   return report.str();
 }
@@ -623,7 +469,6 @@ void run_semantic_rules(const std::vector<SourceFile>& files, const Config& conf
   rule_throw_flow(files, repo, config, out);
   rule_deadline_poll(files, repo, config, out);
   rule_atomic_order(files, repo, config, out);
-  rule_module_layering(files, repo, config, out);
 }
 
 }  // namespace csq::lint

@@ -1,7 +1,7 @@
 // Repo-wide layer of the csq_lint semantic engine: the symbol table over all
-// FileIndex records, the `#include` graph, the conservative call graph, and
-// the flow-aware rules (R13 throw-flow, R14 deadline-poll, R16 atomic-order,
-// R17 module-layering) that run on top of them.
+// FileIndex records, the conservative call graph, and the flow-aware rules
+// (R13 throw-flow, R14 deadline-poll, R16 atomic-order) that run on top of
+// them.
 //
 // Resolution is name-based with overload sets — there is no type checking.
 // The conservatism direction is fixed per rule and documented with each:
@@ -70,19 +70,6 @@ class RepoIndex {
   // Is, or transitively reaches, a configured iterative kernel.
   [[nodiscard]] bool reaches_kernel(std::size_t id) const { return reaches_kernel_[id]; }
 
-  // --- Include graph --------------------------------------------------------
-
-  // Resolved include edges: for each file, the indexes of repo files its
-  // `#include "..."` directives name. Unresolvable targets are dropped here
-  // (R17 falls back to the path's leading segment for module ranking).
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& include_edges() const {
-    return include_edges_;
-  }
-  // Include cycles (SCCs of size > 1, plus self-loops), each sorted by rel.
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& include_cycles() const {
-    return include_cycles_;
-  }
-
   // Namespace names seen anywhere in the repo (classifies A::f quals).
   [[nodiscard]] bool is_namespace(const std::string& name) const {
     return namespaces_.count(name) != 0;
@@ -99,13 +86,10 @@ class RepoIndex {
   std::vector<std::set<std::string>> escapes_;
   std::vector<bool> polls_;
   std::vector<bool> reaches_kernel_;
-  std::vector<std::vector<std::size_t>> include_edges_;
-  std::vector<std::vector<std::size_t>> include_cycles_;
 
   void finalize_methods();
   void resolve_all(const Config& config);
   void run_fixpoints(const Config& config);
-  void build_include_graph();
 };
 
 // Index `files` and run the semantic rules over them; `files` also supplies
@@ -115,8 +99,8 @@ void run_semantic_rules(const std::vector<SourceFile>& files, const Config& conf
                         std::vector<Finding>* out);
 
 // Self-test of the indexer and call graph driven from synthetic sources:
-// symbol resolution across files, include-graph cycle detection, and the
-// conservatism contract on unresolved calls. Mirrors suppression_selftest.
+// symbol resolution across files and the conservatism contract on
+// unresolved calls. Mirrors suppression_selftest.
 [[nodiscard]] std::string index_selftest(bool* ok);
 
 }  // namespace csq::lint

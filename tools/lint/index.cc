@@ -76,29 +76,6 @@ FileIndex build_file_index(const SourceFile& file) {
   idx.is_header = file.is_header;
   idx.module = module_of(file.rel);
 
-  // Includes straight off the directive list.
-  for (const Directive& d : file.directives) {
-    if (!starts_with(d.text, "#include")) continue;
-    IncludeRef inc;
-    inc.line = d.line;
-    std::size_t q = d.text.find('"');
-    std::size_t a = d.text.find('<');
-    if (q != std::string::npos && (a == std::string::npos || q < a)) {
-      const std::size_t e = d.text.find('"', q + 1);
-      if (e == std::string::npos) continue;
-      inc.target = d.text.substr(q + 1, e - q - 1);
-      inc.system = false;
-    } else if (a != std::string::npos) {
-      const std::size_t e = d.text.find('>', a + 1);
-      if (e == std::string::npos) continue;
-      inc.target = d.text.substr(a + 1, e - a - 1);
-      inc.system = true;
-    } else {
-      continue;
-    }
-    idx.includes.push_back(std::move(inc));
-  }
-
   const std::vector<Token>& t = file.tokens;
   const std::size_t n = t.size();
 

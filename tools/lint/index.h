@@ -4,8 +4,8 @@
 // For each SourceFile the extractor computes a FileIndex: function/method
 // definition extents (with namespace/class scope chains recovered from a
 // brace-matched scope stack), the call sites, throw sites, loops, try/catch
-// regions and atomic memory_order sites inside each body, plus the file's
-// `#include` targets and the module it belongs to (`src/<module>/...`).
+// regions and atomic memory_order sites inside each body, plus the module
+// the file belongs to (`src/<module>/...`).
 // Everything is best-effort token-level analysis: malformed input degrades
 // to fewer facts, never to a crash.
 #pragma once
@@ -17,15 +17,6 @@
 #include "lint.h"
 
 namespace csq::lint {
-
-// One `#include` directive. `target` is the spelled path between the
-// delimiters; resolution against the scanned file set happens in the
-// repo-wide layer (callgraph.cc), not here.
-struct IncludeRef {
-  int line = 0;
-  std::string target;
-  bool system = false;  // <...> rather than "..."
-};
 
 // One call site inside a function body. `name` is the last identifier
 // component (`solve` for `qbd::solve(...)` and for `x.solve(...)`).
@@ -98,7 +89,6 @@ struct FileIndex {
   bool is_header = false;
   std::string module;          // "core", "qbd", ..., "tools"; "" for src/csq.h
   std::vector<std::string> namespaces;  // namespace names opened in this file
-  std::vector<IncludeRef> includes;
   std::vector<FunctionDecl> functions;
 };
 

@@ -308,17 +308,6 @@ const std::vector<RuleInfo>& rules() {
        "deserves the same scrutiny — justify the full fence or relax it with a\n"
        "rationale. The comment may sit on the site, just above it, or in the\n"
        "function's doc block."},
-      {"module-layering",
-       "includes must follow the module DAG core -> linalg -> jets/dist/transforms "
-       "-> qbd/mg1 -> analysis -> sim/parallel -> serve/tools; cycles are "
-       "findings (R17)",
-       "The module DAG keeps the solver core reusable and the build layerable:\n"
-       "an #include pointing at a higher layer couples the foundation to its\n"
-       "consumers, and an include cycle means neither file can be understood (or\n"
-       "compiled) alone. obs is cross-cutting and may be included from anywhere.\n"
-       "Fix: invert the dependency (callback, interface header) or move the\n"
-       "shared piece down. An accepted edge carries a reasoned\n"
-       "`allow(module-layering)` marker on the line above the include."},
       {"journal-hygiene",
        "serve code must not do direct file I/O (durability goes through src/durable/); "
        "rename() publishes in src/durable/ need an fsync (R18)",

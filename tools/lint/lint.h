@@ -4,7 +4,7 @@
 // tokenizer (no libclang) plus a registry of project-specific rules that
 // mechanically enforce the invariants the QBD/busy-period analysis relies on
 // and that no compiler flag or type can carry (see docs/static-analysis.md
-// for the rule catalog, and for the retired rules R2/R4/R6/R12/R15/R19 and
+// for the rule catalog, and for the retired rules R2/R4/R6/R12/R15/R17/R19 and
 // what carries their invariants now):
 //
 //   raw-throw          (R1) only core/status.h taxonomy types may be thrown
@@ -43,7 +43,6 @@
 // csq_cli-compatible exit codes.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -163,18 +162,6 @@ struct Config {
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
   std::vector<std::string> atomic_order_dirs = {"src/parallel/", "src/obs/"};
-  // module-layering (R17): the module DAG as ranks; an include may only
-  // point at an equal or lower rank. Modules absent from the map (tests,
-  // fixtures) are unconstrained.
-  std::map<std::string, int> module_ranks = {
-      {"core", 0},  {"linalg", 1}, {"jets", 2},     {"dist", 2},  {"transforms", 2},
-      {"qbd", 3},   {"mg1", 3},    {"analysis", 4}, {"sim", 5},
-      {"parallel", 5}, {"obs", 5},   {"durable", 5},
-      {"serve", 6}, {"tools", 6},  {"tests", 6}};
-  // Modules excluded from the layering check as include *targets*:
-  // observability is cross-cutting by design (counters/spans are registered
-  // from every layer).
-  std::vector<std::string> cross_cutting_modules = {"obs"};
   // journal-hygiene (R18a): request-handler directories that must not do
   // direct file I/O — durability belongs to src/durable/, which owns the
   // CRC framing and the flush-before-publish discipline. A handler writing
@@ -191,7 +178,7 @@ struct Config {
 };
 
 // Run every rule over `files` — the token rules, then the semantic rules
-// (R13, R14, R16, R17) on the cross-TU index — apply suppressions, flag
+// (R13, R14, R16) on the cross-TU index — apply suppressions, flag
 // markers that suppressed nothing, and return the surviving findings sorted
 // by (file, line, rule). Cross-file rules see the whole set, so pass related
 // .h/.cc files together.
