@@ -187,15 +187,6 @@ std::int64_t MetricsDelta::value(const std::string& name) const {
   return 0;
 }
 
-Diagnostics MetricsDelta::to_diagnostics() const {
-  Diagnostics d;
-  const std::int64_t iters = value("qbd.logred.doublings");
-  if (iters > 0) d.iterations = static_cast<int>(iters);
-  for (const auto& [n, v] : values)
-    d.notes.push_back("obs " + n + " += " + std::to_string(v));
-  return d;
-}
-
 DeltaScope::DeltaScope() {
   const Registry& reg = Registry::instance();
   std::lock_guard<std::mutex> lock(reg.mu_);

@@ -132,10 +132,6 @@ struct MetricsDelta {
   // Increment of `name` within the scope; 0 if it did not move.
   [[nodiscard]] std::int64_t value(const std::string& name) const;
   [[nodiscard]] bool empty() const { return values.empty(); }
-  // Folds the solver-loop counters into the Diagnostics shape used by
-  // SolveStats::to_diagnostics (iterations <- qbd.logred.doublings; notes
-  // list every moved counter).
-  [[nodiscard]] Diagnostics to_diagnostics() const;
 };
 
 // Process-wide metric registry. `counter("a.b.c")` returns a reference that

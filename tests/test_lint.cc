@@ -316,13 +316,15 @@ TEST(LintSuppress, ReasonlessMarkerIsItselfAFinding) {
 
 TEST(LintSuppress, MarkerThatSuppressesNothingIsAFinding) {
   // Line 1 excuses nothing; in the stacked marker on line 3 only the
-  // header-hygiene half covers a finding (the `using namespace` below it).
+  // throw-flow half covers a finding (from the cross-file pass: the stale
+  // `Throws` contract below it, which no definition backs).
   std::vector<SourceFile> files = {csq::lint::scan_source(
       "<mem>", "src/linalg/stale.h",
       "// csq-lint: allow(banned-identifier): the assert() this excused is gone\n"
       "#pragma once\n"
-      "// csq-lint: allow(header-hygiene) allow(raw-throw): fixture using\n"
-      "using namespace csq;\n")};
+      "// csq-lint: allow(throw-flow) allow(raw-throw): fixture contract\n"
+      "// Throws csq::UnstableError when the fixture is unstable.\n"
+      "int fixture_stale();\n")};
   const std::vector<Finding> fs = csq::lint::run_rules(files);
   ASSERT_EQ(fs.size(), 2u);
   EXPECT_EQ(fs[0].rule, "suppression");
@@ -361,7 +363,7 @@ TEST(LintRegistry, CatalogIsStable) {
   // flags, types and tests (docs/static-analysis.md, "Carried elsewhere").
   for (const char* retired : {"no-float-eq", "hot-path-alloc", "error-docs",
                               "hot-path-generic-mult", "hot-path-alloc-transitive",
-                              "policy-registry", "module-layering", "baseline"})
+                              "policy-registry", "baseline"})
     for (const csq::lint::RuleInfo& r : rs) EXPECT_STRNE(r.id, retired);
   // --explain material: every rule ships a full rationale paragraph.
   for (const csq::lint::RuleInfo& r : rs) {

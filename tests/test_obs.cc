@@ -132,10 +132,6 @@ TEST(ObsDelta, AnalysisDeltaIsConsistentWithSolveStats) {
   // must agree with the obs counter.
   EXPECT_EQ(delta.value("qbd.solve.calls"), 1);
   EXPECT_EQ(delta.value("qbd.logred.doublings"), r.solve_stats.iterations);
-  // to_diagnostics folds the solver-loop counters into `iterations`.
-  const Diagnostics d = delta.to_diagnostics();
-  EXPECT_GE(d.iterations, r.solve_stats.iterations);
-  EXPECT_FALSE(d.notes.empty());
 }
 
 // Tests that bump counters through Registry calls (not the macros) need no
