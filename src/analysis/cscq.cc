@@ -97,7 +97,7 @@ dist::Moments exp_moments(double delta, double w) {
 }  // namespace
 
 CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
-  CSQ_OBS_SPAN("analysis.cscq.analyze");
+  CSQ_OBS_SPAN(kAnalysisCscqAnalyze);
   config.validate();
   const auto* short_ph = dynamic_cast<const dist::PhaseType*>(config.short_size.get());
   if (short_ph == nullptr)
@@ -321,7 +321,7 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
       switch_phases(lvl.local, b0_base);
     }
 
-    CSQ_FAULT_POINT("analysis.cscq.solve");
+    CSQ_FAULT_POINT(kAnalysisCscqSolve);
     const qbd::Solution sol = qbd::solve(model, opts.qbd);
     res.solve_stats = sol.stats;
     res.qbd_mass_error = std::abs(sol.total_mass() - 1.0);

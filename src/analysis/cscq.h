@@ -47,7 +47,6 @@
 
 #include "core/config.h"
 #include "dist/moment_match.h"
-#include "obs/obs.h"
 #include "qbd/qbd.h"
 
 namespace csq::analysis {

@@ -25,7 +25,7 @@ const dist::PhaseType& require_exponential_shorts(const SystemConfig& config) {
 }  // namespace
 
 CsidResult analyze_csid(const SystemConfig& config, const CsidOptions& opts) {
-  CSQ_OBS_SPAN("analysis.csid.analyze");
+  CSQ_OBS_SPAN(kAnalysisCsidAnalyze);
   config.validate();
   config.require_poisson_shorts("analyze_csid");
   const double mu_s = require_exponential_shorts(config).rate();

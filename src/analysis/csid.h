@@ -26,7 +26,6 @@
 
 #include "core/config.h"
 #include "dist/moment_match.h"
-#include "obs/obs.h"
 #include "qbd/qbd.h"
 
 namespace csq::analysis {

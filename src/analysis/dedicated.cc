@@ -6,7 +6,7 @@
 namespace csq::analysis {
 
 PolicyMetrics analyze_dedicated(const SystemConfig& config) {
-  CSQ_OBS_SPAN("analysis.dedicated.analyze");
+  CSQ_OBS_SPAN(kAnalysisDedicatedAnalyze);
   config.validate();
   config.require_poisson_shorts("analyze_dedicated");
   const dist::Moments xs = config.short_size->moments();

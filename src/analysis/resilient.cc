@@ -8,6 +8,7 @@
 #include "analysis/stability.h"
 #include "analysis/truncated_cscq.h"
 #include "core/solver.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 
@@ -59,7 +60,7 @@ Diagnostics ladder_diagnostics(const SystemConfig& config, const ResilientOption
 }  // namespace
 
 ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOptions& opts) {
-  CSQ_OBS_SPAN("analysis.resilient.ladder");
+  CSQ_OBS_SPAN(kAnalysisResilientLadder);
   config.validate();
   const double rho_s = config.rho_short();
   const double rho_l = config.rho_long();
@@ -76,7 +77,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
   // CancelledError aborts the ladder (the caller asked to stop); so does
   // UnstableError, which the entry check makes unreachable in practice.
   const auto attempt = [&](Rung rung, const auto& body) -> bool {
-    CSQ_OBS_COUNT("resilient.attempts.count");
+    CSQ_OBS_COUNT(kResilientAttemptsCount);
     RungAttempt a;
     a.rung = rung;
     const std::int64_t t0 = timebase::now_ns();
@@ -95,7 +96,7 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     a.elapsed_ms = static_cast<double>(timebase::now_ns() - t0) / 1e6;
     res.attempts.push_back(std::move(a));
     if (res.attempts.back().succeeded)
-      CSQ_OBS_GAUGE_SET("resilient.rung.used", static_cast<int>(rung));
+      CSQ_OBS_GAUGE_SET(kResilientRungUsed, static_cast<int>(rung));
     return res.attempts.back().succeeded;
   };
 

@@ -46,7 +46,6 @@
 #include "core/config.h"
 #include "core/deadline.h"
 #include "core/status.h"
-#include "obs/obs.h"
 #include "qbd/qbd.h"
 #include "sim/simulator.h"
 

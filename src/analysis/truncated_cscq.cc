@@ -99,9 +99,9 @@ qbd::Model cscq_truncated_model(const SystemConfig& config, int max_longs) {
 
 TruncatedCscqResult analyze_cscq_truncated(const SystemConfig& config,
                                            const TruncatedCscqOptions& opts) {
-  CSQ_OBS_SPAN("analysis.truncated.analyze");
+  CSQ_OBS_SPAN(kAnalysisTruncatedAnalyze);
   const qbd::Model model = cscq_truncated_model(config, opts.max_longs);
-  CSQ_FAULT_POINT("analysis.truncated.solve");
+  CSQ_FAULT_POINT(kAnalysisTruncatedSolve);
   qbd::Options qopts;
   qopts.budget = opts.budget;
   const qbd::Solution sol = qbd::solve(model, qopts);

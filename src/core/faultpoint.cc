@@ -1,10 +1,10 @@
 #include "core/faultpoint.h"
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <map>
 #include <mutex>
+#include <optional>
 
 #include "core/deadline.h"
 
@@ -12,13 +12,11 @@ namespace csq::fault {
 
 namespace {
 
-// Transparent comparators let a pass look a site up by its literal name
-// without building a std::string, so a site that has been hit once
-// allocates nothing on later passes, however long its name.
+// Indexed by Site: a pass touches two array slots and allocates nothing.
 struct Registry {
   std::mutex mutex;
-  std::map<std::string, ArmSpec, std::less<>> armed;  // site -> pending arming
-  std::map<std::string, long, std::less<>> hit_counts;
+  std::array<std::optional<ArmSpec>, kSiteCount> armed;  // pending arming per site
+  std::array<long, kSiteCount> hit_counts{};
 };
 
 Registry& registry() {
@@ -41,17 +39,15 @@ ErrorCode code_from_name(const std::string& name) {
 }
 
 // Pops the armed spec if this pass is the firing one; counts the hit either way.
-bool should_fire(const char* site, ArmSpec* out) {
+bool should_fire(Site site, ArmSpec* out) {
+  const auto i = static_cast<std::size_t>(site);
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  auto hit = r.hit_counts.find(site);
-  if (hit == r.hit_counts.end()) hit = r.hit_counts.emplace(site, 0).first;
-  ++hit->second;
-  const auto it = r.armed.find(site);
-  if (it == r.armed.end()) return false;
-  if (--it->second.trigger_count > 0) return false;
-  *out = it->second;
-  r.armed.erase(it);  // single-shot: later passes see a healthy site
+  ++r.hit_counts[i];
+  std::optional<ArmSpec>& armed = r.armed[i];
+  if (!armed || --armed->trigger_count > 0) return false;
+  *out = *armed;
+  armed.reset();  // single-shot: later passes see a healthy site
   return true;
 }
 
@@ -139,43 +135,50 @@ void arm(const ArmSpec& spec) {
         "cannot arm fault site '" + spec.site +
         "': fault injection is not compiled in (configure with -DCSQ_FAULT_INJECTION=ON)");
   }
-  if (spec.site.empty()) throw InvalidInputError("cannot arm an empty fault site name");
+  const std::size_t i = names::find(kSites, spec.site);
+  if (i == kSiteCount) {
+    std::string known;
+    for (const SiteRow& row : kSites) known += std::string(known.empty() ? "" : ", ") + row.name;
+    throw InvalidInputError("cannot arm fault site '" + spec.site +
+                            "': no such site (known sites: " + known + ")");
+  }
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  r.armed[spec.site] = spec;
+  r.armed[i] = spec;
 }
 
 void disarm_all() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  r.armed.clear();
-  r.hit_counts.clear();
+  r.armed.fill(std::nullopt);
+  r.hit_counts.fill(0);
 }
 
 long hits(const std::string& site) {
+  const std::size_t i = names::find(kSites, site);
+  if (i == kSiteCount) return 0;
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.hit_counts.find(site);
-  return it == r.hit_counts.end() ? 0 : it->second;
+  return r.hit_counts[i];
 }
 
 std::vector<std::string> armed_sites() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::string> sites;
-  sites.reserve(r.armed.size());
-  for (const auto& [site, spec] : r.armed) sites.push_back(site);
+  for (std::size_t i = 0; i < kSiteCount; ++i)
+    if (r.armed[i]) sites.emplace_back(kSites[i].name);
   return sites;
 }
 
 namespace detail {
 
-void hit(const char* site) {
+void hit(Site site) {
   ArmSpec spec;
   if (should_fire(site, &spec)) fire(spec, nullptr, 0);
 }
 
-void hit_matrix(const char* site, double* data, std::size_t size) {
+void hit_matrix(Site site, double* data, std::size_t size) {
   ArmSpec spec;
   if (should_fire(site, &spec)) fire(spec, data, size);
 }

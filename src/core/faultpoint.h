@@ -1,16 +1,19 @@
 // Deterministic fault injection: named fault sites compiled in under
 // -DCSQ_FAULT_INJECTION, armed by tests/CLI to fire on the Nth pass.
 //
-// A fault site is a named probe in recovery-relevant code:
+// A fault site is a named probe in recovery-relevant code, one row of the
+// site table below:
 //
-//   CSQ_FAULT_POINT("qbd.solve.boundary");                  // plain site
-//   CSQ_FAULT_POINT_MATRIX("qbd.logred.iterate", ptr, n);   // can corrupt data
+//   CSQ_FAULT_POINT(kQbdSolveBoundary);                    // plain site
+//   CSQ_FAULT_POINT_MATRIX(kQbdLogredIterate, ptr, n);     // can corrupt data
 //
-// Site names are `module.sub.action` (three lowercase dot-separated
-// segments; lint rule `fault-site-naming`) and each name appears exactly
-// once in the tree, so a site identifies one code location. With the CMake
-// option OFF (the default) both macros expand to `((void)0)` — zero code,
-// zero data, no hot-path cost.
+// Sites pass the table's enumerator, so a string literal, an unknown site or
+// a plain site used with the matrix macro (or the reverse) fails to compile.
+// The table is checked at compile time (core/name_table.h): `module.sub.action`
+// names, strictly ascending. Each site appears once in the tree
+// (ObsCatalog.EveryRowHasExactlyOneSite), so a site identifies one code
+// location. With the CMake option OFF (the default) both macros still check
+// the name but emit no code, so no hot-path cost.
 //
 // Arming: `arm(parse_arm_spec("qbd.logred.iterate:3:throw:NotConverged"))` makes
 // the third pass through that site throw; the site then disarms itself
@@ -27,19 +30,74 @@
 // from worker threads. hits() counts every pass through a site (armed or
 // not) for test assertions; counters and armings reset via disarm_all().
 //
-// Throws csq::InvalidInputError (arm/parse on bad spec, or arm when fault
-// injection is not compiled in) and, when an armed site fires, whatever the
-// armed kind dictates (any taxonomy error, or csq::InternalError for `nan`
-// at a plain site).
+// Throws csq::InvalidInputError (arm/parse on bad spec, arm when fault
+// injection is not compiled in, or arm of a site the table lacks) and, when
+// an armed site fires, whatever the armed kind dictates (any taxonomy error,
+// or csq::InternalError for `nan` at a plain site).
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "core/name_table.h"
 #include "core/status.h"
 
 namespace csq::fault {
+
+enum class SiteKind {
+  kPlain,   // CSQ_FAULT_POINT
+  kMatrix,  // CSQ_FAULT_POINT_MATRIX: `nan` can poison the site's data
+};
+
+// X(enumerator, name, kind), sorted by name. docs/robustness.md §8 lists
+// every row (ObsCatalog.DocsTablesMatchEveryRow).
+#define CSQ_FAULT_SITES(X)                                              \
+  X(kAnalysisCscqSolve,      "analysis.cscq.solve",      kPlain)       \
+  X(kAnalysisTruncatedSolve, "analysis.truncated.solve", kPlain)       \
+  X(kDurableJournalAppend,   "durable.journal.append",   kPlain)       \
+  X(kDurableJournalFsync,    "durable.journal.fsync",    kPlain)       \
+  X(kDurableJournalReplay,   "durable.journal.replay",   kPlain)       \
+  X(kMg1PkWait,              "mg1.pk.wait",              kPlain)       \
+  X(kMg1SetupWait,           "mg1.setup.wait",           kPlain)       \
+  X(kQbdLogredIterate,       "qbd.logred.iterate",       kMatrix)      \
+  X(kQbdSolveBoundary,       "qbd.solve.boundary",       kPlain)       \
+  X(kServeAdmissionShed,     "serve.admission.shed",     kPlain)       \
+  X(kServeCacheInsert,       "serve.cache.insert",       kPlain)       \
+  X(kServeDispatchRun,       "serve.dispatch.run",       kPlain)       \
+  X(kSimReplicationStart,    "sim.replication.start",    kPlain)
+
+enum class Site : unsigned char {
+#define CSQ_FAULT_ENUMERATOR_(e, name, kind) e,
+  CSQ_FAULT_SITES(CSQ_FAULT_ENUMERATOR_)
+#undef CSQ_FAULT_ENUMERATOR_
+};
+
+struct SiteRow {
+  const char* name;
+  SiteKind kind;
+};
+
+inline constexpr SiteRow kSites[] = {
+#define CSQ_FAULT_ROW_(e, name, kind) {name, SiteKind::kind},
+    CSQ_FAULT_SITES(CSQ_FAULT_ROW_)
+#undef CSQ_FAULT_ROW_
+};
+inline constexpr std::size_t kSiteCount = std::size(kSites);
+
+static_assert(names::all_well_formed(kSites),
+              "fault sites: every name must be module.sub.action (three lowercase segments)");
+static_assert(names::strictly_ascending(kSites),
+              "fault sites: rows must be sorted by name, with no name twice");
+
+// The enumerator itself, once `S` is known to be a `K` site (see the macros).
+template <Site S, SiteKind K>
+consteval Site of_kind() {
+  static_assert(kSites[static_cast<std::size_t>(S)].kind == K,
+                "fault site used with the macro of the other site kind");
+  return S;
+}
 
 // True when the library was built with -DCSQ_FAULT_INJECTION=ON. Tests that
 // need armed sites GTEST_SKIP() when this is false.
@@ -70,18 +128,18 @@ struct ArmSpec {
 [[nodiscard]] ArmSpec parse_arm_spec(const std::string& text);
 
 // Arm a site (replacing any previous arming of the same site). Throws
-// InvalidInputError when fault injection is not compiled in or the spec is
-// malformed — arming must never silently do nothing.
+// InvalidInputError when fault injection is not compiled in or the site is
+// not in the table — arming must never silently do nothing.
 void arm(const ArmSpec& spec);
 
 // Drop all armings and zero all hit counters.
 void disarm_all();
 
 // Total passes through `site` since the last disarm_all() (0 when the flag
-// is off — the macros compile away).
+// is off — the macros compile away — or the site is not in the table).
 [[nodiscard]] long hits(const std::string& site);
 
-// Sites currently armed (for diagnostics).
+// Sites currently armed, sorted by name (for diagnostics).
 [[nodiscard]] std::vector<std::string> armed_sites();
 
 namespace detail {
@@ -92,17 +150,22 @@ namespace detail {
 // csq::VerificationFailedError, csq::DeadlineExceededError,
 // csq::CancelledError, csq::OverloadedError or
 // csq::CorruptJournalError, per the armed plan.
-void hit(const char* site);
-void hit_matrix(const char* site, double* data, std::size_t size);
+void hit(Site site);
+void hit_matrix(Site site, double* data, std::size_t size);
 }  // namespace detail
 
 }  // namespace csq::fault
 
+// `site` is a bare table enumerator (kQbdSolveBoundary), which this
+// qualifies, so anything else fails to compile.
+#define CSQ_FAULT_SITE_(site, kind) \
+  ::csq::fault::of_kind<::csq::fault::Site::site, ::csq::fault::SiteKind::kind>()
+
 #ifdef CSQ_FAULT_INJECTION
-#define CSQ_FAULT_POINT(site) ::csq::fault::detail::hit(site)
+#define CSQ_FAULT_POINT(site) ::csq::fault::detail::hit(CSQ_FAULT_SITE_(site, kPlain))
 #define CSQ_FAULT_POINT_MATRIX(site, data, size) \
-  ::csq::fault::detail::hit_matrix(site, data, size)
+  ::csq::fault::detail::hit_matrix(CSQ_FAULT_SITE_(site, kMatrix), data, size)
 #else
-#define CSQ_FAULT_POINT(site) ((void)0)
-#define CSQ_FAULT_POINT_MATRIX(site, data, size) ((void)0)
+#define CSQ_FAULT_POINT(site) ((void)CSQ_FAULT_SITE_(site, kPlain))
+#define CSQ_FAULT_POINT_MATRIX(site, data, size) ((void)CSQ_FAULT_SITE_(site, kMatrix))
 #endif

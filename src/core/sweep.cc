@@ -68,8 +68,8 @@ SweepRow evaluate_point(double rho_short, double rho_long, double mean_short,
                         const SweepOptions& opts) {
   SweepRow row;
   row.x = x;
-  CSQ_OBS_SPAN("sweep.point.evaluate");
-  CSQ_OBS_COUNT("sweep.points.evaluated");
+  CSQ_OBS_SPAN(kSweepPointEvaluate);
+  CSQ_OBS_COUNT(kSweepPointsEvaluated);
   const SystemConfig config =
       SystemConfig::paper_setup(rho_short, rho_long, mean_short, mean_long, long_scv);
   // One budget poll per point: a point that started runs to completion, so
@@ -155,7 +155,7 @@ SweepRow evaluate_point(double rho_short, double rho_long, double mean_short,
     return s == PointStatus::kFailed || s == PointStatus::kTimedOut;
   };
   if (lost(row.dedicated_status) || lost(row.csid_status) || lost(row.cscq_status))
-    CSQ_OBS_COUNT("sweep.points.failed");
+    CSQ_OBS_COUNT(kSweepPointsFailed);
   return row;
 }
 
@@ -258,7 +258,7 @@ PanelRow evaluate_panel_cell(sim::PolicyKind kind, JobSizeDist family, double rh
   row.dist = family;
   row.rho_short = rho_short;
   row.rho_long = rho_long;
-  CSQ_OBS_COUNT("sweep.panel.cells");
+  CSQ_OBS_COUNT(kSweepPanelCells);
   // Same once-per-cell poll as evaluate_point: a started cell finishes.
   if (opts.budget.interrupted()) {
     row.status = PointStatus::kTimedOut;
@@ -319,7 +319,7 @@ std::vector<PanelRow> sweep_policy_panel(const std::vector<sim::PolicyKind>& pol
     throw InvalidInputError("sweep_policy_panel: need >= 1 grid point");
   if (opts.sim_replications < 1)
     throw InvalidInputError("sweep_policy_panel: need >= 1 sim replication");
-  CSQ_OBS_SPAN("sweep.panel.run");
+  CSQ_OBS_SPAN(kSweepPanelRun);
   const std::size_t cells = policies.size() * rho_shorts.size();
   // Cell (policy, point) seeds derive from (seed, kind, dist, point) alone:
   // which worker evaluates the cell is irrelevant, so the panel is

@@ -156,7 +156,7 @@ CheckpointedSweepResult run_checkpointed(const std::string& path, const char* ax
   CheckpointedSweepResult result;
   for (const std::uint8_t d : state.done) result.resumed += d != 0 ? 1 : 0;
   result.evaluated = grid.size() - result.resumed;
-  CSQ_OBS_COUNT_N("durable.checkpoint.resumed", static_cast<long>(result.resumed));
+  CSQ_OBS_COUNT_N(kDurableCheckpointResumed, static_cast<long>(result.resumed));
 
   Checkpointer ckpt(path, state, opts.every);
   SweepOptions sopts = opts.sweep;
@@ -224,14 +224,14 @@ void save_sweep_checkpoint(const std::string& path, const SweepCheckpoint& ckpt)
   if (failed || std::rename(tmp.c_str(), path.c_str()) != 0)
     throw InternalError("checkpoint: failed to publish '" + path +
                         "': " + std::strerror(errno));
-  CSQ_OBS_COUNT("durable.checkpoint.saves");
+  CSQ_OBS_COUNT(kDurableCheckpointSaves);
 }
 
 std::optional<SweepCheckpoint> load_sweep_checkpoint(const std::string& path,
                                                      std::string* reason) {
   const auto reject = [&](const std::string& why) -> std::optional<SweepCheckpoint> {
     if (reason != nullptr) *reason = why;
-    CSQ_OBS_COUNT("durable.checkpoint.rejected");
+    CSQ_OBS_COUNT(kDurableCheckpointRejected);
     return std::nullopt;
   };
   std::ifstream in(path, std::ios::binary);

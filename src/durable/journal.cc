@@ -225,7 +225,7 @@ void Journal::append_record(RecordKind kind, std::uint64_t seq,
                             const std::string& payload) {
   // Fires before any byte is written, so an armed fault models a full
   // append failure: nothing lands, the caller refuses the work.
-  CSQ_FAULT_POINT("durable.journal.append");
+  CSQ_FAULT_POINT(kDurableJournalAppend);
   if (payload.find('\n') != std::string::npos)
     throw InvalidInputError("journal: payload must be a single line (no '\\n')");
   char crc_hex[16];
@@ -260,20 +260,20 @@ void Journal::append_record(RecordKind kind, std::uint64_t seq,
   } catch (const Error&) {
     if (pre_size < 0 || ::ftruncate(fd_, pre_size) != 0) {
       poisoned_ = true;
-      CSQ_OBS_COUNT("durable.journal.poisoned");
+      CSQ_OBS_COUNT(kDurableJournalPoisoned);
     }
     throw;
   }
-  CSQ_OBS_COUNT("durable.journal.appends");
+  CSQ_OBS_COUNT(kDurableJournalAppends);
   if (++unsynced_ >= opts_.fsync_every) sync_locked();
 }
 
 void Journal::sync_locked() {
-  CSQ_FAULT_POINT("durable.journal.fsync");
+  CSQ_FAULT_POINT(kDurableJournalFsync);
   if (::fsync(fd_) != 0) throw InternalError(errno_text("fsync", path_));
   unsynced_ = 0;
   ++fsync_count_;
-  CSQ_OBS_COUNT("durable.journal.fsyncs");
+  CSQ_OBS_COUNT(kDurableJournalFsyncs);
 }
 
 void Journal::flush() {
@@ -295,8 +295,8 @@ long Journal::fsyncs() const {
 }
 
 std::vector<Record> replay(const std::string& path, ReplayStats* stats) {
-  CSQ_OBS_SPAN("durable.journal.replay");
-  CSQ_FAULT_POINT("durable.journal.replay");
+  CSQ_OBS_SPAN(kDurableJournalReplay);
+  CSQ_FAULT_POINT(kDurableJournalReplay);
   ReplayStats local;
   std::vector<Record> records;
   std::ifstream in(path, std::ios::binary);
@@ -321,13 +321,13 @@ std::vector<Record> replay(const std::string& path, ReplayStats* stats) {
       // Broken tail with nothing after it: the expected crash artifact.
       local.torn_tail = true;
       local.torn_bytes = data.size() - pos;
-      CSQ_OBS_COUNT("durable.journal.torn");
+      CSQ_OBS_COUNT(kDurableJournalTorn);
       break;
     }
   }
   // A missing file is an empty history, not an error: first boot with
   // --journal looks exactly like a recovery with nothing to recover.
-  CSQ_OBS_COUNT_N("durable.journal.replayed", static_cast<long>(local.frames));
+  CSQ_OBS_COUNT_N(kDurableJournalReplayed, static_cast<long>(local.frames));
   if (stats != nullptr) *stats = local;
   return records;
 }

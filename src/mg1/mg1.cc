@@ -27,7 +27,7 @@ double check_rho(double lambda, const dist::Moments& job, const RunBudget& budge
 
 double pk_wait(double lambda, const dist::Moments& job, const RunBudget& budget) {
   const double rho = check_rho(lambda, job, budget, "mg1::pk_wait");
-  CSQ_FAULT_POINT("mg1.pk.wait");
+  CSQ_FAULT_POINT(kMg1PkWait);
   return lambda * job.m2 / (2.0 * (1.0 - rho));
 }
 
@@ -38,7 +38,7 @@ double pk_response(double lambda, const dist::Moments& job, const RunBudget& bud
 double setup_wait(double lambda, const dist::Moments& job, const dist::Moments& setup,
                   const RunBudget& budget) {
   check_rho(lambda, job, budget, "mg1::setup_wait");
-  CSQ_FAULT_POINT("mg1.setup.wait");
+  CSQ_FAULT_POINT(kMg1SetupWait);
   return pk_wait(lambda, job) +
          (2.0 * setup.m1 + lambda * setup.m2) / (2.0 * (1.0 + lambda * setup.m1));
 }

@@ -13,7 +13,7 @@ double erlang_c(int c, double a) {
   // Iteratively compute the Erlang-B blocking probability, then convert.
   double b = 1.0;
   for (int k = 1; k <= c; ++k) b = a * b / (k + a * b);
-  CSQ_OBS_COUNT_N("mg1.erlang.terms", c);
+  CSQ_OBS_COUNT_N(kMg1ErlangTerms, c);
   return b / (1.0 - (a / c) * (1.0 - b));
 }
 

@@ -1,6 +1,5 @@
 #include "obs/obs.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -9,15 +8,6 @@
 #include "core/numeric.h"
 
 namespace csq::obs {
-
-const char* to_string(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "unknown";
-}
 
 // Relaxed ordering throughout: the histogram is a statistics sink. Each
 // field advances independently (count is monotonic, min/max only tighten,
@@ -65,73 +55,37 @@ void Histogram::reset() {
   max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
 
-Registry& Registry::instance() {
-  // Intentionally immortal (never destroyed): the shared worker pools live
-  // until static teardown and bump counters from their idle loops, so a
-  // function-local static Registry could be destroyed while they still hold
-  // references. Reachable through this pointer forever, so leak checkers
-  // classify it "still reachable", not leaked.
-  static Registry* r = new Registry();
-  return *r;
-}
-
-Registry::Entry& Registry::entry(const std::string& name, MetricKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(name);
-  if (inserted) {
-    it->second.kind = kind;
-    if (kind == MetricKind::kCounter) counters_.push_back({&it->first, &it->second.counter});
-  } else if (it->second.kind != kind) {
-    throw InternalError(
-        "obs metric \"" + name + "\" registered as " + to_string(it->second.kind) +
-            " but requested as " + to_string(kind),
-        Diagnostics{});
-  }
-  return it->second;
-}
-
-Counter& Registry::counter(const std::string& name) {
-  return entry(name, MetricKind::kCounter).counter;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  return entry(name, MetricKind::kGauge).gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  return entry(name, MetricKind::kHistogram).histogram;
-}
-
 std::int64_t Registry::counter_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.kind != MetricKind::kCounter) return 0;
-  return it->second.counter.value();
+  if constexpr (compiled_in()) {
+    const std::size_t i = names::find(kCatalog, name);
+    if (i < kNameCount && kCatalog[i].kind == MetricKind::kCounter)
+      return cells_[i].counter.value();
+  }
+  return 0;
 }
 
 std::vector<MetricRow> Registry::snapshot() const {
   std::vector<MetricRow> rows;
-  std::lock_guard<std::mutex> lock(mu_);
-  rows.reserve(entries_.size());
-  for (const auto& [name, e] : entries_) {
-    MetricRow row;
-    row.name = name;
-    row.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        row.value = static_cast<double>(e.counter.value());
-        break;
-      case MetricKind::kGauge:
-        row.value = e.gauge.value();
-        break;
-      case MetricKind::kHistogram:
-        row.value = static_cast<double>(e.histogram.count());
-        row.sum = e.histogram.sum();
-        row.min = e.histogram.min();
-        row.max = e.histogram.max();
-        break;
+  // Compiled out, the catalog's strings stay out of the binary.
+  if constexpr (compiled_in()) {
+    rows.reserve(kNameCount);
+    for (std::size_t i = 0; i < kNameCount; ++i) {
+      const Cell& c = cells_[i];
+      MetricRow row;
+      row.name = kCatalog[i].name;
+      row.kind = kCatalog[i].kind;
+      switch (row.kind) {
+        case MetricKind::kCounter:
+          row.value = static_cast<double>(c.counter.value());
+          break;
+        case MetricKind::kGauge:
+          row.value = c.gauge.value();
+          break;
+        case MetricKind::kSpan:
+          continue;  // trace-only: spans carry no registry state
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
   }
   return rows;
 }
@@ -160,24 +114,16 @@ std::string Registry::metrics_json() const {
   for (const MetricRow& r : rows) {
     if (!first) out << ",\n";
     first = false;
-    out << "  \"" << r.name << "\": ";
-    if (r.kind == MetricKind::kHistogram) {
-      out << "{\"count\": " << number(r.value) << ", \"sum\": " << number(r.sum)
-          << ", \"min\": " << number(r.min) << ", \"max\": " << number(r.max) << "}";
-    } else {
-      out << number(r.value);
-    }
+    out << "  \"" << r.name << "\": " << number(r.value);
   }
   out << "\n}\n";
   return out.str();
 }
 
 void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, e] : entries_) {
-    e.counter.reset();
-    e.gauge.reset();
-    e.histogram.reset();
+  for (Cell& c : cells_) {
+    c.counter.reset();
+    c.gauge.reset();
   }
 }
 
@@ -189,24 +135,19 @@ std::int64_t MetricsDelta::value(const std::string& name) const {
 
 DeltaScope::DeltaScope() {
   const Registry& reg = Registry::instance();
-  std::lock_guard<std::mutex> lock(reg.mu_);
-  base_.reserve(reg.counters_.size());
-  for (const Registry::CounterSlot& c : reg.counters_) base_.push_back(c.counter->value());
+  for (std::size_t i = 0; i < kNameCount; ++i) base_[i] = reg.cells_[i].counter.value();
 }
 
+// Catalog order is name order, so the moved counters come out sorted.
 MetricsDelta DeltaScope::delta() const {
   MetricsDelta d;
-  const Registry& reg = Registry::instance();
-  {
-    std::lock_guard<std::mutex> lock(reg.mu_);
-    for (std::size_t i = 0; i < reg.counters_.size(); ++i) {
-      const std::int64_t before = i < base_.size() ? base_[i] : 0;
-      const std::int64_t now = reg.counters_[i].counter->value();
-      if (now != before) d.values.emplace_back(*reg.counters_[i].name, now - before);
+  if constexpr (compiled_in()) {
+    const Registry& reg = Registry::instance();
+    for (std::size_t i = 0; i < kNameCount; ++i) {
+      const std::int64_t moved = reg.cells_[i].counter.value() - base_[i];
+      if (moved != 0) d.values.emplace_back(kCatalog[i].name, moved);
     }
   }
-  std::sort(d.values.begin(), d.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return d;
 }
 

@@ -1,23 +1,19 @@
-// Observability metrics: a process-wide Registry of named counters, gauges
-// and histograms, dependency-free and zero-cost when compiled out.
+// Observability metrics: a process-wide Registry of counters and gauges,
+// dependency-free and zero-cost when compiled out.
 //
-// Metric names are literal "module.sub.metric" strings (three lowercase
-// dot-separated segments, same grammar as fault sites) and each name is
-// registered at exactly one call site repo-wide — enforced by lint rule R10
-// `metric-naming`, so the metric catalogue in docs/observability.md is
-// statically enumerable with grep.
+// Every metric is a row of the name catalog (obs/catalog.h), and the
+// CSQ_OBS_* macros take the row's enumerator, never a string: a literal, an
+// unknown name or a kind mismatch (a gauge's name with CSQ_OBS_COUNT) fails
+// to compile. The Registry is one array indexed by enumerator, so a counter
+// bump is one relaxed atomic add at a fixed address: no lookup, no
+// registration. Configuring with -DCSQ_OBS=OFF defines CSQ_OBS_DISABLED:
+// every macro still checks its name at compile time but emits no code, and
+// the Registry reads as empty, so no metric-name string reaches the binary
+// (the Registry type still exists so tooling links either way).
 //
-// Instrumentation goes through the CSQ_OBS_* macros, never Registry calls
-// in solver code: each macro caches the metric handle in a function-local
-// static, so the steady-state cost of a counter bump is one relaxed atomic
-// add. Configuring with -DCSQ_OBS=OFF defines CSQ_OBS_DISABLED and every
-// macro expands to `((void)0)` — no registration, no atomics, no strings in
-// the binary (the Registry type still exists so tooling links either way).
-//
-//   CSQ_OBS_COUNT("qbd.solve.calls");              // += 1
-//   CSQ_OBS_COUNT_N("qbd.logred.doublings", n);   // += n
-//   CSQ_OBS_GAUGE_SET("serve.queue.depth", v);     // last-write-wins level
-//   CSQ_OBS_HIST("sweep.point.microseconds", us);  // count/sum/min/max
+//   CSQ_OBS_COUNT(kQbdSolveCalls);                // += 1
+//   CSQ_OBS_COUNT_N(kQbdLogredDoublings, n);      // += n
+//   CSQ_OBS_GAUGE_SET(kServeQueueDepth, v);       // last-write-wins level
 //
 // Counters are monotone per process run; per-call attribution uses
 // DeltaScope, which snapshots every counter at construction and returns the
@@ -27,28 +23,26 @@
 // activity during the call, not the call's alone — exact attribution needs a
 // single-threaded run.
 //
-// Thread-safety: registration takes a mutex (once per site); updates are
-// lock-free relaxed atomics, safe from any pool worker.
-//
-// Throws csq::InternalError (metric re-registered under a different kind).
+// Thread-safety: updates and reads are lock-free relaxed atomics, safe from
+// any pool worker.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/status.h"
+#include "obs/catalog.h"
 
 namespace csq::obs {
 
 // False when the build was configured with -DCSQ_OBS=OFF: the CSQ_OBS_*
-// macros expand to no-ops and the Registry stays empty. Tests branch on this
-// so one suite covers both builds.
+// macros expand to no-ops and the Registry reads as empty. Tests branch on
+// this so one suite covers both builds.
 [[nodiscard]] constexpr bool compiled_in() {
 #ifdef CSQ_OBS_DISABLED
   return false;
@@ -56,10 +50,6 @@ namespace csq::obs {
   return true;
 #endif
 }
-
-enum class MetricKind { kCounter, kGauge, kHistogram };
-
-[[nodiscard]] const char* to_string(MetricKind kind);
 
 // Monotone event count. add() is a relaxed fetch_add: safe from any thread,
 // no ordering implied with respect to the events being counted.
@@ -92,7 +82,8 @@ class Gauge {
 
 // Streaming count/sum/min/max over observed values. min/max use CAS loops;
 // count and sum are relaxed atomics (sum is exact for integer-valued
-// observations within 2^53).
+// observations within 2^53). Not a registry kind yet: no catalog row
+// observes a distribution.
 class Histogram {
  public:
   void observe(double v);
@@ -112,15 +103,11 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-// One metric's state at snapshot time. `value` is the counter count, gauge
-// level, or histogram count; sum/min/max are histogram-only.
+// One metric's state at snapshot time: the counter count or gauge level.
 struct MetricRow {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   double value = 0.0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
 };
 
 // Counter increments attributed to a code region by DeltaScope. Only
@@ -134,116 +121,95 @@ struct MetricsDelta {
   [[nodiscard]] bool empty() const { return values.empty(); }
 };
 
-// Process-wide metric registry. `counter("a.b.c")` returns a reference that
-// stays valid for the life of the process (node-based storage), so macro
-// sites cache it in a function-local static.
+// Process-wide metric registry: one cell per catalog row, indexed by
+// enumerator. The accessors take the enumerator as a template argument and
+// reject a row of another kind at compile time.
 class Registry {
  public:
-  static Registry& instance();
+  // Constant-initialized and trivially destructible, so it needs no guard
+  // on first use and static teardown runs no code: the shared worker pools
+  // live until teardown and may still bump counters from their idle loops.
+  static Registry& instance() {
+    static constinit Registry r;
+    return r;
+  }
 
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  template <Name N>
+  Counter& counter() {
+    return cells_[index(of_kind<N, MetricKind::kCounter>())].counter;
+  }
+  template <Name N>
+  Gauge& gauge() {
+    return cells_[index(of_kind<N, MetricKind::kGauge>())].gauge;
+  }
 
-  // All registered metrics, sorted by name.
+  // Every catalog metric (spans excluded), sorted by name, zeros included;
+  // empty in a -DCSQ_OBS=OFF build.
   [[nodiscard]] std::vector<MetricRow> snapshot() const;
 
-  // Current value of the named counter, or 0 when it was never registered
-  // (including every -DCSQ_OBS=OFF build). Read-only: never registers the
-  // name — safe for assertions and load-shedding heuristics that must not
-  // pollute the catalog.
+  // Current value of the named counter, or 0 when no counter row has that
+  // name (a retired name, a gauge, or any name in a -DCSQ_OBS=OFF build).
   [[nodiscard]] std::int64_t counter_value(const std::string& name) const;
 
-  // Flat JSON object, one member per metric (histograms nest
-  // {count,sum,min,max}). Shape documented in docs/observability.md.
+  // Flat JSON object, one member per metric. Shape documented in
+  // docs/observability.md.
   [[nodiscard]] std::string metrics_json() const;
 
-  // Zero every metric (registrations persist). Test isolation only.
+  // Zero every metric. Test isolation only.
   void reset();
 
  private:
-  Registry() = default;
+  constexpr Registry() = default;
 
-  struct Entry {
-    MetricKind kind = MetricKind::kCounter;
+  static constexpr std::size_t index(Name n) { return static_cast<std::size_t>(n); }
+
+  // One cache line per row, so counters bumped from different threads do
+  // not share a line. A row uses only the member of its kind.
+  struct alignas(64) Cell {
     Counter counter;
     Gauge gauge;
-    Histogram histogram;
   };
-
-  // A counter in registration order; both pointers stay valid for the life
-  // of the process (entries_ is node-based), so a counter's index is stable.
-  struct CounterSlot {
-    const std::string* name;
-    const Counter* counter;
-  };
-
-  Entry& entry(const std::string& name, MetricKind kind);
 
   friend class DeltaScope;
 
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
-  std::vector<CounterSlot> counters_;
+  std::array<Cell, kNameCount> cells_{};
 };
 
-// Copies every counter's value at construction (one int64 each, indexed by
-// registration order); delta() reports the increments since, materialising
-// names only for the counters that moved. A counter registered inside the
-// scope counts from 0. About a quarter of a microsecond with ~50 counters:
-// cheap next to a solve, not next to an inner loop, so use it at analysis
-// granularity.
+// Copies every counter's value at construction (one int64 per catalog row,
+// no lock); delta() reports the increments since, materialising names only
+// for the counters that moved. Cheap next to a solve, not next to an inner
+// loop, so use it at analysis granularity.
 class DeltaScope {
  public:
   DeltaScope();
   [[nodiscard]] MetricsDelta delta() const;
 
  private:
-  std::vector<std::int64_t> base_;
+  std::array<std::int64_t, kNameCount> base_{};
 };
 
 }  // namespace csq::obs
 
+// Statement macros that compose with if/else without braces.
 #ifndef CSQ_OBS_DISABLED
 
-// Statement macros (do-while) so they compose with if/else without braces.
-// The function-local static resolves the name -> handle lookup once per
-// site; thereafter each hit is a single relaxed atomic op.
-#define CSQ_OBS_COUNT(name)                                     \
-  do {                                                          \
-    static ::csq::obs::Counter& csq_obs_handle_ =               \
-        ::csq::obs::Registry::instance().counter(name);         \
-    csq_obs_handle_.add(1);                                     \
-  } while (0)
+#define CSQ_OBS_COUNT(name) \
+  ::csq::obs::Registry::instance().counter<CSQ_OBS_NAME_(name, kCounter)>().add(1)
 
-#define CSQ_OBS_COUNT_N(name, n)                                \
-  do {                                                          \
-    static ::csq::obs::Counter& csq_obs_handle_ =               \
-        ::csq::obs::Registry::instance().counter(name);         \
-    csq_obs_handle_.add(static_cast<std::int64_t>(n));          \
-  } while (0)
+#define CSQ_OBS_COUNT_N(name, n)                                          \
+  ::csq::obs::Registry::instance().counter<CSQ_OBS_NAME_(name, kCounter)>().add( \
+      static_cast<std::int64_t>(n))
 
-#define CSQ_OBS_GAUGE_SET(name, v)                              \
-  do {                                                          \
-    static ::csq::obs::Gauge& csq_obs_handle_ =                 \
-        ::csq::obs::Registry::instance().gauge(name);           \
-    csq_obs_handle_.set(static_cast<double>(v));                \
-  } while (0)
+#define CSQ_OBS_GAUGE_SET(name, v)                                      \
+  ::csq::obs::Registry::instance().gauge<CSQ_OBS_NAME_(name, kGauge)>().set( \
+      static_cast<double>(v))
 
-#define CSQ_OBS_HIST(name, v)                                   \
-  do {                                                          \
-    static ::csq::obs::Histogram& csq_obs_handle_ =             \
-        ::csq::obs::Registry::instance().histogram(name);       \
-    csq_obs_handle_.observe(static_cast<double>(v));            \
-  } while (0)
+#else  // CSQ_OBS_DISABLED: the name is still checked, nothing is counted.
+       // The value argument sits under an unevaluated sizeof so a variable
+       // counted only for obs does not become "set but unused".
 
-#else  // CSQ_OBS_DISABLED: no registration, no atomics. The value argument
-       // sits under an unevaluated sizeof so a variable counted only for
-       // obs does not become "set but unused" in the disabled build.
-
-#define CSQ_OBS_COUNT(name) ((void)0)
-#define CSQ_OBS_COUNT_N(name, n) ((void)sizeof(n))
-#define CSQ_OBS_GAUGE_SET(name, v) ((void)sizeof(v))
-#define CSQ_OBS_HIST(name, v) ((void)sizeof(v))
+#define CSQ_OBS_COUNT(name) ((void)CSQ_OBS_NAME_(name, kCounter))
+#define CSQ_OBS_COUNT_N(name, n) ((void)CSQ_OBS_NAME_(name, kCounter), (void)sizeof(n))
+#define CSQ_OBS_GAUGE_SET(name, v) ((void)CSQ_OBS_NAME_(name, kGauge), (void)sizeof(v))
 
 #endif  // CSQ_OBS_DISABLED

@@ -1,12 +1,12 @@
 // RAII span tracing with Chrome-trace export.
 //
 // A Span marks a named region of a solve (one solver stage, one sweep point,
-// one simulation run). Spans are declared through CSQ_OBS_SPAN — names obey
-// the same literal "module.sub.stage" grammar as metrics (lint rule R10) —
-// and record nothing unless tracing was switched on at runtime:
+// one simulation run). Spans are declared through CSQ_OBS_SPAN, which takes
+// a span row of the name catalog (obs/catalog.h), and record nothing unless
+// tracing was switched on at runtime:
 //
 //   obs::set_tracing(true);
-//   { CSQ_OBS_SPAN("qbd.solve.logred"); ...stage... }   // one complete event
+//   { CSQ_OBS_SPAN(kQbdSolveLogred); ...stage... }      // one complete event
 //   std::string json = obs::chrome_trace_json();        // load in chrome://tracing
 //
 // Cost model: with tracing off (the default) a span is one relaxed atomic
@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/catalog.h"
 
 namespace csq::obs {
 
@@ -65,10 +67,13 @@ void clear_trace();
 [[nodiscard]] std::string chrome_trace_json();
 
 // Prefer CSQ_OBS_SPAN over declaring Span directly: the macro compiles out
-// with -DCSQ_OBS=OFF and keeps the name visible to the R10 lint pass.
+// with -DCSQ_OBS=OFF and checks the name against the catalog. The
+// const char* form is for code outside src/ (bench harness marks), whose
+// names are not catalog rows.
 class Span {
  public:
   explicit Span(const char* name);
+  explicit Span(Name name) : Span(row(name).name) {}
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -89,10 +94,10 @@ class Span {
 #define CSQ_OBS_CONCAT_(a, b) CSQ_OBS_CONCAT_INNER_(a, b)
 // Line-numbered variable so two spans can share a scope (outer + retry).
 #define CSQ_OBS_SPAN(name) \
-  const ::csq::obs::Span CSQ_OBS_CONCAT_(csq_obs_span_, __LINE__)(name)
+  const ::csq::obs::Span CSQ_OBS_CONCAT_(csq_obs_span_, __LINE__)(CSQ_OBS_NAME_(name, kSpan))
 
 #else
 
-#define CSQ_OBS_SPAN(name) ((void)0)
+#define CSQ_OBS_SPAN(name) ((void)CSQ_OBS_NAME_(name, kSpan))
 
 #endif  // CSQ_OBS_DISABLED

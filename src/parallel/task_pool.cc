@@ -83,7 +83,7 @@ class Pool {
     for (;;) {
       if (jobs_.empty()) {
         if (stop_) return;
-        CSQ_OBS_COUNT("pool.workers.suspended");
+        CSQ_OBS_COUNT(kPoolWorkersSuspended);
         wake_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
         continue;
       }
@@ -92,7 +92,7 @@ class Pool {
       lk.unlock();
       std::exception_ptr error;
       const std::size_t ran = run_indices(job, error);
-      CSQ_OBS_COUNT_N("pool.tasks.executed", ran);
+      CSQ_OBS_COUNT_N(kPoolTasksExecuted, ran);
       lk.lock();
       // The cursor is spent: retire the job so later workers move on.
       if (!jobs_.empty() && jobs_.front() == &job) jobs_.pop_front();

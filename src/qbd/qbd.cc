@@ -107,7 +107,7 @@ struct LogRedOutcome {
 LogRedOutcome solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                              const Options& opts, Workspace& ws) {
   const std::size_t m = a0.rows();
-  CSQ_OBS_SPAN("qbd.solve.logred");
+  CSQ_OBS_SPAN(kQbdSolveLogred);
   ws.lh = a1;
   ws.lh *= -1.0;
   linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);  // (-A1)^{-1}
@@ -121,7 +121,7 @@ LogRedOutcome solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a
       out.interrupted = true;
       break;
     }
-    CSQ_FAULT_POINT_MATRIX("qbd.logred.iterate", &ws.h(0, 0), m * m);
+    CSQ_FAULT_POINT_MATRIX(kQbdLogredIterate, &ws.h(0, 0), m * m);
     linalg::multiply_into_dense(ws.hl, ws.h, ws.l);
     linalg::multiply_into_dense(ws.lh, ws.l, ws.h);
     ws.hl += ws.lh;  // U = HL + LH
@@ -152,7 +152,7 @@ LogRedOutcome solve_g_logred(const Matrix& a0, const Matrix& a1, const Matrix& a
       break;
     }
   }
-  CSQ_OBS_COUNT_N("qbd.logred.doublings", out.steps);
+  CSQ_OBS_COUNT_N(kQbdLogredDoublings, out.steps);
   return out;
 }
 
@@ -189,7 +189,7 @@ double spectral_radius_estimate(const Matrix& m, int max_iterations, double tole
   // agreement, and rows of a non-real dominant pair oscillate for ever, so
   // at the cap a calm estimate stands.
   const std::size_t n = m.rows();
-  CSQ_OBS_SPAN("qbd.solve.spectral");
+  CSQ_OBS_SPAN(kQbdSolveSpectral);
   bool converged = false;
   int iterations = 0;
   double estimate = 0.0;
@@ -261,7 +261,7 @@ double spectral_radius_estimate(const Matrix& m, int max_iterations, double tole
   }
   if (converged_out) *converged_out = converged;
   if (iterations_out) *iterations_out = iterations;
-  CSQ_OBS_COUNT_N("qbd.spectral.squarings", iterations);
+  CSQ_OBS_COUNT_N(kQbdSpectralSquarings, iterations);
   return estimate;
 }
 
@@ -396,11 +396,11 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
           "solve_r: blocks must be square and same size");
   Workspace& ws = thread_workspace();
   SolveStats stats;
-  CSQ_OBS_COUNT("qbd.solve.calls");
+  CSQ_OBS_COUNT(kQbdSolveCalls);
   // A warm workspace keeps the solve allocation-free per step; count the
   // solves that had to (re)shape this thread's scratch so sweeps can verify
   // reuse.
-  if (ws.h.rows() != m || ws.h.cols() != m) CSQ_OBS_COUNT("qbd.workspace.resizes");
+  if (ws.h.rows() != m || ws.h.cols() != m) CSQ_OBS_COUNT(kQbdWorkspaceResizes);
 
   // Failure exit: publish the stats gathered so far into the diagnostics.
   const auto fail_diagnostics = [&] {
@@ -576,10 +576,10 @@ Solution solve(const Model& model, const Options& opts) {
   // Diagnostics cost a copy of the trail; build them only for the throw.
   if (opts.budget.interrupted())
     opts.budget.check("qbd::solve/boundary", stats.to_diagnostics());
-  CSQ_FAULT_POINT("qbd.solve.boundary");
+  CSQ_FAULT_POINT(kQbdSolveBoundary);
   std::vector<double> x;
   {
-    CSQ_OBS_SPAN("qbd.solve.boundary");
+    CSQ_OBS_SPAN(kQbdSolveBoundary);
     const linalg::Lu lu(e.transpose());
     stats.boundary_condition = lu.condition_estimate();
     if (stats.boundary_condition > 1e12)

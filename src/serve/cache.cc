@@ -10,19 +10,19 @@ std::optional<PolicyMetrics> SolverCache::lookup(const std::string& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    CSQ_OBS_COUNT("serve.cache.misses");
+    CSQ_OBS_COUNT(kServeCacheMisses);
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
-  CSQ_OBS_COUNT("serve.cache.hits");
+  CSQ_OBS_COUNT(kServeCacheHits);
   return it->second->second;
 }
 
 void SolverCache::insert(const std::string& key, const PolicyMetrics& metrics) {
   // Fires before the lock and before any mutation: an armed fault here
   // must leave the cache exactly as it was.
-  CSQ_FAULT_POINT("serve.cache.insert");
+  CSQ_FAULT_POINT(kServeCacheInsert);
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (const auto it = index_.find(key); it != index_.end()) {
@@ -34,12 +34,12 @@ void SolverCache::insert(const std::string& key, const PolicyMetrics& metrics) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
     ++stats_.evictions;
-    CSQ_OBS_COUNT("serve.cache.evictions");
+    CSQ_OBS_COUNT(kServeCacheEvictions);
   }
   lru_.emplace_front(key, metrics);
   index_[key] = lru_.begin();
   ++stats_.inserts;
-  CSQ_OBS_COUNT("serve.cache.inserts");
+  CSQ_OBS_COUNT(kServeCacheInserts);
 }
 
 std::size_t SolverCache::size() const {

@@ -79,7 +79,7 @@ std::shared_ptr<Ticket> Server::submit(const std::string& line) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.received;
   }
-  CSQ_OBS_COUNT("serve.requests.received");
+  CSQ_OBS_COUNT(kServeRequestsReceived);
 
   auto ticket = std::make_shared<Ticket>();
   auto pending = std::make_shared<Pending>();
@@ -101,7 +101,7 @@ std::shared_ptr<Ticket> Server::submit(const std::string& line) {
     if (run > 0 && run == opts_.invalid_burst_limit) {
       // The burst boundary: one response announces the suppression; the
       // garbage that follows is counted but no longer answered line-by-line.
-      CSQ_OBS_COUNT("serve.codec.invalid_burst");
+      CSQ_OBS_COUNT(kServeCodecInvalidBurst);
       respond_inline(ticket,
                      error_response(recover_id(line), st.code,
                                     std::to_string(run) +
@@ -135,7 +135,7 @@ std::shared_ptr<Ticket> Server::submit(const std::string& line) {
         ++stats_.shed;
         hint = opts_.shed_retry_after_ms * (1.0 + static_cast<double>(pending_.size()));
       }
-      CSQ_OBS_COUNT("serve.requests.shed");
+      CSQ_OBS_COUNT(kServeRequestsShed);
       respond_inline(ticket, error_response(pending->raw_id, st.code, st.message, hint));
     } else {
       // A non-overload failure at the admission gate (an armed fault with a
@@ -156,7 +156,7 @@ std::shared_ptr<Ticket> Server::submit_recovered(const std::string& line,
     ++stats_.received;
     ++stats_.recovered;
   }
-  CSQ_OBS_COUNT("serve.requests.recovered");
+  CSQ_OBS_COUNT(kServeRequestsRecovered);
   auto ticket = std::make_shared<Ticket>();
   auto pending = std::make_shared<Pending>();
   pending->ticket = ticket;
@@ -194,13 +194,13 @@ void Server::note_invalid() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.invalid;
   }
-  CSQ_OBS_COUNT("serve.requests.invalid");
+  CSQ_OBS_COUNT(kServeRequestsInvalid);
 }
 
 void Server::admit(const std::shared_ptr<Pending>& p, bool recovered) {
   // Fires before the depth/cost decision so chaos tests can force a shed
   // (armed with throw:Overloaded) or a gate failure with any other code.
-  CSQ_FAULT_POINT("serve.admission.shed");
+  CSQ_FAULT_POINT(kServeAdmissionShed);
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_)
     throw OverloadedError("server draining: not admitting new requests");
@@ -226,7 +226,7 @@ void Server::admit(const std::shared_ptr<Pending>& p, bool recovered) {
   pending_.push_back(p);  // csq-lint: allow(serve-hygiene): this IS the bounded admit path — depth and cost were checked above under the same lock
   inflight_cost_ += p->cost;
   ++stats_.admitted;
-  CSQ_OBS_COUNT("serve.requests.admitted");
+  CSQ_OBS_COUNT(kServeRequestsAdmitted);
   update_depth_gauge();
   work_cv_.notify_one();
 }
@@ -273,7 +273,7 @@ void Server::worker_loop() {
 }
 
 void Server::execute(const std::shared_ptr<Pending>& p) {
-  CSQ_OBS_SPAN("serve.request.handle");
+  CSQ_OBS_SPAN(kServeRequestHandle);
   const std::string& id = p->raw_id;
   std::string response;
   bool cancelled = false;
@@ -309,7 +309,7 @@ std::string Server::run_request(const Pending& p, const RunBudget& budget) {
   const Request& req = p.request;
   ResponseExtras extras;
   try {
-    CSQ_FAULT_POINT("serve.dispatch.run");
+    CSQ_FAULT_POINT(kServeDispatchRun);
     budget.check("serve/dispatch");
     return execute_op(req, budget, &extras);
   } catch (const CancelledError&) {
@@ -451,10 +451,10 @@ void Server::finish(const std::shared_ptr<Pending>& p, const std::string& respon
     inflight_cost_ -= p->cost;
     if (cancelled) {
       ++stats_.cancelled;
-      CSQ_OBS_COUNT("serve.requests.cancelled");
+      CSQ_OBS_COUNT(kServeRequestsCancelled);
     } else {
       ++stats_.completed;
-      CSQ_OBS_COUNT("serve.requests.completed");
+      CSQ_OBS_COUNT(kServeRequestsCompleted);
     }
     drain_cv_.notify_all();
   }
@@ -496,11 +496,11 @@ void Server::note_degraded() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.degraded;
   }
-  CSQ_OBS_COUNT("serve.requests.degraded");
+  CSQ_OBS_COUNT(kServeRequestsDegraded);
 }
 
 void Server::update_depth_gauge() {
-  CSQ_OBS_GAUGE_SET("serve.queue.depth", pending_.size());
+  CSQ_OBS_GAUGE_SET(kServeQueueDepth, pending_.size());
 }
 
 void Server::drain() {

@@ -48,7 +48,7 @@ template <std::derived_from<Policy> P>
 SimResult Engine::run(P& policy) {
   using engine_detail::double_bits;
   using engine_detail::hash_word;
-  CSQ_OBS_SPAN("sim.engine.run");
+  CSQ_OBS_SPAN(kSimEngineRun);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::uint64_t events = 0;
   std::size_t arrivals = 0;
@@ -124,8 +124,8 @@ SimResult Engine::run(P& policy) {
     }
   }
 
-  CSQ_OBS_COUNT_N("sim.engine.events", events);
-  CSQ_OBS_COUNT_N("sim.engine.arrivals", arrivals);
+  CSQ_OBS_COUNT_N(kSimEngineEvents, events);
+  CSQ_OBS_COUNT_N(kSimEngineArrivals, arrivals);
 
   SimResult res;
   res.shorts = {resp_short_.count(), resp_short_.mean(), resp_short_.ci95_halfwidth()};

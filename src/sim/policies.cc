@@ -342,8 +342,7 @@ constexpr std::uint64_t kPolicyStream = 11;
 
 // The zoo's sim.policy.* counts for one run: plain integers bumped per
 // event and added to the registry once, when the policy (one per run) is
-// destroyed, instead of one shared atomic add per event. A count that stayed
-// 0 registers nothing, as a counter that was never hit did not.
+// destroyed, instead of one shared atomic add per event.
 struct ZooTally {
   std::int64_t dispatches = 0;  // random dispatch decisions
   std::int64_t idle_hits = 0;   // JIQ arrivals that took an idle server
@@ -351,10 +350,10 @@ struct ZooTally {
   std::int64_t steals = 0;      // jobs moved victim -> thief by any stealer
 
   ~ZooTally() {
-    if (dispatches > 0) CSQ_OBS_COUNT_N("sim.policy.dispatches", dispatches);
-    if (idle_hits > 0) CSQ_OBS_COUNT_N("sim.policy.idle_hits", idle_hits);
-    if (shares > 0) CSQ_OBS_COUNT_N("sim.policy.shares", shares);
-    if (steals > 0) CSQ_OBS_COUNT_N("sim.policy.steals", steals);
+    CSQ_OBS_COUNT_N(kSimPolicyDispatches, dispatches);
+    CSQ_OBS_COUNT_N(kSimPolicyIdleHits, idle_hits);
+    CSQ_OBS_COUNT_N(kSimPolicyShares, shares);
+    CSQ_OBS_COUNT_N(kSimPolicySteals, steals);
   }
 };
 

@@ -169,11 +169,11 @@ ReplicatedResult simulate_replications(PolicyKind kind, const SystemConfig& conf
   // runs it is irrelevant — and each worker writes only its own slot, so
   // each batch is thread-count invariant.
   const auto run_batch = [&](std::size_t first, std::size_t count) {
-    CSQ_OBS_COUNT("sim.reps.rounds");
-    CSQ_OBS_COUNT_N("sim.reps.total", count);
+    CSQ_OBS_COUNT(kSimRepsRounds);
+    CSQ_OBS_COUNT_N(kSimRepsTotal, count);
     std::vector<SimResult> batch =
         par::parallel_map(count, ropts.threads, [&](std::size_t i) {
-          CSQ_FAULT_POINT("sim.replication.start");
+          CSQ_FAULT_POINT(kSimReplicationStart);
           SimOptions rep_opts = opts;
           rep_opts.seed = split_seed(opts.seed, first + i);
           return simulate(kind, config, rep_opts);

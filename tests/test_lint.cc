@@ -166,86 +166,24 @@ TEST(LintRules, BannedIdentifier) {
   EXPECT_TRUE(lint_one("banned_clean.cc", "src/x/banned_clean.cc").empty());
 }
 
-TEST(LintRules, FaultSiteNaming) {
-  const std::vector<Finding> fs = lint_one("faultsite_bad.cc", "src/x/faultsite_bad.cc");
-  ASSERT_EQ(fs.size(), 4u);
-  for (const Finding& f : fs) EXPECT_EQ(f.rule, "fault-site-naming");
-  EXPECT_EQ(fs[0].line, 7);   // two segments
-  EXPECT_EQ(fs[1].line, 8);   // uppercase segments
-  EXPECT_EQ(fs[2].line, 10);  // duplicate registration
-  EXPECT_EQ(fs[3].line, 11);  // non-literal site
-  EXPECT_NE(fs[0].message.find("module.sub.action"), std::string::npos);
-  EXPECT_NE(fs[2].message.find("already registered"), std::string::npos);
-  EXPECT_TRUE(lint_one("faultsite_clean.cc", "src/x/faultsite_clean.cc").empty());
-}
-
-TEST(LintRules, FaultSiteNamingCrossFileDuplicate) {
-  // The same site registered in two different files is still a duplicate.
-  std::vector<SourceFile> two = {fixture("faultsite_clean.cc", "src/a/faultsite_clean.cc"),
-                                 fixture("faultsite_clean.cc", "src/b/faultsite_clean.cc")};
-  const std::vector<Finding> fs = csq::lint::run_rules(two);
-  ASSERT_EQ(fs.size(), 2u);
-  for (const Finding& f : fs) {
-    EXPECT_EQ(f.rule, "fault-site-naming");
-    EXPECT_NE(f.message.find("already registered at src/a/"), std::string::npos);
-  }
-}
-
-TEST(LintRules, FaultSiteNamingSkipsTests) {
-  EXPECT_TRUE(lint_one("faultsite_bad.cc", "tests/faultsite_bad.cc").empty());
-}
-
-TEST(LintRules, MetricNaming) {
-  const std::vector<Finding> fs = lint_one("metric_bad.cc", "src/x/metric_bad.cc");
-  ASSERT_EQ(fs.size(), 4u);
-  for (const Finding& f : fs) EXPECT_EQ(f.rule, "metric-naming");
-  EXPECT_EQ(fs[0].line, 7);   // two segments
-  EXPECT_EQ(fs[1].line, 8);   // uppercase segments
-  EXPECT_EQ(fs[2].line, 10);  // duplicate registration
-  EXPECT_EQ(fs[3].line, 11);  // non-literal name
-  EXPECT_NE(fs[0].message.find("module.sub.metric"), std::string::npos);
-  EXPECT_NE(fs[2].message.find("already registered"), std::string::npos);
-  EXPECT_TRUE(lint_one("metric_clean.cc", "src/x/metric_clean.cc").empty());
-}
-
-TEST(LintRules, MetricNamingCrossFileDuplicate) {
-  // The same metric registered in two different files is still a duplicate.
-  std::vector<SourceFile> two = {fixture("metric_clean.cc", "src/a/metric_clean.cc"),
-                                 fixture("metric_clean.cc", "src/b/metric_clean.cc")};
-  const std::vector<Finding> fs = csq::lint::run_rules(two);
-  ASSERT_EQ(fs.size(), 5u);
-  for (const Finding& f : fs) {
-    EXPECT_EQ(f.rule, "metric-naming");
-    EXPECT_NE(f.message.find("already registered at src/a/"), std::string::npos);
-  }
-}
-
-TEST(LintRules, MetricNamingSkipsTests) {
-  EXPECT_TRUE(lint_one("metric_bad.cc", "tests/metric_bad.cc").empty());
-}
-
 TEST(LintRules, ServeHygieneBad) {
-  // Default Config has an empty serve_metric_docs, so the serve.* metric is
-  // also flagged as undocumented.
   const std::vector<Finding> fs =
       lint_one("serve_hygiene_bad.cc", "src/serve/serve_hygiene_bad.cc");
-  ASSERT_EQ(fs.size(), 5u);
+  ASSERT_EQ(fs.size(), 4u);
   for (const Finding& f : fs) EXPECT_EQ(f.rule, "serve-hygiene");
   EXPECT_EQ(fs[0].line, 11);  // std::exit
   EXPECT_EQ(fs[1].line, 12);  // std::abort
   EXPECT_EQ(fs[2].line, 13);  // pending_.push_back
   EXPECT_EQ(fs[3].line, 14);  // reply_queue->emplace_back
-  EXPECT_EQ(fs[4].line, 15);  // undocumented serve.* metric
   EXPECT_NE(fs[0].message.find("must not call exit()"), std::string::npos);
   EXPECT_NE(fs[2].message.find("bounded admit path"), std::string::npos);
-  EXPECT_NE(fs[4].message.find("docs/serving.md"), std::string::npos);
 }
 
 TEST(LintRules, ServeHygieneAppliesToServeBinary) {
   // tools/csq_serve.cc is request-handler code too.
   const std::vector<Finding> fs =
       lint_one("serve_hygiene_bad.cc", "tools/csq_serve.cc");
-  ASSERT_EQ(fs.size(), 5u);
+  ASSERT_EQ(fs.size(), 4u);
   for (const Finding& f : fs) EXPECT_EQ(f.rule, "serve-hygiene");
 }
 
@@ -255,10 +193,8 @@ TEST(LintRules, ServeHygieneScopedToServePaths) {
 }
 
 TEST(LintRules, ServeHygieneCleanWithCatalog) {
-  Config cfg;
-  cfg.serve_metric_docs = "| `serve.fixture.documented` | counter | fixture metric |";
-  EXPECT_TRUE(
-      lint_one("serve_hygiene_clean.cc", "src/serve/serve_hygiene_clean.cc", cfg).empty());
+  // The clean twin's catalog counter and its justified admit-path push.
+  EXPECT_TRUE(lint_one("serve_hygiene_clean.cc", "src/serve/serve_hygiene_clean.cc").empty());
 }
 
 TEST(LintRules, JournalHygieneDirectIoInServe) {
@@ -286,17 +222,6 @@ TEST(LintRules, JournalHygieneScopedToItsPaths) {
   EXPECT_TRUE(lint_one("journal_bad.cc", "tools/journal_bad.cc").empty());
   EXPECT_TRUE(
       lint_one("journal_rename_bad.cc", "src/core/journal_rename_bad.cc").empty());
-}
-
-TEST(LintRules, ServeHygieneMissingCatalogFlagsMetric) {
-  // The clean twin's admit-path push is suppressed with a reason, but its
-  // metric still needs a catalog entry: an empty catalog means one finding.
-  const std::vector<Finding> fs =
-      lint_one("serve_hygiene_clean.cc", "src/serve/serve_hygiene_clean.cc");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "serve-hygiene");
-  EXPECT_NE(fs[0].message.find("serve.fixture.documented"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("not documented"), std::string::npos);
 }
 
 // --- Suppressions ----------------------------------------------------------
@@ -345,25 +270,24 @@ TEST(LintSuppress, SelftestPasses) {
 
 TEST(LintRegistry, CatalogIsStable) {
   const std::vector<csq::lint::RuleInfo>& rs = csq::lint::rules();
-  ASSERT_EQ(rs.size(), 13u);  // 12 rules + the suppression meta-rule
+  ASSERT_EQ(rs.size(), 11u);  // 10 rules + the suppression meta-rule
   EXPECT_STREQ(rs[0].id, "raw-throw");
   EXPECT_STREQ(rs[1].id, "nondeterminism");
   EXPECT_STREQ(rs[2].id, "header-hygiene");
   EXPECT_STREQ(rs[3].id, "catch-all-swallow");
   EXPECT_STREQ(rs[4].id, "banned-identifier");
-  EXPECT_STREQ(rs[5].id, "fault-site-naming");
-  EXPECT_STREQ(rs[6].id, "metric-naming");
-  EXPECT_STREQ(rs[7].id, "serve-hygiene");
-  EXPECT_STREQ(rs[8].id, "throw-flow");
-  EXPECT_STREQ(rs[9].id, "deadline-poll");
-  EXPECT_STREQ(rs[10].id, "atomic-order");
-  EXPECT_STREQ(rs[11].id, "journal-hygiene");
-  EXPECT_STREQ(rs[12].id, "suppression");
+  EXPECT_STREQ(rs[5].id, "serve-hygiene");
+  EXPECT_STREQ(rs[6].id, "throw-flow");
+  EXPECT_STREQ(rs[7].id, "deadline-poll");
+  EXPECT_STREQ(rs[8].id, "atomic-order");
+  EXPECT_STREQ(rs[9].id, "journal-hygiene");
+  EXPECT_STREQ(rs[10].id, "suppression");
   // Retired rules are gone for good: their invariants ride on compiler
   // flags, types and tests (docs/static-analysis.md, "Carried elsewhere").
   for (const char* retired : {"no-float-eq", "hot-path-alloc", "error-docs",
                               "hot-path-generic-mult", "hot-path-alloc-transitive",
-                              "policy-registry", "baseline"})
+                              "policy-registry", "baseline", "fault-site-naming",
+                              "metric-naming"})
     for (const csq::lint::RuleInfo& r : rs) EXPECT_STRNE(r.id, retired);
   // --explain material: every rule ships a full rationale paragraph.
   for (const csq::lint::RuleInfo& r : rs) {

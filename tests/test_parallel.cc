@@ -73,7 +73,7 @@ TEST(TaskPool, ExecutedCounterAdvancesByNPerJob) {
   // pool.tasks.executed counts indices run on pool workers: exactly n per
   // job, whatever the schedule.
   if (!obs::compiled_in()) GTEST_SKIP() << "obs counters compiled out (-DCSQ_OBS=OFF)";
-  obs::Counter& executed = obs::Registry::instance().counter("pool.tasks.executed");
+  obs::Counter& executed = obs::Registry::instance().counter<obs::Name::kPoolTasksExecuted>();
   for (std::size_t n : {2, 3, 2000}) {
     const std::int64_t before = executed.value();
     parallel_for(n, 4, [](std::size_t i) {

@@ -7,6 +7,7 @@
 // deadline/cancel paths deterministically — burn faults advance the virtual
 // clock (core/deadline.h timebase), so no test ever sleeps.
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +172,20 @@ class ResilientChaos : public ::testing::Test {
     }
   }
 };
+
+// A misspelled site would arm nothing and let the run pass silently, so
+// arming checks the name against the site table and names the bad site.
+TEST_F(ResilientChaos, ArmRejectsAnUnknownSite) {
+  try {
+    fault::arm(fault::parse_arm_spec("qbd.logred.iterat:1:nan"));
+    FAIL() << "expected InvalidInputError";
+  } catch (const InvalidInputError& e) {
+    EXPECT_NE(std::string(e.what()).find("'qbd.logred.iterat'"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(fault::armed_sites().empty());
+  fault::arm(fault::parse_arm_spec("qbd.logred.iterate:1:nan"));
+  EXPECT_EQ(fault::armed_sites(), std::vector<std::string>{"qbd.logred.iterate"});
+}
 
 TEST_F(ResilientChaos, ExactRungFaultFallsBackToTruncated) {
   fault::arm(fault::parse_arm_spec("analysis.cscq.solve:1:throw:NotConverged"));

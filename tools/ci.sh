@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # One-shot local CI: dev build + fast test tiers, then the staged
 # strict-build matrix (tools/check_warnings.sh: Werror -> ASan/UBSan ->
-# TSan -> chaos -> serve -> durable -> obs -> bench -> clang-tidy (if
-# installed) -> csq_lint, a single text scan that must come back clean).
+# TSan -> chaos -> serve -> durable -> obs -> portable -> bench ->
+# clang-tidy (if installed) -> csq_lint, a single text scan that must come
+# back clean -> perfbench, which builds the benchmark harness).
 # The truncated-chain cross-checks solve in milliseconds and run in tier1;
 # there is no separate slow suite.
 set -eu

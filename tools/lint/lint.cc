@@ -255,27 +255,11 @@ const std::vector<RuleInfo>& rules() {
        "check — use CSQ_ASSERT (core/check.h), which always fires and reports\n"
        "through the taxonomy. rand()/srand() break seeded determinism — use\n"
        "sim::Rng. gets() is unsalvageable."},
-      {"fault-site-naming",
-       "fault sites are literal module.sub.action strings, registered exactly once",
-       "CSQ_FAULT_POINT sites form the chaos suite's fault catalogue; tests arm\n"
-       "sites by name. A non-literal name makes the catalogue unenumerable, and a\n"
-       "duplicate registration makes hits() counts and single-shot arming\n"
-       "ambiguous. Fix: literal \"module.sub.action\" (three lowercase segments),\n"
-       "one registration site per name repo-wide."},
-      {"metric-naming",
-       "obs metric/span names are literal module.sub.metric strings, registered exactly once",
-       "CSQ_OBS_* names share one namespace across counters, gauges, histograms\n"
-       "and spans, and docs/observability.md maps each name to one source\n"
-       "location. Same grammar and uniqueness contract as fault sites: literal\n"
-       "\"module.sub.metric\", exactly one call site per name (tests/ exempt)."},
-      {"serve-hygiene",
-       "serve code must not exit/abort or bypass the bounded admit path; serve.* metrics "
-       "must be in the docs catalog",
+      {"serve-hygiene", "serve code must not exit/abort or bypass the bounded admit path",
        "Request-handler code degrades, it never dies: no exit/abort/terminate (a\n"
-       "handler converts failures into taxonomy responses), no pushing onto a\n"
+       "handler converts failures into taxonomy responses), and no pushing onto a\n"
        "request queue outside the bounded admit gate (admission checks queue depth\n"
-       "and in-flight cost first), and every serve.* obs name must appear in the\n"
-       "docs/serving.md catalog so the dashboard surface cannot drift."},
+       "and in-flight cost first)."},
       {"throw-flow",
        "header `Throws csq::*` contracts must match what can escape, directly or "
        "through the call graph (R13)",
@@ -597,121 +581,6 @@ void rule_banned_identifier(const SourceFile& f, const Config& cfg,
   }
 }
 
-// A fault site is module.sub.action: exactly three '.'-separated segments,
-// each a lowercase identifier ([a-z][a-z0-9_]*).
-[[nodiscard]] bool valid_fault_site(const std::string& site) {
-  int segments = 0;
-  std::size_t begin = 0;
-  while (begin <= site.size()) {
-    std::size_t end = site.find('.', begin);
-    if (end == std::string::npos) end = site.size();
-    if (end == begin) return false;  // empty segment
-    if (site[begin] < 'a' || site[begin] > 'z') return false;
-    for (std::size_t i = begin; i < end; ++i) {
-      const char c = site[i];
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-      if (!ok) return false;
-    }
-    ++segments;
-    if (end == site.size()) break;
-    begin = end + 1;
-  }
-  return segments == 3;
-}
-
-// fault-site-naming (cross-file): every CSQ_FAULT_POINT /
-// CSQ_FAULT_POINT_MATRIX site must be a literal "module.sub.action" string,
-// and each site must be registered at exactly one call site repo-wide —
-// duplicate registrations make fault::hits() counts and single-shot arming
-// ambiguous.
-void rule_fault_site_naming(const std::vector<SourceFile>& files,
-                            std::vector<Finding>* out) {
-  struct FirstSeen {
-    std::string rel;
-    int line = 0;
-  };
-  std::map<std::string, FirstSeen> seen;
-  for (const SourceFile& f : files) {
-    if (starts_with(f.rel, "tests/")) continue;
-    const Tokens& t = f.tokens;
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent ||
-          (t[i].text != "CSQ_FAULT_POINT" && t[i].text != "CSQ_FAULT_POINT_MATRIX"))
-        continue;
-      if (t[i + 1].text != "(") continue;
-      if (t[i + 2].kind != TokKind::kString) {
-        out->push_back({f.path, t[i].line, "fault-site-naming",
-                        t[i].text + " site must be a string literal so the site "
-                            "catalogue is statically enumerable"});
-        continue;
-      }
-      // Strip the quotes the tokenizer preserves.
-      const std::string site = t[i + 2].text.substr(1, t[i + 2].text.size() - 2);
-      if (!valid_fault_site(site)) {
-        out->push_back({f.path, t[i].line, "fault-site-naming",
-                        "fault site \"" + site + "\" must be module.sub.action "
-                            "(three lowercase dot-separated segments)"});
-        continue;
-      }
-      const auto [it, inserted] = seen.emplace(site, FirstSeen{f.rel, t[i].line});
-      if (!inserted)
-        out->push_back({f.path, t[i].line, "fault-site-naming",
-                        "fault site \"" + site + "\" already registered at " +
-                            it->second.rel + ":" + std::to_string(it->second.line) +
-                            " — each site must appear exactly once"});
-    }
-  }
-}
-
-// metric-naming (cross-file): every CSQ_OBS_COUNT / CSQ_OBS_COUNT_N /
-// CSQ_OBS_GAUGE_SET / CSQ_OBS_HIST / CSQ_OBS_SPAN name must be a literal
-// "module.sub.metric" string (same grammar as fault sites), and each name
-// must appear at exactly one call site repo-wide — counters, gauges,
-// histograms and spans share one namespace, so the docs/observability.md
-// catalog maps every name to a single source location. tests/ are exempt
-// (unit tests register scratch metrics freely).
-void rule_metric_naming(const std::vector<SourceFile>& files, std::vector<Finding>* out) {
-  static const char* const kObsMacros[] = {"CSQ_OBS_COUNT", "CSQ_OBS_COUNT_N",
-                                           "CSQ_OBS_GAUGE_SET", "CSQ_OBS_HIST",
-                                           "CSQ_OBS_SPAN"};
-  struct FirstSeen {
-    std::string rel;
-    int line = 0;
-  };
-  std::map<std::string, FirstSeen> seen;
-  for (const SourceFile& f : files) {
-    if (starts_with(f.rel, "tests/")) continue;
-    const Tokens& t = f.tokens;
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      bool is_obs = false;
-      for (const char* m : kObsMacros)
-        if (t[i].text == m) is_obs = true;
-      if (!is_obs) continue;
-      if (t[i + 1].text != "(") continue;
-      if (t[i + 2].kind != TokKind::kString) {
-        out->push_back({f.path, t[i].line, "metric-naming",
-                        t[i].text + " name must be a string literal so the metric "
-                            "catalogue is statically enumerable"});
-        continue;
-      }
-      const std::string name = t[i + 2].text.substr(1, t[i + 2].text.size() - 2);
-      if (!valid_fault_site(name)) {
-        out->push_back({f.path, t[i].line, "metric-naming",
-                        "metric name \"" + name + "\" must be module.sub.metric "
-                            "(three lowercase dot-separated segments)"});
-        continue;
-      }
-      const auto [it, inserted] = seen.emplace(name, FirstSeen{f.rel, t[i].line});
-      if (!inserted)
-        out->push_back({f.path, t[i].line, "metric-naming",
-                        "metric name \"" + name + "\" already registered at " +
-                            it->second.rel + ":" + std::to_string(it->second.line) +
-                            " — each name must appear exactly once"});
-    }
-  }
-}
-
 // serve-hygiene (R11): request-handler code (Config::serve_paths — the serve
 // layer and the csq_serve binary) must degrade, never die, and never grow
 // the request queue outside the bounded admit gate:
@@ -720,11 +589,7 @@ void rule_metric_naming(const std::vector<SourceFile>& files, std::vector<Findin
 //   (b) no push_back/emplace_back/push on an identifier that names a queue
 //       ("queue"/"pending"): all enqueueing goes through the single admit
 //       path that checks queue_depth and max_inflight_cost first (that one
-//       site carries a csq-lint allow with its justification);
-//   (c) every serve.* obs metric/span registered here must appear in the
-//       serve metric catalog (docs/serving.md, passed in
-//       Config::serve_metric_docs) so the serving dashboard surface and the
-//       docs cannot drift apart.
+//       site carries a csq-lint allow with its justification).
 void rule_serve_hygiene(const SourceFile& f, const Config& config,
                         std::vector<Finding>* out) {
   bool in_scope = false;
@@ -732,9 +597,6 @@ void rule_serve_hygiene(const SourceFile& f, const Config& config,
     if (starts_with(f.rel, p)) in_scope = true;
   if (!in_scope) return;
 
-  static const char* const kObsMacros[] = {"CSQ_OBS_COUNT", "CSQ_OBS_COUNT_N",
-                                           "CSQ_OBS_GAUGE_SET", "CSQ_OBS_HIST",
-                                           "CSQ_OBS_SPAN"};
   const auto names_queue = [](const std::string& ident) {
     return ident.find("queue") != std::string::npos ||
            ident.find("pending") != std::string::npos;
@@ -762,19 +624,6 @@ void rule_serve_hygiene(const SourceFile& f, const Config& config,
                       "push onto request queue \"" + t[i].text +
                           "\" outside the bounded admit path — admission must "
                           "check queue depth and in-flight cost first"});
-    // (c) serve.* metrics must be in the docs catalog.
-    bool is_obs = false;
-    for (const char* m : kObsMacros)
-      if (t[i].text == m) is_obs = true;
-    if (is_obs && i + 2 < t.size() && t[i + 1].text == "(" &&
-        t[i + 2].kind == TokKind::kString) {
-      const std::string name = t[i + 2].text.substr(1, t[i + 2].text.size() - 2);
-      if (starts_with(name, "serve.") &&
-          config.serve_metric_docs.find(name) == std::string::npos)
-        out->push_back({f.path, t[i].line, "serve-hygiene",
-                        "serve metric \"" + name + "\" is not documented in the " +
-                            config.serve_metric_docs_name + " metric catalog"});
-    }
   }
 }
 
@@ -878,11 +727,9 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files, const Confi
     rule_serve_hygiene(f, config, &found);
     rule_journal_hygiene(f, config, &found);
   }
-  // Cross-file pass: the token-level cross-TU rules, then the semantic rules
-  // on the FileIndex layer. throw-flow findings attach to headers at line 1,
-  // so a suppression comment on the header's first line covers them.
-  rule_fault_site_naming(files, &found);
-  rule_metric_naming(files, &found);
+  // Cross-file pass: the semantic rules on the FileIndex layer. throw-flow
+  // findings attach to headers at line 1, so a suppression comment on the
+  // header's first line covers them.
   run_semantic_rules(files, config, &found);
   for (Finding& fd : found)
     if (!suppressed(fd)) all.push_back(std::move(fd));

@@ -4,8 +4,8 @@
 // tokenizer (no libclang) plus a registry of project-specific rules that
 // mechanically enforce the invariants the QBD/busy-period analysis relies on
 // and that no compiler flag or type can carry (see docs/static-analysis.md
-// for the rule catalog, and for the retired rules R2/R4/R6/R12/R15/R17/R19 and
-// what carries their invariants now):
+// for the rule catalog, and for the retired rules R2/R4/R6/R9/R10/R12/R15/
+// R17/R19 and what carries their invariants now):
 //
 //   raw-throw          (R1) only core/status.h taxonomy types may be thrown
 //   nondeterminism     (R3) no std::rand/random_device/time()/..now() in
@@ -15,18 +15,10 @@
 //   catch-all-swallow  (R7) catch (...) must rethrow or convert to Status
 //   banned-identifier  (R8) assert()/rand()/srand() are banned (CSQ_ASSERT,
 //                           sim::Rng)
-//   fault-site-naming  (R9) CSQ_FAULT_POINT sites must be literal
-//                           module.sub.action strings, each registered
-//                           exactly once repo-wide
-//   metric-naming      (R10) CSQ_OBS_* metric/span names must be literal
-//                           module.sub.metric strings, each registered
-//                           exactly once repo-wide (src/obs/obs.h catalog)
 //   serve-hygiene      (R11) request-handler code (src/serve/,
 //                           tools/csq_serve.cc) must not terminate the
 //                           process or push onto a request queue outside
-//                           the bounded admit path, and every serve.*
-//                           metric must appear in the docs/serving.md
-//                           metric catalog
+//                           the bounded admit path
 //   journal-hygiene    (R18) no direct file I/O in request-handler code
 //                           (durability goes through src/durable/); a
 //                           rename() publish in src/durable/ needs an fsync
@@ -141,13 +133,6 @@ struct Config {
   // failures to taxonomy responses; it never takes the process down).
   std::vector<std::string> serve_banned_calls = {"exit",       "_exit",    "_Exit",
                                                  "quick_exit", "abort",    "terminate"};
-  // Contents of the serve metric catalog (docs/serving.md), loaded by
-  // tools/lint/main.cc. Every serve.* obs name registered in a serve path
-  // must appear in this text; when it is empty (catalog missing) every
-  // serve.* metric is flagged as undocumented.
-  std::string serve_metric_docs;
-  // Catalog file named in serve-hygiene findings.
-  std::string serve_metric_docs_name = "docs/serving.md";
   // deadline-poll (R14): directories whose loops must poll the budget when
   // they transitively reach an iterative kernel.
   std::vector<std::string> deadline_poll_dirs = {"src/qbd/", "src/mg1/", "src/sim/",

@@ -144,15 +144,7 @@ int run(int argc, char** argv) {
   std::vector<SourceFile> files;
   for (const std::string& t : targets) collect(root / t, root, &files);
 
-  // serve-hygiene (R11): the serve metric catalog the serve.* names are
-  // checked against. A missing catalog file leaves the text empty, which
-  // flags every serve.* metric — the catalog is part of the contract.
-  csq::lint::Config config;
-  const fs::path serve_docs = root / config.serve_metric_docs_name;
-  std::error_code docs_ec;
-  if (fs::is_regular_file(serve_docs, docs_ec)) config.serve_metric_docs = slurp(serve_docs);
-
-  const std::vector<Finding> findings = csq::lint::run_rules(files, config);
+  const std::vector<Finding> findings = csq::lint::run_rules(files);
   for (const Finding& f : findings) std::cout << csq::lint::format_finding(f) << "\n";
   if (findings.empty()) {
     std::cerr << "csq_lint: " << files.size() << " files clean\n";
