@@ -169,13 +169,9 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
   std::vector<double> window_alpha = pair.fresh_pair_alpha();
   for (int iter = 0; iter < kMaxWindowIterations; ++iter) {
     res.window_iterations = iter + 1;
-    if (exp_shorts) {
-      res.window = exp_moments(delta, 1.0);
-      res.busy_batch = transforms::batch_busy_period(xl, ll, delta);
-    } else {
-      res.window = pair.first_completion(window_alpha).moments();
-      res.busy_batch = transforms::batch_busy_period_window(xl, ll, res.window);
-    }
+    res.window = exp_shorts ? dist::Moments::exponential(1.0 / delta)
+                            : pair.first_completion(window_alpha).moments();
+    res.busy_batch = transforms::batch_busy_period_window(xl, ll, res.window);
     const dist::PhaseType bn =
         dist::fit_ph(res.busy_batch, opts.busy_period_moments, &res.fit_batch);
     const std::size_t kp = bn.num_phases();

@@ -64,9 +64,7 @@ void fire(const ArmSpec& spec, double* data, std::size_t size) {
   switch (spec.kind) {
     case Kind::kThrow: fire_throw(spec);
     case Kind::kNan:
-      if (data == nullptr || size == 0) {
-        throw InternalError("fault kind 'nan' armed at non-matrix site " + spec.site);
-      }
+      if (size == 0) throw InternalError("fault kind 'nan' found no data at site " + spec.site);
       data[0] = std::numeric_limits<double>::quiet_NaN();
       return;
     case Kind::kBurn:
@@ -142,6 +140,9 @@ void arm(const ArmSpec& spec) {
     throw InvalidInputError("cannot arm fault site '" + spec.site +
                             "': no such site (known sites: " + known + ")");
   }
+  if (spec.kind == Kind::kNan && kSites[i].kind != SiteKind::kMatrix)
+    throw InvalidInputError("cannot arm fault site '" + spec.site +
+                            "' with 'nan': it has no matrix data to poison (use throw or burn)");
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
   r.armed[i] = spec;

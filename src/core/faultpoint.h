@@ -128,8 +128,9 @@ struct ArmSpec {
 [[nodiscard]] ArmSpec parse_arm_spec(const std::string& text);
 
 // Arm a site (replacing any previous arming of the same site). Throws
-// InvalidInputError when fault injection is not compiled in or the site is
-// not in the table — arming must never silently do nothing.
+// InvalidInputError when fault injection is not compiled in, the site is
+// not in the table, or `nan` is armed at a kPlain site (it has no data to
+// poison) — arming must never silently do nothing or fail later.
 void arm(const ArmSpec& spec);
 
 // Drop all armings and zero all hit counters.

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/lu.h"
-
 #include "core/numeric.h"
 #include "core/status.h"
 
@@ -39,6 +37,8 @@ PhaseType::PhaseType(std::vector<double> alpha, linalg::Matrix t)
     if (t_(i, i) >= 0.0) throw InvalidInputError("PhaseType: diagonal must be negative");
     double row = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
+      if (j < i && !num::exactly_zero(t_(i, j)))
+        throw InvalidInputError("PhaseType: T must be upper triangular (acyclic phases)");
       if (i != j && t_(i, j) < -1e-12)
         throw InvalidInputError("PhaseType: negative off-diagonal");
       row += t_(i, j);
@@ -46,16 +46,19 @@ PhaseType::PhaseType(std::vector<double> alpha, linalg::Matrix t)
     if (row > 1e-9) throw InvalidInputError("PhaseType: positive row sum in T");
     exit_[i] = -row;
   }
-  // Cache moments: E[X^k] = k! * alpha * M^k * 1 with M = (-T)^{-1}.
-  linalg::Matrix neg_t = t_;
-  neg_t *= -1.0;
-  const linalg::Matrix m = linalg::inverse(neg_t);
-  std::vector<double> v = alpha_ * m;
+  // Cache moments: E[X^n] = n! * alpha * y_n with (-T) y_n = y_{n-1}, y_0 = 1.
+  // -T is upper triangular, so each y_n is one back substitution, done in
+  // place: y[i] still holds y_{n-1}[i] when row i is reached.
+  std::vector<double> y(k, 1.0);
   double fact = 1.0;
-  for (int i = 0; i < 3; ++i) {
-    fact *= (i + 1);
-    moments_[i] = fact * linalg::sum(v);
-    v = v * m;
+  for (int n = 0; n < 3; ++n) {
+    for (std::size_t i = k; i-- > 0;) {
+      double acc = y[i];
+      for (std::size_t j = i + 1; j < k; ++j) acc += t_(i, j) * y[j];
+      y[i] = acc / -t_(i, i);
+    }
+    fact *= (n + 1);
+    moments_[n] = fact * linalg::dot(alpha_, y);
   }
 }
 

@@ -1,7 +1,7 @@
 // Continuous phase-type (PH) distributions: absorption time of a CTMC with
-// initial vector alpha and subgenerator T. Covers exponential, Erlang and
-// Coxian as named constructors; arbitrary (alpha, T) accepted with
-// validation.
+// initial vector alpha and upper-triangular subgenerator T. Covers
+// exponential, Erlang and Coxian as named constructors; any acyclic
+// (alpha, T) accepted with validation.
 //
 // Throws csq::InvalidInputError (core/status.h) on malformed arguments.
 #pragma once
@@ -19,9 +19,10 @@ class PhaseType final : public Distribution {
  public:
   // General constructor: alpha must be a probability vector over the phases,
   // T a valid subgenerator (negative diagonal, nonnegative off-diagonal,
-  // nonpositive row sums with at least one strictly negative "exit").
-  // Throws csq::InvalidInputError on malformed inputs and
-  // csq::IllConditionedError when the moment solve against T degenerates.
+  // nonpositive row sums with at least one strictly negative "exit") that is
+  // upper triangular: phases only move forward (acyclic PH), as in every
+  // named constructor below. Throws csq::InvalidInputError on malformed
+  // inputs.
   PhaseType(std::vector<double> alpha, linalg::Matrix t);
 
   static PhaseType exponential(double rate);

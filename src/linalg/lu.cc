@@ -116,20 +116,6 @@ std::vector<double> Lu::solve(std::vector<double> b) const {
   return x;
 }
 
-Matrix Lu::solve(const Matrix& b) const {
-  const std::size_t n = lu_.rows();
-  if (b.rows() != n) throw InvalidInputError("Lu::solve: shape mismatch");
-  Matrix x(n, b.cols());
-  std::vector<double> col(n);
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-    // The per-column overload returns by value; this variant is off the solver hot path.
-    const std::vector<double> xc = solve(col);
-    for (std::size_t r = 0; r < n; ++r) x(r, c) = xc[r];
-  }
-  return x;
-}
-
 std::vector<double> Lu::solve_refined(const std::vector<double>& b) const {
   std::vector<double> x = solve(b);
   const std::size_t n = lu_.rows();
@@ -143,12 +129,6 @@ std::vector<double> Lu::solve_refined(const std::vector<double>& b) const {
   const std::vector<double> dx = solve(std::move(r));
   for (std::size_t i = 0; i < n; ++i) x[i] += dx[i];
   return x;
-}
-
-Matrix Lu::inverse() const {
-  Matrix inv;
-  invert_factored(inv, lu_, perm_);
-  return inv;
 }
 
 double Lu::condition_estimate() const {
@@ -170,8 +150,6 @@ double Lu::condition_estimate() const {
   cond_ = norm1(a_) * inv_norm;
   return cond_;
 }
-
-Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
 
 void inverse_into(Matrix& dst, const Matrix& a, Matrix& lu, std::vector<int>& perm) {
   if (&dst == &a || &dst == &lu || &lu == &a)

@@ -21,17 +21,11 @@ class Lu {
 
   // Solve A x = b.
   [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
-  // Solve A X = B column-by-column.
-  [[nodiscard]] Matrix solve(const Matrix& b) const;
 
   // Solve A x = b, then apply one step of iterative refinement
   // (x += A \ (b - A x)) — recovers most of the accuracy lost to a large
   // condition number at the cost of one extra substitution pass.
   [[nodiscard]] std::vector<double> solve_refined(const std::vector<double>& b) const;
-
-  // A^{-1}, substituted across all columns at once (cheaper than solving
-  // against the identity column by column, same values).
-  [[nodiscard]] Matrix inverse() const;
 
   // 1-norm condition number estimate ||A||_1 ||A^{-1}||_1. Computed on first
   // use (the matrices here are tiny, so the exact inverse is cheap) and
@@ -50,12 +44,11 @@ class Lu {
   mutable double cond_ = -1.0;  // cached condition estimate (-1 = not computed)
 };
 
-[[nodiscard]] Matrix inverse(const Matrix& a);
-
-// dst = a^{-1}, bit-identical to inverse(a), factoring into the caller's
-// `lu` and `perm` scratch instead of fresh storage: once the three buffers
-// have held an n x n solve, further n x n inverses allocate nothing. dst, a
-// and lu must be distinct. Throws like Lu(a).
+// dst = a^{-1}, substituted across all columns at once (cheaper than
+// solving against the identity column by column, same values), factoring
+// into the caller's `lu` and `perm` scratch instead of fresh storage: once
+// the three buffers have held an n x n solve, further n x n inverses
+// allocate nothing. dst, a and lu must be distinct. Throws like Lu(a).
 void inverse_into(Matrix& dst, const Matrix& a, Matrix& lu, std::vector<int>& perm);
 
 }  // namespace csq::linalg

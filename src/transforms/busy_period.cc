@@ -1,13 +1,11 @@
 #include "transforms/busy_period.h"
 
-#include <cmath>
-#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/status.h"
 
 namespace csq::transforms {
-
-using jets::Jet;
 
 namespace {
 void require_stable(const dist::Moments& job, double lambda) {
@@ -23,6 +21,28 @@ void require_stable(const dist::Moments& job, double lambda) {
                         std::move(d));
   }
 }
+
+// W = X_0 + X_1 + ... + X_N with N ~ Poisson(lambda Theta), all independent.
+// The excess Y = W - X_0 is compound Poisson; N's factorial moments are
+// E[N(N-1)...(N-k+1)] = lambda^k E[Theta^k].
+dist::Moments random_sum(const dist::Moments& x, double lambda, const dist::Moments& theta) {
+  const double n1 = lambda * theta.m1;
+  const double n2 = lambda * lambda * theta.m2;
+  const double n3 = lambda * lambda * lambda * theta.m3;
+  const double y1 = n1 * x.m1;
+  const double y2 = n1 * x.m2 + n2 * x.m1 * x.m1;
+  const double y3 = n1 * x.m3 + 3.0 * n2 * x.m1 * x.m2 + n3 * x.m1 * x.m1 * x.m1;
+  return {x.m1 + y1, x.m2 + 2.0 * x.m1 * y1 + y2,
+          x.m3 + 3.0 * (x.m2 * y1 + x.m1 * y2) + y3};
+}
+
+// Busy period started by initial work `w` while Poisson(lambda) arrivals
+// each start a B_L (moments `bl`): D = W + the B_L's of the arrivals in W.
+dist::Moments delay_cycle(const dist::Moments& w, const dist::Moments& bl, double lambda) {
+  const double a = 1.0 + lambda * bl.m1;
+  return {a * w.m1, a * a * w.m2 + lambda * bl.m2 * w.m1,
+          a * a * a * w.m3 + 3.0 * a * lambda * bl.m2 * w.m2 + lambda * bl.m3 * w.m1};
+}
 }  // namespace
 
 dist::Moments mg1_busy_period(const dist::Moments& job, double lambda) {
@@ -35,44 +55,16 @@ dist::Moments mg1_busy_period(const dist::Moments& job, double lambda) {
   return {b1, b2, b3};
 }
 
-dist::Moments delay_cycle(const Jet& initial_work, const dist::Moments& job,
-                          double lambda) {
-  require_stable(job, lambda);
-  const dist::Moments bl = mg1_busy_period(job, lambda);
-  // sigma(s) = s + lambda (1 - B~_L(s)); constant term is 0.
-  const Jet bl_lst = jets::lst_from_moments(bl.m1, bl.m2, bl.m3);
-  const Jet sigma = Jet::variable() + lambda * (1.0 - bl_lst);
-  const Jet b = jets::compose0(initial_work, sigma);
-  const auto mm = jets::moments_from_lst(b);
-  return {mm.m1, mm.m2, mm.m3};
-}
-
-jets::Jet batch_initial_work_lst(const dist::Moments& job, double lambda, double delta) {
-  if (delta <= 0.0) throw InvalidInputError("batch_initial_work_lst: delta <= 0");
-  const Jet x = jets::lst_from_moments(job.m1, job.m2, job.m3);
-  // G(z) = E[z^N] = delta / (delta + lambda (1 - z)); W~ = X~ * G(X~).
-  // G's derivatives at z0 = X~(0) = 1: G(1)=1, G^(k)(1) = k! (lambda/delta)^k.
-  const double r = lambda / delta;
-  const std::array<double, jets::kOrder> g_derivs = {1.0, r, 2.0 * r * r, 6.0 * r * r * r};
-  return x * jets::compose(g_derivs, x);
-}
-
-dist::Moments batch_busy_period(const dist::Moments& job, double lambda, double delta) {
-  return delay_cycle(batch_initial_work_lst(job, lambda, delta), job, lambda);
-}
-
 dist::Moments batch_busy_period_window(const dist::Moments& job, double lambda,
                                        const dist::Moments& window) {
   if (window.m1 <= 0.0)
     throw InvalidInputError("batch_busy_period_window: window mean <= 0");
-  const Jet x = jets::lst_from_moments(job.m1, job.m2, job.m3);
-  // G(z) = E[z^N] = Theta~(lambda (1 - z)); derivatives at z = 1:
-  // G^(k)(1) = lambda^k E[Theta^k].
-  const std::array<double, jets::kOrder> g_derivs = {
-      1.0, lambda * window.m1, lambda * lambda * window.m2,
-      lambda * lambda * lambda * window.m3};
-  const Jet w = x * jets::compose(g_derivs, x);
-  return delay_cycle(w, job, lambda);
+  return delay_cycle(random_sum(job, lambda, window), mg1_busy_period(job, lambda), lambda);
+}
+
+dist::Moments batch_busy_period(const dist::Moments& job, double lambda, double delta) {
+  if (delta <= 0.0) throw InvalidInputError("batch_busy_period: delta <= 0");
+  return batch_busy_period_window(job, lambda, dist::Moments::exponential(1.0 / delta));
 }
 
 }  // namespace csq::transforms

@@ -5,15 +5,14 @@
 //
 //   B_L      — busy period started by a single long job;
 //   B_{N+1}  — busy period started by N+1 long jobs, where N is the number
-//              of Poisson(lambda) arrivals during an Exp(delta) window (the
-//              wait for the first of the in-service shorts to complete;
-//              delta = 2 mu_S for CS-CQ, mu_S for the CS-ID short-service
-//              accumulation period).
+//              of Poisson(lambda) arrivals during an accumulation window
+//              Theta (the wait for the first of the in-service shorts to
+//              complete: Exp(2 mu_S) for CS-CQ with exponential shorts,
+//              Exp(mu_S) for the CS-ID short-service accumulation period).
 //
-// Moments of B_L come from the classical closed forms; moments of B_{N+1}
-// are extracted by jet (truncated Taylor) arithmetic on the LST composition
-//   B~(s) = W~(s + lambda (1 - B~_L(s))),
-//   W~(s) = X~(s) * delta / (delta + lambda (1 - X~(s))).
+// Both are delay cycles — a busy period started by some initial work W —
+// and their first three moments have closed forms with only positive terms
+// (docs/analysis.md §1).
 //
 // Throws csq::InvalidInputError on malformed arguments and
 // csq::UnstableError when the offered load is outside the stability
@@ -21,7 +20,6 @@
 #pragma once
 
 #include "dist/distribution.h"
-#include "jets/jet.h"
 
 namespace csq::transforms {
 
@@ -29,26 +27,15 @@ namespace csq::transforms {
 // `job` and Poisson arrival rate `lambda`. Requires rho = lambda*m1 < 1.
 [[nodiscard]] dist::Moments mg1_busy_period(const dist::Moments& job, double lambda);
 
-// Busy period started by an initial amount of work with LST jet
-// `initial_work`, into which Poisson(lambda) arrivals of size `job` keep
-// accumulating ("delay cycle"). Requires rho < 1.
-[[nodiscard]] dist::Moments delay_cycle(const jets::Jet& initial_work,
-                                        const dist::Moments& job, double lambda);
-
-// Moments of B_{N+1}(delta) described above.
-[[nodiscard]] dist::Moments batch_busy_period(const dist::Moments& job, double lambda,
-                                              double delta);
-
-// Initial work of B_{N+1}: W = sum of N+1 jobs, N ~ #arrivals in Exp(delta).
-[[nodiscard]] jets::Jet batch_initial_work_lst(const dist::Moments& job, double lambda,
-                                               double delta);
-
-// Generalization of B_{N+1} to an arbitrary accumulation window: busy period
-// started by N+1 jobs where N ~ #Poisson(lambda) arrivals during a window
-// with the given raw moments (for exponential windows this reduces to
-// batch_busy_period with delta = 1/window.m1). Used by the phase-type-shorts
-// extension, where the window is the first completion among two PH services.
+// B_{N+1}: the busy period started by N+1 jobs, where N ~ #Poisson(lambda)
+// arrivals during a window with the given raw moments. Used directly by
+// the phase-type-shorts chain, where the window is the first completion
+// among two PH services.
 [[nodiscard]] dist::Moments batch_busy_period_window(const dist::Moments& job, double lambda,
                                                      const dist::Moments& window);
+
+// B_{N+1} for an Exp(delta) window.
+[[nodiscard]] dist::Moments batch_busy_period(const dist::Moments& job, double lambda,
+                                              double delta);
 
 }  // namespace csq::transforms

@@ -157,11 +157,11 @@ TEST(HotPathAlloc, MatrixArithmeticMovesItsResult) {
 
 TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
   // Heap allocations of one warm analyze_cscq at the BM_AnalyzeCscq
-  // operating point, as measured when the Coxian fit stopped being memoized
-  // (GCC 12, libstdc++; 76 with the memo, whose hits copied a cached fit).
-  // Fault sites look their names up without allocating, so a
-  // -DCSQ_FAULT_INJECTION=ON build measures the same.
-  constexpr long kBudget = 94;
+  // operating point: 72 as measured when PhaseType's moments moved from a
+  // dense inverse to back substitution (GCC 12, libstdc++; 88 before), plus
+  // a headroom of 6. Fault sites look their names up without allocating,
+  // so a -DCSQ_FAULT_INJECTION=ON build measures the same.
+  constexpr long kBudget = 78;
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
   (void)analysis::analyze_cscq(config);  // warm-up: solver scratch
   const long count = allocations([&] { (void)analysis::analyze_cscq(config); });
@@ -172,11 +172,12 @@ TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
 TEST(HotPathAlloc, AnalyzeCscqFitAndTransformCallsPinned) {
   // Warm allocation counts of the fit and busy-period calls analyze_cscq
   // makes at the BM_AnalyzeCscq point (exponential shorts, so one window
-  // pass: B_L, B_{N+1}, one fit each), as measured when the fit memo was
-  // removed (GCC 12, libstdc++). Each fit builds its PhaseType afresh: 14
-  // allocations, against 3 for a memo hit's copy. No fault site sits on these
-  // calls, so a -DCSQ_FAULT_INJECTION=ON build measures the same counts.
-  constexpr long kMg1Busy = 0, kBatchBusy = 0, kFitSingle = 14, kFitBatch = 14;
+  // pass: B_L, B_{N+1}, one fit each), as measured when PhaseType's moments
+  // moved from a dense inverse to back substitution (GCC 12, libstdc++; 14
+  // per fit before). Each fit builds its PhaseType afresh: 6 allocations.
+  // No fault site sits on these calls, so a -DCSQ_FAULT_INJECTION=ON build
+  // measures the same counts.
+  constexpr long kMg1Busy = 0, kBatchBusy = 0, kFitSingle = 6, kFitBatch = 6;
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
   // Two warm-up calls, so one-time obs registrations are done.
   (void)analysis::analyze_cscq(config);

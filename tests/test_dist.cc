@@ -81,6 +81,10 @@ TEST(PhaseType, InvalidInputsThrow) {
                std::invalid_argument);
   EXPECT_THROW(PhaseType::coxian({1.0, 1.0}, {1.5}), std::invalid_argument);
   EXPECT_THROW(PhaseType({1.0}, linalg::Matrix{{1.0}}), std::invalid_argument);
+  // A phase that can return to an earlier one (lower-triangular rate): the
+  // moments are back-substituted, so T must be acyclic.
+  EXPECT_THROW(PhaseType({1.0, 0.0}, linalg::Matrix{{-2.0, 1.0}, {1.0, -3.0}}),
+               std::invalid_argument);
   const PhaseType d = PhaseType::exponential(1.0);
   EXPECT_THROW((void)d.moment(4), std::invalid_argument);
 }

@@ -20,10 +20,15 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,12 +54,31 @@ using durable::SweepCheckpoint;
 
 // --- helpers ---------------------------------------------------------------
 
-// Unique scratch path per call; the file itself is created by the code under
-// test. Leaks into the gtest temp dir, which the harness owns.
+// A directory of this process's own under the gtest temp dir, made fresh
+// by mkdtemp (so no earlier run's file, left under a recycled pid, can be
+// reopened and appended to) and removed with its contents at exit.
+struct ScratchDir {
+  std::string path;
+  ScratchDir() {
+    std::string name = ::testing::TempDir() + "csq_durable_XXXXXX";
+    if (::mkdtemp(name.data()) == nullptr)
+      throw std::runtime_error("mkdtemp failed for " + name + ": " + std::strerror(errno));
+    path = std::move(name);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
+
+// Unique scratch path per call, inside the process's ScratchDir; the file
+// itself is created by the code under test.
 std::string scratch_path(const std::string& tag) {
+  static const ScratchDir dir;
   static int counter = 0;
-  return ::testing::TempDir() + "csq_durable_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter++) + "_" + tag;
+  return dir.path + "/" + std::to_string(counter++) + "_" + tag;
 }
 
 std::string slurp(const std::string& path) {

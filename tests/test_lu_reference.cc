@@ -2,9 +2,9 @@
 // (linalg/lu.cc) against the column-at-a-time substitution they replaced,
 // kept below verbatim as the reference. Each column of the inverse sees the
 // same operations in the same order either way, so the two must agree bit
-// for bit: linalg::inverse, linalg::inverse_into and Lu::condition_estimate,
-// on seeded random matrices that force row pivoting and on the boundary
-// systems qbd::solve assembles for CS-ID chains.
+// for bit: linalg::inverse_into and Lu::condition_estimate, on seeded
+// random matrices that force row pivoting and on the boundary systems
+// qbd::solve assembles for CS-ID chains.
 //
 // tools/check_warnings.sh runs this suite in its portable
 // (-DCSQ_NATIVE_KERNELS=OFF) stage too, next to the golden pins.
@@ -123,12 +123,11 @@ void expect_same_bits(const Matrix& got, const Matrix& want, const std::string& 
     ASSERT_EQ(bits(got.data()[i]), bits(want.data()[i])) << what << ", entry " << i;
 }
 
-// inverse, inverse_into through scratch that last held another shape, and
-// the condition estimate, all against the reference.
+// inverse_into through scratch that last held another shape, and the
+// condition estimate, both against the reference.
 void expect_identical(const Matrix& a, const std::string& what, Matrix& dst, Matrix& lu,
                       std::vector<int>& perm) {
   const Matrix want = reference_inverse(a);
-  expect_same_bits(inverse(a), want, what + " (inverse)");
   inverse_into(dst, a, lu, perm);
   expect_same_bits(dst, want, what + " (inverse_into)");
   EXPECT_EQ(bits(Lu(a).condition_estimate()), bits(reference_condition(a))) << what;

@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/cscq.h"
 #include "analysis/csid.h"
@@ -100,13 +101,21 @@ TEST(Qbd, MalformedModelThrows) {
   EXPECT_THROW(solve(m2), std::invalid_argument);
 }
 
+// a^{-1} through fresh scratch.
+Matrix inverted(const Matrix& a) {
+  Matrix inv, lu;
+  std::vector<int> perm;
+  linalg::inverse_into(inv, a, lu, perm);
+  return inv;
+}
+
 // Reference R by plain functional iteration, R <- -(A0 + R² A2) A1⁻¹ from
 // R = 0, with generic products and no acceleration. It converges linearly
 // at rate ~ sp(R), so it is only a reference: run it to a tolerance far
 // below the one under test.
 Matrix functional_iteration_reference(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                                       double tolerance) {
-  const Matrix neg_a1_inv = (-1.0) * linalg::inverse(a1);
+  const Matrix neg_a1_inv = (-1.0) * inverted(a1);
   Matrix r(a0.rows(), a0.cols());
   for (int it = 0; it < 1000000; ++it) {
     Matrix next = (a0 + r * r * a2) * neg_a1_inv;
@@ -135,7 +144,7 @@ TEST(Qbd, LogarithmicReductionAgreesWithFunctionalIteration) {
   EXPECT_LT(linalg::max_abs_diff(r_lr, r_fi), 1e-12);
   EXPECT_LE(stats.residual, 1e-14);
   // G = (-(A1 + R A2))⁻¹ A2 must be stochastic for a recurrent chain.
-  const Matrix g = linalg::inverse((-1.0) * (a1 + r_lr * a2)) * a2;
+  const Matrix g = inverted((-1.0) * (a1 + r_lr * a2)) * a2;
   const auto rs = g.row_sums();
   EXPECT_NEAR(rs[0], 1.0, 1e-12);
   EXPECT_NEAR(rs[1], 1.0, 1e-12);

@@ -187,6 +187,25 @@ TEST_F(ResilientChaos, ArmRejectsAnUnknownSite) {
   EXPECT_EQ(fault::armed_sites(), std::vector<std::string>{"qbd.logred.iterate"});
 }
 
+// `nan` needs matrix data to poison: arming it at a plain site is refused
+// up front (InvalidInput, exit 2 from the tools), never an Internal error
+// when the site is first hit.
+TEST_F(ResilientChaos, ArmRejectsNanAtAPlainSite) {
+  try {
+    fault::arm(fault::parse_arm_spec("analysis.cscq.solve:1:nan"));
+    FAIL() << "expected InvalidInputError";
+  } catch (const InvalidInputError& e) {
+    EXPECT_NE(std::string(e.what()).find("'analysis.cscq.solve' with 'nan'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fault::armed_sites().empty());
+  const analysis::CscqResult r = analysis::analyze_cscq(clean_config());
+  EXPECT_TRUE(std::isfinite(r.metrics.shorts.mean_response));
+  // The other kinds still arm there.
+  fault::arm(fault::parse_arm_spec("analysis.cscq.solve:1:burn:1"));
+  EXPECT_EQ(fault::armed_sites(), std::vector<std::string>{"analysis.cscq.solve"});
+}
+
 TEST_F(ResilientChaos, ExactRungFaultFallsBackToTruncated) {
   fault::arm(fault::parse_arm_spec("analysis.cscq.solve:1:throw:NotConverged"));
   const ResilientResult r = analyze_resilient(clean_config(), fast_sim_opts());

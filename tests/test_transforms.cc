@@ -36,10 +36,13 @@ TEST(BusyPeriod, UnstableThrows) {
 }
 
 TEST(DelayCycle, SingleJobInitialWorkEqualsBusyPeriod) {
+  // A window too short for any of its moments to register leaves the
+  // initial work at one job, W = X to the last bit, and a delay cycle
+  // started by one job's work is B_L.
   const dist::Moments job{1.0, 9.0, 250.0};
   const double lambda = 0.6;
-  const jets::Jet w = jets::lst_from_moments(job.m1, job.m2, job.m3);
-  const dist::Moments via_delay = delay_cycle(w, job, lambda);
+  const dist::Moments via_delay =
+      batch_busy_period_window(job, lambda, dist::Moments{1e-300, 0.0, 0.0});
   const dist::Moments direct = mg1_busy_period(job, lambda);
   EXPECT_NEAR(via_delay.m1, direct.m1, 1e-10 * direct.m1);
   EXPECT_NEAR(via_delay.m2, direct.m2, 1e-10 * direct.m2);
@@ -58,27 +61,29 @@ TEST(BatchBusyPeriod, LargeDeltaReducesToSingleBusyPeriod) {
 }
 
 TEST(BatchBusyPeriod, InitialWorkMeanClosedForm) {
-  // E[W] = (1 + E[N]) E[X] with E[N] = lambda/delta.
+  // E[W] = (1 + E[N]) E[X] with E[N] = lambda E[Theta], here for a fixed
+  // window Theta = 1.7, and every unit of W starts a B_L-scaled drain:
+  // E[B_{N+1}] = E[W] / (1 - rho).
   const dist::Moments job{2.0, 12.0, 120.0};
-  const double lambda = 0.3, delta = 1.7;
-  const jets::Jet w = batch_initial_work_lst(job, lambda, delta);
-  const auto m = jets::moments_from_lst(w);
-  EXPECT_NEAR(m.m1, (1.0 + lambda / delta) * job.m1, 1e-12);
+  const double lambda = 0.3, theta = 1.7;
+  const dist::Moments b =
+      batch_busy_period_window(job, lambda, {theta, theta * theta, theta * theta * theta});
+  const double mean_work = (1.0 + lambda * theta) * job.m1;
+  EXPECT_NEAR(b.m1, mean_work / (1.0 - lambda * job.m1), 1e-12 * b.m1);
 }
 
 TEST(BatchBusyPeriod, MeanMatchesWorkConservation) {
-  // E[B_{N+1}] = E[W]/(1 - rho).
+  // E[B_{N+1}] = E[W]/(1 - rho), E[W] = (1 + lambda/delta) E[X].
   const dist::Moments job{1.0, 9.0, 250.0};
   const double lambda = 0.5, delta = 2.0;
-  const jets::Jet w = batch_initial_work_lst(job, lambda, delta);
-  const auto wm = jets::moments_from_lst(w);
+  const double mean_work = (1.0 + lambda / delta) * job.m1;
   const dist::Moments b = batch_busy_period(job, lambda, delta);
-  EXPECT_NEAR(b.m1, wm.m1 / (1.0 - lambda * job.m1), 1e-10);
+  EXPECT_NEAR(b.m1, mean_work / (1.0 - lambda * job.m1), 1e-10);
 }
 
 // Monte-Carlo oracle: simulate the batch busy period directly and compare
-// the first two moments. This is the strongest check that the jet-based
-// transform composition implements the right random variable.
+// the first two moments. This is the strongest check that the closed forms
+// describe the right random variable.
 TEST(BatchBusyPeriod, MonteCarloAgreement) {
   const double mu_l = 1.0;       // exponential long jobs, mean 1
   const double lambda = 0.5;     // long arrival rate

@@ -24,10 +24,11 @@
 #                                                        (CSQ_SKIP_OBS=1)
 #   portable    -DCSQ_NATIVE_KERNELS=OFF build with normal flags: the golden
 #               pins (ChainPins and Fig 3-6 at relative tolerances 1e-12 /
-#               1e-6; SimPins, all three tables, exact), the Coxian fit's
-#               and the LU inverse's references, the RNG stream's known
-#               answers and draw counts, and the sweep determinism suite
-#               must pass without the native per-file flags
+#               1e-6; SimPins, all three tables, exact), the Coxian fit's,
+#               the LU inverse's, the busy periods' and the PH moments'
+#               references, the RNG stream's known answers and draw counts,
+#               and the sweep determinism suite must pass without the
+#               native per-file flags
 #   bench       fresh guarded-benchmark run vs newest committed BENCH_*.json;
 #               fails if BM_AnalyzeCscq (+10%), BM_AnalyzeBatch30 (+15%) or
 #               the 1-thread sweep panel (+15%) regresses, or if
@@ -222,9 +223,9 @@ fi
 
 # --- stage 8: portable (native kernels off, same bits) ------------------------
 # Every other stage builds the solver and simulator hot files with
-# -march=native -ffp-contract=off. The pinned figures, the Coxian fit's
-# and the LU inverse's references and the sweep determinism suite must also
-# pass in a build without those flags. ChainPins and the figure pins
+# -march=native -ffp-contract=off. The pinned figures, the Coxian fit's,
+# the LU inverse's, the busy periods' and the PH moments' references and the
+# sweep determinism suite must also pass in a build without those flags. ChainPins and the figure pins
 # compare at a relative tolerance, so they are not a bit check; SimPins
 # compare every field with EXPECT_EQ, so passing them here and in the
 # default build is an exact native-vs-portable check of the simulator's
@@ -233,6 +234,9 @@ fi
 # file not). The closed-form Coxian fit has no native flags, and its
 # std::fma calls round correctly in either build; CoxianFitReference checks
 # its verdicts and accuracy against the retired grid scan, in both builds.
+# BusyPeriodReference and PhaseTypeReference hold the closed-form busy
+# periods and PhaseType's back-substituted moments (dist/phase_type.cc is a
+# native file) to 16 ulp of the jet composition and the dense inverse.
 # RngStream pins the generator's first outputs and the words one sample
 # consumes, so a SimPins failure here can be told from a stream change.
 portable_dir="$repo_root/build-portable"
@@ -241,9 +245,9 @@ cmake -B "$portable_dir" -S "$repo_root" -DCSQ_NATIVE_KERNELS=OFF -DCSQ_WERROR=O
 cmake --build "$portable_dir" -j --target csq_golden_tests csq_tests \
   || fail "portable (build)"
 (cd "$portable_dir" && ctest -L golden --output-on-failure) || fail "portable (golden suite)"
-(cd "$portable_dir" && ctest -R '^(CoxianFitReference|LuReference|SweepDeterminism|RngStream)\.' \
-  --output-on-failure) || fail "portable (fit and LU references + sweep determinism + RNG stream)"
-note "PASS  portable    (golden and sim pins, fit and LU references, sweep determinism, RNG stream with CSQ_NATIVE_KERNELS=OFF)"
+(cd "$portable_dir" && ctest -R '^(CoxianFitReference|LuReference|BusyPeriodReference|PhaseTypeReference|SweepDeterminism|RngStream)\.' \
+  --output-on-failure) || fail "portable (fit, LU, busy-period and PH references + sweep determinism + RNG stream)"
+note "PASS  portable    (golden and sim pins, fit, LU, busy-period and PH references, sweep determinism, RNG stream with CSQ_NATIVE_KERNELS=OFF)"
 
 # --- stage 9: bench (perf regression gate) -----------------------------------
 if [ "${CSQ_SKIP_BENCH:-0}" = "1" ]; then
