@@ -68,7 +68,8 @@ int main() {
   for (const double rho_s : {0.8, 1.0, 1.2}) {
     const SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, mean_s, mean_l, scv_l);
     const analysis::CscqResult r = analysis::analyze_cscq(c);
-    tail.add_row({rho_s, r.short_count_decay, static_cast<double>(r.short_count_p99)});
+    tail.add_row(
+        {rho_s, r.chain.tail_decay_rate(), static_cast<double>(r.chain.level_quantile(0.99))});
   }
   tail.print(std::cout);
   return 0;

@@ -181,7 +181,6 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
     const std::size_t b1_base = k + (kl + kp) * k;     // boundary level 1
     const std::size_t b0_base = 1 + kl + kp;           // boundary level 0
     const std::size_t m = m_base * v;
-    res.num_phases = m;
 
     const auto rep_a = [&](std::size_t pid) { return pid; };
     const auto rep_w = [&](std::size_t pid) { return p + pid; };
@@ -318,11 +317,8 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
     }
 
     CSQ_FAULT_POINT(kAnalysisCscqSolve);
-    const qbd::Solution sol = qbd::solve(model, opts.qbd);
-    res.solve_stats = sol.stats;
-    res.qbd_mass_error = std::abs(sol.total_mass() - 1.0);
-    res.short_count_decay = sol.tail_decay_rate();
-    res.short_count_p99 = sol.level_quantile(0.99);
+    res.chain = qbd::solve(model, opts.qbd);
+    const qbd::Solution& sol = res.chain;
 
     // --- short jobs: Little's law on the exact short-job count ---------------
     res.metrics.shorts =

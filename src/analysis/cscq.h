@@ -43,8 +43,6 @@
 // three moments only.
 #pragma once
 
-#include <cstddef>
-
 #include "core/config.h"
 #include "dist/moment_match.h"
 #include "qbd/qbd.h"
@@ -69,16 +67,15 @@ struct CscqResult {
   dist::Moments busy_batch;   // B_{N+1} moments
   dist::FitReport fit_single;
   dist::FitReport fit_batch;
-  double qbd_mass_error = 0.0;  // |total stationary mass - 1|
-  std::size_t num_phases = 0;   // repeating-level phase count
-  int window_iterations = 0;    // Theta fixed-point passes (1 for exponential shorts)
-  qbd::SolveStats solve_stats;  // R-solver stage, residual, condition estimate
+  int window_iterations = 0;  // Theta fixed-point passes (1 for exponential shorts)
 
-  // Short-job queue-length distribution (the chain tracks it exactly):
-  // P(N_S = n) ~ c * decay^n asymptotically, and the 99th percentile of the
-  // short-job count — the backlog a provisioner must absorb.
-  double short_count_decay = 0.0;
-  std::size_t short_count_p99 = 0;
+  // The solved chain of the last window pass. Its level is the short-job
+  // count, which the chain tracks exactly: chain.tail_decay_rate() is the
+  // decay in P(N_S = n) ~ c * decay^n and chain.level_quantile(0.99) the
+  // backlog a provisioner must absorb, both computed on demand. chain.stats
+  // holds the solver's drift, doubling steps, residual and boundary condition
+  // estimate, and chain.r.rows() is the repeating-level phase count.
+  qbd::Solution chain;
 };
 
 // Throws csq::UnstableError (a std::domain_error) outside the stability

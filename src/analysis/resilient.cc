@@ -125,11 +125,11 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
             ? opts.budget.slice_ms(opts.budget.remaining_ms() * kExactBudgetFraction)
             : opts.budget;
     const bool ok = attempt(Rung::kExact, [&] {
-      const CscqResult r = analyze_cscq(config, copts);
+      CscqResult r = analyze_cscq(config, copts);
       const SolverStatus v = verify_metrics(r.metrics, config, opts.verify);
       if (!v.ok()) throw VerificationFailedError(v.message, v.diagnostics);
       res.metrics = r.metrics;
-      res.solve_stats = r.solve_stats;
+      res.solve_stats = std::move(r.chain.stats);
       res.rung_used = Rung::kExact;
     });
     if (ok) return res;

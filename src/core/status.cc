@@ -98,7 +98,6 @@ std::string Diagnostics::to_json() const {
   };
   if (iterations >= 0) field("iterations", std::to_string(iterations), false);
   if (has(residual)) field("residual", fmt(residual), false);
-  if (has(spectral_radius)) field("spectral_radius", fmt(spectral_radius), false);
   if (has(condition_estimate)) field("condition_estimate", fmt(condition_estimate), false);
   if (has(rho_short)) field("rho_short", fmt(rho_short), false);
   if (has(rho_long)) field("rho_long", fmt(rho_long), false);

@@ -1,8 +1,8 @@
 // Structured error taxonomy and solver diagnostics.
 //
 // Every numerical failure in the library is classified by an ErrorCode and
-// carries a Diagnostics payload (iteration counts, residuals, spectral-radius
-// and condition estimates, offered loads) so callers can distinguish "your
+// carries a Diagnostics payload (iteration counts, residuals, condition
+// estimates, offered loads) so callers can distinguish "your
 // input is outside the stability region" from "the solver gave up" and react
 // programmatically — retry with different options, fall back to simulation,
 // or report structured errors upstream (csq_cli --json-errors).
@@ -43,7 +43,9 @@ enum class ErrorCode {
 
 // How much self-verification analyze()/qbd::solve() run on their results.
 //   kNone  — trust the solver.
-//   kBasic — mass ≈ 1, no negative probabilities, sp(R) < 1, finite values.
+//   kBasic — mass ≈ 1, no negative probabilities, finite values, and
+//            sp(R) < 1 certified by R >= 0 and (I - R)^{-1} 1 >= 1, with
+//            1 - sp(R) not finer than the R solve resolves.
 //   kFull  — kBasic plus the R-equation residual and moment sanity checks.
 enum class VerifyLevel { kNone = 0, kBasic, kFull };
 
@@ -52,7 +54,6 @@ enum class VerifyLevel { kNone = 0, kBasic, kFull };
 struct Diagnostics {
   long iterations = -1;              // iterations spent by the failing stage
   double residual = kUnset;          // e.g. ‖A0 + R A1 + R² A2‖_max
-  double spectral_radius = kUnset;   // sp(R) estimate (Gelfand squaring)
   double condition_estimate = kUnset;  // 1-norm condition estimate
   double rho_short = kUnset;
   double rho_long = kUnset;

@@ -37,8 +37,6 @@ enum class MetricKind { kCounter, kGauge, kSpan };
   X(kQbdSolveBoundary,          "qbd.solve.boundary",          kSpan)     \
   X(kQbdSolveCalls,             "qbd.solve.calls",             kCounter)  \
   X(kQbdSolveLogred,            "qbd.solve.logred",            kSpan)     \
-  X(kQbdSolveSpectral,          "qbd.solve.spectral",          kSpan)     \
-  X(kQbdSpectralSquarings,      "qbd.spectral.squarings",      kCounter)  \
   X(kQbdWorkspaceResizes,       "qbd.workspace.resizes",       kCounter)  \
   X(kResilientAttemptsCount,    "resilient.attempts.count",    kCounter)  \
   X(kResilientRungUsed,         "resilient.rung.used",         kGauge)    \

@@ -57,10 +57,9 @@ struct Workspace {
   Matrix hh, ll, hl, lh;  // squares and cross terms
   Matrix inv;             // (I - U)^{-1} of the step, and the per-solve inverses
   Matrix prod;            // generic product scratch
+  Matrix sq;              // R² for the residual
   Matrix lu;              // in-place LU factors behind every inverse
   std::vector<int> perm;  // the factors' row permutation
-  Matrix pow, sq;         // spectral probe: normalized m^(2^k) and its square
-  std::vector<double> row, share, profile;  // the probe's row statistics
 };
 
 // ‖A0 + R A1 + R² A2‖_max — how well R solves its defining equation —
@@ -85,6 +84,35 @@ double r_residual(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Ma
 Workspace& thread_workspace() {
   thread_local Workspace ws;
   return ws;
+}
+
+struct Drift {
+  double up = 0.0, down = 0.0;  // alpha A0 1 and alpha A2 1
+};
+
+// The level's mean up- and down-rates under alpha, the stationary vector of
+// the phase process A0 + A1 + A2 (a1 with its diagonal, so rows sum to zero).
+// Replacing the generator's last column by ones turns alpha A = 0, alpha 1 = 1
+// into alpha B = e_{m-1}, so alpha is the last row of B^{-1}: one LU in the
+// thread scratch. B is nonsingular when the phase process has a single closed
+// class; transient phases (CS-CQ's L phases, which only the boundary enters)
+// get alpha = 0.
+Drift mean_drift(const Matrix& a0, const Matrix& a1, const Matrix& a2, Workspace& ws) {
+  const std::size_t m = a0.rows();
+  ws.lh = a0;
+  ws.lh += a1;
+  ws.lh += a2;
+  for (std::size_t i = 0; i < m; ++i) ws.lh(i, m - 1) = 1.0;
+  linalg::inverse_into(ws.inv, ws.lh, ws.lu, ws.perm);
+  Drift d;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double alpha = ws.inv(m - 1, i);
+    for (std::size_t j = 0; j < m; ++j) {
+      d.up += alpha * a0(i, j);
+      d.down += alpha * a2(i, j);
+    }
+  }
+  return d;
 }
 
 struct LogRedOutcome {
@@ -162,7 +190,6 @@ Diagnostics SolveStats::to_diagnostics() const {
   Diagnostics d;
   d.iterations = iterations;
   d.residual = residual;
-  d.spectral_radius = spectral_radius;
   d.condition_estimate = boundary_condition;
   // Move-assign a temporary: assigning the const char* directly trips a
   // GCC 12 -Wrestrict false positive inside std::string::_M_replace.
@@ -171,98 +198,34 @@ Diagnostics SolveStats::to_diagnostics() const {
   return d;
 }
 
-double spectral_radius_estimate(const Matrix& m, int max_iterations, double tolerance,
-                                bool* converged_out, int* iterations_out,
-                                const RunBudget& budget) {
-  // Gelfand's formula with repeated squaring: after k squarings the stored
-  // matrix is a normalized m^(2^k), and L_k = log ||m^(2^k)|| / 2^k tends to
-  // log sp(m) geometrically in k for every spectrum, defective eigenvalues
-  // and equal-modulus complex pairs included (plain power iteration stalls
-  // at O(1/iters) there). The Richardson step 2 L_k - L_{k-1} cancels L_k's
-  // leading c / 2^k error, so the estimate settles in ~10 squarings, not ~36.
-  // It reads only the maximal row, so a calm step also needs settled rows: a
-  // growing row share is a larger eigenvalue behind a weaker row, and a
-  // moving maximal-row profile a second eigenvalue close enough for the
-  // estimate to plateau off the answer (CS-ID's R has pairs 1e-7 apart).
-  // Below 2^k = n a Jordan block looks converged (its row sums are exactly
-  // (lambda + 1)^(2^k)), two calm steps in a row guard against a chance
-  // agreement, and rows of a non-real dominant pair oscillate for ever, so
-  // at the cap a calm estimate stands.
-  const std::size_t n = m.rows();
-  CSQ_OBS_SPAN(kQbdSolveSpectral);
-  bool converged = false;
-  int iterations = 0;
-  double estimate = 0.0;
-  if (n == 0) {
-    converged = true;
-  } else {
-    Workspace& ws = thread_workspace();
-    Matrix& p = ws.pow;
-    p = m;
-    // Row sums of p; each row's share of ||p|| and the maximal row over
-    // ||p||, both from the previous step.
-    ws.row.resize(n);
-    ws.share.assign(n, 0.0);
-    ws.profile.assign(n, 0.0);
-    // log_est accumulates L_k across the normalizations.
-    double log_est = 0.0;
-    double scale = 1.0;  // 2^-k
-    double prev = std::numeric_limits<double>::infinity();
-    int calm = 0;  // consecutive steps whose estimate moved less than the tolerance
-    // 2^60 effective power puts the defectiveness error far below 1e-12;
-    // honour a smaller caller-provided iteration cap.
-    const int max_squarings = std::min(max_iterations, 60);
-    for (int k = 0; k <= max_squarings; ++k) {
-      if (budget.interrupted()) break;  // best effort; caller decides
-      iterations = k;
-      double c = 0.0;  // ||p||_inf, attained first at row `top`
-      std::size_t top = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double s = 0.0;
-        for (std::size_t j = 0; j < n; ++j) s += std::abs(p(i, j));
-        ws.row[i] = s;
-        if (s > c) {
-          c = s;
-          top = i;
-        }
-      }
-      if (num::exactly_zero(c)) {  // m^(2^k) == 0: nilpotent, sp = 0
-        estimate = 0.0;
-        converged = true;
-        break;
-      }
-      const double prev_log = log_est;
-      log_est += std::log(c) * scale;
-      estimate = std::exp(k == 0 ? log_est : 2.0 * log_est - prev_log);
-      const bool calm_step = scale * static_cast<double>(n) <= 1.0 &&
-                             std::abs(estimate - prev) < tolerance * std::max(estimate, 1.0);
-      calm = calm_step ? calm + 1 : 0;
-      const double allowed = tolerance / scale;
-      bool settled = true;
-      double moved = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double q = ws.row[i] / c;
-        settled = settled && q <= ws.share[i] * (1.0 + allowed);
-        ws.share[i] = q;
-        const double v = std::abs(p(top, i)) / c;
-        moved += std::abs(v - ws.profile[i]);
-        ws.profile[i] = v;
-      }
-      if (calm >= 2 && ((settled && moved <= allowed) || k == max_squarings)) {
-        converged = true;
-        break;
-      }
-      prev = estimate;
-      p *= 1.0 / c;
-      linalg::multiply_into_dense(ws.sq, p, p);
-      std::swap(p, ws.sq);
-      scale *= 0.5;
+double spectral_radius_estimate(const Matrix& m) {
+  // After k squarings p is m^(2^k) over the norms divided out so far, times
+  // 2^(2 shift), and log ||m^(2^k)||_inf / 2^k accumulates in log_est. A
+  // normalized power that is nearly nilpotent (a Jordan block's) squares to
+  // a tiny norm, so its smallest entries would underflow; scaling it by
+  // 2^shift ~ 1 / sqrt(norm) before squaring keeps them. Power-of-two
+  // scaling rounds nothing, so it moves no bits of the plain squaring.
+  Matrix p = m, sq;
+  double log_est = 0.0;
+  double scale = 1.0;  // 2^-k
+  int shift = 0;
+  for (int k = 0; k <= 60; ++k) {
+    double c = 0.0;
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < p.cols(); ++j) s += std::abs(p(i, j));
+      c = std::max(c, s);
     }
+    if (num::exactly_zero(c)) return 0.0;  // m^(2^k) == 0: nilpotent
+    const double norm = std::ldexp(c, -2 * shift);
+    log_est += std::log(norm) * scale;
+    shift = -std::ilogb(norm) / 2;
+    p *= std::ldexp(1.0 / c, shift);
+    linalg::multiply_into_dense(sq, p, p);
+    std::swap(p, sq);
+    scale *= 0.5;
   }
-  if (converged_out) *converged_out = converged;
-  if (iterations_out) *iterations_out = iterations;
-  CSQ_OBS_COUNT_N(kQbdSpectralSquarings, iterations);
-  return estimate;
+  return std::exp(log_est);
 }
 
 double Solution::mean_level() const {
@@ -292,13 +255,7 @@ double Solution::level_tail(std::size_t n) const {
   return linalg::sum(v * i_minus_r_inv);
 }
 
-double Solution::tail_decay_rate() const {
-  // solve_r already ran the same estimator (at most 60 squarings, 1e-12) on
-  // this R; reuse its result instead of re-estimating per query. Hand-built
-  // Solutions (tests, cross-checks) have no stats and estimate fresh.
-  if (stats.spectral_radius >= 0.0) return stats.spectral_radius;
-  return spectral_radius_estimate(r);
-}
+double Solution::tail_decay_rate() const { return spectral_radius_estimate(r); }
 
 std::size_t Solution::level_quantile(double q) const {
   if (!(q > 0.0 && q < 1.0))  // also rejects NaN
@@ -362,10 +319,27 @@ SolverStatus Solution::verify(VerifyLevel level) const {
   if (!std::isfinite(mass) || std::abs(mass - 1.0) > 1e-6)
     failures.push_back("total mass " + fmt(mass) + " not within 1e-6 of 1");
 
-  const double sp =
-      stats.spectral_radius >= 0.0 ? stats.spectral_radius : spectral_radius_estimate(r);
-  if (!(sp < 1.0))
-    failures.push_back("spectral radius of R " + fmt(sp) + " not < 1");
+  // sp(R) < 1 by a Collatz–Wielandt certificate: for R >= 0, the vector
+  // x = (I - R)^{-1} 1 has x >= 1 iff sp(R) < 1 (x = sum_j R^j 1), and then
+  // R x = x - 1 <= (1 - 1 / max x) x gives sp(R) <= 1 - 1 / max x. A gap
+  // 1 - sp(R) below sqrt(eps) (max x above 2^26) is finer than R resolves:
+  // at max x ~ 4e7 a CS-CQ mean response is 2% off, at 2e8 a factor 2.
+  double r_min = 0.0;
+  for (const double v : r.data()) r_min = std::min(r_min, v);
+  double x_min = std::numeric_limits<double>::infinity();
+  double x_max = 0.0;
+  for (std::size_t i = 0; i < i_minus_r_inv.rows(); ++i) {
+    double x = 0.0;
+    for (std::size_t j = 0; j < i_minus_r_inv.cols(); ++j) x += i_minus_r_inv(i, j);
+    x_min = std::min(x_min, x);
+    x_max = std::max(x_max, x);
+  }
+  if (r_min < -kNegTol || !(x_min >= 1.0 - kNegTol))
+    failures.push_back("sp(R) < 1 not certified (min R entry " + fmt(r_min) +
+                       ", min (I - R)^-1 1 entry " + fmt(x_min) + ")");
+  else if (x_max > 0x1p26)
+    failures.push_back("1 - sp(R) below R's precision ((I - R)^-1 1 reaches " + fmt(x_max) +
+                       " > 2^26)");
 
   if (level == VerifyLevel::kFull) {
     if (stats.residual >= 0.0 && stats.residual > 1e-6)
@@ -391,9 +365,9 @@ SolverStatus Solution::verify(VerifyLevel level) const {
 Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Options& opts,
                SolveStats* stats_out) {
   const std::size_t m = a0.rows();
-  require(a0.cols() == m && a1.rows() == m && a1.cols() == m && a2.rows() == m &&
+  require(m > 0 && a0.cols() == m && a1.rows() == m && a1.cols() == m && a2.rows() == m &&
               a2.cols() == m,
-          "solve_r: blocks must be square and same size");
+          "solve_r: blocks must be square, nonempty and same size");
   Workspace& ws = thread_workspace();
   SolveStats stats;
   CSQ_OBS_COUNT(kQbdSolveCalls);
@@ -410,14 +384,13 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
     return d;
   };
 
-  // Interrupted exit: let the budget throw the matching taxonomy error
-  // (CancelledError / DeadlineExceededError) carrying the partial stats.
-  const auto throw_interrupted = [&](const std::string& where) {
-    stats.trail.push_back(where + ": interrupted by " +
-                          (opts.budget.cancelled() ? "cancellation" : "deadline"));
-    opts.budget.check(where, fail_diagnostics());
-    throw InternalError("solve_r: interrupted exit taken without an interrupted budget");
-  };
+  // Positive recurrence is the mean drift's sign; decide it before iterating.
+  const Drift drift = mean_drift(a0, a1, a2, ws);
+  stats.drift = drift.up - drift.down;
+  if (stats.drift >= 0.0)
+    throw UnstableError("solve_r: mean up-rate " + fmt(drift.up) + " >= mean down-rate " +
+                            fmt(drift.down) + " (QBD not positive recurrent)",
+                        fail_diagnostics());
 
   const LogRedOutcome lr = solve_g_logred(a0, a1, a2, opts, ws);
   stats.iterations = lr.steps;
@@ -425,12 +398,20 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   std::snprintf(line, sizeof line, "logarithmic_reduction: %d doubling steps (last update %g)",
                 lr.steps, lr.last_update);
   stats.trail.emplace_back(line);
-  if (lr.interrupted) throw_interrupted("solve_r/logarithmic_reduction");
+  if (lr.interrupted) {
+    // Let the budget throw the matching taxonomy error (CancelledError /
+    // DeadlineExceededError) carrying the partial stats.
+    stats.trail.push_back(std::string("solve_r/logarithmic_reduction: interrupted by ") +
+                          (opts.budget.cancelled() ? "cancellation" : "deadline"));
+    opts.budget.check("solve_r/logarithmic_reduction", fail_diagnostics());
+    throw InternalError("solve_r: interrupted exit taken without an interrupted budget");
+  }
   if (!lr.finite)
     throw NotConvergedError("solve_r: logarithmic reduction produced a non-finite iterate",
                             fail_diagnostics());
 
-  // R = A0 (-A1 - A0 G)^{-1}, also from a capped G (see below).
+  // R = A0 (-A1 - A0 G)^{-1}, also from a capped G: its residual goes into the
+  // NotConverged diagnostics.
   linalg::multiply_into_dense(ws.prod, a0, ws.g);
   ws.lh = a1;
   ws.lh *= -1.0;
@@ -439,32 +420,6 @@ Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2, const Optio
   Matrix r;
   linalg::multiply_into_dense(r, a0, ws.inv);
   stats.residual = r_residual(a0, a1, a2, r, ws);
-
-  // sp(R) with a trusted convergence status: an unconverged estimate is a
-  // structured failure, never a silent answer. It is the instability
-  // arbiter: sp(R) >= 1 means the chain is not positive recurrent, whatever
-  // the iteration did.
-  bool sp_converged = false;
-  int sp_iters = 0;
-  stats.spectral_radius =
-      spectral_radius_estimate(r, 60, 1e-12, &sp_converged, &sp_iters, opts.budget);
-  if (!sp_converged) {
-    stats.trail.push_back("spectral-radius estimate exhausted after " +
-                          std::to_string(sp_iters) + " squarings (last estimate " +
-                          fmt(stats.spectral_radius) + ")");
-    if (opts.budget.interrupted()) throw_interrupted("solve_r/spectral_radius");
-    Diagnostics d = fail_diagnostics();
-    d.iterations = sp_iters;
-    throw NotConvergedError("solve_r: spectral-radius estimate did not converge",
-                            std::move(d));
-  }
-  // A capped G is a partial sum of the minimal G, and R grows with G, so a
-  // capped solve of a positive-recurrent chain can only underestimate sp(R):
-  // the check below never calls such a chain unstable.
-  if (stats.spectral_radius >= 1.0 - 1e-10)
-    throw UnstableError("solve_r: spectral radius " + fmt(stats.spectral_radius) +
-                            " >= 1 (QBD not positive recurrent)",
-                        fail_diagnostics());
   if (!lr.converged)
     throw NotConvergedError("solve_r: logarithmic reduction did not converge in " +
                                 std::to_string(opts.max_iterations) + " doubling steps",

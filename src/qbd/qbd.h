@@ -7,14 +7,17 @@
 // is the minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0
 // (Neuts 1981; Latouche & Ramaswami 1999).
 //
-// R comes from one solver: logarithmic reduction (Latouche & Ramaswami 1999,
-// Ch. 8), which converges quadratically, so a solve takes a few dozen
-// doubling steps at most, also where sp(R) -> 1 near the stability frontier.
-// SolveStats records its diagnostics. Failures throw the structured taxonomy
-// of core/status.h; solutions can be self-verified via Solution::verify().
+// Positive recurrence is decided first, by the level's mean drift (Neuts
+// 1981; Latouche & Ramaswami 1999, Thm 7.2.3). R then comes from one solver:
+// logarithmic reduction (Latouche & Ramaswami 1999, Ch. 8), which converges
+// quadratically, so a solve takes a few dozen doubling steps at most, also
+// where sp(R) -> 1 near the stability frontier. SolveStats records its
+// diagnostics. Failures throw the structured taxonomy of core/status.h;
+// solutions can be self-verified via Solution::verify().
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -57,10 +60,10 @@ struct Options {
   int max_iterations = 64;
   // Self-verification level applied by solve() to its Solution.
   VerifyLevel verify = VerifyLevel::kBasic;
-  // Wall-clock/cancellation budget. The loops poll it (every doubling step,
-  // every spectral-radius squaring) and throw csq::DeadlineExceededError /
-  // csq::CancelledError with the partial SolveStats accumulated so far.
-  // Default: unlimited.
+  // Wall-clock/cancellation budget. Logarithmic reduction polls it every
+  // doubling step and the boundary solve once before it starts; both throw
+  // csq::DeadlineExceededError / csq::CancelledError with the partial
+  // SolveStats accumulated so far. Default: unlimited.
   RunBudget budget;
 };
 
@@ -68,7 +71,10 @@ struct Options {
 struct SolveStats {
   int iterations = 0;                 // logarithmic-reduction doubling steps
   double residual = -1.0;             // ‖A0 + R A1 + R² A2‖_max at acceptance
-  double spectral_radius = -1.0;      // sp(R), extrapolated Gelfand estimate
+  // The level's mean drift alpha A0 1 - alpha A2 1, where alpha is the
+  // stationary vector of A0 + A1 + A2: negative iff the chain is positive
+  // recurrent. NaN until solve_r computes it.
+  double drift = std::numeric_limits<double>::quiet_NaN();
   double boundary_condition = -1.0;   // condition estimate of the boundary solve
   std::vector<std::string> trail;     // human-readable solver notes
 
@@ -91,13 +97,14 @@ struct Solution {
   [[nodiscard]] double level_tail(std::size_t n) const;
 
   // Asymptotic decay rate of the level distribution: the spectral radius of
-  // R, so P(level = n) ~ c * rate^n for large n. Returns the estimate the
-  // solver already computed (stats.spectral_radius, same estimator and
-  // tolerance); falls back to a fresh estimate for hand-built Solutions.
+  // R, so P(level = n) ~ c * rate^n for large n. Computed on each call by
+  // spectral_radius_estimate; no solve computes it.
   [[nodiscard]] double tail_decay_rate() const;
 
   // Smallest n with P(level <= n) >= q (q in (0,1)); e.g. q = 0.99 bounds
-  // the backlog a provisioner must absorb.
+  // the backlog a provisioner must absorb. Walks the levels one at a time,
+  // so near the stability frontier it costs O(1 / (1 - sp(R))) vector-matrix
+  // products.
   [[nodiscard]] std::size_t level_quantile(double q) const;
 
   // Stationary mass of each repeating-portion phase, summed over all levels
@@ -107,14 +114,17 @@ struct Solution {
   // Total stationary mass (== 1 up to numerical error; used by tests).
   [[nodiscard]] double total_mass() const;
 
-  // Self-verification: total mass ≈ 1, no negative probabilities, sp(R) < 1,
-  // finite values; kFull adds the R-equation residual and E[level] sanity.
+  // Self-verification: total mass ≈ 1, no negative probabilities, finite
+  // values, and sp(R) < 1 certified from R and (I - R)^{-1} alone: R >= 0
+  // and x = (I - R)^{-1} 1 >= 1 entrywise (Collatz–Wielandt; then
+  // sp(R) <= 1 - 1 / max x), with max x <= 2^26, the largest the R solve
+  // resolves. kFull adds the R-equation residual and E[level] sanity.
   // Returns kOk or kVerificationFailed with the failing checks in the notes.
   [[nodiscard]] SolverStatus verify(VerifyLevel level = VerifyLevel::kFull) const;
 };
 
 // Solve the QBD. Throws csq::UnstableError if the process is not positive
-// recurrent (sp(R) >= 1), csq::NotConvergedError when R cannot be computed
+// recurrent (see solve_r), csq::NotConvergedError when R cannot be computed
 // (see solve_r), csq::InvalidInputError for malformed models,
 // csq::VerificationFailedError when opts.verify rejects the solution, and
 // csq::DeadlineExceededError / csq::CancelledError when opts.budget is
@@ -127,33 +137,23 @@ struct Solution {
 [[nodiscard]] Solution solve(const Model& model, const Options& opts = {});
 
 // Minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0. a1 must carry its
-// diagonal. Logarithmic reduction computes G (A2 + A1 G + A0 G^2 = 0, the
+// diagonal. Before any iteration, throws csq::UnstableError when the mean
+// drift alpha A0 1 - alpha A2 1 is >= 0, alpha being the stationary vector of
+// A0 + A1 + A2 (one bordered LU; the phase process must have a single closed
+// class). Logarithmic reduction then computes G (A2 + A1 G + A0 G^2 = 0, the
 // first-passage probabilities down a level) and R = A0 (-A1 - A0 G)^{-1};
 // diagnostics are written to *stats_out when given. Throws
 // csq::NotConvergedError when the doubling steps hit opts.max_iterations,
-// an iterate turns non-finite, or R misses the residual bound — never
-// csq::UnstableError for those: only sp(R) >= 1 is instability. Shares
+// an iterate turns non-finite, or R misses the residual bound. Shares
 // solve()'s other throws, plus csq::IllConditionedError when a linear solve
 // degenerates. Uses the thread's solver scratch, as solve() does.
 [[nodiscard]] Matrix solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                              const Options& opts = {}, SolveStats* stats_out = nullptr);
 
-// Spectral-radius estimate via Gelfand's formula with repeated squaring
-// (||m^(2^k)||^(1/2^k)), read through a Richardson step that cancels the
-// formula's leading 1/2^k error, with early exit once the estimate stops
-// moving. Unlike plain power iteration this converges geometrically in k
-// for every spectrum — defective eigenvalues and equal-modulus complex
-// pairs included — so `tolerance` is genuinely reachable. At most
-// min(max_iterations, 60) squarings run. When they (or the RunBudget) run
-// out before the estimate settles, the last iterate is still returned but
-// *converged_out is false — callers that need a trusted estimate must check
-// it (solve_r throws csq::NotConvergedError; best-effort callers like
-// tail_decay_rate ignore it). *iterations_out reports the squarings
-// actually spent.
-[[nodiscard]] double spectral_radius_estimate(const Matrix& m, int max_iterations = 500,
-                                              double tolerance = 1e-12,
-                                              bool* converged_out = nullptr,
-                                              int* iterations_out = nullptr,
-                                              const RunBudget& budget = {});
+// Spectral radius by Gelfand's formula, ||m^(2^60)||^(1/2^60) through 60
+// normalized squarings. Unlike power iteration this converges for every
+// spectrum, defective eigenvalues and equal-modulus complex pairs included;
+// 2^60 puts a Jordan block's polynomial factor far below 1e-12 relative.
+[[nodiscard]] double spectral_radius_estimate(const Matrix& m);
 
 }  // namespace csq::qbd

@@ -65,7 +65,7 @@ TEST(Cscq, MatchesExactTruncatedChain) {
 TEST(Cscq, StationaryMassSumsToOne) {
   const SystemConfig c = SystemConfig::paper_setup(1.2, 0.5, 1.0, 10.0, 8.0);
   const CscqResult r = analyze_cscq(c);
-  EXPECT_LT(r.qbd_mass_error, 1e-8);
+  EXPECT_LT(std::abs(r.chain.total_mass() - 1.0), 1e-8);
   EXPECT_GT(r.p_region1, 0.0);
   EXPECT_GT(r.p_region2, 0.0);
 }
@@ -119,7 +119,7 @@ double heavy_traffic_short_response(double gap, double scv_l, double tolerance =
   o.qbd.tolerance = tolerance;
   const CscqResult r =
       analyze_cscq(SystemConfig::paper_setup(1.5 - gap, 0.5, 1.0, 1.0, scv_l), o);
-  if (residual) *residual = r.solve_stats.residual;
+  if (residual) *residual = r.chain.stats.residual;
   return r.metrics.shorts.mean_response;
 }
 
@@ -247,10 +247,10 @@ TEST(CscqPh, MassConservedAndRegionsPositive) {
   const SystemConfig base = SystemConfig::paper_setup(1.0, 0.5, 1.0, 1.0, 8.0);
   const SystemConfig c = with_shorts(base, dist::PhaseType::coxian_mean_scv(1.0, 4.0), 1.0);
   const CscqResult r = analyze_cscq(c);
-  EXPECT_LT(r.qbd_mass_error, 1e-8);
+  EXPECT_LT(std::abs(r.chain.total_mass() - 1.0), 1e-8);
   EXPECT_GT(r.p_region1, 0.0);
   EXPECT_GT(r.p_region2, 0.0);
-  EXPECT_EQ(r.num_phases, 2u * 3u + 2u * 2u * 2u);  // pairs + busy blocks (k=2)
+  EXPECT_EQ(r.chain.r.rows(), 2u * 3u + 2u * 2u * 2u);  // pairs + busy blocks (k=2)
 }
 
 TEST(CscqPh, NoLongsIsMPh2AgainstSimulation) {
@@ -395,7 +395,7 @@ TEST(CscqMap, PhShortsUnderBurstyArrivalsMatchSimulation) {
   SystemConfig c = with_map(0.9, 0.5, dist::MapProcess::bursty(0.9, 3.0, 0.2, 10.0), 8.0);
   c.short_size = std::make_shared<dist::PhaseType>(dist::PhaseType::erlang(2, 2.0));
   const CscqResult r = analyze_cscq(c);
-  EXPECT_EQ(r.num_phases, (2u * 3u + 2u * 2u * 2u) * 2u);  // (k=2 chain) x 2 MAP phases
+  EXPECT_EQ(r.chain.r.rows(), (2u * 3u + 2u * 2u * 2u) * 2u);  // (k=2 chain) x 2 MAP phases
   sim::SimOptions opts;
   opts.total_completions = 1500000;
   const sim::SimResult s = sim::simulate(sim::PolicyKind::kCsCq, c, opts);

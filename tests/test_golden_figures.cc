@@ -221,8 +221,9 @@ TEST(GoldenFigures, WarmThreadAnalysisReproducesEveryPinBitForBit) {
 // the short-count tail. A rebuilt chain must reproduce the same arithmetic,
 // not just the same curves. The values are hexfloat literals generated once
 // from the library; the suite never re-derives them. The short-count decay
-// column was regenerated when the sp(R) probe's stop became an extrapolated
-// one; each value is within 1.2e-16 of 60 plain Gelfand squarings.
+// and p99 columns are read on demand from the solved chain; each decay pin
+// is within 1.2e-16 of the 60 plain Gelfand squarings tail_decay_rate()
+// runs.
 //
 // Paper-model rows: the figure points above plus the grid rho_S x rho_L x
 // C^2_L = {0.3, 0.6, 0.9, 1.1, 1.25} x {0.2, 0.5, 0.7} x {1, 8} at mean
@@ -374,8 +375,8 @@ TEST_P(ChainPins, PaperChainMatchesPin) {
   expect_pinned(r.metrics.longs.mean_response, p.long_resp);
   expect_pinned(r.p_region1, p.p_region1);
   expect_pinned(r.p_region2, p.p_region2);
-  expect_pinned(r.short_count_decay, p.short_count_decay);
-  EXPECT_EQ(r.short_count_p99, p.short_count_p99);
+  expect_pinned(r.chain.tail_decay_rate(), p.short_count_decay);
+  EXPECT_EQ(r.chain.level_quantile(0.99), p.short_count_p99);
 }
 
 // A pin is only as good as the solve behind it: tightening the R tolerance
@@ -393,7 +394,7 @@ TEST_P(ChainPins, AnswerIsInsensitiveToTheRTolerance) {
   const analysis::CscqResult t = analysis::analyze_cscq(c, tight);
   expect_pinned(r.metrics.shorts.mean_response, t.metrics.shorts.mean_response);
   expect_pinned(r.metrics.longs.mean_response, t.metrics.longs.mean_response);
-  EXPECT_LE(r.solve_stats.residual, 5e-14);
+  EXPECT_LE(r.chain.stats.residual, 5e-14);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ChainPins, ::testing::ValuesIn(kChainPins),

@@ -149,7 +149,7 @@ void expect_same_solve(const RSolve& warm, const RSolve& fresh) {
   EXPECT_EQ(max_abs_diff(warm.r, fresh.r), 0.0);
   EXPECT_EQ(warm.stats.iterations, fresh.stats.iterations);
   EXPECT_EQ(warm.stats.residual, fresh.stats.residual);
-  EXPECT_EQ(warm.stats.spectral_radius, fresh.stats.spectral_radius);
+  EXPECT_EQ(warm.stats.drift, fresh.stats.drift);
 }
 
 TEST(KernelScratch, WarmThreadSolvesMatchFreshThreadsBitForBit) {

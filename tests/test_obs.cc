@@ -143,7 +143,7 @@ TEST(ObsDelta, AnalysisDeltaIsConsistentWithSolveStats) {
   // Exactly one QBD solve backs a CS-CQ analysis; its doubling-step count
   // must agree with the obs counter.
   EXPECT_EQ(delta.value("qbd.solve.calls"), 1);
-  EXPECT_EQ(delta.value("qbd.logred.doublings"), r.solve_stats.iterations);
+  EXPECT_EQ(delta.value("qbd.logred.doublings"), r.chain.stats.iterations);
 }
 
 TEST(ObsDelta, ValuesAreSortedByName) {

@@ -356,7 +356,7 @@ TEST(Properties, AnalysisResultsCarryObsMetrics) {
   EXPECT_EQ(cq_delta.value("qbd.solve.calls"), 1);
   EXPECT_EQ(id_delta.value("qbd.solve.calls"), 1);
   EXPECT_GT(cq_delta.value("qbd.logred.doublings"), 0);
-  EXPECT_EQ(cq_delta.value("qbd.logred.doublings"), cq.solve_stats.iterations);
+  EXPECT_EQ(cq_delta.value("qbd.logred.doublings"), cq.chain.stats.iterations);
 }
 
 }  // namespace

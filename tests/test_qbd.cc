@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -10,14 +11,14 @@
 #include <vector>
 
 #include "analysis/cscq.h"
-#include "analysis/csid.h"
 #include "analysis/stability.h"
 #include "core/config.h"
 #include "core/numeric.h"
 #include "csid_chain.h"
+#include "dist/map_process.h"
+#include "dist/phase_type.h"
 #include "linalg/lu.h"
 #include "mg1/mmc.h"
-#include "obs/obs.h"
 #include "qbd/qbd.h"
 
 namespace csq::qbd {
@@ -276,35 +277,10 @@ TEST(QbdTails, TailAndProbabilityConsistent) {
 namespace csq::qbd {
 namespace {
 
-// --- spectral probe -------------------------------------------------------------
-
-// Plain Gelfand squaring for exactly 60 steps, no early stop: the limit the
-// probe's early stop must reach.
-double gelfand_60(const Matrix& m) {
-  const std::size_t n = m.rows();
-  Matrix p = m;
-  double log_est = 0.0, scale = 1.0;
-  for (int k = 0; k <= 60; ++k) {
-    double c = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < n; ++j) s += std::abs(p(i, j));
-      c = std::max(c, s);
-    }
-    if (num::exactly_zero(c)) return 0.0;
-    log_est += std::log(c) * scale;
-    p *= 1.0 / c;
-    p = p * p;
-    scale *= 0.5;
-  }
-  return std::exp(log_est);
-}
+// --- spectral radius on demand ----------------------------------------------
 
 void expect_radius(const Matrix& m, double want, const std::string& what) {
-  bool converged = false;
-  const double got = spectral_radius_estimate(m, 500, 1e-12, &converged);
-  EXPECT_TRUE(converged) << what;
-  EXPECT_NEAR(got, want, 1e-11 * want) << what;
+  EXPECT_NEAR(spectral_radius_estimate(m), want, 1e-11 * want) << what;
 }
 
 TEST(QbdSpectral, HardSpectraWithinTolerance) {
@@ -329,76 +305,94 @@ TEST(QbdSpectral, HardSpectraWithinTolerance) {
                 0.4 + std::sqrt(0.03), "zero row");
   expect_radius(Matrix{{0.7}}, 0.7, "1 x 1");
   // The larger eigenvalue sits in the weaker row: row 0 has the larger
-  // norm until 2^k ~ 2400, and its estimate settles on 0.5 long before.
+  // norm until 2^k ~ 2400.
   expect_radius(Matrix{{0.5, 0.3, 0.0}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.5001}}, 0.5001,
                 "larger eigenvalue behind a weaker row");
   // A near-defective pair 1e-7 apart: the maximal row's norm is
-  // 0.5^N (1 + 1e-8 N) until N ~ 1e7, so its estimate plateaus 1e-8 high.
+  // 0.5^N (1 + 1e-8 N) until N ~ 1e7.
   expect_radius(Matrix{{0.5, 5e-9}, {0.0, 0.5 * (1.0 - 1e-7)}}, 0.5, "near-defective pair");
 
-  bool converged = false;
-  const double nil = spectral_radius_estimate(
-      Matrix{{0.0, 1.0, 1.0, 1.0}, {0.0, 0.0, 1.0, 1.0}, {0.0, 0.0, 0.0, 1.0},
-             {0.0, 0.0, 0.0, 0.0}},
-      500, 1e-12, &converged);
-  EXPECT_TRUE(converged);
+  const double nil = spectral_radius_estimate(Matrix{{0.0, 1.0, 1.0, 1.0},
+                                                     {0.0, 0.0, 1.0, 1.0},
+                                                     {0.0, 0.0, 0.0, 1.0},
+                                                     {0.0, 0.0, 0.0, 0.0}});
   EXPECT_TRUE(num::exactly_zero(nil)) << nil;
 }
+
+// --- stability by mean drift -------------------------------------------------
 
 double uniform(std::mt19937_64& rng, double lo, double hi) {
   return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
 }
 
-TEST(QbdSpectral, SolveReportsTheGelfandLimit) {
-  // Seeded CS-ID chains across the stability region, long means 1..30 and
-  // C^2 1..20: the reported sp(R) must be the 60-squaring Gelfand limit,
-  // not an early stop's estimate of it.
-  std::mt19937_64 rng(24);
-  double worst = 0.0;
-  for (int rep = 0; rep < 300; ++rep) {
-    const double rho_l = uniform(rng, 0.05, 0.9);
-    const double rho_s = uniform(rng, 0.05, 0.999 * analysis::csid_max_rho_short(rho_l));
-    const double mean_l = std::exp(uniform(rng, 0.0, std::log(30.0)));
-    const double scv_l = std::exp(uniform(rng, 0.0, std::log(20.0)));
-    const Solution sol = solve(test::csid_chain(rho_s, rho_l, mean_l, scv_l));
-    const double want = gelfand_60(sol.r);
-    const double rel = std::abs(sol.stats.spectral_radius - want) / want;
-    EXPECT_LE(rel, 1e-14) << "rho_s " << rho_s << " rho_l " << rho_l << " mean_l " << mean_l
-                          << " scv_l " << scv_l;
-    worst = std::max(worst, rel);
+TEST(QbdDrift, CscqDriftIsTheTheoremOneGap) {
+  // With exponential shorts the CS-CQ chain's repeating phases leave the
+  // level up at the short arrival rate and down at mu_S (2 - rho_L) on
+  // average, so its mean drift is (rho_S - (2 - rho_L)) / E[X_S]: Theorem 1's
+  // frontier. MMPP arrivals at the same mean rate change nothing, because
+  // the arrival phase runs independently of the servers.
+  std::mt19937_64 rng(33);
+  for (int rep = 0; rep < 24; ++rep) {
+    const double rho_l = uniform(rng, 0.2, 0.9);
+    const double gap = std::pow(10.0, -uniform(rng, 0.0, 3.0));
+    const double mean_l = (rng() & 1) != 0 ? 10.0 : 1.0;
+    const double scv_l = (rng() & 1) != 0 ? 8.0 : 1.0;
+    const double mean_s = 1.0;
+    const double rho_s = 2.0 - rho_l - gap;
+    const double want = (rho_s - (2.0 - rho_l)) / mean_s;
+    SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, mean_s, mean_l, scv_l);
+    const std::string where = "rho_l " + std::to_string(rho_l) + " gap " +
+                              std::to_string(gap) + " mean_l " + std::to_string(mean_l) +
+                              " scv_l " + std::to_string(scv_l);
+    EXPECT_NEAR(analysis::analyze_cscq(c).chain.stats.drift, want, 1e-9 * gap)
+        << "Poisson, " << where;
+    c.short_arrivals = std::make_shared<dist::MapProcess>(
+        dist::MapProcess::bursty(c.lambda_short, 3.0, 0.2, 10.0));
+    EXPECT_NEAR(analysis::analyze_cscq(c).chain.stats.drift, want, 1e-9 * gap)
+        << "MMPP, " << where;
   }
-  RecordProperty("worst_relative_error", (::testing::Message() << worst).GetString());
 }
 
-TEST(QbdSpectral, SquaringsPerSolveStayFew) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs counters compiled out (-DCSQ_OBS=OFF)";
-  // Seeded analyses over the paper's parameter ranges (long means 1 and
-  // 10, C^2 1 and 8). Plain Gelfand squaring spends ~36 per solve on both
-  // chains. CS-ID's near-degenerate R needs more than CS-CQ's even with
-  // the extrapolation.
-  std::mt19937_64 rng(2024);
-  for (const bool csid : {false, true}) {
-    const obs::DeltaScope scope;
-    for (int rep = 0; rep < 200; ++rep) {
-      const double rho_l = uniform(rng, 0.05, 0.9);
-      const double cap = csid ? analysis::csid_max_rho_short(rho_l)
-                              : analysis::cscq_max_rho_short(rho_l);
-      const double rho_s = uniform(rng, 0.05, 0.999 * cap);
-      const double mean_l = (rng() & 1) != 0 ? 10.0 : 1.0;
-      const double scv_l = (rng() & 1) != 0 ? 8.0 : 1.0;
-      const SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, 1.0, mean_l, scv_l);
-      if (csid)
-        (void)analysis::analyze_csid(c);
-      else
-        (void)analysis::analyze_cscq(c);
-    }
-    const obs::MetricsDelta d = scope.delta();
-    const double per_solve = static_cast<double>(d.value("qbd.spectral.squarings")) /
-                             static_cast<double>(d.value("qbd.solve.calls"));
-    EXPECT_LE(per_solve, csid ? 20.0 : 12.0) << (csid ? "CS-ID" : "CS-CQ");
-    RecordProperty(csid ? "csid_squarings_per_solve" : "cscq_squarings_per_solve",
-                   (::testing::Message() << per_solve).GetString());
-  }
+TEST(QbdDrift, PhaseTypeShortsDriftTracksTheTheoremOneGap) {
+  // Erlang-2 and C^2 = 4 Coxian shorts at the paper's long sizes (mean 10,
+  // C^2 8): the B_{N+1} fit takes its window from the pair an arriving long
+  // observes, not from the drift's stationary vector, so the drift is near
+  // the frontier's gap, not on it.
+  for (const bool erlang : {true, false})
+    for (const double rho_l : {0.2, 0.5, 0.8})
+      for (const double gap : {1e-1, 1e-2}) {
+        SystemConfig c = SystemConfig::paper_setup(1.0, rho_l, 1.0, 10.0, 8.0);
+        c.short_size = std::make_shared<dist::PhaseType>(
+            erlang ? dist::PhaseType::erlang(2, 2.0)
+                   : dist::PhaseType::coxian_mean_scv(1.0, 4.0));
+        c.lambda_short = 2.0 - rho_l - gap;  // E[X_S] = 1
+        const double drift = analysis::analyze_cscq(c).chain.stats.drift;
+        EXPECT_LT(drift, 0.0);
+        EXPECT_NEAR(drift, -gap, 2e-3 * gap) << (erlang ? "Erlang-2" : "Coxian C^2 = 4")
+                                             << " rho_l " << rho_l << " gap " << gap;
+      }
+}
+
+TEST(QbdDrift, CsidChainIsStableExactlyInsideItsFrontier) {
+  // The CS-ID short host serves at mu_S = 1 and admits arrivals except while
+  // the long host idles, which it does with probability (1 - rho_L) /
+  // (1 + rho_S): the drift is rho_S (rho_S + rho_L) / (1 + rho_S) - 1, and
+  // csid_max_rho_short is its root.
+  for (const double rho_l : {0.2, 0.5, 0.8})
+    for (const double mean_l : {1.0, 10.0})
+      for (const double offset : {1e-2, 1e-4, 1e-6}) {
+        const double cap = analysis::csid_max_rho_short(rho_l);
+        const double inside = cap - offset;
+        const std::string where = "rho_l " + std::to_string(rho_l) + " mean_l " +
+                                  std::to_string(mean_l) + " offset " + std::to_string(offset);
+        const Solution sol = solve(test::csid_chain(inside, rho_l, mean_l, 8.0));
+        const double want = inside * (inside + rho_l) / (1.0 + inside) - 1.0;
+        EXPECT_LT(sol.stats.drift, 0.0) << where;
+        EXPECT_NEAR(sol.stats.drift, want, 1e-7 * std::abs(want)) << where;
+        EXPECT_THROW((void)solve(test::csid_chain(cap + offset, rho_l, mean_l, 8.0)),
+                     UnstableError)
+            << where;
+      }
 }
 
 }  // namespace

@@ -166,17 +166,20 @@ TEST(StatusTaxonomy, SingularLuIsIllConditioned) {
   EXPECT_LT(ok.condition_estimate(), 100.0);
 }
 
-TEST(StatusTaxonomy, UnstableQbdIsUnstableWithSpectralRadius) {
-  // rho = 1.5: R exists but sp(R) >= 1. The spectral-radius check must
-  // classify this as genuinely unstable, not "did not converge".
+TEST(StatusTaxonomy, UnstableQbdIsUnstableByDrift) {
+  // rho = 1.5: the level drifts up. The drift check must classify this as
+  // genuinely unstable, not "did not converge", and name both rates.
   try {
     (void)qbd::solve(mm1_model(1.5, 1.0));
     FAIL() << "expected UnstableError";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kUnstable);
-    EXPECT_GE(e.diagnostics().spectral_radius, 1.0 - 1e-9);
+    EXPECT_NE(e.status().message.find("mean up-rate 1.5 >= mean down-rate 1"),
+              std::string::npos)
+        << e.status().message;
   }
-  // Null-recurrent boundary case rho = 1 classifies the same way.
+  // Null-recurrent boundary case rho = 1 (drift exactly 0) classifies the
+  // same way.
   try {
     (void)qbd::solve(mm1_model(1.0, 1.0));
     FAIL() << "expected UnstableError";
@@ -209,7 +212,7 @@ TEST(StatusTaxonomy, ExhaustedIterationBudgetIsNotConverged) {
   EXPECT_NEAR(qbd::solve_r(a0, a1, a2)(0, 0), 0.9, 1e-12);
 }
 
-TEST(FallbackChain, NearBoundaryCscqSolvesViaLogReduction) {
+TEST(NearFrontier, CscqSolvesViaLogReduction) {
   // A CS-CQ config 0.01% inside the stability boundary rho_S = 2 - rho_L,
   // where sp(R) -> 1. A linear iteration needs ~ 1/(1 - sp(R)) steps per
   // tolerance digit here; logarithmic reduction's doubling steps solve it
@@ -219,11 +222,13 @@ TEST(FallbackChain, NearBoundaryCscqSolvesViaLogReduction) {
   const SystemConfig c = SystemConfig::paper_setup(rho_s, rho_l, 1.0, 1.0, 1.0);
 
   const analysis::CscqResult res = analysis::analyze_cscq(c);
-  EXPECT_LE(res.solve_stats.iterations, 32);
-  EXPECT_LT(res.solve_stats.residual, 1e-8);
-  EXPECT_GT(res.solve_stats.spectral_radius, 0.999);
-  EXPECT_LT(res.solve_stats.spectral_radius, 1.0);
-  EXPECT_GT(res.solve_stats.boundary_condition, 1.0);
+  const qbd::SolveStats& stats = res.chain.stats;
+  EXPECT_LE(stats.iterations, 32);
+  EXPECT_LT(stats.residual, 1e-8);
+  EXPECT_NEAR(stats.drift, rho_s - (2.0 - rho_l), 1e-12);
+  EXPECT_GT(res.chain.tail_decay_rate(), 0.999);
+  EXPECT_LT(res.chain.tail_decay_rate(), 1.0);
+  EXPECT_GT(stats.boundary_condition, 1.0);
   EXPECT_TRUE(std::isfinite(res.metrics.shorts.mean_response));
   EXPECT_GT(res.metrics.shorts.mean_response, 100.0);  // near-saturation
   EXPECT_TRUE(std::isfinite(res.metrics.longs.mean_response));
@@ -234,6 +239,35 @@ TEST(Verification, QbdSolutionVerifyPasses) {
   EXPECT_TRUE(sol.verify(VerifyLevel::kNone).ok());
   EXPECT_TRUE(sol.verify(VerifyLevel::kBasic).ok());
   EXPECT_TRUE(sol.verify(VerifyLevel::kFull).ok());
+}
+
+TEST(Verification, CertificateRejectsSpectralRadiusAboveOne) {
+  // R = [[1.2]] with its (I - R)^{-1} = [[-5]], and masses that still sum
+  // to one and are nonnegative: only the sp(R) < 1 certificate can reject it.
+  qbd::Solution sol;
+  sol.boundary_pi = {{1.5}};
+  sol.pi_k = {0.1};
+  sol.r = Matrix{{1.2}};
+  sol.i_minus_r_inv = Matrix{{-5.0}};
+  const SolverStatus bad = sol.verify(VerifyLevel::kBasic);
+  EXPECT_EQ(bad.code, ErrorCode::kVerificationFailed);
+  EXPECT_NE(bad.message.find("sp(R) < 1 not certified"), std::string::npos) << bad.message;
+  // A negative entry in R fails it too, though (I - R)^{-1} 1 >= 1 here.
+  sol.r = Matrix{{0.5, -0.1}, {0.0, 0.5}};
+  sol.i_minus_r_inv = Matrix{{2.0, -0.4}, {0.0, 2.0}};
+  sol.pi_k = {0.05, 0.05};
+  sol.boundary_pi = {{1.0 - 0.05 * 2.0 - 0.05 * 1.6}};
+  EXPECT_NE(sol.verify(VerifyLevel::kBasic).message.find("sp(R) < 1 not certified"),
+            std::string::npos);
+  // A good solve passes it, also where sp(R) -> 1.
+  EXPECT_TRUE(qbd::solve(mm1_model(0.7, 1.0)).verify(VerifyLevel::kBasic).ok());
+  EXPECT_TRUE(qbd::solve(mm1_model(1.0 - 1e-6, 1.0)).verify(VerifyLevel::kBasic).ok());
+  // Where 1 - sp(R) is finer than R resolves, the solve refuses instead of
+  // answering: gap 1e-10 at the CS-CQ frontier, where (I - R)^{-1} 1 reaches
+  // ~3e8 and the mean response would be 100 times too small.
+  EXPECT_THROW((void)analysis::analyze_cscq(
+                   SystemConfig::paper_setup(1.5 - 1e-10, 0.5, 1.0, 1.0, 1.0)),
+               VerificationFailedError);
 }
 
 TEST(Verification, CorruptedSolutionFailsVerify) {
@@ -291,15 +325,6 @@ TEST(StatusTaxonomy, Mg1OverloadIsUnstable) {
     EXPECT_EQ(e.code(), ErrorCode::kUnstable);
     EXPECT_NEAR(e.diagnostics().rho_long, 1.3, 1e-12);
   }
-}
-
-TEST(Tails, DecayRateMatchesSpectralRadiusEstimate) {
-  // tail_decay_rate delegates to the shared Gelfand estimator; for M/M/1 both
-  // must equal rho exactly (up to the early-exit tolerance).
-  const double rho = 0.85;
-  const qbd::Solution sol = qbd::solve(mm1_model(rho, 1.0));
-  EXPECT_NEAR(sol.tail_decay_rate(), rho, 1e-9);
-  EXPECT_NEAR(qbd::spectral_radius_estimate(sol.r), rho, 1e-9);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ struct Config {
   // AND it is defined in one of iterative_kernel_modules.
   std::vector<std::string> iterative_kernels = {
       "solve",    "solve_r",  "solve_g_logred", "run",
-      "simulate", "simulate_replications", "spectral_radius_estimate"};
+      "simulate", "simulate_replications"};
   std::vector<std::string> iterative_kernel_modules = {"qbd", "mg1", "sim"};
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
