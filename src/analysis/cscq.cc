@@ -81,6 +81,24 @@ struct PairSpace {
     return a;
   }
 
+  // Two services each in its equilibrium-residual stage, pi ∝ beta (-T)^{-1}
+  // (forward substitution: T is upper triangular): the pair a long would
+  // observe if the short stream never paused.
+  [[nodiscard]] std::vector<double> equilibrium_pair_alpha() const {
+    const linalg::Matrix& t = ph_->subgenerator();
+    std::vector<double> pi(ph_->alpha());
+    double total = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t i = 0; i < j; ++i) pi[j] += pi[i] * t(i, j);
+      pi[j] /= -t(j, j);
+      total += pi[j];
+    }
+    std::vector<double> a(pairs.size(), 0.0);
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < k; ++j) a[index[i][j]] += pi[i] * pi[j] / (total * total);
+    return a;
+  }
+
   std::size_t k;
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   std::vector<std::vector<std::size_t>> index;
@@ -167,6 +185,7 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
   // Theta's initial pair distribution is what an arriving long observes;
   // iterate to a fixed point starting from two fresh services.
   std::vector<double> window_alpha = pair.fresh_pair_alpha();
+  bool restarted = false;
   for (int iter = 0; iter < kMaxWindowIterations; ++iter) {
     res.window_iterations = iter + 1;
     res.window = exp_shorts ? dist::Moments::exponential(1.0 / delta)
@@ -317,7 +336,18 @@ CscqResult analyze_cscq(const SystemConfig& config, const CscqOptions& opts) {
     }
 
     CSQ_FAULT_POINT(kAnalysisCscqSolve);
-    res.chain = qbd::solve(model, opts.qbd);
+    try {
+      res.chain = qbd::solve(model, opts.qbd);
+    } catch (const UnstableError&) {
+      // The region check above passed, so the chain drifts upward only
+      // because this window outlasts the observed one and inflates B_{N+1}
+      // (fresh Erlang pairs near the frontier). Restart once from
+      // equilibrium-residual pairs.
+      if (exp_shorts || restarted) throw;
+      restarted = true;
+      window_alpha = pair.equilibrium_pair_alpha();
+      continue;
+    }
     const qbd::Solution& sol = res.chain;
 
     // --- short jobs: Little's law on the exact short-job count ---------------

@@ -67,7 +67,8 @@ struct CscqResult {
   dist::Moments busy_batch;   // B_{N+1} moments
   dist::FitReport fit_single;
   dist::FitReport fit_batch;
-  int window_iterations = 0;  // Theta fixed-point passes (1 for exponential shorts)
+  int window_iterations = 0;  // Theta fixed-point passes (1 for exponential shorts),
+                              // counting an unstable pass that forced a restart
 
   // The solved chain of the last window pass. Its level is the short-job
   // count, which the chain tracks exactly: chain.tail_decay_rate() is the

@@ -83,8 +83,8 @@ struct SweepOptions {
   const std::vector<SweepRow>* resume_rows = nullptr;
   const std::vector<std::uint8_t>* resume_done = nullptr;
   // Invoked with every freshly evaluated (not resumed) row, from whichever
-  // pool worker computed it — must be thread-safe. The periodic-checkpoint
-  // trigger.
+  // pool worker computed it — must be thread-safe. Checkpointed sweeps
+  // journal each finished row from here.
   std::function<void(std::size_t, const SweepRow&)> on_row;
 };
 

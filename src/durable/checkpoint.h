@@ -1,72 +1,49 @@
-// Checkpointed parameter sweeps: periodic atomic snapshots of sweep
-// progress so `csq_cli sweep --checkpoint=FILE` survives SIGKILL and
-// resumes to byte-identical SweepRows (docs/serving.md §9, robustness §11).
+// Checkpointed parameter sweeps: a sweep journals each finished row so
+// `csq_cli sweep --checkpoint=FILE` survives SIGKILL and resumes to
+// byte-identical SweepRows (docs/serving.md §9, robustness §11).
 //
-// File format (binary, little-endian on every supported target):
+// File format: a durable::Journal (journal.h), so framing, CRCs, torn-tail
+// handling and fsync batching are the request journal's own.
 //
-//   magic   "CSQCKPT1" (8 bytes)
-//   version u32 (currently 1)
-//   meta    u32 length + bytes — the canonical sweep identity (axis, fixed
-//           parameters as exact double bit patterns, grid CRC). Resuming
-//           with a different identity throws csq::InvalidInputError: a
-//           checkpoint must never silently graft rows from one sweep onto
-//           another.
-//   n       u64 point count
-//   n times u8 done + SweepRow as 7 raw 8-byte doubles (x + 6 columns,
-//           bit-exact, NaN patterns preserved) + 3 status bytes
-//   crc     u32 CRC-32 of everything after the magic
+//   req frame, seq 0   the canonical sweep identity (axis, fixed parameters
+//                      as exact double bit patterns, point count, grid CRC).
+//                      Resuming with a different identity — or a file whose
+//                      first frame is not an identity — throws
+//                      csq::InvalidInputError: a checkpoint must never
+//                      silently graft rows from one sweep onto another.
+//   res frame, seq i   grid point i's final row: the 7 doubles (x + 6
+//                      columns) as %016llx bit patterns, so NaN patterns
+//                      survive, then the 3 status digits, space-separated.
 //
-// Atomicity: save writes FILE.tmp, fsyncs it, then rename(2)s over FILE —
-// a crash leaves either the old complete checkpoint or the new one, never a
-// torn mix. A checkpoint that fails its CRC/structure checks on load (the
-// rename itself was interrupted, or the file predates the format) is
-// treated as absent — the sweep restarts from scratch rather than trusting
-// a broken snapshot (counted durable.checkpoint.rejected).
+// Rows are appended from the pool workers as they finish, in completion
+// order; a duplicate seq keeps its first frame, as in recover(). A torn tail
+// (the crash artifact) is trimmed before the first append, exactly as
+// `csq_serve --recover` does. A CRC-valid row frame that is malformed (seq
+// outside the grid, bad hex, wrong field count, a status that is no
+// PointStatus or is kTimedOut, an x off the grid) and mid-file corruption
+// throw csq::CorruptJournalError. A file in the retired binary snapshot
+// format holds no journal frame, so it replays as a torn tail and the sweep
+// starts fresh.
 //
-// Done semantics: a row is checkpointed as done only when *no* policy
-// status is kTimedOut. Timed-out points are budget artifacts, not results;
-// resuming re-evaluates them, which is what makes an interrupted run
-// converge to the uninterrupted bytes.
+// Done semantics: a row is journaled only when *no* policy status is
+// kTimedOut. Timed-out points are budget artifacts, not results; resuming
+// re-evaluates them, which is what makes an interrupted run converge to the
+// uninterrupted bytes.
 //
-// Throws csq::InvalidInputError (bad options, unwritable path, identity
-// mismatch), csq::InternalError (I/O syscall failures mid-save), and from
-// the underlying sweep csq::DeadlineExceededError / csq::CancelledError
-// when an ambient budget interrupts it.
+// Throws csq::InvalidInputError (empty or unopenable path, identity
+// mismatch), csq::CorruptJournalError (see above), csq::InternalError
+// (write/fsync failures while appending), and from the underlying sweep
+// csq::DeadlineExceededError / csq::CancelledError when an ambient budget
+// interrupts it.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/sweep.h"
 
 namespace csq::durable {
-
-// In-memory image of one checkpoint file.
-struct SweepCheckpoint {
-  std::string meta;                // canonical sweep identity
-  std::vector<SweepRow> rows;      // rows[i] = grid point i (bit-exact)
-  std::vector<std::uint8_t> done;  // done[i] != 0: row i is final
-};
-
-// Atomic save: tmp + fsync + rename. Requires rows.size() == done.size().
-void save_sweep_checkpoint(const std::string& path, const SweepCheckpoint& ckpt);
-
-// Load `path`. Missing file => nullopt. A file that fails magic, version,
-// CRC or structure checks => nullopt with the rejection note in *reason —
-// the caller restarts from scratch (a half-renamed checkpoint is a crash
-// artifact, like a torn journal tail).
-[[nodiscard]] std::optional<SweepCheckpoint> load_sweep_checkpoint(
-    const std::string& path, std::string* reason = nullptr);
-
-struct CheckpointedSweepOptions {
-  SweepOptions sweep;
-  // Atomic snapshot after this many freshly evaluated rows (and always once
-  // at the end).
-  int every = 8;
-};
 
 struct CheckpointedSweepResult {
   std::vector<SweepRow> rows;
@@ -75,19 +52,17 @@ struct CheckpointedSweepResult {
   std::size_t incomplete = 0;  // rows still timed out (budget expired again)
 };
 
-// sweep_rho_short / sweep_rho_long with checkpointing layered on: load
-// `path` (validating the sweep identity), skip done rows, evaluate the
-// rest, snapshot every `every` fresh rows, and leave a final checkpoint
-// covering the whole grid. Output rows are byte-identical to the plain
-// sweep functions for any interruption history.
+// sweep_rho_short / sweep_rho_long with checkpointing layered on: replay
+// `path` (validating the sweep identity), skip journaled rows, evaluate the
+// rest and journal each final one as it finishes. Output rows are
+// byte-identical to the plain sweep functions for any interruption history.
+// opts' resume hooks are the checkpoint's own and are overwritten.
 [[nodiscard]] CheckpointedSweepResult checkpointed_sweep_rho_short(
     const std::string& path, double rho_long, double mean_short, double mean_long,
-    double long_scv, const std::vector<double>& rho_shorts,
-    const CheckpointedSweepOptions& opts = {});
+    double long_scv, const std::vector<double>& rho_shorts, const SweepOptions& opts = {});
 
 [[nodiscard]] CheckpointedSweepResult checkpointed_sweep_rho_long(
     const std::string& path, double rho_short, double mean_short, double mean_long,
-    double long_scv, const std::vector<double>& rho_longs,
-    const CheckpointedSweepOptions& opts = {});
+    double long_scv, const std::vector<double>& rho_longs, const SweepOptions& opts = {});
 
 }  // namespace csq::durable

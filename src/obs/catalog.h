@@ -21,9 +21,7 @@ enum class MetricKind { kCounter, kGauge, kSpan };
   X(kAnalysisDedicatedAnalyze,  "analysis.dedicated.analyze",  kSpan)     \
   X(kAnalysisResilientLadder,   "analysis.resilient.ladder",   kSpan)     \
   X(kAnalysisTruncatedAnalyze,  "analysis.truncated.analyze",  kSpan)     \
-  X(kDurableCheckpointRejected, "durable.checkpoint.rejected", kCounter)  \
   X(kDurableCheckpointResumed,  "durable.checkpoint.resumed",  kCounter)  \
-  X(kDurableCheckpointSaves,    "durable.checkpoint.saves",    kCounter)  \
   X(kDurableJournalAppends,     "durable.journal.appends",     kCounter)  \
   X(kDurableJournalFsyncs,      "durable.journal.fsyncs",      kCounter)  \
   X(kDurableJournalPoisoned,    "durable.journal.poisoned",    kCounter)  \

@@ -309,6 +309,34 @@ TEST(CscqPh, InvalidInputs) {
                std::domain_error);
 }
 
+TEST(CscqPh, ThetaFixedPointSolvesUpToTheFrontier) {
+  // Fresh Erlang-2 pairs outlast the observed pair, so near the frontier the
+  // first window's chain drifts upward inside Theorem 1's region; the fixed
+  // point must restart rather than report the point unstable. Every point
+  // solves, converges before the pass cap, and its chain drifts downward.
+  for (const bool erlang : {true, false})
+    for (const double rho_l : {0.2, 0.5, 0.8})
+      for (const double gap : {0.1, 0.01, 0.001})
+        for (const double mean_l : {1.0, 10.0})
+          for (const double scv_l : {1.0, 8.0}) {
+            const double rho_s = 2.0 - rho_l - gap;
+            const SystemConfig base =
+                SystemConfig::paper_setup(rho_s, rho_l, 1.0, mean_l, scv_l);
+            const SystemConfig c =
+                with_shorts(base,
+                            erlang ? dist::PhaseType::erlang(2, 2.0)
+                                   : dist::PhaseType::coxian_mean_scv(1.0, 4.0),
+                            rho_s);
+            SCOPED_TRACE(testing::Message() << (erlang ? "erlang" : "coxian") << " rho_L "
+                                            << rho_l << " gap " << gap << " E[X_L] "
+                                            << mean_l << " C2_L " << scv_l);
+            CscqResult r;
+            ASSERT_NO_THROW(r = analyze_cscq(c));
+            EXPECT_LT(r.window_iterations, 8);
+            EXPECT_LT(r.chain.stats.drift, 0.0);
+          }
+}
+
 // --- MAP (bursty) short arrivals -----------------------------------------------
 
 SystemConfig with_map(double rho_s, double rho_l, dist::MapProcess map, double long_scv = 1.0) {

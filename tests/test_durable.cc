@@ -5,7 +5,7 @@
 // under the CI durable stage).
 //
 // Suite layout mirrors the ctest labels (tests/durable_labels.cmake):
-//   DurableCrc / DurableJournal / DurableCheckpoint / DurableSweep /
+//   DurableCrc / DurableJournal / DurableSweep /
 //   DurableServe    tier1;durable — deterministic, in-process
 //   ServeCrash / SweepCrash  durable — fork/exec the installed binaries,
 //                   kill them, and assert the recovery contract; assertions
@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +51,6 @@ using durable::Record;
 using durable::RecordKind;
 using durable::Recovery;
 using durable::ReplayStats;
-using durable::SweepCheckpoint;
 
 // --- helpers ---------------------------------------------------------------
 
@@ -370,27 +370,11 @@ TEST(DurableJournal, FailedAppendWithoutRollbackPoisonsTheJournal) {
   j.close();
 }
 
-// --- Checkpoint files ------------------------------------------------------
-
-SweepCheckpoint sample_checkpoint(std::size_t n) {
-  SweepCheckpoint ckpt;
-  ckpt.meta = "axis=test;n=" + std::to_string(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SweepRow row;
-    row.x = 0.1 * static_cast<double>(i + 1);
-    row.dedicated_short = 1.5 + static_cast<double>(i);
-    row.cscq_long = 2.5 - 0.25 * static_cast<double>(i);
-    row.dedicated_status = PointStatus::kOk;
-    row.cscq_status = i % 2 == 0 ? PointStatus::kOk : PointStatus::kTimedOut;
-    ckpt.rows.push_back(row);
-    ckpt.done.push_back(i % 2 == 0 ? 1 : 0);
-  }
-  return ckpt;
-}
+// --- Checkpointed sweeps ---------------------------------------------------
 
 // Bit-level row equality, field by field: double bit patterns (so NaN ==
 // NaN) plus exact statuses. Whole-struct memcmp would also compare the tail
-// padding, which the loader leaves indeterminate.
+// padding, which is indeterminate.
 void expect_rows_bit_identical(const std::vector<SweepRow>& got,
                                const std::vector<SweepRow>& want) {
   const auto bits = [](double d) {
@@ -415,102 +399,47 @@ void expect_rows_bit_identical(const std::vector<SweepRow>& got,
   }
 }
 
-TEST(DurableCheckpoint, SaveLoadRoundTripsBitExactlyIncludingNaN) {
-  const std::string path = scratch_path("ckpt.bin");
-  SweepCheckpoint ckpt = sample_checkpoint(5);
-  // csid columns stay at their NaN defaults: the loader must hand back the
-  // same bit patterns, not normalize them through arithmetic.
-  durable::save_sweep_checkpoint(path, ckpt);
-  std::string reason;
-  const auto loaded = durable::load_sweep_checkpoint(path, &reason);
-  ASSERT_TRUE(loaded.has_value()) << reason;
-  EXPECT_EQ(loaded->meta, ckpt.meta);
-  ASSERT_EQ(loaded->rows.size(), ckpt.rows.size());
-  EXPECT_EQ(loaded->done, ckpt.done);
-  expect_rows_bit_identical(loaded->rows, ckpt.rows);
+// Runs past the dedicated (rho_S = 1) and CS-CQ (1.5) frontiers, so the
+// journaled rows carry NaN columns whose bit patterns must survive.
+std::vector<double> small_grid() { return linspace(0.1, 1.6, 6); }
+
+std::vector<SweepRow> plain_rows() { return sweep_rho_short(0.5, 1.0, 1.0, 1.0, small_grid()); }
+
+durable::CheckpointedSweepResult checkpointed(const std::string& path,
+                                              const SweepOptions& opts = {}) {
+  return durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(), opts);
 }
 
-TEST(DurableCheckpoint, MissingFileIsAbsentNotAnError) {
-  std::string reason;
-  EXPECT_FALSE(durable::load_sweep_checkpoint(scratch_path("no_ckpt"), &reason)
-                   .has_value());
-  EXPECT_EQ(reason, "missing");
+// A finished checkpoint of small_grid(): the identity frame, then one row
+// frame per point (in grid order: one thread appends them).
+std::vector<Record> finished_checkpoint(const std::string& path) {
+  (void)checkpointed(path);
+  std::vector<Record> records = durable::replay(path);
+  EXPECT_EQ(records.size(), 1 + small_grid().size());
+  return records;
 }
 
-TEST(DurableCheckpoint, CorruptFileIsTreatedAsAbsent) {
-  const std::string path = scratch_path("ckpt_corrupt.bin");
-  durable::save_sweep_checkpoint(path, sample_checkpoint(4));
-  std::string bytes = slurp(path);
-  // Flip a byte in every region in turn: magic, header, a row, the CRC.
-  for (const std::size_t at : {std::size_t{0}, std::size_t{9}, bytes.size() / 2,
-                               bytes.size() - 1}) {
-    std::string mangled = bytes;
-    mangled[at] ^= 0x5A;
-    spit(path, mangled);
-    std::string reason;
-    EXPECT_FALSE(durable::load_sweep_checkpoint(path, &reason).has_value())
-        << "byte " << at;
-    EXPECT_FALSE(reason.empty());
-  }
-  // Truncation (an interrupted rename source) is also just "absent".
-  spit(path, bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(durable::load_sweep_checkpoint(path).has_value());
+// Rewrite `path` as exactly `records`, each CRC-sealed by the journal.
+void write_records(const std::string& path, const std::vector<Record>& records) {
+  spit(path, "");
+  Journal j = Journal::open(path);
+  for (const Record& r : records) j.append_record(r.kind, r.seq, r.payload);
+  j.close();
 }
-
-TEST(DurableCheckpoint, WrappedPointCountIsRejectedNotResized) {
-  const std::string path = scratch_path("ckpt_wrap.bin");
-  durable::save_sweep_checkpoint(path, SweepCheckpoint{});  // zero points
-  std::string bytes = slurp(path);
-  // Patch the point count to 2^62 and re-seal the CRC: 2^62 * 60 bytes per
-  // point wraps to 0 mod 2^64, so a multiply-based size check accepts the
-  // empty point block and rows.resize(2^62) escapes as a non-csq exception.
-  // The loader must reject it on the documented absent-checkpoint path.
-  ASSERT_GE(bytes.size(), 12u);
-  const std::size_t n_at = bytes.size() - 12;  // u64 count sits just before the CRC
-  for (int i = 0; i < 8; ++i) bytes[n_at + static_cast<std::size_t>(i)] = '\0';
-  bytes[n_at + 7] = static_cast<char>(0x40);  // little-endian 1 << 62
-  const std::uint32_t crc = durable::crc32(bytes.data() + 8, bytes.size() - 12);
-  for (int i = 0; i < 4; ++i)
-    bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  spit(path, bytes);
-  std::string reason;
-  std::optional<SweepCheckpoint> loaded;
-  ASSERT_NO_THROW(loaded = durable::load_sweep_checkpoint(path, &reason));
-  EXPECT_FALSE(loaded.has_value());
-  EXPECT_EQ(reason, "point block size mismatch");
-}
-
-TEST(DurableCheckpoint, SaveValidatesShape) {
-  SweepCheckpoint ckpt = sample_checkpoint(3);
-  ckpt.done.pop_back();
-  EXPECT_THROW(durable::save_sweep_checkpoint(scratch_path("bad.bin"), ckpt),
-               InvalidInputError);
-  EXPECT_THROW(durable::save_sweep_checkpoint("", sample_checkpoint(1)),
-               InvalidInputError);
-}
-
-// --- Checkpointed sweeps ---------------------------------------------------
-
-std::vector<double> small_grid() { return linspace(0.1, 0.7, 6); }
 
 TEST(DurableSweep, UninterruptedRunMatchesPlainSweepBitExactly) {
   const std::string path = scratch_path("sweep.ckpt");
-  const std::vector<SweepRow> plain =
-      sweep_rho_short(0.5, 1.0, 1.0, 1.0, small_grid());
-  durable::CheckpointedSweepOptions opts;
-  opts.every = 2;
-  const durable::CheckpointedSweepResult r =
-      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(), opts);
+  const std::vector<SweepRow> plain = plain_rows();
+  ASSERT_TRUE(std::isnan(plain.back().cscq_short));  // a NaN pattern is journaled
+  const durable::CheckpointedSweepResult r = checkpointed(path);
   ASSERT_EQ(r.rows.size(), plain.size());
   EXPECT_EQ(r.resumed, 0u);
   EXPECT_EQ(r.evaluated, plain.size());
   EXPECT_EQ(r.incomplete, 0u);
   expect_rows_bit_identical(r.rows, plain);
-  // Second run resumes everything from the final checkpoint, recomputing
+  // Second run resumes everything from the journaled rows, recomputing
   // nothing, and stays bit-identical.
-  const durable::CheckpointedSweepResult again =
-      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(), opts);
+  const durable::CheckpointedSweepResult again = checkpointed(path);
   EXPECT_EQ(again.resumed, plain.size());
   EXPECT_EQ(again.evaluated, 0u);
   expect_rows_bit_identical(again.rows, plain);
@@ -518,61 +447,163 @@ TEST(DurableSweep, UninterruptedRunMatchesPlainSweepBitExactly) {
 
 TEST(DurableSweep, PartialCheckpointResumesToIdenticalRows) {
   const std::string path = scratch_path("sweep_partial.ckpt");
-  const std::vector<SweepRow> plain =
-      sweep_rho_short(0.5, 1.0, 1.0, 1.0, small_grid());
-  durable::CheckpointedSweepOptions opts;
-  (void)durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(),
-                                              opts);
-  // Simulate a crash that left only half the rows done: clear done flags
-  // (keeping the checkpoint's identity) and resume.
-  auto ckpt = durable::load_sweep_checkpoint(path);
-  ASSERT_TRUE(ckpt.has_value());
-  for (std::size_t i = 0; i < ckpt->done.size(); i += 2) {
-    ckpt->done[i] = 0;
-    ckpt->rows[i] = SweepRow{};  // stale bytes must be recomputed, not trusted
-  }
-  durable::save_sweep_checkpoint(path, *ckpt);
-  const durable::CheckpointedSweepResult r =
-      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(), opts);
+  const std::vector<Record> full = finished_checkpoint(path);
+  // Simulate a crash that journaled only half the rows: keep the identity
+  // frame and every other row frame.
+  std::vector<Record> partial{full[0]};
+  for (std::size_t r = 1; r < full.size(); r += 2) partial.push_back(full[r]);
+  write_records(path, partial);
+  const durable::CheckpointedSweepResult r = checkpointed(path);
   EXPECT_EQ(r.resumed, small_grid().size() / 2);
   EXPECT_EQ(r.evaluated, small_grid().size() - r.resumed);
-  expect_rows_bit_identical(r.rows, plain);
+  expect_rows_bit_identical(r.rows, plain_rows());
 }
 
 TEST(DurableSweep, ExpiredBudgetRowsAreNotDoneAndResumeCompletes) {
   const std::string path = scratch_path("sweep_budget.ckpt");
-  durable::CheckpointedSweepOptions opts;
-  opts.sweep.budget = RunBudget::with_timeout_ms(0.0);  // expired before point 1
-  const durable::CheckpointedSweepResult interrupted =
-      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(), opts);
+  SweepOptions opts;
+  opts.budget = RunBudget::with_timeout_ms(0.0);  // expired before point 1
+  const durable::CheckpointedSweepResult interrupted = checkpointed(path, opts);
   EXPECT_EQ(interrupted.incomplete, small_grid().size());
-  // Timed-out rows are budget artifacts: the checkpoint must not mark them
-  // done, so a resume with a real budget evaluates them for real.
-  durable::CheckpointedSweepOptions fresh;
-  const durable::CheckpointedSweepResult completed =
-      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(),
-                                            fresh);
+  // Timed-out rows are budget artifacts: the checkpoint must not journal
+  // them, so a resume with a real budget evaluates them for real.
+  const durable::CheckpointedSweepResult completed = checkpointed(path);
   EXPECT_EQ(completed.resumed, 0u);
   EXPECT_EQ(completed.incomplete, 0u);
-  const std::vector<SweepRow> plain =
-      sweep_rho_short(0.5, 1.0, 1.0, 1.0, small_grid());
-  expect_rows_bit_identical(completed.rows, plain);
+  expect_rows_bit_identical(completed.rows, plain_rows());
 }
 
 TEST(DurableSweep, RefusesACheckpointFromADifferentSweep) {
   const std::string path = scratch_path("sweep_identity.ckpt");
-  durable::CheckpointedSweepOptions opts;
-  (void)durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, small_grid(),
-                                              opts);
+  (void)checkpointed(path);
   // Same path, different fixed parameter: grafting rows across sweeps would
   // silently fabricate results.
   EXPECT_THROW((void)durable::checkpointed_sweep_rho_short(path, 0.6, 1.0, 1.0, 1.0,
-                                                           small_grid(), opts),
+                                                           small_grid()),
                InvalidInputError);
   // Different axis entirely.
   EXPECT_THROW((void)durable::checkpointed_sweep_rho_long(path, 0.5, 1.0, 1.0, 1.0,
-                                                          small_grid(), opts),
+                                                          small_grid()),
                InvalidInputError);
+  // A serve journal is no sweep's checkpoint.
+  const std::string journal = scratch_path("sweep_identity_serve.ndjson");
+  {
+    Journal j = Journal::open(journal);
+    (void)j.append_request("{\"id\":\"x\",\"op\":\"ping\"}");
+  }
+  EXPECT_THROW((void)checkpointed(journal), InvalidInputError);
+  EXPECT_THROW((void)checkpointed(""), InvalidInputError);
+}
+
+TEST(DurableSweep, CheckpointCutMidFrameResumesAndAppendsCleanly) {
+  const std::string path = scratch_path("sweep_cut.ckpt");
+  (void)finished_checkpoint(path);
+  const std::string bytes = slurp(path);
+  // Cut inside the fifth frame (row 3): rows 0-2 survive, the rest is a
+  // torn tail.
+  std::size_t fifth = 0;
+  for (int i = 0; i < 5; ++i) fifth = bytes.find("CSQJ1", i == 0 ? 0 : fifth + 1);
+  ASSERT_NE(fifth, std::string::npos);
+  spit(path, bytes.substr(0, fifth + 20));
+  const durable::CheckpointedSweepResult r = checkpointed(path);
+  EXPECT_EQ(r.resumed, 3u);
+  EXPECT_EQ(r.evaluated, 3u);
+  expect_rows_bit_identical(r.rows, plain_rows());
+  // The torn bytes were trimmed before the first append: the file replays
+  // whole, with no tail to discard, and a third run recomputes nothing.
+  ReplayStats stats;
+  EXPECT_EQ(durable::replay(path, &stats).size(), 1 + small_grid().size());
+  EXPECT_FALSE(stats.torn_tail);
+  EXPECT_EQ(checkpointed(path).resumed, small_grid().size());
+
+  // A cut inside the identity frame leaves nothing to trust: start fresh.
+  spit(path, bytes.substr(0, 10));
+  const durable::CheckpointedSweepResult fresh = checkpointed(path);
+  EXPECT_EQ(fresh.resumed, 0u);
+  expect_rows_bit_identical(fresh.rows, plain_rows());
+  EXPECT_EQ(durable::replay(path).size(), 1 + small_grid().size());
+}
+
+TEST(DurableSweep, RetiredSnapshotFormatReplaysAsATornTailAndStartsFresh) {
+  const std::string path = scratch_path("sweep_legacy.ckpt");
+  spit(path, std::string("CSQCKPT1\x01\x00\x00\x00garbage", 20));
+  const durable::CheckpointedSweepResult r = checkpointed(path);
+  EXPECT_EQ(r.resumed, 0u);
+  expect_rows_bit_identical(r.rows, plain_rows());
+  EXPECT_EQ(checkpointed(path).resumed, small_grid().size());
+}
+
+TEST(DurableSweep, FlippedByteInNonFinalFrameThrowsCorrupt) {
+  const std::string path = scratch_path("sweep_flip.ckpt");
+  (void)finished_checkpoint(path);
+  const std::string bytes = slurp(path);
+  // A payload byte of the identity frame, then of a middle row frame:
+  // either way well-formed frames follow, so this is tampering, not a tear.
+  const std::size_t third = bytes.find("CSQJ1", bytes.find("CSQJ1", 1) + 1);
+  for (const std::size_t at : {bytes.find("axis="), bytes.find('\n', third) + 3}) {
+    std::string mangled = bytes;
+    mangled[at] ^= 0x01;
+    spit(path, mangled);
+    EXPECT_THROW((void)checkpointed(path), CorruptJournalError) << "byte " << at;
+    EXPECT_EQ(slurp(path), mangled) << "a refused checkpoint is left as found";
+  }
+}
+
+TEST(DurableSweep, MalformedRowFrameThrowsCorruptAndNeverResizes) {
+  const std::string path = scratch_path("sweep_malformed.ckpt");
+  const std::vector<Record> full = finished_checkpoint(path);
+  const std::string good = full[1].payload;  // row 0
+  const auto expect_corrupt = [&](RecordKind kind, std::uint64_t seq,
+                                   const std::string& payload, const char* what) {
+    write_records(path, {full[0], full[2], Record{kind, seq, payload}});
+    EXPECT_THROW((void)checkpointed(path), CorruptJournalError) << what;
+  };
+  expect_corrupt(RecordKind::kResponse, small_grid().size(), good, "seq == n");
+  expect_corrupt(RecordKind::kResponse, std::uint64_t{1} << 62, good, "seq 2^62");
+  expect_corrupt(RecordKind::kResponse, 0, good.substr(0, good.size() - 1) + "9",
+                 "status byte 9");
+  std::string bad_hex = good;
+  bad_hex[3] = 'g';
+  expect_corrupt(RecordKind::kResponse, 0, bad_hex, "bad hex");
+  expect_corrupt(RecordKind::kResponse, 0, good.substr(0, good.size() - 2),
+                 "one field short");
+  expect_corrupt(RecordKind::kResponse, 0, good + " 0", "one field extra");
+  expect_corrupt(RecordKind::kResponse, 1, good, "x of another grid point");
+  expect_corrupt(RecordKind::kRequest, 0, good, "a second req frame");
+}
+
+TEST(DurableSweep, DuplicateRowFrameKeepsTheFirst) {
+  const std::string path = scratch_path("sweep_dup.ckpt");
+  std::vector<Record> records = finished_checkpoint(path);
+  // A later, different (still well-formed) frame for row 0 must not win.
+  Record dup = records[1];
+  dup.payload.replace(17, 16, "3ff0000000000000");  // dedicated_short = 1.0
+  records.push_back(dup);
+  write_records(path, records);
+  const durable::CheckpointedSweepResult r = checkpointed(path);
+  EXPECT_EQ(r.resumed, small_grid().size());
+  expect_rows_bit_identical(r.rows, plain_rows());
+}
+
+TEST(DurableSweep, FourThreadsMatchOneThreadBitExactly) {
+  const std::vector<double> grid = linspace(0.05, 1.55, 16);
+  const std::vector<SweepRow> serial = sweep_rho_short(0.5, 1.0, 1.0, 1.0, grid);
+  SweepOptions opts;
+  opts.threads = 4;
+  const std::string path = scratch_path("sweep_threads.ckpt");
+  const durable::CheckpointedSweepResult r =
+      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, grid, opts);
+  EXPECT_EQ(r.evaluated, grid.size());
+  expect_rows_bit_identical(r.rows, serial);
+  // Workers appended concurrently, in completion order; every frame is
+  // whole and the file resumes all of them.
+  ReplayStats stats;
+  EXPECT_EQ(durable::replay(path, &stats).size(), 1 + grid.size());
+  EXPECT_FALSE(stats.torn_tail);
+  const durable::CheckpointedSweepResult again =
+      durable::checkpointed_sweep_rho_short(path, 0.5, 1.0, 1.0, 1.0, grid, opts);
+  EXPECT_EQ(again.resumed, grid.size());
+  expect_rows_bit_identical(again.rows, serial);
 }
 
 // --- Serve + journal integration -------------------------------------------
@@ -1021,6 +1052,21 @@ TEST(SweepCrash, InterruptedCliSweepResumesByteIdentically) {
                             .c_str()),
             0);
   EXPECT_EQ(slurp(resumed), slurp(golden));
+}
+
+TEST(SweepCrash, CorruptCheckpointExitsTen) {
+  const std::string ckpt = scratch_path("cli_corrupt.ckpt");
+  const std::string cli = std::string(CSQ_CLI_BIN) +
+                          " sweep --x rho_s --from 0.1 --to 0.9 --points 4 --csv --checkpoint " +
+                          ckpt + " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(cli.c_str()), 0);
+  std::string bytes = slurp(ckpt);
+  bytes[bytes.find("axis=")] ^= 0x01;  // identity payload; row frames follow
+  spit(ckpt, bytes);
+  const int status = std::system(cli.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 10);
+  EXPECT_EQ(slurp(ckpt), bytes);  // refused, not overwritten
 }
 
 }  // namespace

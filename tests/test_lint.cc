@@ -206,22 +206,11 @@ TEST(LintRules, JournalHygieneDirectIoInServe) {
   EXPECT_NE(fs[0].message.find("durable"), std::string::npos);
 }
 
-TEST(LintRules, JournalHygieneRenameNeedsFsync) {
-  const std::vector<Finding> fs =
-      lint_one("journal_rename_bad.cc", "src/durable/journal_rename_bad.cc");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "journal-hygiene");
-  EXPECT_NE(fs[0].message.find("fsync"), std::string::npos);
-  // The compliant twin fsyncs before the rename.
-  EXPECT_TRUE(lint_one("journal_clean.cc", "src/durable/journal_clean.cc").empty());
-}
-
 TEST(LintRules, JournalHygieneScopedToItsPaths) {
-  // Outside src/serve/ and src/durable/ the same files are unconstrained
-  // (tools/ owns its own files; the rename fixture is fine in core).
+  // Outside src/serve/ the same file is unconstrained (tools/ owns its own
+  // files, and src/durable/ is where the file I/O belongs).
   EXPECT_TRUE(lint_one("journal_bad.cc", "tools/journal_bad.cc").empty());
-  EXPECT_TRUE(
-      lint_one("journal_rename_bad.cc", "src/core/journal_rename_bad.cc").empty());
+  EXPECT_TRUE(lint_one("journal_bad.cc", "src/durable/journal_bad.cc").empty());
 }
 
 // --- Suppressions ----------------------------------------------------------

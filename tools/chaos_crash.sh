@@ -9,9 +9,10 @@
 #          response the client saw before the crash is re-delivered with
 #          byte-identical content. A torn journal tail must be absorbed,
 #          never fatal.
-#   sweep  SIGKILL csq_cli sweep --checkpoint mid-sweep, resume, and cmp
-#          the CSV against an uninterrupted golden run — byte-identical
-#          output for an arbitrary interruption point.
+#   sweep  SIGKILL csq_cli sweep --checkpoint mid-sweep (every finished
+#          row is already journaled), resume, and cmp the CSV against an
+#          uninterrupted golden run — byte-identical output for an
+#          arbitrary interruption point.
 #
 # The assertions hold for *any* kill timing, so the harness is not flaky:
 # an unlucky (too-early/too-late) kill degrades coverage, not correctness.
@@ -198,8 +199,7 @@ note "PASS  serve double-crash recovery converges"
 sweep_flags="sweep --x rho_s --from 0.1 --to 1.2 --points 20 --rho-l 0.4 --csv"
 "$cli_bin" $sweep_flags > "$tmp/golden.csv" 2>/dev/null \
   || fail "sweep: golden run failed"
-"$cli_bin" $sweep_flags --checkpoint "$tmp/sweep.ckpt" --checkpoint-every 1 \
-  > /dev/null 2>&1 &
+"$cli_bin" $sweep_flags --checkpoint "$tmp/sweep.ckpt" > /dev/null 2>&1 &
 pid=$!
 sleep 0.10
 kill -KILL "$pid" 2>/dev/null

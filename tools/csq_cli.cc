@@ -11,9 +11,10 @@
 //                     [--max-reps N]
 //   csq_cli sweep     --x rho_s|rho_l --from A --to B --points N
 //                     [workload flags] [--csv] [--resilient]
-//                     [--checkpoint FILE [--checkpoint-every N]]
-//                     (crash-resumable: periodic atomic snapshots; rerun
-//                     with the same flags + file to resume byte-identically)
+//                     [--checkpoint FILE]
+//                     (crash-resumable: every finished row is journaled;
+//                     rerun with the same flags + file to resume
+//                     byte-identically)
 //   csq_cli sweep     --policy a,b,... [--dist exp|coxian|bpareto]
 //                     [--from A --to B --points N] [--csv|--json]
 //                     (policy x dist x load panel: analysis for
@@ -360,17 +361,14 @@ int cmd_sweep(const Args& a) {
   if (!checkpoint.empty()) {
     // Checkpointed path: identical stdout rows, crash-resumable. Progress
     // notes go to stderr so --csv output stays machine-readable.
-    durable::CheckpointedSweepOptions copts;
-    copts.sweep = opts;
-    copts.every = a.integer("checkpoint-every", copts.every, 1, kMaxCount);
     const durable::CheckpointedSweepResult r =
         axis == "rho_s"
             ? durable::checkpointed_sweep_rho_short(
                   checkpoint, a.number("rho-l", 0.5), a.number("mean-s", 1.0),
-                  a.number("mean-l", 1.0), a.number("scv-l", 1.0), grid, copts)
+                  a.number("mean-l", 1.0), a.number("scv-l", 1.0), grid, opts)
             : durable::checkpointed_sweep_rho_long(
                   checkpoint, a.number("rho-s", 0.9), a.number("mean-s", 1.0),
-                  a.number("mean-l", 1.0), a.number("scv-l", 1.0), grid, copts);
+                  a.number("mean-l", 1.0), a.number("scv-l", 1.0), grid, opts);
     if (r.resumed > 0)
       std::cerr << "sweep: resumed " << r.resumed << " row(s) from " << checkpoint
                 << ", evaluated " << r.evaluated << "\n";
@@ -426,9 +424,10 @@ void usage() {
       "                     [--steal-batch N] [--share-threshold N] [--reps N]\n"
       "                     [--target-ci X] [--max-reps N]\n"
       "  sweep:    --x rho_s|rho_l --from A --to B --points N [--csv]\n"
-      "            [--resilient] [--checkpoint FILE [--checkpoint-every N]]\n"
-      "            (--checkpoint: crash-resumable; rerun with the same flags\n"
-      "             and file to resume — output rows are byte-identical)\n"
+      "            [--resilient] [--checkpoint FILE]\n"
+      "            (--checkpoint: journals each finished row; rerun with the\n"
+      "             same flags and file to resume — output rows are\n"
+      "             byte-identical)\n"
       "  sweep:    --policy a,b,... [--dist exp|coxian|bpareto] [--csv|--json]\n"
       "            [--from A --to B --points N] [--reps N] [--completions N]\n"
       "            (policy panel: analysis where available, replicated\n"

@@ -293,18 +293,14 @@ const std::vector<RuleInfo>& rules() {
        "rationale. The comment may sit on the site, just above it, or in the\n"
        "function's doc block."},
       {"journal-hygiene",
-       "serve code must not do direct file I/O (durability goes through src/durable/); "
-       "rename() publishes in src/durable/ need an fsync (R18)",
-       "Durability is a protocol, not a convenience: the journal/checkpoint layer\n"
-       "(src/durable/) owns the CRC framing, the append ordering and the\n"
-       "flush-before-publish discipline that recovery (csq_serve --recover,\n"
-       "checkpointed sweeps) depends on. Request-handler code opening files on\n"
-       "its own (ofstream, fopen, open, write, ...) creates state no recovery\n"
-       "path replays — route it through durable::Journal or the checkpoint API.\n"
-       "Inside src/durable/, a rename() publish in a file with no fsync call can\n"
-       "expose a torn artifact after power loss: the directory entry can reach\n"
-       "disk before the file's bytes do. Fix: fsync the descriptor before the\n"
-       "rename (tmp + fsync + rename)."},
+       "serve code must not do direct file I/O (durability goes through "
+       "src/durable/) (R18)",
+       "Durability is a protocol, not a convenience: the journal (src/durable/)\n"
+       "owns the CRC framing, the append ordering and the fsync policy that\n"
+       "recovery (csq_serve --recover, checkpointed sweeps) depends on.\n"
+       "Request-handler code opening files on its own (ofstream, fopen, open,\n"
+       "write, ...) creates state no recovery path replays — route it through\n"
+       "durable::Journal."},
       {"suppression",
        "csq-lint: allow(...) comments must name a known rule, give a reason and cover a "
        "finding",
@@ -627,61 +623,39 @@ void rule_serve_hygiene(const SourceFile& f, const Config& config,
   }
 }
 
-// journal-hygiene (R18): two halves of one flush-before-publish discipline.
-//   (a) request-handler code (Config::journal_no_direct_io_paths) must not
-//       do direct file I/O — stream types (ofstream/fstream/FILE) anywhere,
-//       or a banned call (fopen/open/write/...) in call position. Durability
-//       belongs to src/durable/, which owns the CRC framing and fsync
-//       policy; a handler writing its own files creates state no recovery
-//       path replays. Member calls (x.open, p->write) are not flagged: the
-//       ban is on raw file I/O, not on API method names.
-//   (b) in the durability layer itself (Config::journal_publish_paths), a
-//       file that calls rename() — the atomic-publish step — must also call
-//       fsync somewhere: renaming unsynced bytes can publish a torn
-//       artifact after power loss.
+// journal-hygiene (R18): request-handler code
+// (Config::journal_no_direct_io_paths) must not do direct file I/O — stream
+// types (ofstream/fstream/FILE) anywhere, or a banned call
+// (fopen/open/write/...) in call position. Durability belongs to
+// src/durable/, which owns the CRC framing and fsync policy; a handler
+// writing its own files creates state no recovery path replays. Member
+// calls (x.open, p->write) are not flagged: the ban is on raw file I/O, not
+// on API method names.
 void rule_journal_hygiene(const SourceFile& f, const Config& config,
                           std::vector<Finding>* out) {
-  const auto in_any = [&](const std::vector<std::string>& prefixes) {
-    for (const std::string& p : prefixes)
-      if (starts_with(f.rel, p)) return true;
-    return false;
+  bool in_scope = false;
+  for (const std::string& p : config.journal_no_direct_io_paths)
+    in_scope = in_scope || starts_with(f.rel, p);
+  if (!in_scope) return;
+  const auto stream_type = [](const std::string& ident) {
+    return ident == "FILE" || (ident.size() >= 6 &&
+                               ident.compare(ident.size() - 6, 6, "stream") == 0 &&
+                               ident.find("string") == std::string::npos);
   };
   const Tokens& t = f.tokens;
-  if (in_any(config.journal_no_direct_io_paths)) {
-    const auto stream_type = [](const std::string& ident) {
-      return ident == "FILE" || (ident.size() >= 6 &&
-                                 ident.compare(ident.size() - 6, 6, "stream") == 0 &&
-                                 ident.find("string") == std::string::npos);
-    };
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      for (const std::string& banned : config.journal_banned_io_calls) {
-        if (t[i].text != banned) continue;
-        const bool member_call =
-            i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
-        const bool call_like = i + 1 < t.size() && t[i + 1].text == "(";
-        if (stream_type(banned) || (call_like && !member_call))
-          out->push_back({f.path, t[i].line, "journal-hygiene",
-                          "direct file I/O (" + banned +
-                              ") in request-handler code — durability goes "
-                              "through durable::Journal / the checkpoint API "
-                              "(src/durable/), which own framing and fsync"});
-      }
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent) continue;
+    for (const std::string& banned : config.journal_banned_io_calls) {
+      if (t[i].text != banned) continue;
+      const bool member_call = i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
+      const bool call_like = i + 1 < t.size() && t[i + 1].text == "(";
+      if (stream_type(banned) || (call_like && !member_call))
+        out->push_back({f.path, t[i].line, "journal-hygiene",
+                        "direct file I/O (" + banned +
+                            ") in request-handler code — durability goes "
+                            "through durable::Journal (src/durable/), which "
+                            "owns framing and fsync"});
     }
-  }
-  if (in_any(config.journal_publish_paths)) {
-    int rename_line = 0;
-    bool has_fsync = false;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent || t[i + 1].text != "(") continue;
-      if (t[i].text == "rename" && rename_line == 0) rename_line = t[i].line;
-      if (t[i].text == "fsync") has_fsync = true;
-    }
-    if (rename_line != 0 && !has_fsync)
-      out->push_back({f.path, rename_line, "journal-hygiene",
-                      "rename() publish with no fsync in this file — flush "
-                      "before publishing or a crash can expose a torn "
-                      "artifact (tmp + fsync + rename)"});
   }
 }
 

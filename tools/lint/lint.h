@@ -20,8 +20,7 @@
 //                           process or push onto a request queue outside
 //                           the bounded admit path
 //   journal-hygiene    (R18) no direct file I/O in request-handler code
-//                           (durability goes through src/durable/); a
-//                           rename() publish in src/durable/ needs an fsync
+//                           (durability goes through src/durable/)
 //   suppression        (meta) malformed or unused `csq-lint: allow(...)`
 //                           comments
 //
@@ -147,19 +146,14 @@ struct Config {
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
   std::vector<std::string> atomic_order_dirs = {"src/parallel/", "src/obs/"};
-  // journal-hygiene (R18a): request-handler directories that must not do
+  // journal-hygiene (R18): request-handler directories that must not do
   // direct file I/O — durability belongs to src/durable/, which owns the
-  // CRC framing and the flush-before-publish discipline. A handler writing
-  // its own files bypasses both.
+  // CRC framing and the fsync policy. A handler writing its own files
+  // bypasses both.
   std::vector<std::string> journal_no_direct_io_paths = {"src/serve/"};
   std::vector<std::string> journal_banned_io_calls = {
       "fopen", "freopen", "fwrite", "fprintf", "ofstream", "fstream",
       "open",  "openat",  "creat",  "write",   "pwrite"};
-  // journal-hygiene (R18b): directories where a rename() publish requires
-  // an fsync somewhere in the same file (flush-before-publish: renaming a
-  // file whose bytes were never synced can publish a torn artifact after a
-  // power failure).
-  std::vector<std::string> journal_publish_paths = {"src/durable/"};
 };
 
 // Run every rule over `files` — the token rules, then the semantic rules
