@@ -10,6 +10,10 @@
 
 namespace csq::fault {
 
+namespace detail {
+std::atomic<int> armed_count{0};
+}  // namespace detail
+
 namespace {
 
 // Indexed by Site: a pass touches two array slots and allocates nothing.
@@ -48,13 +52,14 @@ bool should_fire(Site site, ArmSpec* out) {
   if (!armed || --armed->trigger_count > 0) return false;
   *out = *armed;
   armed.reset();  // single-shot: later passes see a healthy site
+  detail::armed_count.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
 [[noreturn]] void fire_throw(const ArmSpec& spec) {
   Diagnostics d;
   d.stage = spec.site;
-  d.notes.push_back("injected fault (CSQ_FAULT_INJECTION)");
+  d.notes.push_back("injected fault (core/faultpoint.h)");
   throw_error(spec.code, "injected " + std::string(error_code_name(spec.code)) +
                              " fault at site " + spec.site,
               std::move(d));
@@ -128,11 +133,6 @@ ArmSpec parse_arm_spec(const std::string& text) {
 }
 
 void arm(const ArmSpec& spec) {
-  if (!enabled()) {
-    throw InvalidInputError(
-        "cannot arm fault site '" + spec.site +
-        "': fault injection is not compiled in (configure with -DCSQ_FAULT_INJECTION=ON)");
-  }
   const std::size_t i = names::find(kSites, spec.site);
   if (i == kSiteCount) {
     std::string known;
@@ -145,7 +145,20 @@ void arm(const ArmSpec& spec) {
                             "' with 'nan': it has no matrix data to poison (use throw or burn)");
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
+  if (!r.armed[i]) detail::armed_count.fetch_add(1, std::memory_order_relaxed);
   r.armed[i] = spec;
+}
+
+void arm_list(const std::string& specs) {
+  std::size_t start = 0;
+  while (start <= specs.size()) {
+    const std::size_t comma = specs.find(',', start);
+    const std::string one =
+        specs.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!one.empty()) arm(parse_arm_spec(one));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
 }
 
 void disarm_all() {
@@ -153,6 +166,7 @@ void disarm_all() {
   const std::lock_guard<std::mutex> lock(r.mutex);
   r.armed.fill(std::nullopt);
   r.hit_counts.fill(0);
+  detail::armed_count.store(0, std::memory_order_relaxed);
 }
 
 long hits(const std::string& site) {

@@ -1,5 +1,5 @@
-// Deterministic fault injection: named fault sites compiled in under
-// -DCSQ_FAULT_INJECTION, armed by tests/CLI to fire on the Nth pass.
+// Deterministic fault injection: named fault sites compiled into every
+// build, armed by tests/CLI to fire on the Nth pass.
 //
 // A fault site is a named probe in recovery-relevant code, one row of the
 // site table below:
@@ -12,8 +12,8 @@
 // The table is checked at compile time (core/name_table.h): `module.sub.action`
 // names, strictly ascending. Each site appears once in the tree
 // (ObsCatalog.EveryRowHasExactlyOneSite), so a site identifies one code
-// location. With the CMake option OFF (the default) both macros still check
-// the name but emit no code, so no hot-path cost.
+// location. An unarmed pass reads one relaxed process-wide count of armed
+// sites and goes on: no lock, no shared write, no allocation.
 //
 // Arming: `arm(parse_arm_spec("qbd.logred.iterate:3:throw:NotConverged"))` makes
 // the third pass through that site throw; the site then disarms itself
@@ -26,16 +26,18 @@
 //   burn:<ms>           advance the virtual clock (timebase) by <ms> — makes
 //                       deadline expiry testable without sleeping
 //
-// Everything here is process-global and mutex-protected; sites may be hit
-// from worker threads. hits() counts every pass through a site (armed or
-// not) for test assertions; counters and armings reset via disarm_all().
+// Everything here is process-global; sites may be hit from worker threads.
+// Only while some site is armed does a pass take the registry mutex and
+// count a hit, so hits() counts the passes made while any site was armed;
+// counters and armings reset via disarm_all().
 //
-// Throws csq::InvalidInputError (arm/parse on bad spec, arm when fault
-// injection is not compiled in, or arm of a site the table lacks) and, when
-// an armed site fires, whatever the armed kind dictates (any taxonomy error,
-// or csq::InternalError for `nan` at a plain site).
+// Throws csq::InvalidInputError (arm/parse on bad spec, or arm of a site
+// the table lacks) and, when an armed site fires, whatever the armed kind
+// dictates (any taxonomy error, or csq::InternalError for `nan` at a plain
+// site).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <iterator>
 #include <string>
@@ -99,16 +101,6 @@ consteval Site of_kind() {
   return S;
 }
 
-// True when the library was built with -DCSQ_FAULT_INJECTION=ON. Tests that
-// need armed sites GTEST_SKIP() when this is false.
-constexpr bool enabled() {
-#ifdef CSQ_FAULT_INJECTION
-  return true;
-#else
-  return false;
-#endif
-}
-
 enum class Kind {
   kThrow,  // throw the taxonomy error `code`
   kNan,    // inject NaN into the site's matrix data
@@ -128,22 +120,35 @@ struct ArmSpec {
 [[nodiscard]] ArmSpec parse_arm_spec(const std::string& text);
 
 // Arm a site (replacing any previous arming of the same site). Throws
-// InvalidInputError when fault injection is not compiled in, the site is
-// not in the table, or `nan` is armed at a kPlain site (it has no data to
-// poison) — arming must never silently do nothing or fail later.
+// InvalidInputError when the site is not in the table or `nan` is armed at
+// a kPlain site (it has no data to poison) — arming must never silently do
+// nothing or fail later.
 void arm(const ArmSpec& spec);
+
+// Parse and arm each item of a comma-separated spec list (the `--fault`
+// value of csq_cli and csq_serve); empty items are skipped. Throws as
+// parse_arm_spec and arm do, on the first bad item.
+void arm_list(const std::string& specs);
 
 // Drop all armings and zero all hit counters.
 void disarm_all();
 
-// Total passes through `site` since the last disarm_all() (0 when the flag
-// is off — the macros compile away — or the site is not in the table).
+// Passes through `site` made while some site was armed, since the last
+// disarm_all() (0 for a site the table lacks).
 [[nodiscard]] long hits(const std::string& site);
 
 // Sites currently armed, sorted by name (for diagnostics).
 [[nodiscard]] std::vector<std::string> armed_sites();
 
 namespace detail {
+// Sites armed and not yet fired. Written under the registry mutex; the
+// macros read it relaxed, so an unarmed pass costs one load and a branch.
+extern std::atomic<int> armed_count;
+
+[[nodiscard]] inline bool any_armed() {
+  return armed_count.load(std::memory_order_relaxed) != 0;
+}
+
 // Macro entry points; never call directly. An armed site throws whatever
 // its plan entry configures — any taxonomy class can surface:
 // Throws csq::InvalidInputError, csq::UnstableError,
@@ -162,11 +167,13 @@ void hit_matrix(Site site, double* data, std::size_t size);
 #define CSQ_FAULT_SITE_(site, kind) \
   ::csq::fault::of_kind<::csq::fault::Site::site, ::csq::fault::SiteKind::kind>()
 
-#ifdef CSQ_FAULT_INJECTION
-#define CSQ_FAULT_POINT(site) ::csq::fault::detail::hit(CSQ_FAULT_SITE_(site, kPlain))
-#define CSQ_FAULT_POINT_MATRIX(site, data, size) \
-  ::csq::fault::detail::hit_matrix(CSQ_FAULT_SITE_(site, kMatrix), data, size)
-#else
-#define CSQ_FAULT_POINT(site) ((void)CSQ_FAULT_SITE_(site, kPlain))
-#define CSQ_FAULT_POINT_MATRIX(site, data, size) ((void)CSQ_FAULT_SITE_(site, kMatrix))
-#endif
+// The site check is consteval, so it holds in both branches; the mutex path
+// (and the matrix site's data arguments) run only while a site is armed.
+#define CSQ_FAULT_POINT(site)                                    \
+  (::csq::fault::detail::any_armed()                             \
+       ? ::csq::fault::detail::hit(CSQ_FAULT_SITE_(site, kPlain)) \
+       : void())
+#define CSQ_FAULT_POINT_MATRIX(site, data, size)                                       \
+  (::csq::fault::detail::any_armed()                                                   \
+       ? ::csq::fault::detail::hit_matrix(CSQ_FAULT_SITE_(site, kMatrix), data, size) \
+       : void())

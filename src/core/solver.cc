@@ -64,8 +64,8 @@ SolverStatus verify_metrics(const PolicyMetrics& metrics, const SystemConfig& co
   return status;
 }
 
-PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period_moments,
-                      VerifyLevel verify, const RunBudget& budget) {
+PolicyMetrics analyze(Policy policy, const SystemConfig& config, VerifyLevel verify,
+                      const RunBudget& budget) {
   budget.check("analyze");
   PolicyMetrics metrics;
   switch (policy) {
@@ -74,7 +74,6 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
       break;
     case Policy::kCsId: {
       analysis::CsidOptions opts;
-      opts.busy_period_moments = busy_period_moments;
       opts.qbd.verify = verify;
       opts.qbd.budget = budget;
       metrics = analysis::analyze_csid(config, opts).metrics;
@@ -82,7 +81,6 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
     }
     case Policy::kCsCq: {
       analysis::CscqOptions opts;
-      opts.busy_period_moments = busy_period_moments;
       opts.qbd.verify = verify;
       opts.qbd.budget = budget;
       metrics = analysis::analyze_cscq(config, opts).metrics;
@@ -95,12 +93,11 @@ PolicyMetrics analyze(Policy policy, const SystemConfig& config, int busy_period
   return metrics;
 }
 
-AnalyzeOutcome try_analyze(Policy policy, const SystemConfig& config,
-                           int busy_period_moments, VerifyLevel verify,
+AnalyzeOutcome try_analyze(Policy policy, const SystemConfig& config, VerifyLevel verify,
                            const RunBudget& budget) noexcept {
   AnalyzeOutcome out;
   try {
-    out.metrics = analyze(policy, config, busy_period_moments, verify, budget);
+    out.metrics = analyze(policy, config, verify, budget);
   } catch (const Error& e) {
     out.status = e.status();
   } catch (const std::exception& e) {

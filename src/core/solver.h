@@ -14,17 +14,16 @@ enum class Policy { kDedicated, kCsId, kCsCq };
 // Analytic mean response times for the given policy. Throws the structured
 // taxonomy of core/status.h (csq::UnstableError outside the policy's
 // stability region, csq::InvalidInputError on malformed configs, ...), all
-// of which derive from the std exceptions historically thrown here.
-// `busy_period_moments` selects how many busy-period moments the cycle-
-// stealing chains match (3 = paper's setting; 1/2 for ablations); ignored by
-// Dedicated. `verify` gates the self-checks run on the result (finite,
+// of which derive from the std exceptions historically thrown here. The
+// cycle-stealing chains match three busy-period moments, the paper's setting
+// (ablations set CscqOptions/CsidOptions::busy_period_moments directly).
+// `verify` gates the self-checks run on the result (finite,
 // nonnegative metrics; kFull adds Little's-law consistency) — failures throw
 // csq::VerificationFailedError. `budget` bounds the underlying QBD solve;
 // csq::DeadlineExceededError / csq::CancelledError propagate from it with
 // partial SolveStats, as do csq::NotConvergedError when the whole fallback
 // chain fails and csq::IllConditionedError from the linear-algebra stages.
 [[nodiscard]] PolicyMetrics analyze(Policy policy, const SystemConfig& config,
-                                    int busy_period_moments = 3,
                                     VerifyLevel verify = VerifyLevel::kBasic,
                                     const RunBudget& budget = {});
 
@@ -38,7 +37,6 @@ struct AnalyzeOutcome {
 };
 
 [[nodiscard]] AnalyzeOutcome try_analyze(Policy policy, const SystemConfig& config,
-                                         int busy_period_moments = 3,
                                          VerifyLevel verify = VerifyLevel::kBasic,
                                          const RunBudget& budget = {}) noexcept;
 

@@ -76,6 +76,23 @@ const char* error_class_name(ErrorCode code) {
   return "?";
 }
 
+int exit_code(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kOk: return 0;
+    case ErrorCode::kInvalidInput: return 2;
+    case ErrorCode::kUnstable: return 3;
+    case ErrorCode::kNotConverged: return 4;
+    case ErrorCode::kIllConditioned: return 5;
+    case ErrorCode::kVerificationFailed: return 6;
+    case ErrorCode::kDeadlineExceeded: return 7;
+    case ErrorCode::kCancelled: return 8;
+    case ErrorCode::kOverloaded: return 9;
+    case ErrorCode::kCorruptJournal: return 10;
+    case ErrorCode::kInternal: return 1;
+  }
+  return 1;
+}
+
 Diagnostics Diagnostics::loads(double rho_short, double rho_long) {
   Diagnostics d;
   d.rho_short = rho_short;

@@ -41,6 +41,12 @@ enum class ErrorCode {
 // "UnstableError", ...) — the `error_class` field of csq_cli --json-errors.
 [[nodiscard]] const char* error_class_name(ErrorCode code);
 
+// Process exit status for the code, shared by csq_cli, csq_serve and
+// csq_lint: 0 ok, 1 internal, 2 invalid input, 3 unstable, 4 not converged,
+// 5 ill-conditioned, 6 verification failed, 7 deadline exceeded,
+// 8 cancelled, 9 overloaded, 10 corrupt journal.
+[[nodiscard]] int exit_code(ErrorCode code);
+
 // How much self-verification analyze()/qbd::solve() run on their results.
 //   kNone  — trust the solver.
 //   kBasic — mass ≈ 1, no negative probabilities, finite values, and

@@ -346,7 +346,7 @@ std::string Server::execute_op(const Request& req, const RunBudget& budget,
       if (cacheable)
         if (const std::optional<PolicyMetrics> hit = cache_.lookup(key); hit.has_value())
           return ok_response(req, metrics_json(*hit), *extras);
-      const PolicyMetrics m = analyze(req.policy, req.config(), 3, req.verify, budget);
+      const PolicyMetrics m = analyze(req.policy, req.config(), req.verify, budget);
       if (cacheable) {
         try {
           cache_.insert(key, m);

@@ -52,7 +52,7 @@
 // re-executing a request that crashed mid-flight reproduces the exact bytes
 // a completed journal record would have replayed.
 //
-// Fault sites (compiled under -DCSQ_FAULT_INJECTION): serve.admission.shed
+// Fault sites (core/faultpoint.h): serve.admission.shed
 // (admission decision), serve.dispatch.run (at execution start),
 // serve.cache.insert (in SolverCache).
 //

@@ -132,8 +132,7 @@ TEST(HotPathAlloc, WarmQbdLayersPinned) {
   // whole qbd::solve (R, (I - R)^{-1}, boundary assembly and LU, Solution).
   // The mean-drift LU before the R solve runs in that scratch and adds none.
   // solve_r's count is per solve, not per doubling step. Fault sites
-  // allocate nothing unless armed, so a -DCSQ_FAULT_INJECTION=ON build
-  // measures the same counts.
+  // allocate nothing unless armed.
   constexpr long kSolveR = 3, kSolve = 29;
   const RepeatingBlocks blk = blocks(1.8);
   const qbd::Model mdl = model(blk);
@@ -160,9 +159,8 @@ TEST(HotPathAlloc, AnalyzeCscqWithinMeasuredBudget) {
   // Heap allocations of one warm analyze_cscq at the BM_AnalyzeCscq
   // operating point: 67 as measured when the result started to carry the
   // solved chain instead of copies of its stats and an eager p99 walk
-  // (GCC 12, libstdc++; 72 before), plus a headroom of 6. Fault sites look
-  // their names up without allocating, so a -DCSQ_FAULT_INJECTION=ON build
-  // measures the same.
+  // (GCC 12, libstdc++; 72 before), plus a headroom of 6. Fault sites
+  // allocate nothing unless armed.
   constexpr long kBudget = 73;
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
   (void)analysis::analyze_cscq(config);  // warm-up: solver scratch
@@ -177,8 +175,6 @@ TEST(HotPathAlloc, AnalyzeCscqFitAndTransformCallsPinned) {
   // pass: B_L, B_{N+1}, one fit each), as measured when PhaseType's moments
   // moved from a dense inverse to back substitution (GCC 12, libstdc++; 14
   // per fit before). Each fit builds its PhaseType afresh: 6 allocations.
-  // No fault site sits on these calls, so a -DCSQ_FAULT_INJECTION=ON build
-  // measures the same counts.
   constexpr long kMg1Busy = 0, kBatchBusy = 0, kFitSingle = 6, kFitBatch = 6;
   const SystemConfig config = SystemConfig::paper_setup(1.2, 0.5, 1.0, 1.0, 8.0);
   // Two warm-up calls, so one-time obs registrations are done.

@@ -692,9 +692,6 @@ TEST(DurableServe, RecoveredRequestsReExecuteByteIdentically) {
 }
 
 TEST(DurableServe, JournalAppendFailureRefusesAdmissionLoudly) {
-#ifndef CSQ_FAULT_INJECTION
-  GTEST_SKIP() << "build with -DCSQ_FAULT_INJECTION=ON to run chaos tests";
-#else
   const std::string path = scratch_path("serve_fault.ndjson");
   Journal journal = Journal::open(path);
   serve::ServerOptions o = serial_opts();
@@ -712,7 +709,6 @@ TEST(DurableServe, JournalAppendFailureRefusesAdmissionLoudly) {
   EXPECT_NE(r2.find("\"ok\":true"), std::string::npos) << r2;
   journal.close();
   EXPECT_EQ(durable::recover(path).requests.size(), 1u);
-#endif
 }
 
 TEST(DurableServe, InvalidBurstIsBoundedAndResets) {

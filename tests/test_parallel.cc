@@ -18,8 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/cscq.h"
+#include "analysis/csid.h"
 #include "core/config.h"
-#include "core/solver.h"
 #include "core/sweep.h"
 #include "obs/obs.h"
 #include "parallel/task_pool.h"
@@ -161,7 +162,13 @@ TEST(ThreadScratch, WarmPoolSweepMatchesFreshInlineSweepBitForBit) {
   parallel_for(kThreads, kThreads, [&](std::size_t i) {
     const SystemConfig c =
         SystemConfig::paper_setup(0.3 + 0.1 * static_cast<double>(i), 0.4, 1.0, 1.0);
-    (void)try_analyze(i % 2 == 0 ? Policy::kCsId : Policy::kCsCq, c, 2);
+    analysis::CsidOptions csid;
+    analysis::CscqOptions cscq;
+    csid.busy_period_moments = cscq.busy_period_moments = 2;
+    if (i % 2 == 0)
+      (void)analysis::analyze_csid(c, csid);
+    else
+      (void)analysis::analyze_cscq(c, cscq);
     {
       const std::lock_guard<std::mutex> lock(mu);
       warmed.insert(std::this_thread::get_id());

@@ -1,11 +1,10 @@
 // The degradation ladder (analysis/resilient.h) and the deterministic fault
 // injection layer (core/faultpoint.h) that exercises it.
 //
-// The ResilientChaos suite carries the `chaos` ctest label: in a normal
-// build its tests GTEST_SKIP (fault injection is compiled out); under
-// -DCSQ_FAULT_INJECTION=ON they drive every rung of the ladder plus the
-// deadline/cancel paths deterministically — burn faults advance the virtual
-// clock (core/deadline.h timebase), so no test ever sleeps.
+// The ResilientChaos suite carries the `chaos` ctest label (and `tier1`):
+// armed fault sites drive every rung of the ladder plus the deadline/cancel
+// paths deterministically — burn faults advance the virtual clock
+// (core/deadline.h timebase), so no test ever sleeps.
 #include <cmath>
 #include <string>
 #include <vector>
@@ -150,9 +149,19 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
     EXPECT_THROW((void)fault::parse_arm_spec(spec), InvalidInputError) << spec;
 }
 
-TEST(FaultSpec, ArmWithoutFaultBuildThrows) {
-  if (fault::enabled()) GTEST_SKIP() << "fault injection compiled in";
-  EXPECT_THROW(fault::arm(fault::parse_arm_spec("a.b.c:1:nan")), InvalidInputError);
+TEST(FaultSpec, ArmListSkipsEmptyItems) {
+  fault::disarm_all();
+  fault::arm_list(",analysis.cscq.solve:1:throw:NotConverged,,qbd.logred.iterate:2:nan,");
+  EXPECT_EQ(fault::armed_sites(),
+            (std::vector<std::string>{"analysis.cscq.solve", "qbd.logred.iterate"}));
+  fault::disarm_all();
+  fault::arm_list("");
+  fault::arm_list(",,");
+  EXPECT_TRUE(fault::armed_sites().empty());
+  // A bad item throws; the items before it stay armed until disarm_all().
+  EXPECT_THROW(fault::arm_list("mg1.pk.wait:1:burn:1,,bogus"), InvalidInputError);
+  EXPECT_EQ(fault::armed_sites(), std::vector<std::string>{"mg1.pk.wait"});
+  fault::disarm_all();
 }
 
 // --- Chaos: fault-injected ladder walks (`ctest -L chaos`) -----------------
@@ -160,16 +169,12 @@ TEST(FaultSpec, ArmWithoutFaultBuildThrows) {
 class ResilientChaos : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!fault::enabled())
-      GTEST_SKIP() << "build with -DCSQ_FAULT_INJECTION=ON to run chaos tests";
     fault::disarm_all();
     timebase::reset_virtual();
   }
   void TearDown() override {
-    if (fault::enabled()) {
-      fault::disarm_all();
-      timebase::reset_virtual();
-    }
+    fault::disarm_all();
+    timebase::reset_virtual();
   }
 };
 

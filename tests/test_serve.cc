@@ -6,8 +6,7 @@
 // Suite layout mirrors the ctest labels (tests/serve_labels.cmake):
 //   Serve*       tier1;serve — deterministic, no fault injection needed
 //   ServeSoak    tier1;serve — the concurrent mixed-traffic soak
-//   ServeChaos   chaos       — fault-injected degrade/shed paths;
-//                              GTEST_SKIPs unless -DCSQ_FAULT_INJECTION=ON
+//   ServeChaos   tier1;chaos — fault-injected degrade/shed paths
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -503,14 +502,8 @@ TEST(ServeSoak, MixedTrafficIsCrashFreeBalancedAndDeterministic) {
 
 class ServeChaos : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fault::enabled())
-      GTEST_SKIP() << "build with -DCSQ_FAULT_INJECTION=ON to run chaos tests";
-    fault::disarm_all();
-  }
-  void TearDown() override {
-    if (fault::enabled()) fault::disarm_all();
-  }
+  void SetUp() override { fault::disarm_all(); }
+  void TearDown() override { fault::disarm_all(); }
 };
 
 TEST_F(ServeChaos, TransientDispatchFaultDegradesThroughLadderAndSkipsCache) {

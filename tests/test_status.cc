@@ -52,6 +52,22 @@ TEST(Status, ErrorClassNames) {
   EXPECT_STREQ(error_class_name(ErrorCode::kInternal), "InternalError");
 }
 
+// The exit statuses csq_cli, csq_serve and csq_lint document; scripts
+// branch on them, so each is pinned.
+TEST(Status, ExitCodesFollowTheTaxonomyTable) {
+  EXPECT_EQ(exit_code(ErrorCode::kOk), 0);
+  EXPECT_EQ(exit_code(ErrorCode::kInternal), 1);
+  EXPECT_EQ(exit_code(ErrorCode::kInvalidInput), 2);
+  EXPECT_EQ(exit_code(ErrorCode::kUnstable), 3);
+  EXPECT_EQ(exit_code(ErrorCode::kNotConverged), 4);
+  EXPECT_EQ(exit_code(ErrorCode::kIllConditioned), 5);
+  EXPECT_EQ(exit_code(ErrorCode::kVerificationFailed), 6);
+  EXPECT_EQ(exit_code(ErrorCode::kDeadlineExceeded), 7);
+  EXPECT_EQ(exit_code(ErrorCode::kCancelled), 8);
+  EXPECT_EQ(exit_code(ErrorCode::kOverloaded), 9);
+  EXPECT_EQ(exit_code(ErrorCode::kCorruptJournal), 10);
+}
+
 TEST(Status, StructuredErrorsRemainStdExceptions) {
   // The taxonomy types must be catchable both as csq::Error (new code) and
   // as the std exception each call site historically threw (old code).
@@ -282,7 +298,7 @@ TEST(Verification, CorruptedSolutionFailsVerify) {
 TEST(Verification, AnalyzeAtFullLevelPassesForAllPolicies) {
   const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0, 1.0);
   for (const Policy p : {Policy::kDedicated, Policy::kCsId, Policy::kCsCq}) {
-    const PolicyMetrics m = analyze(p, c, 3, VerifyLevel::kFull);
+    const PolicyMetrics m = analyze(p, c, VerifyLevel::kFull);
     EXPECT_TRUE(verify_metrics(m, c, VerifyLevel::kFull).ok()) << policy_label(p);
   }
 }

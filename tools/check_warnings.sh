@@ -8,15 +8,16 @@
 #               suites under it                          (CSQ_SKIP_ASAN=1)
 #   tsan        TSan build, `ctest -L parallel`, `-L serve`, `-L durable`
 #               and `-L policies` under it               (CSQ_SKIP_TSAN=1)
-#   chaos       fault-injection build (ASan+UBSan, -DCSQ_FAULT_INJECTION=ON),
-#               `ctest -L chaos` under it                (CSQ_SKIP_CHAOS=1)
+#   chaos       `ctest -L chaos` (armed fault sites: the degradation ladder
+#               and serve's degrade/shed paths) in the asan-ubsan tree
+#                                                        (CSQ_SKIP_CHAOS=1)
 #   serve       csq_serve end-to-end under ASan: SIGTERM mid-load must drain
 #               cleanly (exit 0) and flush the metrics file
 #                                                        (CSQ_SKIP_SERVE=1)
-#   durable     `ctest -L durable` (journal/checkpoint/crash suites) under
-#               ASan, the fault-injected journal drill under the chaos
-#               build, then the end-to-end SIGKILL harness
-#               tools/chaos_crash.sh against the ASan binaries
+#   durable     `ctest -L durable` (journal/checkpoint/crash suites,
+#               fault-injected journal drill included) under ASan, then the
+#               end-to-end SIGKILL harness tools/chaos_crash.sh against the
+#               ASan binaries
 #                                                        (CSQ_SKIP_DURABLE=1)
 #   obs         `ctest -L obs` under the TSan build (counter/span thread
 #               safety), plus a -DCSQ_OBS=OFF -Werror build proving the
@@ -43,9 +44,9 @@
 #               that breaks that contract fails here
 #
 # usage: tools/check_warnings.sh [build-dir] [tsan-build-dir] [asan-build-dir]
-#        (defaults: build-werror, build-tsan, build-asan; the chaos stage
-#        builds in build-chaos, the portable stage in build-portable, the
-#        perfbench stage in build-perfbench)
+#        (defaults: build-werror, build-tsan, build-asan; the portable
+#        stage builds in build-portable, the perfbench stage in
+#        build-perfbench)
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -123,15 +124,16 @@ else
 fi
 
 # --- stage 4: chaos (fault injection under ASan+UBSan) ----------------------
+# Fault sites are compiled into every build, so the chaos suites already ran
+# in stage 2's tier1 pass; run them by label too, so a relabel can never
+# silently drop them from the ASan net.
 if [ "${CSQ_SKIP_CHAOS:-0}" = "1" ]; then
   note "SKIP  chaos       (CSQ_SKIP_CHAOS=1)"
+elif [ "${CSQ_SKIP_ASAN:-0}" = "1" ]; then
+  note "SKIP  chaos       (needs the asan stage's build)"
 else
-  chaos_dir="$repo_root/build-chaos"
-  cmake -B "$chaos_dir" -S "$repo_root" -DCSQ_FAULT_INJECTION=ON -DCSQ_SANITIZE=ON \
-    -DCSQ_WERROR=ON >/dev/null || fail "chaos (configure)"
-  cmake --build "$chaos_dir" -j || fail "chaos (build)"
-  (cd "$chaos_dir" && ctest -L chaos --output-on-failure) || fail "chaos (chaos suite)"
-  note "PASS  chaos       (fault-injected ladder clean under ASan+UBSan)"
+  (cd "$asan_dir" && ctest -L chaos --output-on-failure) || fail "chaos (chaos suite)"
+  note "PASS  chaos       (fault-injected ladder and serve paths clean under ASan+UBSan)"
 fi
 
 # --- stage 5: serve (SIGTERM drain end-to-end under ASan) --------------------
@@ -183,15 +185,6 @@ else
   cmake --build "$asan_dir" -j --target csq_durable_tests csq_serve csq_cli \
     || fail "durable (build)"
   (cd "$asan_dir" && ctest -L durable --output-on-failure) || fail "durable (suite)"
-  # The journal-append fault drill (admission must be refused loudly, never
-  # silently dropped) needs -DCSQ_FAULT_INJECTION=ON; it self-skips elsewhere,
-  # so run the suite once more under the chaos stage's build.
-  if [ "${CSQ_SKIP_CHAOS:-0}" != "1" ]; then
-    cmake --build "$repo_root/build-chaos" -j --target csq_durable_tests csq_serve csq_cli \
-      || fail "durable (fault-injection build)"
-    (cd "$repo_root/build-chaos" && ctest -L durable --output-on-failure) \
-      || fail "durable (suite under fault injection)"
-  fi
   # End-to-end: SIGKILL the real binaries mid-load and mid-sweep, recover,
   # and hold the exactly-once / byte-identity / resume-identical contracts.
   "$repo_root/tools/chaos_crash.sh" "$asan_dir" || fail "durable (chaos_crash.sh)"

@@ -1,6 +1,7 @@
 // csq_cli — command-line front end for the cyclesteal library.
 //
 //   csq_cli analyze   --policy cscq|csid|dedicated [workload flags]
+//                     [--verify none|basic|full] (self-check level)
 //                     [--resilient] (cscq only: exact -> truncated ->
 //                     simulation degradation ladder)
 //   csq_cli simulate  --policy <registry token; see docs/policies.md>
@@ -29,12 +30,12 @@
 // stdout), --metrics[=file] (flat JSON dump of the obs counters after the
 // command; stdout without a file), --trace=file (record solver-stage spans
 // and write Chrome trace-event JSON — load in chrome://tracing; see
-// docs/observability.md), --verify none|basic|full (self-check level for
-// analytic results),
-// --timeout-ms X (wall-clock RunBudget for the command; exceeded deadlines
-// exit 7 unless --resilient degrades to a cheaper answer first), --fault
-// site:count:kind[,site:count:kind...] (arm deterministic fault-injection
-// sites; requires a -DCSQ_FAULT_INJECTION=ON build, see core/faultpoint.h).
+// docs/observability.md), --timeout-ms X (wall-clock RunBudget for the
+// command; exceeded deadlines exit 7 unless --resilient degrades to a
+// cheaper answer first), --fault site:count:kind[,site:count:kind...] (arm
+// deterministic fault-injection sites, see core/faultpoint.h). A flag that
+// is neither global nor read by the command exits 2 before the command
+// runs.
 //
 // Exit codes follow the error taxonomy: 0 ok, 1 internal error, 2 invalid
 // input, 3 unstable (outside the stability region), 4 solver not converged,
@@ -48,6 +49,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,38 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+// The flags each command reads besides the global ones. Any other flag is
+// InvalidInput before the command runs: a typo such as --rho_s would
+// otherwise run the default workload, and a sweep may already have
+// journaled rows to its checkpoint.
+void reject_unknown_flags(const Args& a) {
+  static const std::set<std::string> kGlobal = {"json-errors", "metrics", "trace",
+                                                "timeout-ms", "fault"};
+  static const std::map<std::string, std::set<std::string>> kByCommand = {
+      {"analyze", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "policy", "verify",
+                   "resilient"}},
+      {"simulate", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "policy", "dist",
+                    "completions", "seed", "tags-cutoff", "steal-threshold", "steal-batch",
+                    "share-threshold", "reps", "threads", "target-ci", "max-reps"}},
+      {"sweep", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "x", "from", "to", "points",
+                 "threads", "resilient", "checkpoint", "csv"}},
+      {"sweep --policy", {"rho-l", "mean-s", "mean-l", "scv-l", "policy", "dist", "from", "to",
+                          "points", "threads", "seed", "completions", "reps",
+                          "steal-threshold", "steal-batch", "share-threshold", "csv", "json"}},
+      {"stability", {"points", "csv"}},
+  };
+  const bool panel = a.command == "sweep" && (a.has("policy") || a.has("dist"));
+  const auto it = kByCommand.find(panel ? "sweep --policy" : a.command);
+  if (it == kByCommand.end()) return;  // unknown command: usage() exits 2
+  std::string unknown;
+  for (const auto& [key, value] : a.flags)
+    if (kGlobal.count(key) == 0 && it->second.count(key) == 0)
+      unknown += (unknown.empty() ? "--" : ", --") + key;
+  if (!unknown.empty())
+    throw InvalidInputError("unknown flag(s) for '" + it->first + "': " + unknown +
+                            " (csq_cli with no arguments lists the flags)");
+}
+
 SystemConfig workload(const Args& a) {
   return SystemConfig::paper_setup(a.number("rho-s", 0.9), a.number("rho-l", 0.5),
                                    a.number("mean-s", 1.0), a.number("mean-l", 1.0),
@@ -192,11 +226,11 @@ int cmd_analyze(const Args& a) {
   }
   PolicyMetrics m;
   if (p == "cscq") {
-    m = analyze(Policy::kCsCq, c, /*busy_period_moments=*/3, verify, budget);
+    m = analyze(Policy::kCsCq, c, verify, budget);
   } else if (p == "csid") {
-    m = analyze(Policy::kCsId, c, /*busy_period_moments=*/3, verify, budget);
+    m = analyze(Policy::kCsId, c, verify, budget);
   } else if (p == "dedicated") {
-    m = analyze(Policy::kDedicated, c, /*busy_period_moments=*/3, verify, budget);
+    m = analyze(Policy::kDedicated, c, verify, budget);
   } else {
     std::cerr << "unknown analytic policy: " << p << "\n";
     return 2;
@@ -437,29 +471,11 @@ void usage() {
       "            --metrics[=file] (obs counter dump; docs/observability.md)\n"
       "            --trace=file (Chrome trace-event JSON of solver spans)\n"
       "            --timeout-ms X (wall-clock budget; deadline exit = 7)\n"
-      "            --fault site:count:kind[,...] (needs CSQ_FAULT_INJECTION)\n"
+      "            --fault site:count:kind[,...] (arm fault sites)\n"
       "exit codes: 0 ok, 1 internal, 2 invalid input, 3 unstable,\n"
       "            4 not converged, 5 ill-conditioned, 6 verification failed,\n"
       "            7 deadline exceeded, 8 cancelled, 9 overloaded (csq_serve),\n"
       "            10 corrupt journal/checkpoint\n";
-}
-
-// Exit code per taxonomy code (documented in usage()).
-int exit_code(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOk: return 0;
-    case ErrorCode::kInvalidInput: return 2;
-    case ErrorCode::kUnstable: return 3;
-    case ErrorCode::kNotConverged: return 4;
-    case ErrorCode::kIllConditioned: return 5;
-    case ErrorCode::kVerificationFailed: return 6;
-    case ErrorCode::kDeadlineExceeded: return 7;
-    case ErrorCode::kCancelled: return 8;
-    case ErrorCode::kOverloaded: return 9;
-    case ErrorCode::kCorruptJournal: return 10;
-    case ErrorCode::kInternal: return 1;
-  }
-  return 1;
 }
 
 int report_error(const SolverStatus& status, bool json) {
@@ -524,20 +540,9 @@ int main(int argc, char** argv) {
   if (a.has("trace")) obs::set_tracing(true);
   int rc = 0;
   try {
-    if (a.has("fault")) {
-      // Arm before dispatch so every command can be chaos-tested. Rejected
-      // with InvalidInputError when fault injection is not compiled in.
-      std::string specs = a.text("fault", "");
-      std::size_t start = 0;
-      while (start <= specs.size()) {
-        const std::size_t comma = specs.find(',', start);
-        const std::string one =
-            specs.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-        if (!one.empty()) fault::arm(fault::parse_arm_spec(one));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    }
+    reject_unknown_flags(a);
+    // Arm before dispatch so every command can be chaos-tested.
+    if (a.has("fault")) fault::arm_list(a.text("fault", ""));
     const auto dispatch = [&]() -> int {
       if (a.command == "analyze") return cmd_analyze(a);
       if (a.command == "simulate") return cmd_simulate(a);

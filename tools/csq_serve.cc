@@ -27,7 +27,7 @@
 //   --max-requests N        drain after admitting N requests (test hook)
 //   --metrics[=file]        obs counter dump on exit (stdout without =file)
 //   --trace=file            Chrome trace-event JSON on exit
-//   --fault spec[,...]      arm fault sites (needs -DCSQ_FAULT_INJECTION)
+//   --fault spec[,...]      arm fault sites (core/faultpoint.h)
 //   --journal=file          write-ahead request journal: every admitted
 //                           request is journaled before it enters the queue,
 //                           every response before it is delivered
@@ -36,7 +36,7 @@
 //                           response bytes, unfinished ones re-execute
 //   --fsync-every N         journal appends per fsync batch (default 32)
 //
-// Exit codes follow the csq_cli taxonomy table (README.md): 0 after a clean
+// Exit codes follow the taxonomy table (csq::exit_code): 0 after a clean
 // drain, 2 on malformed flags, 10 when --recover finds mid-file journal
 // corruption (a torn tail is normal and recovered from), 1 on internal
 // startup failures.
@@ -84,24 +84,6 @@ void install_signal_handlers() {
   sigaction(SIGINT, &sa, nullptr);
   sa.sa_handler = handle_wake;
   sigaction(SIGUSR1, &sa, nullptr);
-}
-
-// Exit code per taxonomy code, mirroring csq_cli's table.
-int exit_code(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOk: return 0;
-    case ErrorCode::kInvalidInput: return 2;
-    case ErrorCode::kUnstable: return 3;
-    case ErrorCode::kNotConverged: return 4;
-    case ErrorCode::kIllConditioned: return 5;
-    case ErrorCode::kVerificationFailed: return 6;
-    case ErrorCode::kDeadlineExceeded: return 7;
-    case ErrorCode::kCancelled: return 8;
-    case ErrorCode::kOverloaded: return 9;
-    case ErrorCode::kCorruptJournal: return 10;
-    case ErrorCode::kInternal: return 1;
-  }
-  return 1;
 }
 
 struct Flags {
@@ -294,15 +276,7 @@ int main(int argc, char** argv) {
   Flags flags;
   try {
     flags = parse_flags(argc, argv);
-    if (!flags.fault_spec.empty()) {
-      std::string rest = flags.fault_spec;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string one = rest.substr(0, comma);
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-        if (!one.empty()) fault::arm(fault::parse_arm_spec(one));
-      }
-    }
+    fault::arm_list(flags.fault_spec);
   } catch (const Error& e) {
     std::cerr << "csq_serve: " << e.status().message << "\n";
     return exit_code(e.status().code);

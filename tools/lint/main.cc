@@ -10,10 +10,10 @@
 // Paths may be files or directories (walked recursively for *.h / *.cc).
 // Findings print one per line on stdout as `file:line: [rule-id] message`.
 //
-// Exit codes follow the csq_cli taxonomy: 0 clean, 2 invalid input (unknown
-// flag, unreadable or missing path — the offending path is named), 6
-// findings reported (the codebase failed verification against the project
-// invariants).
+// Exit codes follow the taxonomy table (csq::exit_code): 0 clean, 2
+// invalid input (unknown flag, unreadable or missing path — the offending
+// path is named), 6 findings reported (the codebase failed verification
+// against the project invariants).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -30,25 +30,6 @@ namespace {
 namespace fs = std::filesystem;
 using csq::lint::Finding;
 using csq::lint::SourceFile;
-
-// Exit code per taxonomy code, mirroring csq_cli (documented in the header
-// comment above).
-[[nodiscard]] int exit_code(csq::ErrorCode code) {
-  switch (code) {
-    case csq::ErrorCode::kOk: return 0;
-    case csq::ErrorCode::kInvalidInput: return 2;
-    case csq::ErrorCode::kUnstable: return 3;
-    case csq::ErrorCode::kNotConverged: return 4;
-    case csq::ErrorCode::kIllConditioned: return 5;
-    case csq::ErrorCode::kVerificationFailed: return 6;
-    case csq::ErrorCode::kDeadlineExceeded: return 7;
-    case csq::ErrorCode::kCancelled: return 8;
-    case csq::ErrorCode::kOverloaded: return 9;
-    case csq::ErrorCode::kCorruptJournal: return 10;
-    case csq::ErrorCode::kInternal: return 1;
-  }
-  return 1;
-}
 
 [[nodiscard]] bool lintable(const fs::path& p) {
   const std::string ext = p.extension().string();
