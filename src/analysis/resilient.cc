@@ -163,15 +163,18 @@ ResilientResult analyze_resilient(const SystemConfig& config, const ResilientOpt
     if (ok) return res;
   }
 
-  // --- rung 3: simulation (always runs its initial batch) ------------------
+  // --- rung 3: simulation (cancel-only: always runs its initial batch) -----
   if (opts.budget.cancelled()) opts.budget.check("analyze_resilient/simulation");
   const bool ok = attempt(Rung::kSimulation, [&] {
+    sim::SimOptions sopts = opts.sim;
+    sopts.budget = opts.budget.without_deadline();
     sim::ReplicationOptions ropts = opts.sim_reps;
-    ropts.budget = opts.budget;
-    ropts.target_rel_ci = opts.sim_target_rel_ci;
+    // The rung cannot see the deadline, so extension under one would be
+    // unbounded: a deadline leaves exactly the initial batch.
+    ropts.target_rel_ci = opts.budget.has_deadline() ? 0.0 : opts.sim_target_rel_ci;
     ropts.max_replications = std::max(ropts.max_replications, ropts.replications);
     const sim::ReplicatedResult mr =
-        sim::simulate_replications(sim::PolicyKind::kCsCq, config, opts.sim, ropts);
+        sim::simulate_replications(sim::PolicyKind::kCsCq, config, sopts, ropts);
     PolicyMetrics m;
     m.shorts = class_metrics_from_response(mr.shorts.mean_response,
                                            config.effective_lambda_short(),

@@ -18,12 +18,15 @@
 //                         recorded in the attempt trail, never escaping the
 //                         ladder);
 //   rung 3 (simulation) — sim::simulate_replications of CS-CQ on the
-//                         default 1 + 1 hosts (the analyzed system), with
-//                         adaptive CI-width stopping. Once
-//                         entered this rung always completes its initial
-//                         replication batch, so a finite budget degrades the
-//                         confidence interval rather than the availability
-//                         of the estimate.
+//                         default 1 + 1 hosts (the analyzed system). The
+//                         rung is cancel-only: it runs under the budget's
+//                         cancel token but not its deadline, so once
+//                         entered it always completes its initial
+//                         replication batch, and a finite budget degrades
+//                         the confidence interval rather than the
+//                         availability of the estimate. Adaptive CI-width
+//                         stopping extends the batch only when the budget
+//                         has no deadline.
 //
 // Budget contract: the overall budget is checked once at ladder entry (an
 // already-expired budget throws immediately — "no rung fits") and before
@@ -79,10 +82,11 @@ struct ResilientOptions {
   // left for the fallbacks.
   VerifyLevel verify = VerifyLevel::kBasic;
   // Simulation rung. sim.seed/total_completions/... are used as given;
-  // sim_reps.budget/target_rel_ci are overwritten from this struct.
+  // sim.budget and sim_reps.target_rel_ci are overwritten from this struct.
   sim::SimOptions sim;
   sim::ReplicationOptions sim_reps;
-  double sim_target_rel_ci = 0.02;  // adaptive CI target (0 disables)
+  // Adaptive CI target (0 disables); ignored when the budget has a deadline.
+  double sim_target_rel_ci = 0.02;
 };
 
 struct ResilientResult {

@@ -8,9 +8,9 @@
 // into worker threads; a copy shares the parent's deadline and token.
 //
 // Polling is cooperative, so deadlines overshoot by at most one poll
-// interval: one log-reduction doubling step in qbd, one sweep point, or one
-// simulation replication (the current replication always runs to
-// completion). See docs/robustness.md §7 for the full contract.
+// interval: one log-reduction doubling step in qbd, one sweep point, or
+// 4096 events of the simulation engine. See docs/robustness.md §7 for the
+// full contract.
 //
 // Time source: timebase::now_ns() is std::chrono::steady_clock plus an
 // atomic *virtual offset* that tests and the fault-injection layer can
@@ -80,6 +80,15 @@ class RunBudget {
   // budget's own deadline; shares the cancel token. Used by the degradation
   // ladder to stop an early rung starving later ones.
   [[nodiscard]] RunBudget slice_ms(double ms) const;
+
+  // Copy of this budget with no deadline that still shares the cancel
+  // token: the degradation ladder's simulation rung runs under it, so its
+  // initial batch completes under any deadline but stops on cancellation.
+  [[nodiscard]] RunBudget without_deadline() const {
+    RunBudget b = *this;
+    b.deadline_ns_ = kNoDeadline;
+    return b;
+  }
 
   [[nodiscard]] bool has_deadline() const { return deadline_ns_ != kNoDeadline; }
   [[nodiscard]] bool expired() const {

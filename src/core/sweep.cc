@@ -259,7 +259,8 @@ PanelRow evaluate_panel_cell(sim::PolicyKind kind, JobSizeDist family, double rh
   row.rho_short = rho_short;
   row.rho_long = rho_long;
   CSQ_OBS_COUNT(kSweepPanelCells);
-  // Same once-per-cell poll as evaluate_point: a started cell finishes.
+  // Same once-per-cell poll as evaluate_point. A started analytic cell
+  // finishes; a simulated one also stops mid-run and is marked kTimedOut.
   if (opts.budget.interrupted()) {
     row.status = PointStatus::kTimedOut;
     return row;
@@ -289,6 +290,7 @@ PanelRow evaluate_panel_cell(sim::PolicyKind kind, JobSizeDist family, double rh
   sopts.seed = cell_seed;
   sopts.total_completions = opts.sim_completions;
   sopts.policy = opts.policy;
+  sopts.budget = opts.budget;
   sim::ReplicationOptions ropts;
   ropts.replications = opts.sim_replications;
   ropts.threads = 1;  // cells parallelize; replications stay inline

@@ -40,7 +40,7 @@ enum class PointStatus : std::uint8_t {
   kFailed,       // in-region but the solver failed (NotConverged, ...)
   kDegraded,     // value present but from a fallback rung, not the exact
                  // analysis (resilient sweeps only)
-  kTimedOut,     // the sweep budget was exhausted before this point ran
+  kTimedOut,     // the sweep budget ran out before or while this point ran
 };
 
 // "ok", "unstable", "failed", "degraded", "timed-out".
@@ -184,7 +184,9 @@ struct PanelOptions {
   int sim_replications = 4;
   // Per-policy knobs forwarded to the simulated cells' policies.
   PolicyConfig policy;
-  // Same once-per-cell budget contract as SweepOptions::budget.
+  // Same once-per-cell budget contract as SweepOptions::budget; a
+  // simulated cell's engine also polls it mid-run (every 4096 events), and
+  // a cell stopped there is kTimedOut.
   RunBudget budget;
 };
 

@@ -10,9 +10,7 @@
 namespace csq::mg1 {
 
 namespace {
-double check_rho(double lambda, const dist::Moments& job, const RunBudget& budget,
-                 const char* where) {
-  budget.check(where);  // closed-form formulas: entry is the only poll point
+double check_rho(double lambda, const dist::Moments& job) {
   if (lambda < 0.0) throw InvalidInputError("mg1: lambda < 0");
   const double rho = lambda * job.m1;
   if (rho >= 1.0) {
@@ -25,31 +23,28 @@ double check_rho(double lambda, const dist::Moments& job, const RunBudget& budge
 }
 }  // namespace
 
-double pk_wait(double lambda, const dist::Moments& job, const RunBudget& budget) {
-  const double rho = check_rho(lambda, job, budget, "mg1::pk_wait");
+double pk_wait(double lambda, const dist::Moments& job) {
+  const double rho = check_rho(lambda, job);
   CSQ_FAULT_POINT(kMg1PkWait);
   return lambda * job.m2 / (2.0 * (1.0 - rho));
 }
 
-double pk_response(double lambda, const dist::Moments& job, const RunBudget& budget) {
-  return job.m1 + pk_wait(lambda, job, budget);
+double pk_response(double lambda, const dist::Moments& job) {
+  return job.m1 + pk_wait(lambda, job);
 }
 
-double setup_wait(double lambda, const dist::Moments& job, const dist::Moments& setup,
-                  const RunBudget& budget) {
-  check_rho(lambda, job, budget, "mg1::setup_wait");
+double setup_wait(double lambda, const dist::Moments& job, const dist::Moments& setup) {
+  check_rho(lambda, job);
   CSQ_FAULT_POINT(kMg1SetupWait);
   return pk_wait(lambda, job) +
          (2.0 * setup.m1 + lambda * setup.m2) / (2.0 * (1.0 + lambda * setup.m1));
 }
 
-double setup_response(double lambda, const dist::Moments& job, const dist::Moments& setup,
-                      const RunBudget& budget) {
-  return job.m1 + setup_wait(lambda, job, setup, budget);
+double setup_response(double lambda, const dist::Moments& job, const dist::Moments& setup) {
+  return job.m1 + setup_wait(lambda, job, setup);
 }
 
-double mm1_response(double lambda, double mu, const RunBudget& budget) {
-  budget.check("mg1::mm1_response");
+double mm1_response(double lambda, double mu) {
   if (lambda >= mu) {
     Diagnostics d;
     d.rho_long = lambda / mu;
@@ -58,9 +53,8 @@ double mm1_response(double lambda, double mu, const RunBudget& budget) {
   return 1.0 / (mu - lambda);
 }
 
-double pk_wait_second_moment(double lambda, const dist::Moments& job,
-                             const RunBudget& budget) {
-  const double rho = check_rho(lambda, job, budget, "mg1::pk_wait_second_moment");
+double pk_wait_second_moment(double lambda, const dist::Moments& job) {
+  const double rho = check_rho(lambda, job);
   const double w1 = pk_wait(lambda, job);
   return 2.0 * w1 * w1 + lambda * job.m3 / (3.0 * (1.0 - rho));
 }

@@ -379,10 +379,10 @@ std::string Server::execute_op(const Request& req, const RunBudget& budget,
       sim::SimOptions so;
       so.seed = req.seed;
       so.total_completions = static_cast<std::size_t>(req.completions);
+      so.budget = budget;
       sim::ReplicationOptions ro;
       ro.replications = req.replications;
       ro.threads = opts_.op_threads;
-      ro.budget = budget;
       ro.target_rel_ci = 0.0;  // fixed replication count => deterministic
       const SystemConfig cfg = req.config();
       const sim::ReplicatedResult r = sim::simulate_replications(kind, cfg, so, ro);

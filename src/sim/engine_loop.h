@@ -5,8 +5,10 @@
 // calls.
 //
 // Throws csq::InternalError when no event is left to run (both arrival
-// rates zero) or a policy starts a busy server, and passes on the
-// csq::InvalidInputError of the samplers' and policies' argument checks.
+// rates zero) or a policy starts a busy server,
+// csq::DeadlineExceededError / csq::CancelledError when SimOptions::budget
+// is interrupted, and passes on the csq::InvalidInputError of the samplers'
+// and policies' argument checks.
 #pragma once
 
 #include <concepts>
@@ -74,6 +76,9 @@ SimResult Engine::run(P& policy) {
   const std::size_t n = servers_.size();
   const std::size_t first_long = static_cast<std::size_t>(opts_.short_hosts);
   while (completions_ < opts_.total_completions) {
+    // Budget poll at the first event and every 4096 after. It never reads
+    // rng_, so every draw (and arrival_hash) stays as it was.
+    if (events % 4096 == 0) poll_budget();
     ++events;
     // Next event: one of two arrivals or a completion on some server.
     double t = next_arrival_[0];

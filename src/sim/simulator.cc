@@ -121,6 +121,10 @@ void Engine::record_completion(const Job& job) {
   (job.cls == JobClass::kShort ? resp_short_ : resp_long_).add(resp);
 }
 
+void Engine::poll_budget() const {
+  if (opts_.budget.interrupted()) opts_.budget.check("sim::Engine::run");
+}
+
 ClassStats aggregate_replications(const std::vector<ClassStats>& reps) {
   ClassStats agg;
   if (reps.empty()) return agg;
@@ -193,13 +197,13 @@ ReplicatedResult simulate_replications(PolicyKind kind, const SystemConfig& conf
   };
   run_batch(0, n);
   reaggregate();
-  // Adaptive extension: the budget is polled only here, between rounds, so
-  // the initial batch always completes and budget exhaustion degrades the
-  // answer's precision instead of discarding it.
+  // Adaptive extension: a budget interrupted between rounds stops it and
+  // keeps the finished rounds; one interrupted mid-round has already thrown
+  // out of the engine.
   while (adaptive &&
          std::max(relative_ci(out.shorts), relative_ci(out.longs)) > ropts.target_rel_ci &&
          out.replications.size() < static_cast<std::size_t>(ropts.max_replications) &&
-         !ropts.budget.interrupted()) {
+         !opts.budget.interrupted()) {
     const std::size_t room =
         static_cast<std::size_t>(ropts.max_replications) - out.replications.size();
     run_batch(out.replications.size(), std::min(n, room));

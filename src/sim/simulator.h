@@ -9,7 +9,9 @@
 // policies such as M/G/2/SJF (Section 6), and the way to study cycle
 // stealing at the 2-8 host sizes of the paper's Table 1.
 //
-// Throws csq::InvalidInputError (core/status.h) on malformed arguments.
+// Throws csq::InvalidInputError (core/status.h) on malformed arguments, and
+// csq::DeadlineExceededError / csq::CancelledError when SimOptions::budget
+// is interrupted mid-run.
 #pragma once
 
 #include <array>
@@ -125,6 +127,12 @@ struct SimOptions {
   // Knobs for the policy zoo (stealing thresholds, sharing threshold);
   // policies without knobs ignore it.
   PolicyConfig policy;
+  // Wall-clock/cancellation budget, polled by the event loop at its first
+  // event and every 4096 events after (so a deadline overshoots by at most
+  // 4096 events). An interrupted budget throws out of the run: no result is
+  // ever a mean over a partial run. The poll never draws from the RNG, so a
+  // run that finishes is bit-identical to the same run without a budget.
+  RunBudget budget;
 };
 
 struct ClassStats {
@@ -165,21 +173,12 @@ struct ReplicationOptions {
   // Worker threads running replications: 1 = inline on the caller
   // (default), 0 = all hardware threads, n >= 2 = worker pool of n.
   int threads = 1;
-  // Wall-clock/cancellation budget. Observed only *between* replication
-  // rounds, never mid-replication and never before the initial batch: once
-  // simulate_replications starts, all `replications` runs complete (the
-  // degradation ladder relies on the simulation rung always producing an
-  // estimate). An interrupted budget only stops further adaptive extension
-  // — it is reported through the result, not an exception. Because the
-  // extension count then depends on wall-clock time, adaptive runs under a
-  // finite deadline are not bit-identical across machines; each individual
-  // replication (substream split_seed(seed, r)) still is.
-  RunBudget budget;
   // Adaptive CI-width stopping: when > 0, after the initial batch keep
   // adding rounds of up to `replications` further runs until every class's
   // relative CI half-width (ci95 / |mean_response|) is <= target_rel_ci,
-  // max_replications is reached, or the budget is interrupted. 0 disables
-  // the rule (exactly `replications` runs — the historical behaviour).
+  // max_replications is reached, or SimOptions::budget is interrupted. 0
+  // disables the rule (exactly `replications` runs — the historical
+  // behaviour).
   double target_rel_ci = 0.0;
   // Hard cap on total replications under the adaptive rule (ignored when
   // target_rel_ci == 0). Must be >= replications.
@@ -277,6 +276,9 @@ class Engine {
     return servers_[static_cast<std::size_t>(s)];
   }
   void record_completion(const Job& job);
+  // Throws when opts_.budget is interrupted. Out of line, so the event
+  // loop carries one rarely taken call instead of the poll's body.
+  void poll_budget() const;
 
   SystemConfig config_;
   SimOptions opts_;
@@ -305,9 +307,17 @@ class Engine {
 // regardless of thread count; see docs/performance.md for the determinism
 // contract. With ropts.target_rel_ci > 0, further rounds of replications
 // (substream indices continuing where the batch left off) are appended
-// until the relative CI target, ropts.max_replications, or the budget is
-// hit — see ReplicationOptions for the budget observation points. Throws
-// csq::InvalidInputError on malformed options (core/status.h).
+// until the relative CI target, ropts.max_replications, or an interrupted
+// opts.budget is hit.
+//
+// Every replication runs under opts.budget, so a budget interrupted during
+// a round throws out of the call (csq::DeadlineExceededError /
+// csq::CancelledError) and no partial replication is ever returned. One
+// interrupted between rounds only stops the adaptive extension; the
+// extension count then depends on wall-clock time, so adaptive runs under
+// a finite deadline are not bit-identical across machines (each individual
+// replication still is). Throws csq::InvalidInputError on malformed options
+// (core/status.h).
 [[nodiscard]] ReplicatedResult simulate_replications(PolicyKind kind,
                                                      const SystemConfig& config,
                                                      const SimOptions& opts = {},

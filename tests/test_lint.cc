@@ -34,7 +34,7 @@ std::vector<Finding> lint_one(const std::string& name, const std::string& rel,
   return csq::lint::run_rules(files, cfg);
 }
 
-// Multi-file variant for the cross-TU rules (R13, R14, R16): each {fixture, rel}
+// Multi-file variant for the cross-TU rules (R13, R16): each {fixture, rel}
 // pair is scanned and the whole set linted together.
 std::vector<Finding> lint_set(const std::vector<std::pair<std::string, std::string>>& specs,
                               const Config& cfg = {}) {
@@ -259,7 +259,7 @@ TEST(LintSuppress, SelftestPasses) {
 
 TEST(LintRegistry, CatalogIsStable) {
   const std::vector<csq::lint::RuleInfo>& rs = csq::lint::rules();
-  ASSERT_EQ(rs.size(), 11u);  // 10 rules + the suppression meta-rule
+  ASSERT_EQ(rs.size(), 10u);  // 9 rules + the suppression meta-rule
   EXPECT_STREQ(rs[0].id, "raw-throw");
   EXPECT_STREQ(rs[1].id, "nondeterminism");
   EXPECT_STREQ(rs[2].id, "header-hygiene");
@@ -267,16 +267,15 @@ TEST(LintRegistry, CatalogIsStable) {
   EXPECT_STREQ(rs[4].id, "banned-identifier");
   EXPECT_STREQ(rs[5].id, "serve-hygiene");
   EXPECT_STREQ(rs[6].id, "throw-flow");
-  EXPECT_STREQ(rs[7].id, "deadline-poll");
-  EXPECT_STREQ(rs[8].id, "atomic-order");
-  EXPECT_STREQ(rs[9].id, "journal-hygiene");
-  EXPECT_STREQ(rs[10].id, "suppression");
+  EXPECT_STREQ(rs[7].id, "atomic-order");
+  EXPECT_STREQ(rs[8].id, "journal-hygiene");
+  EXPECT_STREQ(rs[9].id, "suppression");
   // Retired rules are gone for good: their invariants ride on compiler
   // flags, types and tests (docs/static-analysis.md, "Carried elsewhere").
   for (const char* retired : {"no-float-eq", "hot-path-alloc", "error-docs",
                               "hot-path-generic-mult", "hot-path-alloc-transitive",
                               "policy-registry", "baseline", "fault-site-naming",
-                              "metric-naming"})
+                              "metric-naming", "deadline-poll"})
     for (const csq::lint::RuleInfo& r : rs) EXPECT_STRNE(r.id, retired);
   // --explain material: every rule ships a full rationale paragraph.
   for (const csq::lint::RuleInfo& r : rs) {
@@ -285,7 +284,7 @@ TEST(LintRegistry, CatalogIsStable) {
   }
 }
 
-// --- Semantic rules (R13, R14, R16): cross-TU fixtures --------------------------
+// --- Semantic rules (R13, R16): cross-TU fixtures ------------------------------
 
 TEST(LintSemantic, ThrowFlowUndocumentedAndStale) {
   const std::vector<Finding> fs =
@@ -313,19 +312,6 @@ TEST(LintSemantic, ThrowFlowCleanTwin) {
                 {"throw_flow_clean.cc", "src/qbd/throw_flow_clean.cc"},
                 {"throw_flow_dep.cc", "src/qbd/throw_flow_dep.cc"}});
   EXPECT_TRUE(fs.empty()) << fs.size() << " unexpected finding(s)";
-}
-
-TEST(LintSemantic, DeadlinePollUnpolledKernelLoop) {
-  const std::vector<Finding> fs =
-      lint_one("deadline_poll_bad.cc", "src/qbd/deadline_poll_bad.cc");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "deadline-poll");
-  EXPECT_EQ(fs[0].line, 13);
-  EXPECT_NE(fs[0].message.find("solve_r()"), std::string::npos);
-}
-
-TEST(LintSemantic, DeadlinePollCleanTwin) {
-  EXPECT_TRUE(lint_one("deadline_poll_clean.cc", "src/qbd/deadline_poll_clean.cc").empty());
 }
 
 TEST(LintSemantic, AtomicOrderNeedsRationale) {

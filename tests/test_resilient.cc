@@ -329,19 +329,19 @@ TEST(SimAdaptive, UnreachableTargetExtendsToTheCap) {
   EXPECT_GT(r.shorts.ci95, 0.0);
 }
 
-TEST(SimAdaptive, ExpiredBudgetStillRunsTheInitialBatch) {
+TEST(SimAdaptive, ExpiredBudgetThrowsAndReturnsNoPartialReplications) {
   sim::SimOptions sopts;
   sopts.total_completions = 5000;
+  sopts.budget = RunBudget::with_timeout_ms(0);  // expired before the first run
   sim::ReplicationOptions ropts;
   ropts.replications = 2;
   ropts.target_rel_ci = 1e-9;
   ropts.max_replications = 64;
-  ropts.budget = RunBudget::with_timeout_ms(0);  // expired before the first run
-  const sim::ReplicatedResult r =
-      sim::simulate_replications(sim::PolicyKind::kCsCq, clean_config(), sopts, ropts);
-  // The initial batch always completes; the expired budget only stops the
-  // adaptive extension.
-  EXPECT_EQ(r.replications.size(), 2u);
+  // Every replication polls the budget at its first event, so the call
+  // throws instead of returning a batch the budget never paid for.
+  EXPECT_THROW((void)sim::simulate_replications(sim::PolicyKind::kCsCq, clean_config(),
+                                                sopts, ropts),
+               DeadlineExceededError);
 }
 
 TEST(SimAdaptive, MalformedOptionsThrowInvalidInput) {

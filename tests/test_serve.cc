@@ -7,6 +7,7 @@
 //   Serve*       tier1;serve — deterministic, no fault injection needed
 //   ServeSoak    tier1;serve — the concurrent mixed-traffic soak
 //   ServeChaos   tier1;chaos — fault-injected degrade/shed paths
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -359,6 +360,24 @@ TEST(ServeServer, SweepAndSimulateRoundTrip) {
             sim);
 }
 
+// 2e6 completions x 32 replications: unbounded, a run of seconds (the
+// largest the schema allows under the default cost cap).
+const char* const kLongSimulate =
+    "{\"id\":\"long\",\"op\":\"simulate\",\"rho_s\":0.9,\"rho_l\":0.5,"
+    "\"completions\":2000000,\"replications\":32";
+
+double elapsed_s(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(ServeServer, SimulateHonorsItsTimeout) {
+  Server server(serial_opts());
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string r = server.call(std::string(kLongSimulate) + ",\"timeout_ms\":20}");
+  EXPECT_LT(elapsed_s(t0), 1.0);
+  EXPECT_EQ(error_code(r), "DeadlineExceeded") << r;
+}
+
 // --- Server: drain protocol ------------------------------------------------
 
 TEST(ServeDrain, QueuedWorkIsAnsweredCancelled) {
@@ -400,6 +419,21 @@ TEST(ServeDrain, DrainIsIdempotentAndThreadedDrainCompletes) {
   const Server::Stats s = server.stats();
   EXPECT_EQ(s.admitted, 8);
   EXPECT_EQ(s.completed + s.cancelled, 8);
+}
+
+TEST(ServeDrain, DrainCancelsARunningSimulate) {
+  ServerOptions o;
+  o.workers = 1;
+  o.request_timeout_ms = 0.0;
+  o.drain_timeout_ms = 10.0;
+  Server server(o);
+  auto t = server.submit(std::string(kLongSimulate) + "}");
+  while (server.pending() > 0) std::this_thread::yield();  // a worker took it
+  const auto t0 = std::chrono::steady_clock::now();
+  server.drain();
+  EXPECT_LT(elapsed_s(t0), 1.0);
+  EXPECT_EQ(error_code(t->wait()), "Cancelled");
+  EXPECT_EQ(server.stats().cancelled, 1);
 }
 
 // --- Soak: concurrent mixed traffic, bit-identical across worker counts ----

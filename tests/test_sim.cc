@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <thread>
 
 #include "analysis/cscq.h"
+#include "core/deadline.h"
 #include "core/status.h"
 #include "mg1/mg1.h"
 #include "mg1/mmc.h"
@@ -119,6 +123,59 @@ TEST(Sim, InvalidOptionsThrow) {
     SimOptions x = fast_opts();
     row.mutate(x);
     EXPECT_THROW((void)simulate(PolicyKind::kCsCq, c, x), InvalidInputError);
+  }
+}
+
+// --- Budget: the event loop polls SimOptions::budget ------------------------
+
+// Unbounded, this run takes ~10 s (~100 ns per completion), so a poll that
+// stops working fails the 1 s bounds below instead of passing slowly.
+constexpr std::size_t kLongRun = 100000000;
+
+double elapsed_s(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(SimBudget, ExpiredBudgetThrowsBeforeTheRunFinishes) {
+  const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0);
+  SimOptions o = fast_opts(kLongRun);
+  o.budget = RunBudget::with_timeout_ms(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)simulate(PolicyKind::kCsCq, c, o), DeadlineExceededError);
+  EXPECT_LT(elapsed_s(t0), 1.0);
+}
+
+TEST(SimBudget, TokenFiredFromAnotherThreadStopsALongRun) {
+  const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 1.0);
+  const CancelToken token;
+  SimOptions o = fast_opts(kLongRun);
+  o.budget = RunBudget().with_token(token);
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)simulate(PolicyKind::kJiq, c, o), CancelledError);
+  canceller.join();
+  EXPECT_LT(elapsed_s(t0), 1.0);
+}
+
+TEST(SimBudget, FarDeadlineRunIsBitIdenticalToAnUnbudgetedRun) {
+  // The poll reads the clock and the token, never the RNG: a run that
+  // finishes under a budget is the run without one, bit for bit.
+  const SystemConfig c = SystemConfig::paper_setup(0.9, 0.5, 1.0, 4.0);
+  const SimOptions plain = fast_opts(100000);
+  SimOptions budgeted = plain;
+  budgeted.budget = RunBudget::with_timeout_ms(1e9).with_token(CancelToken{});
+  for (const PolicyKind kind : {PolicyKind::kCsCq, PolicyKind::kStealHalf}) {
+    SCOPED_TRACE(policy_name(kind));
+    const SimResult a = simulate(kind, c, plain);
+    const SimResult b = simulate(kind, c, budgeted);
+    EXPECT_EQ(a.arrival_hash, b.arrival_hash);
+    EXPECT_EQ(a.arrivals, b.arrivals);
+    EXPECT_EQ(std::memcmp(&a.shorts.mean_response, &b.shorts.mean_response, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.longs.mean_response, &b.longs.mean_response, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.sim_time, &b.sim_time, sizeof(double)), 0);
   }
 }
 

@@ -3,21 +3,22 @@
 //   csq_cli analyze   --policy cscq|csid|dedicated [workload flags]
 //                     [--verify none|basic|full] (self-check level)
 //                     [--resilient] (cscq only: exact -> truncated ->
-//                     simulation degradation ladder)
+//                     simulation degradation ladder) [--timeout-ms X]
 //   csq_cli simulate  --policy <registry token; see docs/policies.md>
 //                     [workload flags] [--dist exp|coxian|bpareto]
 //                     [--completions N] [--seed N] [--tags-cutoff X]
 //                     [--steal-threshold N] [--steal-batch N]
 //                     [--share-threshold N] [--reps N] [--target-ci X]
-//                     [--max-reps N]
+//                     [--max-reps N] [--timeout-ms X]
 //   csq_cli sweep     --x rho_s|rho_l --from A --to B --points N
 //                     [workload flags] [--csv] [--resilient]
-//                     [--checkpoint FILE]
+//                     [--checkpoint FILE] [--timeout-ms X]
 //                     (crash-resumable: every finished row is journaled;
 //                     rerun with the same flags + file to resume
 //                     byte-identically)
 //   csq_cli sweep     --policy a,b,... [--dist exp|coxian|bpareto]
 //                     [--from A --to B --points N] [--csv|--json]
+//                     [--timeout-ms X]
 //                     (policy x dist x load panel: analysis for
 //                     cscq/csid/dedicated, replicated simulation elsewhere;
 //                     bit-identical across --threads values)
@@ -30,12 +31,16 @@
 // stdout), --metrics[=file] (flat JSON dump of the obs counters after the
 // command; stdout without a file), --trace=file (record solver-stage spans
 // and write Chrome trace-event JSON — load in chrome://tracing; see
-// docs/observability.md), --timeout-ms X (wall-clock RunBudget for the
-// command; exceeded deadlines exit 7 unless --resilient degrades to a
-// cheaper answer first), --fault site:count:kind[,site:count:kind...] (arm
+// docs/observability.md), --fault site:count:kind[,site:count:kind...] (arm
 // deterministic fault-injection sites, see core/faultpoint.h). A flag that
 // is neither global nor read by the command exits 2 before the command
 // runs.
+//
+// Budget flag (analyze, simulate, sweep): --timeout-ms X, a wall-clock
+// RunBudget for the command. An exceeded deadline exits 7 unless
+// --resilient degrades to a cheaper answer first; a sweep marks the points
+// it could not finish `timed-out` instead. stability runs no iterative
+// work and rejects the flag.
 //
 // Exit codes follow the error taxonomy: 0 ok, 1 internal error, 2 invalid
 // input, 3 unstable (outside the stability region), 4 solver not converged,
@@ -138,19 +143,20 @@ Args parse(int argc, char** argv) {
 // otherwise run the default workload, and a sweep may already have
 // journaled rows to its checkpoint.
 void reject_unknown_flags(const Args& a) {
-  static const std::set<std::string> kGlobal = {"json-errors", "metrics", "trace",
-                                                "timeout-ms", "fault"};
+  static const std::set<std::string> kGlobal = {"json-errors", "metrics", "trace", "fault"};
   static const std::map<std::string, std::set<std::string>> kByCommand = {
       {"analyze", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "policy", "verify",
-                   "resilient"}},
+                   "resilient", "timeout-ms"}},
       {"simulate", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "policy", "dist",
                     "completions", "seed", "tags-cutoff", "steal-threshold", "steal-batch",
-                    "share-threshold", "reps", "threads", "target-ci", "max-reps"}},
+                    "share-threshold", "reps", "threads", "target-ci", "max-reps",
+                    "timeout-ms"}},
       {"sweep", {"rho-s", "rho-l", "mean-s", "mean-l", "scv-l", "x", "from", "to", "points",
-                 "threads", "resilient", "checkpoint", "csv"}},
+                 "threads", "resilient", "checkpoint", "csv", "timeout-ms"}},
       {"sweep --policy", {"rho-l", "mean-s", "mean-l", "scv-l", "policy", "dist", "from", "to",
                           "points", "threads", "seed", "completions", "reps",
-                          "steal-threshold", "steal-batch", "share-threshold", "csv", "json"}},
+                          "steal-threshold", "steal-batch", "share-threshold", "csv", "json",
+                          "timeout-ms"}},
       {"stability", {"points", "csv"}},
   };
   const bool panel = a.command == "sweep" && (a.has("policy") || a.has("dist"));
@@ -268,16 +274,16 @@ int cmd_simulate(const Args& a) {
   o.seed = a.integer<std::uint64_t>("seed", o.seed, 0, kMaxExact);
   o.tags_cutoff = a.number("tags-cutoff", o.tags_cutoff);
   o.policy = policy_knobs(a);
+  o.budget = run_budget(a);
   Table t({"class", "E[T]", "ci95", "completions"});
   const int reps = a.integer("reps", 1, 1, kMaxCount);
   if (reps > 1 || a.has("target-ci")) {
     // Independent replications with deterministic per-replication substreams:
     // results are identical for any --threads value (except the adaptive
-    // replication *count* under --timeout-ms; see sim::ReplicationOptions).
+    // replication *count* under --timeout-ms; see sim::simulate_replications).
     sim::ReplicationOptions ropts;
     ropts.replications = reps;
     ropts.threads = a.integer("threads", 1, 0, kMaxThreads);
-    ropts.budget = run_budget(a);
     ropts.target_rel_ci = a.number("target-ci", 0.0);
     ropts.max_replications =
         a.integer("max-reps", std::max(ropts.max_replications, reps), 1, kMaxCount);
@@ -452,26 +458,29 @@ void usage() {
       "  workload: --rho-s X --rho-l X --mean-s X --mean-l X --scv-l X\n"
       "  analyze:  --policy cscq|csid|dedicated [--verify none|basic|full]\n"
       "            [--resilient] (cscq: exact->truncated->simulation ladder)\n"
+      "            [--timeout-ms X]\n"
       "  simulate: --policy <registry token; docs/policies.md lists them>\n"
       "                     [--dist exp|coxian|bpareto] [--completions N]\n"
       "                     [--seed N] [--tags-cutoff X] [--steal-threshold N]\n"
       "                     [--steal-batch N] [--share-threshold N] [--reps N]\n"
-      "                     [--target-ci X] [--max-reps N]\n"
+      "                     [--target-ci X] [--max-reps N] [--timeout-ms X]\n"
       "  sweep:    --x rho_s|rho_l --from A --to B --points N [--csv]\n"
-      "            [--resilient] [--checkpoint FILE]\n"
+      "            [--resilient] [--checkpoint FILE] [--timeout-ms X]\n"
       "            (--checkpoint: journals each finished row; rerun with the\n"
       "             same flags and file to resume — output rows are\n"
       "             byte-identical)\n"
       "  sweep:    --policy a,b,... [--dist exp|coxian|bpareto] [--csv|--json]\n"
       "            [--from A --to B --points N] [--reps N] [--completions N]\n"
+      "            [--timeout-ms X]\n"
       "            (policy panel: analysis where available, replicated\n"
       "             simulation elsewhere; bit-identical across --threads)\n"
       "  stability: [--points N] [--csv]\n"
       "  global:   --json-errors (structured error JSON on stdout)\n"
       "            --metrics[=file] (obs counter dump; docs/observability.md)\n"
       "            --trace=file (Chrome trace-event JSON of solver spans)\n"
-      "            --timeout-ms X (wall-clock budget; deadline exit = 7)\n"
       "            --fault site:count:kind[,...] (arm fault sites)\n"
+      "  budget:   --timeout-ms X (analyze, simulate, sweep: wall-clock\n"
+      "            budget; deadline exit = 7, sweep points go timed-out)\n"
       "exit codes: 0 ok, 1 internal, 2 invalid input, 3 unstable,\n"
       "            4 not converged, 5 ill-conditioned, 6 verification failed,\n"
       "            7 deadline exceeded, 8 cancelled, 9 overloaded (csq_serve),\n"

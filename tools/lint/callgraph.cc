@@ -152,17 +152,11 @@ void RepoIndex::resolve_all(const Config&) {
 void RepoIndex::run_fixpoints(const Config& config) {
   const std::size_t n = fn_refs_.size();
   escapes_.assign(n, {});
-  polls_.assign(n, false);
-  reaches_kernel_.assign(n, false);
 
   // Seeds.
   for (std::size_t id = 0; id < n; ++id) {
     const FnRef& ref = fn_refs_[id];
     const FunctionDecl& f = fn(ref);
-    polls_[id] = f.polls_budget;
-    if (contains(config.iterative_kernels, f.name) &&
-        contains(config.iterative_kernel_modules, files_[ref.file].module))
-      reaches_kernel_[id] = true;
     for (const ThrowRef& th : f.throws) {
       if (!is_taxonomy_type(th.type, config)) continue;
       std::set<std::string> one = {th.type};
@@ -181,14 +175,6 @@ void RepoIndex::run_fixpoints(const Config& config) {
       const FunctionDecl& f = fn(fn_refs_[id]);
       for (std::size_t c = 0; c < f.calls.size(); ++c) {
         for (std::size_t callee : resolved_[id][c]) {
-          if (polls_[callee] && !polls_[id]) {
-            polls_[id] = true;
-            changed = true;
-          }
-          if (reaches_kernel_[callee] && !reaches_kernel_[id]) {
-            reaches_kernel_[id] = true;
-            changed = true;
-          }
           if (!escapes_[callee].empty()) {
             std::set<std::string> in = escapes_[callee];
             filter_caught(f, f.calls[c].tok, &in);
@@ -278,50 +264,6 @@ void rule_throw_flow(const std::vector<SourceFile>& files, const RepoIndex& repo
   }
 }
 
-// R14 deadline-poll: a loop in the solver/simulator directories whose body
-// reaches an iterative kernel must poll the RunBudget/CancelToken — either
-// in the loop itself or inside the (transitively) called kernel. Unresolved
-// calls never count as polling, so a loop is only accepted on evidence.
-void rule_deadline_poll(const std::vector<SourceFile>& files, const RepoIndex& repo,
-                        const Config& cfg, std::vector<Finding>* out) {
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    bool in_scope = false;
-    for (const std::string& d : cfg.deadline_poll_dirs)
-      if (starts_with(files[fi].rel, d)) in_scope = true;
-    if (!in_scope) continue;
-    const FileIndex& fx = repo.files()[fi];
-    for (std::size_t k = 0; k < fx.functions.size(); ++k) {
-      const FunctionDecl& f = fx.functions[k];
-      const std::size_t id = repo.fn_id({fi, k});
-      for (const LoopRef& loop : f.loops) {
-        bool polls_in_loop = false;
-        for (std::size_t p : f.poll_toks)
-          if (in_region(p, loop.body_begin, loop.body_end)) polls_in_loop = true;
-        if (polls_in_loop) continue;
-        // First kernel-reaching call whose candidates do not themselves poll.
-        for (std::size_t c = 0; c < f.calls.size(); ++c) {
-          const CallRef& call = f.calls[c];
-          if (!in_region(call.tok, loop.body_begin, loop.body_end)) continue;
-          bool reaches = false;
-          bool callee_polls = false;
-          for (std::size_t callee : repo.resolved(id, c)) {
-            if (repo.reaches_kernel(callee)) reaches = true;
-            if (repo.polls(callee)) callee_polls = true;
-          }
-          if (reaches && !callee_polls) {
-            out->push_back({files[fi].path, call.line, "deadline-poll",
-                            "loop reaches the iterative kernel via " + call.name +
-                                "() but neither the loop nor the callee polls the "
-                                "RunBudget/CancelToken — add a budget.check()/"
-                                "interrupted() poll"});
-            break;  // one finding per loop
-          }
-        }
-      }
-    }
-  }
-}
-
 // R16 atomic-order: every relaxed/acquire/release/acq_rel order in the
 // concurrency directories needs a nearby ordering-rationale comment, and a
 // bare seq_cst inside a src/parallel/ loop (the hot paths) is flagged too —
@@ -362,8 +304,8 @@ std::string index_selftest(bool* ok) {
     if (!cond) pass = false;
   };
 
-  // Synthetic three-file repo: an iterative kernel that polls and throws, a
-  // header-defined method sharing the kernel's name, and a caller file.
+  // Synthetic three-file repo: a kernel that throws, a header-defined
+  // method sharing the kernel's name, and a caller file.
   const std::string lu_h =
       "#pragma once\n"
       "namespace csq { namespace linalg {\n"
@@ -376,9 +318,6 @@ std::string index_selftest(bool* ok) {
       "#include \"linalg/lu.h\"\n"
       "namespace csq { namespace qbd {\n"
       "int solve(int n) {\n"
-      "  for (int i = 0; i < n; ++i) {\n"
-      "    if (budget.interrupted()) break;\n"
-      "  }\n"
       "  if (n < 0) throw NotConvergedError(\"no\");\n"
       "  return n;\n"
       "} } }\n";
@@ -413,7 +352,6 @@ std::string index_selftest(bool* ok) {
         "inline class method extracted as a method");
   check(indexed[1].functions.size() == 1 && indexed[1].functions[0].scope == "csq::qbd",
         "namespace scope chain recovered for the kernel");
-  check(indexed[1].functions[0].polls_budget, "interrupted() poll detected");
   check(indexed[1].functions[0].throws.size() == 1 &&
             indexed[1].functions[0].throws[0].type == "NotConvergedError",
         "throw site type extracted");
@@ -448,12 +386,10 @@ std::string index_selftest(bool* ok) {
         "NotConvergedError propagates to the uncaught caller");
   check(repo.escapes(repo.fn_id(sweep_safe)).empty(),
         "catch (NotConvergedError&) stops the propagation");
-  check(repo.polls(repo.fn_id(sweep_all)), "polling propagates through the call");
-  check(repo.reaches_kernel(repo.fn_id(sweep_all)), "kernel reachability propagates");
 
   // --- conservatism on unresolved calls -----------------------------------
   const std::size_t ext = repo.fn_id(sweep_external);
-  check(repo.escapes(ext).empty() && !repo.polls(ext) && !repo.reaches_kernel(ext),
+  check(repo.escapes(ext).empty(),
         "unresolved external_helper() supplies no property (may do anything)");
 
   if (ok != nullptr) *ok = pass;
@@ -467,7 +403,6 @@ void run_semantic_rules(const std::vector<SourceFile>& files, const Config& conf
   for (const SourceFile& f : files) indexes.push_back(build_file_index(f));
   const RepoIndex repo = RepoIndex::build(std::move(indexes), config);
   rule_throw_flow(files, repo, config, out);
-  rule_deadline_poll(files, repo, config, out);
   rule_atomic_order(files, repo, config, out);
 }
 

@@ -1,16 +1,13 @@
 // Repo-wide layer of the csq_lint semantic engine: the symbol table over all
 // FileIndex records, the conservative call graph, and the flow-aware rules
-// (R13 throw-flow, R14 deadline-poll, R16 atomic-order) that run on top of
-// them.
+// (R13 throw-flow, R16 atomic-order) that run on top of them.
 //
 // Resolution is name-based with overload sets — there is no type checking.
 // The conservatism direction is fixed per rule and documented with each:
 // an *unresolved* call (std::, external libraries, function pointers) "may
-// do anything", which concretely means it never supplies a property the
-// rule wants proven (it cannot poll a RunBudget for R14) and never supplies
-// a property that would create a finding out of thin air (it throws no
-// taxonomy type for R13 — taxonomy types only originate in repo code the
-// index can see).
+// do anything", which concretely means it never supplies a property that
+// would create a finding out of thin air (it throws no taxonomy type for
+// R13 — taxonomy types only originate in repo code the index can see).
 #pragma once
 
 #include <cstddef>
@@ -52,23 +49,12 @@ class RepoIndex {
   [[nodiscard]] const std::vector<FnRef>& fn_refs() const { return fn_refs_; }
   [[nodiscard]] std::size_t fn_id(const FnRef& r) const;
 
-  // Resolved callee ids for call number `call` of function `id` (aligned
-  // with FunctionDecl::calls). Empty = unresolved.
-  [[nodiscard]] const std::vector<std::size_t>& resolved(std::size_t id,
-                                                         std::size_t call) const {
-    return resolved_[id][call];
-  }
-
   // Taxonomy error types that can escape each function (local throws minus
   // enclosing catches, plus resolved callees' escapes minus catches at the
   // call site).
   [[nodiscard]] const std::set<std::string>& escapes(std::size_t id) const {
     return escapes_[id];
   }
-  // Transitively polls RunBudget/CancelToken through resolved calls.
-  [[nodiscard]] bool polls(std::size_t id) const { return polls_[id]; }
-  // Is, or transitively reaches, a configured iterative kernel.
-  [[nodiscard]] bool reaches_kernel(std::size_t id) const { return reaches_kernel_[id]; }
 
   // Namespace names seen anywhere in the repo (classifies A::f quals).
   [[nodiscard]] bool is_namespace(const std::string& name) const {
@@ -84,8 +70,6 @@ class RepoIndex {
   std::vector<bool> method_;  // finalized is_method per fn id
   std::vector<std::vector<std::vector<std::size_t>>> resolved_;  // fn -> call -> callee ids
   std::vector<std::set<std::string>> escapes_;
-  std::vector<bool> polls_;
-  std::vector<bool> reaches_kernel_;
 
   void finalize_methods();
   void resolve_all(const Config& config);

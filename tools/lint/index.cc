@@ -57,24 +57,12 @@ namespace {
   return c.line + static_cast<int>(std::count(c.text.begin(), c.text.end(), '\n'));
 }
 
-[[nodiscard]] std::string module_of(const std::string& rel) {
-  if (starts_with(rel, "tools/")) return "tools";
-  if (starts_with(rel, "tests/")) return "tests";
-  if (starts_with(rel, "src/")) {
-    const std::size_t slash = rel.find('/', 4);
-    if (slash == std::string::npos) return "";  // src/csq.h umbrella
-    return rel.substr(4, slash - 4);
-  }
-  return "";
-}
-
 }  // namespace
 
 FileIndex build_file_index(const SourceFile& file) {
   FileIndex idx;
   idx.rel = file.rel;
   idx.is_header = file.is_header;
-  idx.module = module_of(file.rel);
 
   const std::vector<Token>& t = file.tokens;
   const std::size_t n = t.size();
@@ -345,14 +333,6 @@ FileIndex build_file_index(const SourceFile& file) {
       if (loop.body_end >= n) loop.body_end = n - 1;
       f.loops.push_back(loop);
       continue;
-    }
-
-    // Budget polls.
-    if (tok.text == "interrupted" || tok.text == "expired" || tok.text == "cancelled" ||
-        (tok.text == "check" && i > 0 && t[i - 1].kind == TokKind::kPunct &&
-         (t[i - 1].text == "." || t[i - 1].text == "->"))) {
-      f.polls_budget = true;
-      f.poll_toks.push_back(i);
     }
 
     // Atomic memory orders: memory_order_relaxed or memory_order::relaxed.

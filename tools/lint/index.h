@@ -4,8 +4,7 @@
 // For each SourceFile the extractor computes a FileIndex: function/method
 // definition extents (with namespace/class scope chains recovered from a
 // brace-matched scope stack), the call sites, throw sites, loops, try/catch
-// regions and atomic memory_order sites inside each body, plus the module
-// the file belongs to (`src/<module>/...`).
+// regions and atomic memory_order sites inside each body.
 // Everything is best-effort token-level analysis: malformed input degrades
 // to fewer facts, never to a crash.
 #pragma once
@@ -73,8 +72,6 @@ struct FunctionDecl {
   std::size_t body_end = 0;    // token index of the closing `}`
   bool is_method = false;      // defined in a class scope or via Class:: quals
   bool internal = false;       // anonymous namespace or `static` — not API
-  bool polls_budget = false;   // body polls interrupted()/expired()/cancelled()/.check()
-  std::vector<std::size_t> poll_toks;  // token indices of those poll sites
   bool has_order_rationale = false;  // ordering-rationale comment in/above the body
   std::vector<CallRef> calls;
   std::vector<ThrowRef> throws;
@@ -87,13 +84,11 @@ struct FunctionDecl {
 struct FileIndex {
   std::string rel;             // repo-relative path, '/'-separated
   bool is_header = false;
-  std::string module;          // "core", "qbd", ..., "tools"; "" for src/csq.h
   std::vector<std::string> namespaces;  // namespace names opened in this file
   std::vector<FunctionDecl> functions;
 };
 
-// Build the semantic index for one scanned file. `module` is derived from
-// `file.rel` (`src/<m>/...` → m, `tools/...` → "tools").
+// Build the semantic index for one scanned file.
 [[nodiscard]] FileIndex build_file_index(const SourceFile& file);
 
 }  // namespace csq::lint

@@ -273,15 +273,6 @@ const std::vector<RuleInfo>& rules() {
        "InternalError is exempt: invariant breaches are bugs, not contract.\n"
        "Fix: add or drop the contract line, or catch-and-convert at the API\n"
        "boundary."},
-      {"deadline-poll",
-       "solver/simulator loops that reach an iterative kernel must poll "
-       "RunBudget/CancelToken (R14)",
-       "The cooperative-cancellation contract (core/deadline.h): any loop in\n"
-       "src/{qbd,mg1,sim,core} whose body transitively reaches an\n"
-       "iterative kernel must poll the budget — interrupted()/expired()/\n"
-       "cancelled()/check() in the loop, or a callee that provably polls.\n"
-       "Unresolved calls never count as polling (conservative direction: a loop\n"
-       "is only accepted on evidence). Fix: add a poll or push the budget down."},
       {"atomic-order",
        "non-seq_cst memory orders in src/parallel|obs need a rationale comment; "
        "bare seq_cst in hot loops is flagged (R16)",

@@ -4,8 +4,8 @@
 // tokenizer (no libclang) plus a registry of project-specific rules that
 // mechanically enforce the invariants the QBD/busy-period analysis relies on
 // and that no compiler flag or type can carry (see docs/static-analysis.md
-// for the rule catalog, and for the retired rules R2/R4/R6/R9/R10/R12/R15/
-// R17/R19 and what carries their invariants now):
+// for the rule catalog, and for the retired rules R2/R4/R6/R9/R10/R12/R14/
+// R15/R17/R19 and what carries their invariants now):
 //
 //   raw-throw          (R1) only core/status.h taxonomy types may be thrown
 //   nondeterminism     (R3) no std::rand/random_device/time()/..now() in
@@ -132,17 +132,6 @@ struct Config {
   // failures to taxonomy responses; it never takes the process down).
   std::vector<std::string> serve_banned_calls = {"exit",       "_exit",    "_Exit",
                                                  "quick_exit", "abort",    "terminate"};
-  // deadline-poll (R14): directories whose loops must poll the budget when
-  // they transitively reach an iterative kernel.
-  std::vector<std::string> deadline_poll_dirs = {"src/qbd/", "src/mg1/", "src/sim/",
-                                                 "src/core/"};
-  // The iterative kernels: entry points whose runtime is data-dependent and
-  // unbounded without a budget. A function qualifies when its name matches
-  // AND it is defined in one of iterative_kernel_modules.
-  std::vector<std::string> iterative_kernels = {
-      "solve",    "solve_r",  "solve_g_logred", "run",
-      "simulate", "simulate_replications"};
-  std::vector<std::string> iterative_kernel_modules = {"qbd", "mg1", "sim"};
   // atomic-order (R16): directories where memory_order arguments need an
   // ordering-rationale comment.
   std::vector<std::string> atomic_order_dirs = {"src/parallel/", "src/obs/"};
@@ -157,7 +146,7 @@ struct Config {
 };
 
 // Run every rule over `files` — the token rules, then the semantic rules
-// (R13, R14, R16) on the cross-TU index — apply suppressions, flag
+// (R13, R16) on the cross-TU index — apply suppressions, flag
 // markers that suppressed nothing, and return the surviving findings sorted
 // by (file, line, rule). Cross-file rules see the whole set, so pass related
 // .h/.cc files together.
